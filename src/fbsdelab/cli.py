@@ -214,7 +214,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (recorded for determinism bookkeeping)")
+                   help="recorded in the manifest only; all numerics run single-threaded")
     p.add_argument("--no-timestamps", action="store_true",
                    help="omit timestamps from file headers")
 

@@ -191,12 +191,18 @@ def _branch_integral(K: float, s_nodes: np.ndarray, running: np.ndarray,
 # -- grid extremization -------------------------------------------------------
 
 
+def _s_nodes(box: GridBox, t: float) -> np.ndarray:
+    """Box time nodes in [t, T], with t itself prepended when it is not a node."""
+    s = box.t_nodes()
+    s = s[s >= t - 1e-12]
+    if s.size == 0 or s[0] > t + 1e-12:
+        s = np.concatenate([[t], s])
+    return s
+
+
 def _grid4(spec: ModelSpec, name: str, box: GridBox, s_lo: float):
     """Evaluate a driver partial on the (s, x, y, z) product grid, s >= s_lo."""
-    s = box.t_nodes()
-    s = s[s >= s_lo - 1e-12]
-    if s.size == 0 or s[0] > s_lo + 1e-12:
-        s = np.concatenate([[s_lo], s])
+    s = _s_nodes(box, s_lo)
     fn = spec.d(name)
     t4 = s[:, None, None, None]
     x4 = box.x_nodes()[None, :, None, None]
@@ -240,26 +246,21 @@ def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
     Probe states are quantiles of a pilot simulation of X_t; from each probe
     the bridge to T is re-simulated and hits of A are counted.
     """
-    from .mc import rng_stream, STREAM_BOOTSTRAP
+    from .mc import STREAM_BOOTSTRAP, _euler, rng_stream
 
     rng = rng_stream(seed, STREAM_BOOTSTRAP)
     k_t = max(int(round(t / spec.T * n_steps)), 1)
     dt1 = t / k_t
-    x = np.full(n_pilot, spec.X0)
-    for k in range(k_t):
-        s = k * dt1
-        x = x + np.asarray(spec.b(s, x), dtype=float) * dt1 \
-            + np.asarray(spec.sigma(s, x), dtype=float) * rng.standard_normal(n_pilot) * math.sqrt(dt1)
+    # one (steps, paths) block per phase: the same normals as step-by-step draws
+    dW = rng.standard_normal((k_t, n_pilot)) * math.sqrt(dt1)
+    x = _euler(spec, dW.T, spec.X0, 0.0, dt1)[0][-1]
     probes = np.quantile(x, np.linspace(0.05, 0.95, n_probes))
     k_rest = max(n_steps - k_t, 1)
     dt2 = (spec.T - t) / k_rest
     lb = math.inf
     for xp in probes:
-        xx = np.full(n_sub, float(xp))
-        for k in range(k_rest):
-            s = t + k * dt2
-            xx = xx + np.asarray(spec.b(s, xx), dtype=float) * dt2 \
-                + np.asarray(spec.sigma(s, xx), dtype=float) * rng.standard_normal(n_sub) * math.sqrt(dt2)
+        dW = rng.standard_normal((k_rest, n_sub)) * math.sqrt(dt2)
+        xx = _euler(spec, dW.T, float(xp), t, dt2)[0][-1]
         hits = int(np.sum(A.contains(xx)))
         lb = min(lb, _wilson_lower(hits, n_sub))
     return float(lb)
@@ -370,13 +371,12 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
     """Evaluate the second-order correction term on the (s,x,y,z) grid.
 
     htilde = -(h_xt + b h_xx - h h_xy + (sigma^2 h_xxx + 2 z sigma h_xxy
-              + z^2 h_xxy)/2) - ((h_y + b_x) h_x + sigma sigma_x h_xx
+              + z^2 h_xyy)/2) - ((h_y + b_x) h_x + sigma sigma_x h_xx
               + z sigma_x h_xy),  all driver partials at (s, x, y).
+
+    The bracket is the Ito generator of h_x(s, X_s, Y_s) with dY = -h ds + z dW.
     """
-    s = box.t_nodes()
-    s = s[s >= t - 1e-12]
-    if s.size == 0 or s[0] > t + 1e-12:
-        s = np.concatenate([[t], s])
+    s = _s_nodes(box, t)
     t4 = s[:, None, None, None]
     x4 = box.x_nodes()[None, :, None, None]
     y4 = box.y_nodes()[None, None, :, None]
@@ -393,7 +393,7 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
     sigx = np.broadcast_to(np.asarray(spec.d("sigma_x")(t4, x4), dtype=float), shape)
     z = np.broadcast_to(z4, shape)
     ht = -(E("h_xt") + bval * E("h_xx") - hval * E("h_xy")
-           + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z * sig * E("h_xxy") + z**2 * E("h_xxy"))) \
+           + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z * sig * E("h_xxy") + z**2 * E("h_xyy"))) \
         - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z * sigx * E("h_xy"))
     return s, ht
 
@@ -554,35 +554,18 @@ def _structure_gate(spec: ModelSpec, box: GridBox, t: float, res: float, need_hy
 def estimate_variation_bounds(spec: ModelSpec, seed: int = 321, n_paths: int = 2048,
                               n_steps: int = 64) -> VariationBounds:
     """Monte Carlo extremes of D_r X_u (flow ratios) and of D^2_{r,r} X_u."""
-    from .mc import simulate_forward, variational_processes, malliavin_dx
+    from .mc import _euler, _malliavin_d2x, malliavin_dx, simulate_forward
 
     ens = simulate_forward(spec, n_paths, n_steps, seed)
-    nabla = variational_processes(spec, ens)
+    _, nabla, nabla2 = _euler(spec, ens.dW, spec.X0, 0.0, ens.dt, order=2)
     a_lo, a_hi = math.inf, -math.inf
     for k_r in range(0, n_steps, max(n_steps // 8, 1)):
-        d = malliavin_dx(spec, ens, nabla, k_r)[:, k_r:]
+        d = malliavin_dx(spec, ens, nabla.T, k_r)[:, k_r:]
         a_lo = min(a_lo, float(np.min(d)))
         a_hi = max(a_hi, float(np.max(d)))
-    # second derivative probe: reuse the Euler recursion with r = s on a subgrid
-    b_hi = 0.0
-    sx = spec.d("sigma_x")
-    bxx = spec.d("b_xx")
-    sxx = spec.d("sigma_xx")
-    bx = spec.d("b_x")
-    t = ens.t_grid
-    for k_r in range(0, n_steps, max(n_steps // 4, 1)):
-        DrX = malliavin_dx(spec, ens, nabla, k_r)
-        D2 = np.asarray(sx(t[k_r], ens.X[:, k_r]), dtype=float) * DrX[:, k_r]
-        m = float(np.max(np.abs(D2)))
-        for k in range(k_r, n_steps):
-            xk = ens.X[:, k]
-            cross = DrX[:, k] ** 2
-            D2 = D2 + (np.asarray(bxx(t[k], xk), dtype=float) * cross
-                       + np.asarray(bx(t[k], xk), dtype=float) * D2) * ens.dt \
-                + (np.asarray(sxx(t[k], xk), dtype=float) * cross
-                   + np.asarray(sx(t[k], xk), dtype=float) * D2) * ens.dW[:, k]
-            m = max(m, float(np.max(np.abs(D2))))
-        b_hi = max(b_hi, m)
+    # second derivative probe on the diagonal r = s of a coarser r-grid
+    b_hi = max(float(np.max(np.abs(_malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_r))))
+               for k_r in range(0, n_steps, max(n_steps // 4, 1)))
     return VariationBounds(a_lo, a_hi, b_hi)
 
 
@@ -702,10 +685,7 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     dphi = np.gradient(phi, w, edge_order=2)
 
     # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box
-    s = box.t_nodes()
-    s = s[s >= t - 1e-12]
-    if s.size == 0 or s[0] > t + 1e-12:
-        s = np.concatenate([[t], s])
+    s = _s_nodes(box, t)
     wq = np.linspace(box.x_lo, box.x_hi, 33)
     t6 = s[:, None, None, None, None]
     x6 = box.x_nodes()[::max(box.nx // 17, 1)][None, :, None, None, None]

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, rng_stream
+from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _euler, rng_stream
 from .model import ModelSpec
 from .pde import GridSolution
 from .special import gauss_laguerre
@@ -154,25 +154,18 @@ def gaussian_integral_sampler(f: Callable, T: float = 1.0, n_steps: int = 64) ->
     return FunctionalSampler(T, n_steps, r, evaluate, "int f dW")
 
 
-def _forward_given(spec: ModelSpec, dW: np.ndarray, with_variation: bool = True):
-    n, N = dW.shape
-    dt = spec.T / N
-    t_grid = np.linspace(0.0, spec.T, N + 1)
-    X = np.empty((n, N + 1))
-    X[:, 0] = spec.X0
-    nabla = np.ones((n, N + 1)) if with_variation else None
-    bx = spec.d("b_x")
-    sx = spec.d("sigma_x")
-    for k in range(N):
-        t = t_grid[k]
-        xk = X[:, k]
-        X[:, k + 1] = xk + np.asarray(spec.b(t, xk), dtype=float) * dt \
-            + np.asarray(spec.sigma(t, xk), dtype=float) * dW[:, k]
-        if with_variation:
-            nabla[:, k + 1] = nabla[:, k] * (
-                1.0 + np.asarray(bx(t, xk), dtype=float) * dt
-                + np.asarray(sx(t, xk), dtype=float) * dW[:, k])
-    return t_grid, X, nabla
+def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
+              slope: np.ndarray) -> np.ndarray:
+    """Phi(r) = slope nablaX_t sigma(r, X_r) / nablaX_r on the nodes r, t = r[-1].
+
+    Reads the first len(r) rows of the kernel's time-major X and nabla.  Phi
+    is written in C order: ``estimate_gF`` sums its rows in a layout-dependent
+    order, and a transposed Phi would move g_F in the last bits.
+    """
+    k = r.size
+    sig_r = np.asarray(spec.sigma(r[:, None], X[:k]), dtype=float) + np.zeros_like(X[:k])
+    sig_r *= (slope * nabla[k - 1])[None, :]
+    return np.divide(sig_r.T, nabla[:k].T, out=np.empty(sig_r.T.shape))
 
 
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,
@@ -193,14 +186,11 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
         else sol_u.row_spline(t, sol_u.u_x)
 
     def evaluate(dW):
-        t_grid, X, nabla = _forward_given(spec, dW)
-        xt = X[:, k_t]
+        X, nabla = _euler(spec, dW, spec.X0, 0.0, dt, order=1)
+        xt = X[k_t]
         F = u_s(xt)
         ux = ux_s(xt)
-        sig_r = np.asarray(spec.sigma(t_grid[None, : k_t + 1], X[:, : k_t + 1]), dtype=float) \
-            + np.zeros_like(X[:, : k_t + 1])
-        Phi = (ux * nabla[:, k_t])[:, None] * sig_r / nabla[:, : k_t + 1]
-        return F, Phi
+        return F, _flow_phi(spec, r, X, nabla, ux)
 
     return FunctionalSampler(spec.T, n_steps, r, evaluate, f"Y_{t} via value grid")
 
@@ -218,17 +208,14 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
     def evaluate(dW):
-        t_grid, X, nabla = _forward_given(spec, dW)
-        xt = X[:, k_t]
+        X, nabla = _euler(spec, dW, spec.X0, 0.0, dt, order=1)
+        xt = X[k_t]
         sig_t = np.asarray(spec.sigma(t, xt), dtype=float)
         ux = ux_s(xt)
         uxx = uxx_s(xt)
         F = ux * sig_t
         slope = ux * np.asarray(sx(t, xt), dtype=float) + uxx * sig_t
-        sig_r = np.asarray(spec.sigma(t_grid[None, : k_t + 1], X[:, : k_t + 1]), dtype=float) \
-            + np.zeros_like(X[:, : k_t + 1])
-        Phi = (slope * nabla[:, k_t])[:, None] * sig_r / nabla[:, : k_t + 1]
-        return F, Phi
+        return F, _flow_phi(spec, r, X, nabla, slope)
 
     return FunctionalSampler(spec.T, n_steps, r, evaluate, f"Z_{t} via gradient grid")
 

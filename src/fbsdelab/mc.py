@@ -2,8 +2,10 @@
 
 The forward component is simulated by Euler-Maruyama with counter-based
 (Philox) random streams so that ensembles are reproducible for a fixed
-(seed, n_paths, n_steps) and embarrassingly parallel: path i consumes the
-i-th block of the keyed counter stream.
+(seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
+ziggurat normal sampler consumes a variable number of counter words, so
+path i depends on every earlier path (see ROADMAP.md, item 4).  One kernel,
+``_euler``, steps X and its first and second variations for every caller.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)
@@ -52,8 +54,9 @@ class PathEnsemble:
     """Euler-Maruyama paths of the forward diffusion.
 
     ``dW`` has shape (n_paths, n_steps); ``X`` has shape (n_paths, n_steps+1)
-    with X[:, 0] = X0.  Row i of ``dW`` is the i-th counter block of the
-    (seed, stream) Philox stream.
+    with X[:, 0] = X0, a transpose view of the time-major array the kernel
+    fills.  Row i of ``dW`` holds the normals drawn after rows 0..i-1 of the
+    (seed, stream) Philox stream; it is not an addressable counter block.
     """
 
     t_grid: np.ndarray
@@ -114,6 +117,49 @@ class PathEnsemble:
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0):
+    """Euler-Maruyama flow of the forward diffusion on given increments.
+
+    Steps X from ``x0`` at time ``t0`` through the columns of ``dW``
+    (n_paths, n_steps), read in place; ``order`` 1 adds the first variation
+    (nablaX_0 = 1) and ``order`` 2 the second variation (nabla2X_0 = 0):
+
+        X_{k+1}       = X_k + b dt + sigma dW_k
+        nablaX_{k+1}  = nablaX_k g_k,   g_k = 1 + b_x dt + sigma_x dW_k
+        nabla2X_{k+1} = nabla2X_k g_k + nablaX_k^2 (b_xx dt + sigma_xx dW_k)
+
+    with coefficients at (t0 + k dt, X_k).  Returns ``order + 1`` contiguous
+    time-major (n_steps+1, n_paths) arrays, so each step writes one row.  A
+    non-finite value raises an evaluation error with a (path, step) witness.
+    """
+    n, N = dW.shape
+    flow = [np.empty((N + 1, n)) for _ in range(order + 1)]
+    for a, start in zip(flow, (x0, 1.0, 0.0)):
+        a[0] = start
+    X = flow[0]
+    bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
+
+    def at(f, t, x):
+        return np.asarray(f(t, x), dtype=float)
+
+    for k in range(N):
+        t, xk, dw = t0 + k * dt, X[k], dW[:, k]
+        X[k + 1] = xk + at(spec.b, t, xk) * dt + at(spec.sigma, t, xk) * dw
+        if order >= 1:
+            growth = 1.0 + at(bx, t, xk) * dt + at(sx, t, xk) * dw
+            flow[1][k + 1] = flow[1][k] * growth
+        if order >= 2:
+            flow[2][k + 1] = flow[2][k] * growth \
+                + flow[1][k] ** 2 * (at(bxx, t, xk) * dt + at(sxx, t, xk) * dw)
+        for a, what in zip(flow, ("state", "variational state", "second variational state")):
+            bad = ~np.isfinite(a[k + 1])
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise EvaluationError(f"non-finite {what} at path {i}, step {k + 1}",
+                                      witness=(i, k + 1))
+    return tuple(flow)
+
+
 def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
                      antithetic: bool = False, stream: int = STREAM_FORWARD) -> PathEnsemble:
     """Euler-Maruyama simulation of the forward diffusion.
@@ -132,19 +178,8 @@ def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
     else:
         dW = rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt)
     t_grid = np.linspace(0.0, spec.T, n_steps + 1)
-    X = np.empty((n_paths, n_steps + 1))
-    X[:, 0] = spec.X0
-    for k in range(n_steps):
-        t = t_grid[k]
-        drift = np.asarray(spec.b(t, X[:, k]), dtype=float)
-        diff = np.asarray(spec.sigma(t, X[:, k]), dtype=float)
-        X[:, k + 1] = X[:, k] + drift * dt + diff * dW[:, k]
-        bad = ~np.isfinite(X[:, k + 1])
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise EvaluationError(f"non-finite state at path {i}, step {k + 1}",
-                                  witness=(i, k + 1))
-    return PathEnsemble(t_grid, dW, X, seed, stream, antithetic)
+    X, = _euler(spec, dW, spec.X0, 0.0, dt)
+    return PathEnsemble(t_grid, dW, X.T, seed, stream, antithetic)
 
 
 # -- regression bases --------------------------------------------------------
@@ -336,23 +371,9 @@ def variational_processes(spec: ModelSpec, ens: PathEnsemble) -> np.ndarray:
     nablaX[ :, 0] = 1 and d(nablaX) = b_x nablaX dt + sigma_x nablaX dW.
     The Malliavin derivative of the forward process follows from the flow
     representation  D_r X_t = nablaX_t (nablaX_r)^{-1} sigma(r, X_r).
+    Returned as a (n_paths, n_steps+1) transpose view of the kernel output.
     """
-    n, N, dt = ens.n_paths, ens.n_steps, ens.dt
-    nabla = np.empty((n, N + 1))
-    nabla[:, 0] = 1.0
-    bx = spec.d("b_x")
-    sx = spec.d("sigma_x")
-    for k in range(N):
-        t = ens.t_grid[k]
-        xk = ens.X[:, k]
-        growth = 1.0 + np.asarray(bx(t, xk), dtype=float) * dt \
-            + np.asarray(sx(t, xk), dtype=float) * ens.dW[:, k]
-        nabla[:, k + 1] = nabla[:, k] * growth
-        if np.any(~np.isfinite(nabla[:, k + 1])):
-            i = int(np.argmax(~np.isfinite(nabla[:, k + 1])))
-            raise EvaluationError(f"non-finite variational state at path {i}, step {k + 1}",
-                                  witness=(i, k + 1))
-    return nabla
+    return _euler(spec, ens.dW, ens.X[:, 0], ens.t_grid[0], ens.dt, order=1)[1].T
 
 
 def malliavin_dx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int) -> np.ndarray:
@@ -361,6 +382,24 @@ def malliavin_dx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int
     out = np.full_like(nabla, np.nan)
     out[:, k_r:] = (sig_r / nabla[:, k_r])[:, None] * nabla[:, k_r:]
     return out
+
+
+def _malliavin_d2x(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray,
+                   nabla2: np.ndarray, k_r: int, k_s: int) -> np.ndarray:
+    """Rows hi..n_steps of D^2_{r,s} X, hi = max(k_r, k_s), from the time-major variations.
+
+    With c_q = sigma(q, X_q) / nablaX_q, D^2 X - c_r c_s nabla2X solves the
+    homogeneous variational recursion from t_hi, so that, exactly for Euler,
+    D^2_{r,s} X_t = c_r c_s nabla2X_t
+        + (nablaX_t / nablaX_hi) (sigma_x(hi, X_hi) D_lo X_hi - c_r c_s nabla2X_hi).
+    """
+    t = ens.t_grid
+    lo, hi = sorted((k_r, k_s))
+    c = {k: np.asarray(spec.sigma(t[k], ens.X[:, k]), dtype=float) / nabla[k] for k in (lo, hi)}
+    cc = c[k_r] * c[k_s]
+    start = np.asarray(spec.d("sigma_x")(t[hi], ens.X[:, hi]), dtype=float) * (c[lo] * nabla[hi]) \
+        - cc * nabla2[hi]
+    return cc * nabla2[hi:] + nabla[hi:] / nabla[hi] * start
 
 
 @dataclass
@@ -429,8 +468,9 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
     if k_r == N:
         raise PreconditionError("r must precede the terminal time")
     t = ens.t_grid
-    Ypath, Zpath = _theta_paths(spec, ens, sol)
+    # first, so that the kernel's temporary X is freed before the path arrays exist
     nabla = variational_processes(spec, ens)
+    Ypath, Zpath = _theta_paths(spec, ens, sol)
     DrX = malliavin_dx(spec, ens, nabla, k_r)
 
     hy = np.empty((n, N))
@@ -525,36 +565,24 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     """Second Malliavin derivative D^2_{r,s} Y and the D_r Z limit.
 
     Uses the chain-rule identity D^2 Y_t = u_x D^2 X_t + u_xx D_r X_t D_s X_t;
-    D^2 X solves the differentiated variational equation (identically zero for
-    additive noise).  The limit s -> t of D^2_{r,s} Y_t supplies D_r Z_t as
-    (u_x sigma_x + u_xx sigma) D_r X_t.
+    D^2 X follows from the first and second variations of the Euler flow
+    (``_malliavin_d2x``; identically zero for additive noise).  The limit
+    s -> t of D^2_{r,s} Y_t supplies D_r Z_t as (u_x sigma_x + u_xx sigma) D_r X_t.
     """
     if sol_uprime is None:
         raise PreconditionError("second_malliavin requires the u' grid (u_xx source)")
     k_r, k_s = ens.index_of(r), ens.index_of(s)
-    lo, hi = min(k_r, k_s), max(k_r, k_s)
-    n, N, dt = ens.n_paths, ens.n_steps, ens.dt
+    hi = max(k_r, k_s)
+    n, N = ens.n_paths, ens.n_steps
     t = ens.t_grid
-    nabla = variational_processes(spec, ens)
-    DrX = malliavin_dx(spec, ens, nabla, k_r)
-    DsX = malliavin_dx(spec, ens, nabla, k_s)
-    bxx = spec.d("b_xx")
-    sxx = spec.d("sigma_xx")
+    _, nabla, nabla2 = _euler(spec, ens.dW, ens.X[:, 0], t[0], ens.dt, order=2)
+    DrX = malliavin_dx(spec, ens, nabla.T, k_r)
+    DsX = malliavin_dx(spec, ens, nabla.T, k_s)
     sx = spec.d("sigma_x")
 
-    D2X = np.full((n, N + 1), np.nan)
-    # initial condition at the later differentiation time
-    x_hi = ens.X[:, hi]
-    D2X[:, hi] = np.asarray(sx(t[hi], x_hi), dtype=float) * \
-        (DrX[:, hi] if hi == k_s else DsX[:, hi])
-    for k in range(hi, N):
-        xk = ens.X[:, k]
-        cross = DrX[:, k] * DsX[:, k]
-        drift = np.asarray(bxx(t[k], xk), dtype=float) * cross \
-            + np.asarray(spec.d("b_x")(t[k], xk), dtype=float) * D2X[:, k]
-        vol = np.asarray(sxx(t[k], xk), dtype=float) * cross \
-            + np.asarray(sx(t[k], xk), dtype=float) * D2X[:, k]
-        D2X[:, k + 1] = D2X[:, k] + drift * dt + vol * ens.dW[:, k]
+    D2X = np.full((N + 1, n), np.nan)
+    D2X[hi:] = _malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_s)
+    D2X = D2X.T
 
     D2Y = np.full((n, N + 1), np.nan)
     DrZ = np.full((n, N + 1), np.nan)
@@ -586,11 +614,8 @@ def malliavin_fd(spec: ModelSpec, ens: PathEnsemble, sol_u: GridSolution,
         raise PreconditionError("need t strictly after r (the bumped increment must act)")
     out = []
     for sign in (+1.0, -1.0):
-        X = ens.X[:, k_r].copy()
-        for k in range(k_r, k_t):
-            tk = ens.t_grid[k]
-            dw = ens.dW[:, k] + (sign * eps if k == k_r else 0.0)
-            X = X + np.asarray(spec.b(tk, X), dtype=float) * ens.dt \
-                + np.asarray(spec.sigma(tk, X), dtype=float) * dw
-        out.append(sol_u.eval(ens.t_grid[k_t], X))
+        dW = ens.dW[:, k_r:k_t].copy()
+        dW[:, 0] += sign * eps
+        X, = _euler(spec, dW, ens.X[:, k_r], ens.t_grid[k_r], ens.dt)
+        out.append(sol_u.eval(ens.t_grid[k_t], X[-1]))
     return (out[0] - out[1]) / (2.0 * eps)

@@ -55,5 +55,8 @@ def gauss_laguerre(n: int):
 
 def gauss_hermite_prob(n: int):
     """Nodes/weights for E[f(Z)], Z standard normal: sum w_i f(x_i)."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+    # imported here: a module-level scipy.special import slows package import
+    from scipy.special import roots_hermitenorm
+
+    nodes, weights = roots_hermitenorm(n)
     return nodes, weights / math.sqrt(2.0 * math.pi)

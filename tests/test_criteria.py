@@ -325,6 +325,33 @@ def test_second_order_margin_with_fd_fallback(counter):
     assert rep.margin == pytest.approx(-t * t / 2 + 2 * t - 0.5, abs=1e-3)
 
 
+def test_htilde_ito_term_uses_h_xyy():
+    # h = x y^2 has h_z = 0 and h_xyy = 2, h_xxy = 0: only the Ito z^2 term
+    # h_xyy separates the correct generator from one reading h_xxy there
+    from fbsdelab.criteria import _htilde_grid
+
+    zero = lambda t, x, y, z: 0.0 * (x + y + z)
+    spec = fl.ModelSpec(
+        b=lambda t, x: 0.3 * x, sigma=lambda t, x: 1.0 + 0.2 * x,
+        g=lambda x: x, h=lambda t, x, y, z: x * y**2, T=1.0, X0=0.0,
+        partials={"b_x": lambda t, x: 0.3 + 0.0 * x, "sigma_x": lambda t, x: 0.2 + 0.0 * x,
+                  "h_x": lambda t, x, y, z: y**2 + 0.0 * x, "h_y": lambda t, x, y, z: 2 * x * y,
+                  "h_z": zero, "h_xx": zero, "h_xy": lambda t, x, y, z: 2 * y + 0.0 * x,
+                  "h_xt": zero, "h_xxx": zero, "h_xxy": zero,
+                  "h_xyy": lambda t, x, y, z: 2.0 + 0.0 * x})
+    box = fl.GridBox(0.0, 1.0, -2.0, 2.0, y_lo=-1.0, y_hi=1.0, z_lo=-2.0, z_hi=2.0,
+                     nt=5, nx=5, ny=5, nz=5)
+    s, ht = _htilde_grid(spec, box, 0.5)
+    i, j, k, m = 1, 3, 4, 0
+    x, y, z = box.x_nodes()[j], box.y_nodes()[k], box.z_nodes()[m]
+    bx, sigx = 0.3, 0.2
+    h, h_x, h_y, h_xy, h_xyy = x * y**2, y**2, 2 * x * y, 2 * y, 2.0
+    # h_xt = h_xx = h_xxx = h_xxy = 0 removes the b and sigma terms
+    expected = -(-h * h_xy + 0.5 * z**2 * h_xyy) - ((h_y + bx) * h_x + z * sigx * h_xy)
+    assert s[i] == pytest.approx(0.75)
+    assert ht[i, j, k, m] == pytest.approx(expected, rel=1e-12)
+
+
 def test_estimate_variation_bounds_additive_and_geometric():
     from fbsdelab.criteria import estimate_variation_bounds
 

@@ -5,7 +5,8 @@ import pytest
 
 import fbsdelab as fl
 from fbsdelab.errors import BasisError, EvaluationError, PreconditionError
-from fbsdelab.mc import STREAM_COUPLING, BasisSpec, _ridge_fit, malliavin_dx
+from fbsdelab.mc import (STREAM_COUPLING, BasisSpec, _euler, _ridge_fit, malliavin_dx,
+                         rng_stream)
 
 from conftest import make_spec
 
@@ -282,6 +283,46 @@ def test_second_malliavin_needs_uprime(counter, counter_grids):
     ens = fl.simulate_forward(counter, 100, 16, seed=25)
     with pytest.raises(PreconditionError):
         fl.second_malliavin(counter, su, None, ens, r=0.25, s=0.5)
+
+
+def test_euler_variations_match_central_differences():
+    # with dW fixed, nablaX_T and nabla2X_T are the exact x0-derivatives of
+    # the discrete map x0 -> X_T, so central differences pin them down
+    spec = fl.ModelSpec(
+        b=lambda t, x: np.sin(x), sigma=lambda t, x: 1.0 + 0.3 * np.tanh(x),
+        g=lambda x: x, h=lambda t, x, y, z: 0.0 * x, T=1.0, X0=0.4,
+        partials={"b_x": lambda t, x: np.cos(x), "b_xx": lambda t, x: -np.sin(x),
+                  "sigma_x": lambda t, x: 0.3 / np.cosh(x) ** 2,
+                  "sigma_xx": lambda t, x: -0.6 * np.tanh(x) / np.cosh(x) ** 2})
+    dt = 1.0 / 64
+    dW = rng_stream(31, 0).standard_normal((4000, 64)) * math.sqrt(dt)
+    X, nabla, nabla2 = _euler(spec, dW, spec.X0, 0.0, dt, order=2)
+    assert X.shape == nabla.shape == nabla2.shape == (65, 4000)
+
+    def x_T(x0):
+        return _euler(spec, dW, x0, 0.0, dt)[0][-1]
+
+    h1, h2 = 1e-5, 1e-4
+    d1 = (x_T(spec.X0 + h1) - x_T(spec.X0 - h1)) / (2 * h1)
+    d2 = (x_T(spec.X0 + h2) - 2 * X[-1] + x_T(spec.X0 - h2)) / h2**2
+    np.testing.assert_allclose(nabla[-1], d1, atol=1e-7)
+    np.testing.assert_allclose(nabla2[-1], d2, atol=1e-5)
+
+
+def test_second_malliavin_geometric(counter_grids):
+    # sigma = a x, b = 0: D_r X_t = a X_t and D^2_{r,s} X_t = a^2 X_t
+    a = 0.3
+    spec = fl.ModelSpec(
+        b=lambda t, x: 0.0 * x, sigma=lambda t, x: a * np.asarray(x, dtype=float),
+        g=lambda x: x, h=lambda t, x, y, z: 0.0 * x, T=1.0, X0=1.0,
+        partials={"b_x": lambda t, x: 0.0 * x, "b_xx": lambda t, x: 0.0 * x,
+                  "sigma_x": lambda t, x: a + 0.0 * x, "sigma_xx": lambda t, x: 0.0 * x})
+    _, su, sp = counter_grids  # D2X does not read the grids
+    ens = fl.simulate_forward(spec, 500, 32, seed=28)
+    res = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    k = ens.index_of(0.5)
+    np.testing.assert_allclose(res.D2X[:, k:], a * a * ens.X[:, k:], rtol=1e-8)
+    assert np.all(np.isnan(res.D2X[:, :k]))
 
 
 def test_malliavin_fd_counter(counter, counter_grids):
