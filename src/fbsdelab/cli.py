@@ -49,6 +49,24 @@ def _write_json(path: Path, obj, header):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n")
 
 
+def _snapshot_sampler(spec, state, num, t, target):
+    """Y or Z sampler at the half-resolution step nearest t: (sampler, t_snap, n_steps).
+
+    The snapshot must lie after time 0, where the functional is degenerate.
+    """
+    ns = max(int(round(num["n_steps"] / 2)), 16)
+    k = round(t / spec.T * ns)
+    if k < 1:
+        raise PreconditionError(f"snapshot time t={t:g} rounds to step 0 of {ns} "
+                                f"(step T/{ns} = {spec.T / ns:g}); choose a later t")
+    t_snap = k * spec.T / ns
+    if target == "Z":
+        sam = pde_z_sampler(spec, state["sol_uprime"], t_snap, ns)
+    else:
+        sam = pde_y_sampler(spec, state["sol_u"], t_snap, ns, sol_uprime=state["sol_uprime"])
+    return sam, t_snap, ns
+
+
 def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
         threads: int = 1) -> dict:
     """Execute the configured tasks in dependency order; returns the manifest.
@@ -125,15 +143,8 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                 record(out / "criteria.json")
                 record(out / "criteria_table.txt")
             elif task == "density":
-                t = config.task_params["density_t"]
-                n_steps_s = max(int(round(num["n_steps"] / 2)), 16)
-                k = round(t / spec.T * n_steps_s)
-                t_snap = k * spec.T / n_steps_s
-                if config.task_params["density_target"] == "Y":
-                    sam = pde_y_sampler(spec, state["sol_u"], t_snap, n_steps_s,
-                                        sol_uprime=state["sol_uprime"])
-                else:
-                    sam = pde_z_sampler(spec, state["sol_uprime"], t_snap, n_steps_s)
+                sam, _, _ = _snapshot_sampler(spec, state, num, config.task_params["density_t"],
+                                              config.task_params["density_target"])
                 gf = estimate_gF(sam, n_mc=num["n_mc"], n_u_nodes=num["n_u_nodes"], seed=seed)
                 de = density_from_gF(gf)
                 gf.to_csv(out / "gfunction.csv", header)
@@ -143,17 +154,10 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
             elif task == "tails":
                 t = config.task_params["tails_t"]
                 target = config.task_params["tails_target"]
+                sam, t_snap, ns = _snapshot_sampler(spec, state, num, t, target)
                 v_grid = state["sol_uprime"] if target == "Z" else state["sol_u"]
                 consts = compute_constants(v_grid, t, 0.1, 0.1,
                                            config.task_params["tails_alpha_tilde"])
-                ns = max(int(round(num["n_steps"] / 2)), 16)
-                k = max(round(t / spec.T * ns), 1)
-                t_snap = k * spec.T / ns
-                if target == "Z":
-                    sam = pde_z_sampler(spec, state["sol_uprime"], t_snap, ns)
-                else:
-                    sam = pde_y_sampler(spec, state["sol_u"], t_snap, ns,
-                                        sol_uprime=state["sol_uprime"])
                 from .mc import rng_stream, STREAM_FORWARD
                 dW = rng_stream(seed, STREAM_FORWARD).standard_normal(
                     (num["n_mc"], ns)) * math.sqrt(spec.T / ns)

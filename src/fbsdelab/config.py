@@ -39,8 +39,7 @@ TASK_DEPS = {
 }
 
 _SCHEMA = {
-    "model": {"preset", "b", "sigma", "g", "h", "T", "X0", "regime", "f",
-              "g_quad_param"},
+    "model": {"preset", "b", "sigma", "g", "h", "T", "X0", "regime", "f"},
     "numerics": {"seed", "n_paths", "n_steps", "nt", "nx", "x_lo", "x_hi",
                  "z_cap", "n_mc", "n_u_nodes", "basis_degree", "theta",
                  "grid_width"},
@@ -71,8 +70,7 @@ class ExperimentConfig:
     def build_spec(self) -> ModelSpec:
         m = self.model
         if "preset" in m:
-            kwargs = {}
-            return preset(m["preset"], **kwargs)
+            return preset(m["preset"])
         T = float(m.get("T", 1.0))
         x0 = float(m.get("X0", 0.0))
         regime = m.get("regime", "lipschitz").lower()

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .model import GridBox, ModelSpec, default_box
+from .model import GridBox, ModelSpec, _on_grid, default_box
 
 __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
@@ -123,31 +123,24 @@ def _verdict(nonstrict: float, strict: float, res: float):
     return "fails", strict
 
 
-def _edge_running(vals: np.ndarray, mode: str) -> bool:
-    """True when the extremum sits at the box edge and is still improving.
+def _edge_running(vals: np.ndarray) -> bool:
+    """True when the minimum sits at the box edge and is still decreasing.
 
-    'Still improving' is judged against the typical per-node variation: a
-    trend whose edge step keeps pace with the average slope is treated as
-    unbounded, while a saturating tail (edge step orders of magnitude below
-    the typical step) is not.
+    Pass -vals for the maximum: negation is exact and argmin of -vals is the
+    first argmax of vals.  'Still decreasing' is judged against the typical
+    per-node variation: a trend whose edge step keeps pace with the average
+    slope is treated as unbounded, while a saturating tail (edge step orders
+    of magnitude below the typical step) is not.
     """
     rng = float(np.max(vals) - np.min(vals))
     if rng <= 1e-7 * (1.0 + float(np.max(np.abs(vals)))):
         return False  # essentially constant
-    typical = rng / max(vals.size - 1, 1)
-    thresh = 0.5 * typical
-    if mode == "min":
-        j = int(np.argmin(vals))
-        if j == 0:
-            return vals[1] - vals[0] > thresh
-        if j == vals.size - 1:
-            return vals[-2] - vals[-1] > thresh
-    else:
-        j = int(np.argmax(vals))
-        if j == 0:
-            return vals[0] - vals[1] > thresh
-        if j == vals.size - 1:
-            return vals[-1] - vals[-2] > thresh
+    thresh = 0.5 * (rng / max(vals.size - 1, 1))
+    j = int(np.argmin(vals))
+    if j == 0:
+        return vals[1] - vals[0] > thresh
+    if j == vals.size - 1:
+        return vals[-2] - vals[-1] > thresh
     return False
 
 
@@ -200,28 +193,29 @@ def _s_nodes(box: GridBox, t: float) -> np.ndarray:
     return s
 
 
+def _mesh4(box: GridBox, s: np.ndarray):
+    """Open (s, x, y, z) mesh of the box with the given time nodes."""
+    return np.ix_(s, box.x_nodes(), box.y_nodes(), box.z_nodes())
+
+
 def _grid4(spec: ModelSpec, name: str, box: GridBox, s_lo: float):
     """Evaluate a driver partial on the (s, x, y, z) product grid, s >= s_lo."""
     s = _s_nodes(box, s_lo)
-    fn = spec.d(name)
-    t4 = s[:, None, None, None]
-    x4 = box.x_nodes()[None, :, None, None]
-    y4 = box.y_nodes()[None, None, :, None]
-    z4 = box.z_nodes()[None, None, None, :]
-    vals = np.asarray(fn(t4, x4, y4, z4), dtype=float)
-    vals = np.broadcast_to(vals, (s.size, box.nx, box.ny, box.nz))
-    return s, vals
+    return s, _on_grid(spec.d(name), *_mesh4(box, s))
 
 
 def _running_inf(vals: np.ndarray) -> np.ndarray:
-    """inf over [s_i, T] x box as a function of s_i (non-decreasing)."""
+    """inf over [s_i, T] x box as a function of s_i (non-decreasing).
+
+    The running sup is -_running_inf(-vals), bit for bit.
+    """
     per_s = vals.reshape(vals.shape[0], -1).min(axis=1)
     return np.minimum.accumulate(per_s[::-1])[::-1]
 
 
-def _running_sup(vals: np.ndarray) -> np.ndarray:
-    per_s = vals.reshape(vals.shape[0], -1).max(axis=1)
-    return np.maximum.accumulate(per_s[::-1])[::-1]
+def _sup_abs(declared: Optional[float], fn, *args) -> float:
+    """A declared bound, else sup |fn(*args)| over the grid."""
+    return declared if declared is not None else float(np.max(np.abs(_on_grid(fn, *args))))
 
 
 # -- conditional hit probability ---------------------------------------------
@@ -283,6 +277,81 @@ def _apply_hit(verdict: str, hit_lb) -> str:
     return verdict
 
 
+@dataclass
+class _Frame:
+    """What the grid checks share: box, resolution, x-nodes, g', the A-mask, hit bound."""
+
+    spec: ModelSpec
+    t: float
+    A: Optional[IntervalUnion]
+    box: GridBox
+    res: float
+    xg: np.ndarray
+    g1: np.ndarray
+    mask: np.ndarray
+    hit_lb: Optional[float]
+    hit_notes: list
+
+    def report(self, tag, verdict, margin, scalars, notes) -> CriterionReport:
+        return CriterionReport(tag, self.t, repr(self.A) if self.A else None,
+                               _apply_hit(verdict, self.hit_lb), margin, self.res,
+                               scalars, notes, _box_repr(self.box), self.hit_lb)
+
+
+def _frame(spec, t, A, box, resolution, partials, check_hit, seed) -> _Frame:
+    """Preamble of the grid checks; raises when A misses the box's x-nodes."""
+    box = box or default_box(spec)
+    res = resolution if resolution is not None else _auto_resolution(spec, partials)
+    xg = box.x_nodes()
+    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
+    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
+    if not np.any(mask):
+        raise PreconditionError("A does not intersect the declared box")
+    return _Frame(spec, t, A, box, res, xg, _on_grid(spec.d("g1"), xg), mask,
+                  hit_lb, hit_notes)
+
+
+def _box_repr(box: GridBox) -> str:
+    return (f"t:[{box.t_lo:g},{box.t_hi:g}]x{box.nt} x:[{box.x_lo:g},{box.x_hi:g}]x{box.nx} "
+            f"y:[{box.y_lo:g},{box.y_hi:g}]x{box.ny} z:[{box.z_lo:g},{box.z_hi:g}]x{box.nz}")
+
+
+def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
+            gv: np.ndarray, hv: np.ndarray, s_nodes: np.ndarray, K: float,
+            weighted: bool) -> dict:
+    """The '+' and '-' packages of a first- or second-order condition.
+
+    '+' asks  inf g e^{-sgn(inf g) K T} + infh(t) int_t^T e^{-sgn(infh(s)) K s} [(T-s)] ds
+    >= 0 globally and > 0 with inf g over A only; '-' is the same pair of lines
+    for the negated values (suprema, reversed inequalities).  Negation is
+    exact, so one body with sgn = +1, -1 serves both.  Scalars keep the
+    original signs; the margin is the decisive left-hand side.
+    """
+    T = fr.spec.T
+    out = {}
+    for sgn, sign in ((1.0, "+"), (-1.0, "-")):
+        g_glob = sgn * float(np.min(sgn * gv))
+        g_A = sgn * float(np.min(sgn * gv[fr.mask]))
+        hrun = sgn * _running_inf(sgn * hv)
+        h_t = float(hrun[0])
+        integ = _branch_integral(K, s_nodes, hrun, fr.t, T, weighted=weighted)
+        m1 = g_glob * math.exp(-_sgn(g_glob) * K * T) + h_t * integ
+        m2 = g_A * math.exp(-_sgn(g_A) * K * T) + h_t * integ
+        verdict, margin = _verdict(sgn * m1, sgn * m2, fr.res)
+        notes = list(fr.hit_notes)
+        if _edge_running(sgn * gv):
+            if fr.A is None:
+                verdict = "inconclusive-unbounded"
+            else:
+                notes.append(f"global extremum of {g_label} still running at the box edge; "
+                             "certified on the declared box only")
+        scal = {"K": K, f"{g_key}_extremum": g_glob, f"{g_key}_extremum_A": g_A,
+                f"{h_key}_extremum_t": h_t, "integral": integ,
+                "margin_global": m1, "margin_A": m2}
+        out[stem + sign] = fr.report(stem + sign, verdict, sgn * margin, scal, notes)
+    return out
+
+
 # -- first-order conditions ---------------------------------------------------
 
 
@@ -298,70 +367,16 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     together with the strict analogue where inf g' runs over A only; the '-'
     package mirrors both lines with suprema.  Margins are the left-hand sides.
     """
-    box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(spec, ("g1", "h_x"))
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
     c = spec.constants
-    xg = box.x_nodes()
-    g1 = np.asarray(spec.d("g1")(xg), dtype=float) + np.zeros_like(xg)
-    s_nodes, hx = _grid4(spec, "h_x", box, t)
-    h_lo = _running_inf(hx)
-    h_hi = _running_sup(hx)
-
-    k_b = c.k_b if c.k_b is not None else float(np.max(np.abs(
-        np.asarray(spec.d("b_x")(s_nodes[:, None], xg[None, :]), dtype=float))))
-    k_sigma = c.k_sigma if c.k_sigma is not None else float(np.max(np.abs(
-        np.asarray(spec.d("sigma_x")(s_nodes[:, None], xg[None, :]), dtype=float))))
-    k_y = c.k_y if c.k_y is not None else float(np.max(np.abs(
-        _grid4(spec, "h_y", box, t)[1])))
-    k_z = c.k_z if c.k_z is not None else float(np.max(np.abs(
-        _grid4(spec, "h_z", box, t)[1])))
+    s_nodes, hx = _grid4(spec, "h_x", fr.box, t)
+    sx, mesh = (s_nodes[:, None], fr.xg[None, :]), _mesh4(fr.box, s_nodes)
+    k_b = _sup_abs(c.k_b, spec.d("b_x"), *sx)
+    k_sigma = _sup_abs(c.k_sigma, spec.d("sigma_x"), *sx)
+    k_y = _sup_abs(c.k_y, spec.d("h_y"), *mesh)
+    k_z = _sup_abs(c.k_z, spec.d("h_z"), *mesh)
     K = k_b + k_y + k_sigma * k_z
-
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
-    if not np.any(mask):
-        raise PreconditionError("A does not intersect the declared box")
-
-    out = {}
-    for tag, hrun in (("H+", h_lo), ("H-", h_hi)):
-        notes = list(hit_notes)
-        if tag == "H+":
-            g_glob, g_A = float(np.min(g1)), float(np.min(g1[mask]))
-            edge = _edge_running(g1, "min")
-            h_t = float(hrun[0])
-            integ = _branch_integral(K, s_nodes, hrun, t, spec.T, weighted=False)
-            m1 = g_glob * math.exp(-_sgn(g_glob) * K * spec.T) + h_t * integ
-            m2 = g_A * math.exp(-_sgn(g_A) * K * spec.T) + h_t * integ
-            verdict, margin = _verdict(m1, m2, res)
-        else:
-            g_glob, g_A = float(np.max(g1)), float(np.max(g1[mask]))
-            edge = _edge_running(g1, "max")
-            h_t = float(hrun[0])
-            integ = _branch_integral(K, s_nodes, hrun, t, spec.T, weighted=False)
-            m1 = g_glob * math.exp(-_sgn(g_glob) * K * spec.T) + h_t * integ
-            m2 = g_A * math.exp(-_sgn(g_A) * K * spec.T) + h_t * integ
-            # mirrored lines: require m1 <= 0 (non-strict) and m2 < 0 (strict)
-            verdict, m_neg = _verdict(-m1, -m2, res)
-            margin = -m_neg
-        if edge:
-            if A is None:
-                verdict = "inconclusive-unbounded"
-            else:
-                notes.append("global extremum of g' still running at the box edge; "
-                             "certified on the declared box only")
-        scal = {"K": K, "g_extremum": g_glob, "g_extremum_A": g_A,
-                "h_extremum_t": h_t, "integral": integ,
-                "margin_global": m1, "margin_A": m2}
-        verdict = _apply_hit(verdict, hit_lb)
-        rep = CriterionReport(tag, t, repr(A) if A else None, verdict, margin,
-                              res, scal, notes, _box_repr(box), hit_lb)
-        out[tag] = rep
-    return out
-
-
-def _box_repr(box: GridBox) -> str:
-    return (f"t:[{box.t_lo:g},{box.t_hi:g}]x{box.nt} x:[{box.x_lo:g},{box.x_hi:g}]x{box.nx} "
-            f"y:[{box.y_lo:g},{box.y_hi:g}]x{box.ny} z:[{box.z_lo:g},{box.z_hi:g}]x{box.nz}")
+    return _h_pair(fr, "H", "g", "h", "g'", fr.g1, hx, s_nodes, K, weighted=False)
 
 
 # -- corrected second-order conditions ----------------------------------------
@@ -377,24 +392,17 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
     The bracket is the Ito generator of h_x(s, X_s, Y_s) with dY = -h ds + z dW.
     """
     s = _s_nodes(box, t)
-    t4 = s[:, None, None, None]
-    x4 = box.x_nodes()[None, :, None, None]
-    y4 = box.y_nodes()[None, None, :, None]
-    z4 = box.z_nodes()[None, None, None, :]
-    shape = (s.size, box.nx, box.ny, box.nz)
+    t4, x4, y4, z4 = _mesh4(box, s)
 
     def E(name):
-        return np.broadcast_to(np.asarray(spec.d(name)(t4, x4, y4, z4), dtype=float), shape)
+        return _on_grid(spec.d(name), t4, x4, y4, z4)
 
-    hval = np.broadcast_to(np.asarray(spec.h(t4, x4, y4, z4), dtype=float), shape)
-    bval = np.broadcast_to(np.asarray(spec.b(t4, x4), dtype=float), shape)
-    bx = np.broadcast_to(np.asarray(spec.d("b_x")(t4, x4), dtype=float), shape)
-    sig = np.broadcast_to(np.asarray(spec.sigma(t4, x4), dtype=float), shape)
-    sigx = np.broadcast_to(np.asarray(spec.d("sigma_x")(t4, x4), dtype=float), shape)
-    z = np.broadcast_to(z4, shape)
+    hval = _on_grid(spec.h, t4, x4, y4, z4)
+    bval, bx = _on_grid(spec.b, t4, x4), _on_grid(spec.d("b_x"), t4, x4)
+    sig, sigx = _on_grid(spec.sigma, t4, x4), _on_grid(spec.d("sigma_x"), t4, x4)
     ht = -(E("h_xt") + bval * E("h_xx") - hval * E("h_xy")
-           + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z * sig * E("h_xxy") + z**2 * E("h_xyy"))) \
-        - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z * sigx * E("h_xy"))
+           + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z4 * sig * E("h_xxy") + z4**2 * E("h_xyy"))) \
+        - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z4 * sigx * E("h_xy"))
     return s, ht
 
 
@@ -407,73 +415,28 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
     htilde above, K = k_y + k_b and the (T-s)-weighted sign-branch integral.
     """
     box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(
-        spec, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx", "h_xxy", "h_y"))
     # precondition: h must not depend on z
     probe_t = np.linspace(t, spec.T, 5)[:, None]
     probe_x = np.linspace(box.x_lo, box.x_hi, 7)[None, :]
-    hz = np.broadcast_to(np.asarray(spec.d("h_z")(probe_t, probe_x, 0.3, 0.7), dtype=float),
-                         np.broadcast(probe_t, probe_x).shape)
+    hz = _on_grid(spec.d("h_z"), probe_t, probe_x, 0.3, 0.7)
     if np.max(np.abs(hz)) > 1e-10:
         idx = np.unravel_index(int(np.argmax(np.abs(hz))), hz.shape)
         raise PreconditionError(
             "second-order conditions require a z-independent driver; "
             f"h_z != 0 near (t={float(probe_t[idx[0], 0]):g}, x={float(probe_x[0, idx[1]]):g})")
 
+    fr = _frame(spec, t, A, box, resolution,
+                ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx", "h_xxy", "h_y"), check_hit, seed)
     c = spec.constants
-    xg = box.x_nodes()
-    k_b = c.k_b if c.k_b is not None else float(np.max(np.abs(
-        np.asarray(spec.d("b_x")(np.linspace(0, spec.T, 9)[:, None], xg[None, :]), dtype=float))))
-    k_y = c.k_y if c.k_y is not None else float(np.max(np.abs(_grid4(spec, "h_y", box, t)[1])))
+    k_b = _sup_abs(c.k_b, spec.d("b_x"), np.linspace(0, spec.T, 9)[:, None], fr.xg[None, :])
+    k_y = _sup_abs(c.k_y, spec.d("h_y"), *_mesh4(box, _s_nodes(box, t)))
     K = k_y + k_b
 
-    gvals = np.asarray(spec.g(xg), dtype=float)
-    g1 = np.asarray(spec.d("g1")(xg), dtype=float) + np.zeros_like(xg)
-    hxT = np.asarray(spec.d("h_x")(spec.T, xg, gvals, 0.0), dtype=float) + np.zeros_like(xg)
-    gt = g1 + (spec.T - t) * hxT
-
+    gvals = np.asarray(spec.g(fr.xg), dtype=float)
+    gt = fr.g1 + (spec.T - t) * _on_grid(spec.d("h_x"), spec.T, fr.xg, gvals, 0.0)
     s_nodes, ht = _htilde_grid(spec, box, t)
-    ht_lo = _running_inf(ht)
-    ht_hi = _running_sup(ht)
-
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
-    if not np.any(mask):
-        raise PreconditionError("A does not intersect the declared box")
-
-    out = {}
-    for tag in ("Htilde+", "Htilde-"):
-        notes = list(hit_notes)
-        if tag == "Htilde+":
-            g_glob, g_A = float(np.min(gt)), float(np.min(gt[mask]))
-            edge = _edge_running(gt, "min")
-            h_t = float(ht_lo[0])
-            integ = _branch_integral(K, s_nodes, ht_lo, t, spec.T, weighted=True)
-            m1 = g_glob * math.exp(-_sgn(g_glob) * K * spec.T) + h_t * integ
-            m2 = g_A * math.exp(-_sgn(g_A) * K * spec.T) + h_t * integ
-            verdict, margin = _verdict(m1, m2, res)
-        else:
-            g_glob, g_A = float(np.max(gt)), float(np.max(gt[mask]))
-            edge = _edge_running(gt, "max")
-            h_t = float(ht_hi[0])
-            integ = _branch_integral(K, s_nodes, ht_hi, t, spec.T, weighted=True)
-            m1 = g_glob * math.exp(-_sgn(g_glob) * K * spec.T) + h_t * integ
-            m2 = g_A * math.exp(-_sgn(g_A) * K * spec.T) + h_t * integ
-            verdict, m_neg = _verdict(-m1, -m2, res)
-            margin = -m_neg
-        if edge:
-            if A is None:
-                verdict = "inconclusive-unbounded"
-            else:
-                notes.append("global extremum of gtilde still running at the box edge; "
-                             "certified on the declared box only")
-        scal = {"K": K, "gtilde_extremum": g_glob, "gtilde_extremum_A": g_A,
-                "htilde_extremum_t": h_t, "integral": integ,
-                "margin_global": m1, "margin_A": m2}
-        verdict = _apply_hit(verdict, hit_lb)
-        out[tag] = CriterionReport(tag, t, repr(A) if A else None, verdict, margin, res,
-                                   scal, notes, _box_repr(box), hit_lb)
-    return out
+    return _h_pair(fr, "Htilde", "gtilde", "htilde", "gtilde", gt, ht, s_nodes, K,
+                   weighted=True)
 
 
 # -- quadratic-regime conditions ----------------------------------------------
@@ -487,37 +450,17 @@ def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None
     '+': g' >= 0 everywhere, g' > 0 on A, and inf h_x over [t,T] >= 0;
     '-' mirrors the signs.
     """
-    box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(spec, ("g1", "h_x"))
-    xg = box.x_nodes()
-    g1 = np.asarray(spec.d("g1")(xg), dtype=float) + np.zeros_like(xg)
-    s_nodes, hx = _grid4(spec, "h_x", box, t)
-    h_lo = float(_running_inf(hx)[0])
-    h_hi = float(_running_sup(hx)[0])
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
-    if not np.any(mask):
-        raise PreconditionError("A does not intersect the declared box")
-
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
+    _, hx = _grid4(spec, "h_x", fr.box, t)
     out = {}
-    for tag in ("Q+", "Q-"):
-        if tag == "Q+":
-            m1 = float(np.min(g1))
-            m2 = float(np.min(g1[mask]))
-            m3 = h_lo
-        else:
-            m1 = -float(np.max(g1))
-            m2 = -float(np.max(g1[mask]))
-            m3 = -h_hi
-        verdict, margin = _verdict(min(m1, m3), m2, res)
-        if tag == "Q-":
-            margin = -margin
-        scal = {"g1_extremum": m1 if tag == "Q+" else -m1,
-                "g1_extremum_A": m2 if tag == "Q+" else -m2,
-                "h_extremum_t": h_lo if tag == "Q+" else h_hi}
-        verdict = _apply_hit(verdict, hit_lb)
-        out[tag] = CriterionReport(tag, t, repr(A) if A else None, verdict, margin, res,
-                                   scal, list(hit_notes), _box_repr(box), hit_lb)
+    for sgn, sign in ((1.0, "+"), (-1.0, "-")):
+        m1 = float(np.min(sgn * fr.g1))
+        m2 = float(np.min(sgn * fr.g1[fr.mask]))
+        m3 = float(_running_inf(sgn * hx)[0])
+        verdict, margin = _verdict(min(m1, m3), m2, fr.res)
+        scal = {"g1_extremum": sgn * m1, "g1_extremum_A": sgn * m2, "h_extremum_t": sgn * m3}
+        out["Q" + sign] = fr.report("Q" + sign, verdict, sgn * margin, scal,
+                                    list(fr.hit_notes))
     return out
 
 
@@ -584,13 +527,10 @@ def _z_inequalities(g2_min, g2_min_A, g1_min, g1_min_A, hxx_min, a_lo, a_hi, b_h
 
 def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
              check_hit, seed):
-    box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(
-        spec, ("g1", "g2", "h_xx"))
+    fr = _frame(spec, t, A, box, resolution, ("g1", "g2", "h_xx"), check_hit, seed)
+    box, res, g1, mask = fr.box, fr.res, fr.g1, fr.mask
     ok, gates, cross, hy_min, notes = _structure_gate(spec, box, t, res, need_hy)
-    xg = box.x_nodes()
-    g1 = np.asarray(spec.d("g1")(xg), dtype=float) + np.zeros_like(xg)
-    g2 = np.asarray(spec.d("g2")(xg), dtype=float) + np.zeros_like(xg)
+    g2 = _on_grid(spec.d("g2"), fr.xg)
     # the h_xy branch condition: h_xy == 0, or h_xy >= 0 together with g' >= 0
     hxy_sup = float(np.max(np.abs(_grid4(spec, "h_xy", box, t)[1])))
     if hxy_sup > 1e-10 and float(np.min(g1)) < -res:
@@ -600,18 +540,14 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
         bounds = estimate_variation_bounds(spec, seed=seed)
         notes.append(f"variation bounds estimated by MC: a in [{bounds.a_lo:.4g}, "
                      f"{bounds.a_hi:.4g}], b_hi = {bounds.b_hi:.4g}")
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    notes += hit_notes
-    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
-    if not np.any(mask):
-        raise PreconditionError("A does not intersect the declared box")
+    notes += fr.hit_notes
     g2_min, g2_min_A = float(np.min(g2)), float(np.min(g2[mask]))
     g1_min, g1_min_A = float(np.min(g1)), float(np.min(g1[mask]))
     _, hxx4 = _grid4(spec, "h_xx", box, t)
     hxx_min = float(_running_inf(hxx4)[0])
     m1, m2 = _z_inequalities(g2_min, g2_min_A, g1_min, g1_min_A, hxx_min,
                              bounds.a_lo, bounds.a_hi, bounds.b_hi, spec.T, t)
-    edge = _edge_running(g2, "min")
+    edge = _edge_running(g2)
     scal = {"g2_min": g2_min, "g2_min_A": g2_min_A, "g1_min": g1_min,
             "g1_min_A": g1_min_A, "h_xx_min": hxx_min,
             "a_lo": bounds.a_lo, "a_hi": bounds.a_hi, "b_hi": bounds.b_hi,
@@ -629,9 +565,7 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
                      "certified on the declared box only")
     if not ok and verdict not in ("inapplicable",):
         verdict = "fails"
-    verdict = _apply_hit(verdict, hit_lb)
-    return CriterionReport(tag, t, repr(A) if A else None, verdict, margin, res,
-                           scal, notes, _box_repr(box), hit_lb)
+    return fr.report(tag, verdict, margin, scal, notes)
 
 
 def z_lipschitz_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
@@ -680,37 +614,23 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     fw = spec.d("f_w")
     fww = spec.d("f_ww")
     w = np.linspace(box.x_lo, box.x_hi, n_w)
-    phi = np.asarray(spec.d("g1")(np.asarray(f(spec.T, w), dtype=float)), dtype=float) \
-        * (np.asarray(fw(spec.T, w), dtype=float) + np.zeros_like(w))
+    fT = _on_grid(f, spec.T, w)
+    phi = _on_grid(spec.d("g1"), fT) * _on_grid(fw, spec.T, w)
     dphi = np.gradient(phi, w, edge_order=2)
 
     # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box
-    s = _s_nodes(box, t)
-    wq = np.linspace(box.x_lo, box.x_hi, 33)
-    t6 = s[:, None, None, None, None]
-    x6 = box.x_nodes()[::max(box.nx // 17, 1)][None, :, None, None, None]
-    y6 = box.y_nodes()[None, None, :, None, None]
-    z6 = box.z_nodes()[None, None, None, :, None]
-    w6 = wq[None, None, None, None, :]
-    shape = np.broadcast(t6, x6, y6, z6, w6).shape
+    t6, x6, y6, z6, w6 = np.ix_(_s_nodes(box, t), box.x_nodes()[::max(box.nx // 17, 1)],
+                                box.y_nodes(), box.z_nodes(), np.linspace(box.x_lo, box.x_hi, 33))
 
     def E(name):
-        return np.broadcast_to(np.asarray(spec.d(name)(t6, x6, y6, z6), dtype=float), shape)
+        return _on_grid(spec.d(name), t6, x6, y6, z6)
 
-    fp = np.broadcast_to(np.asarray(fw(t6, w6), dtype=float), shape)
-    fpp = np.broadcast_to(np.asarray(fww(t6, w6), dtype=float), shape)
-    core = E("h_xx") * fp**2 + E("h_x") * fpp + (E("h_yy") * np.broadcast_to(z6, shape)
-                                                 + 2.0 * E("h_xy") * fp) * np.broadcast_to(z6, shape)
+    fp, fpp = _on_grid(fw, t6, w6), _on_grid(fww, t6, w6)
+    core = E("h_xx") * fp**2 + E("h_x") * fpp + (E("h_yy") * z6 + 2.0 * E("h_xy") * fp) * z6
     hy = E("h_y")
-    zt_lo, zt_hi = box.z_lo, box.z_hi
-    ht_min_grid = core + np.minimum(hy * zt_lo, hy * zt_hi)
-    ht_max_grid = core + np.maximum(hy * zt_lo, hy * zt_hi)
-    ht_lo = float(np.min(ht_min_grid))
-    ht_hi = float(np.max(ht_max_grid))
 
     hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
     if A is not None:
-        fT = np.asarray(f(spec.T, w), dtype=float)
         maskA = A.contains(fT)
         if not np.any(maskA):
             raise PreconditionError("A does not intersect f(T, w-box)")
@@ -722,23 +642,18 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     cross = max(float(np.max(np.abs(_grid4(spec, "h_xz", box, t)[1]))),
                 float(np.max(np.abs(_grid4(spec, "h_yz", box, t)[1]))))
     out = {}
-    for tag in ("Z-markov-a", "Z-markov-b"):
+    for tag, sgn in (("Z-markov-a", 1.0), ("Z-markov-b", -1.0)):
         notes = list(hit_notes)
         if cross > 1e-10:
             notes.append(f"cross partials not annihilated: {cross:.3g}")
-        if tag == "Z-markov-a":
-            gate = float(hzz.min()) >= -res and cross <= 1e-10
-            m1 = float(np.min(dphi)) + (spec.T - t) * ht_lo
-            m2 = float(np.min(dphi[maskA])) + (spec.T - t) * ht_lo
-            verdict, margin = _verdict(m1, m2, res)
-            edge = _edge_running(dphi, "min")
-        else:
-            gate = float(-hzz.max()) >= -res and cross <= 1e-10
-            m1 = float(np.max(dphi)) + (spec.T - t) * ht_hi
-            m2 = float(np.max(dphi[maskA])) + (spec.T - t) * ht_hi
-            verdict, m_neg = _verdict(-m1, -m2, res)
-            margin = -m_neg
-            edge = _edge_running(dphi, "max")
+        gate = float(np.min(sgn * hzz)) >= -res and cross <= 1e-10
+        # inf of sgn * htilde over the grid, zt at whichever box end minimizes it
+        ht = sgn * float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo,
+                                                        sgn * hy * box.z_hi)))
+        m1 = sgn * float(np.min(sgn * dphi)) + (spec.T - t) * ht
+        m2 = sgn * float(np.min(sgn * dphi[maskA])) + (spec.T - t) * ht
+        verdict, margin = _verdict(sgn * m1, sgn * m2, res)
+        edge = _edge_running(sgn * dphi)
         if not gate:
             verdict = "fails"
             notes.append("h_zz sign package violated")
@@ -747,12 +662,10 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
         elif edge:
             notes.append("global extremum still running at the box edge; "
                          "certified on the declared box only")
-        scal = {"dphi_extremum": m1 - (spec.T - t) * (ht_lo if tag.endswith("a") else ht_hi),
-                "htilde_extremum": ht_lo if tag.endswith("a") else ht_hi,
+        scal = {"dphi_extremum": m1 - (spec.T - t) * ht, "htilde_extremum": ht,
                 "margin_global": m1, "margin_A": m2}
-        verdict = _apply_hit(verdict, hit_lb)
-        out[tag] = CriterionReport(tag, t, repr(A) if A else None, verdict, margin,
-                                   res, scal, notes, _box_repr(box), hit_lb)
+        out[tag] = CriterionReport(tag, t, repr(A) if A else None, _apply_hit(verdict, hit_lb),
+                                   sgn * margin, res, scal, notes, _box_repr(box), hit_lb)
     return out
 
 
@@ -767,13 +680,9 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     box = box or default_box(spec)
     tn = np.linspace(box.t_lo, box.t_hi, box.nt)[:, None]
     xn = np.linspace(box.x_lo, box.x_hi, n_x)[None, :]
-    shape = (box.nt, n_x)
-    sig = np.broadcast_to(np.asarray(spec.sigma(tn, xn), dtype=float), shape)
-    s1 = np.broadcast_to(np.asarray(spec.d("sigma_x")(tn, xn), dtype=float), shape)
-    s2 = np.broadcast_to(np.asarray(spec.d("sigma_xx")(tn, xn), dtype=float), shape)
-    s3 = np.broadcast_to(np.asarray(spec.d("sigma_xxx")(tn, xn), dtype=float), shape)
-    b = np.broadcast_to(np.asarray(spec.b(tn, xn), dtype=float), shape)
-    b1 = np.broadcast_to(np.asarray(spec.d("b_x")(tn, xn), dtype=float), shape)
+    sig, b = _on_grid(spec.sigma, tn, xn), _on_grid(spec.b, tn, xn)
+    s1, s2, s3, b1 = (_on_grid(spec.d(n), tn, xn)
+                      for n in ("sigma_x", "sigma_xx", "sigma_xxx", "b_x"))
     c1 = b1 * sig + s1 * b                      # [sigma, b] per the printed bracket
     c1x = np.gradient(c1, xn[0], axis=1)
     c2 = s1 * c1 + c1x * sig                    # [sigma, [sigma, b]]

@@ -586,15 +586,12 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
 
     D2Y = np.full((n, N + 1), np.nan)
     DrZ = np.full((n, N + 1), np.nan)
-    for k in range(hi, N + 1):
-        xk = ens.X[:, k]
-        ux = sol_uprime.eval(t[k], xk)
-        uxx = sol_uprime.eval(t[k], xk, array=sol_uprime.u_x)
-        D2Y[:, k] = ux * D2X[:, k] + uxx * DrX[:, k] * DsX[:, k]
     for k in range(k_r, N + 1):
         xk = ens.X[:, k]
         ux = sol_uprime.eval(t[k], xk)
         uxx = sol_uprime.eval(t[k], xk, array=sol_uprime.u_x)
+        if k >= hi:
+            D2Y[:, k] = ux * D2X[:, k] + uxx * DrX[:, k] * DsX[:, k]
         sig = np.asarray(spec.sigma(t[k], xk), dtype=float)
         sigx = np.asarray(sx(t[k], xk), dtype=float)
         DrZ[:, k] = (ux * sigx + uxx * sig) * DrX[:, k]

@@ -234,11 +234,22 @@ class ModelSpec:
         """Crude sup of |sigma| over a pilot box around X0 (used for domains)."""
         t = np.linspace(0.0, self.T, 9)[:, None]
         x = (self.X0 + np.linspace(-10.0, 10.0, n))[None, :]
-        vals = np.abs(np.broadcast_to(self.sigma(t, x), (9, n)))
-        return float(np.max(vals))
+        return float(np.max(np.abs(_on_grid(self.sigma, t, x))))
 
     def with_constants(self, **kw) -> "ModelSpec":
         return replace(self, constants=replace(self.constants, **kw))
+
+
+def _on_grid(fn, *args):
+    """fn(*args) as floats broadcast to the common shape of its arguments.
+
+    Coefficient callables may return a scalar or an array that ignores some
+    arguments; those come back as read-only broadcast views.  The result may
+    share memory with fn's output, so callers treat it as read-only.
+    """
+    vals = np.asarray(fn(*args), dtype=float)
+    shape = np.broadcast(*args).shape
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 # -- finite differences ----------------------------------------------------
@@ -525,43 +536,15 @@ class AssumptionReport:
         return self.verdicts[key].holds
 
 
-def _eval_grid4(fn, box: GridBox, what: str):
-    t = box.t_nodes()[:, None, None, None]
-    x = box.x_nodes()[None, :, None, None]
-    y = box.y_nodes()[None, None, :, None]
-    z = box.z_nodes()[None, None, None, :]
-    vals = np.asarray(fn(t, x, y, z), dtype=float)
-    vals = np.broadcast_to(vals, (box.nt, box.nx, box.ny, box.nz))
+def _eval_box(fn, box: GridBox, what: str, dims: int = 4):
+    """fn on the (t, x[, y, z]) box grid; a non-finite value raises with its node."""
+    nodes = (box.t_nodes(), box.x_nodes(), box.y_nodes(), box.z_nodes())[:dims]
+    vals = _on_grid(fn, *np.ix_(*nodes))
     if not np.all(np.isfinite(vals)):
         idx = np.argwhere(~np.isfinite(vals))[0]
-        witness = (float(box.t_nodes()[idx[0]]), float(box.x_nodes()[idx[1]]),
-                   float(box.y_nodes()[idx[2]]), float(box.z_nodes()[idx[3]]))
+        witness = tuple(float(n[i]) for n, i in zip(nodes, idx))
         raise EvaluationError(f"{what} evaluated to a non-finite value", witness=witness)
     return vals
-
-
-def _eval_grid2(fn, box: GridBox, what: str):
-    t = box.t_nodes()[:, None]
-    x = box.x_nodes()[None, :]
-    vals = np.asarray(fn(t, x), dtype=float)
-    vals = np.broadcast_to(vals, (box.nt, box.nx))
-    if not np.all(np.isfinite(vals)):
-        idx = np.argwhere(~np.isfinite(vals))[0]
-        witness = (float(box.t_nodes()[idx[0]]), float(box.x_nodes()[idx[1]]))
-        raise EvaluationError(f"{what} evaluated to a non-finite value", witness=witness)
-    return vals
-
-
-def _sign_verdict(name, vals, box, sense, tol):
-    """Pointwise sign check on a (t,x,y,z) grid; sense '>=' or '<='."""
-    m = float(vals.min()) if sense == ">=" else float(-vals.max())
-    ok = m >= -tol
-    witnesses = []
-    if not ok:
-        bad = np.argwhere((vals < -tol) if sense == ">=" else (vals > tol))[:3]
-        tn, xn = box.t_nodes(), box.x_nodes()
-        witnesses = [(float(tn[i[0]]), float(xn[i[1]])) for i in bad]
-    return AssumptionVerdict(name, ok, m, witnesses)
 
 
 def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
@@ -577,9 +560,9 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
         box = default_box(spec)
     v = {}
 
-    sig = _eval_grid2(spec.sigma, box, "sigma")
-    b_x = _eval_grid2(spec.d("b_x"), box, "b_x")
-    s_x = _eval_grid2(spec.d("sigma_x"), box, "sigma_x")
+    sig = _eval_box(spec.sigma, box, "sigma", 2)
+    b_x = _eval_box(spec.d("b_x"), box, "b_x", 2)
+    s_x = _eval_box(spec.d("sigma_x"), box, "sigma_x", 2)
     c_floor = float(np.min(np.abs(sig)))
     kb_hat, ks_hat = float(np.max(np.abs(b_x))), float(np.max(np.abs(s_x)))
     x_ok = c_floor > tol
@@ -596,9 +579,9 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     v["X"] = AssumptionVerdict("X", x_ok, c_floor, witnesses, details)
 
     # Lipschitz package: grid maxima of the first partials of h
-    hx = _eval_grid4(spec.d("h_x"), box, "h_x")
-    hy = _eval_grid4(spec.d("h_y"), box, "h_y")
-    hz = _eval_grid4(spec.d("h_z"), box, "h_z")
+    hx = _eval_box(spec.d("h_x"), box, "h_x")
+    hy = _eval_box(spec.d("h_y"), box, "h_y")
+    hz = _eval_box(spec.d("h_z"), box, "h_z")
     kx_hat = float(np.max(np.abs(hx)))
     ky_hat = float(np.max(np.abs(hy)))
     kz_hat = float(np.max(np.abs(hz)))
@@ -620,12 +603,8 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
         lip_wit, lip_details)
 
     # Quadratic package: fit the smallest growth constants on the grid
-    t4 = box.t_nodes()[:, None, None, None]
-    x4 = box.x_nodes()[None, :, None, None]
-    y4 = box.y_nodes()[None, None, :, None]
-    z4 = box.z_nodes()[None, None, None, :]
-    habs = np.abs(np.broadcast_to(np.asarray(spec.h(t4, x4, y4, z4), dtype=float),
-                                  (box.nt, box.nx, box.ny, box.nz)))
+    t4, x4, y4, z4 = np.ix_(box.t_nodes(), box.x_nodes(), box.y_nodes(), box.z_nodes())
+    habs = np.abs(_on_grid(spec.h, t4, x4, y4, z4))
     envelope = 1.0 + np.abs(y4) + z4**2
     K_hat = float(np.max(habs / envelope))
     Kz_hat = float(np.max(np.abs(hz) / (1.0 + np.abs(z4))))
@@ -657,7 +636,7 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
                                 [] if d1_ok else [(0.0, float(box.x_nodes()[0]))])
     try:
         g2 = np.asarray(spec.d("g2")(box.x_nodes()), dtype=float)
-        hxx = _eval_grid4(spec.d("h_xx"), box, "h_xx")
+        hxx = _eval_box(spec.d("h_xx"), box, "h_xx")
         d2_ok = bool(np.all(np.isfinite(g2)) and np.all(np.isfinite(hxx)))
     except Exception:
         d2_ok, hxx = False, None
@@ -683,11 +662,11 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
 
     # driver sign packages
     if hxx is not None:
-        hyy = _eval_grid4(spec.d("h_yy"), box, "h_yy")
-        hzz = _eval_grid4(spec.d("h_zz"), box, "h_zz")
-        hxy = _eval_grid4(spec.d("h_xy"), box, "h_xy")
-        hxz = _eval_grid4(spec.d("h_xz"), box, "h_xz")
-        hyz = _eval_grid4(spec.d("h_yz"), box, "h_yz")
+        hyy = _eval_box(spec.d("h_yy"), box, "h_yy")
+        hzz = _eval_box(spec.d("h_zz"), box, "h_zz")
+        hxy = _eval_box(spec.d("h_xy"), box, "h_xy")
+        hxz = _eval_box(spec.d("h_xz"), box, "h_xz")
+        hyz = _eval_box(spec.d("h_yz"), box, "h_yz")
         cross_zero = max(float(np.max(np.abs(hxz))), float(np.max(np.abs(hyz))))
         for sgn, tag in ((1.0, "+"), (-1.0, "-")):
             vals = [sgn * a for a in (hx, hxx, hyy, hzz, hxy)]

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, DivergenceError, SolverError
-from .model import ModelSpec
+from .model import ModelSpec, _on_grid
 
 __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
            "solve_u_doubleprime", "eval_yz", "default_grid"]
@@ -331,6 +331,18 @@ def _run_with_fallback(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap
         return vals, iters, 1.0, True
 
 
+def _forward_at(spec, t, xn, *names):
+    """sigma, b and the named forward-coefficient partials at (t, x_n)."""
+    return (_on_grid(spec.sigma, t, xn), _on_grid(spec.b, t, xn),
+            *(_on_grid(spec.d(n), t, xn) for n in names))
+
+
+def _driver_at(spec, t, xn, sol_u, z, *names):
+    """The named driver partials at (t, x_n, u(t, x_n), z); u = 0 without a u solve."""
+    y = sol_u.row(t) if sol_u is not None else np.zeros_like(xn)
+    return tuple(_on_grid(spec.d(n), t, xn, y, z) for n in names)
+
+
 def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
             max_iter: int = 20, tol: float = 1e-10) -> GridSolution:
     """Backward theta-scheme solve of the value-function equation.
@@ -339,30 +351,16 @@ def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
     time step until the iterate is stationary to ``tol``.
     """
     xn = grid.x_nodes
-    terminal = np.asarray(spec.g(xn), dtype=float) + np.zeros_like(xn)
+    terminal = _on_grid(spec.g, xn)
+    a0 = np.zeros_like(xn)
 
     def coef(t, v, vx):
-        a2 = 0.5 * np.asarray(spec.sigma(t, xn), dtype=float) ** 2 + np.zeros_like(xn)
-        a1 = np.asarray(spec.b(t, xn), dtype=float) + np.zeros_like(xn)
-        a0 = np.zeros_like(xn)
-        sig = np.asarray(spec.sigma(t, xn), dtype=float) + np.zeros_like(xn)
-        s = np.asarray(spec.h(t, xn, v, sig * vx), dtype=float) + np.zeros_like(xn)
-        return a2, a1, a0, s
+        sig, bb = _forward_at(spec, t, xn)
+        return 0.5 * sig**2, bb, a0, _on_grid(spec.h, t, xn, v, sig * vx)
 
     vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol)
     ux, uxx = _space_derivatives(vals, grid.dx)
     return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u", th, grid.boundary, iters, fb)
-
-
-def _h_args(spec, grid, sol_u, t, v):
-    """(y, z) arguments for the driver partials along a u_x-equation solve."""
-    xn = grid.x_nodes
-    if sol_u is not None:
-        uvals = sol_u.row(t)
-    else:
-        uvals = np.zeros_like(xn)
-    sig = np.asarray(spec.sigma(t, xn), dtype=float) + np.zeros_like(xn)
-    return uvals, sig * v, sig
 
 
 def _needs_u(spec: ModelSpec, grid: GridSpec) -> bool:
@@ -388,17 +386,11 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
     xn = grid.x_nodes
     if sol_u is None and (_needs_u(spec, grid)):
         sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
-    terminal = np.asarray(spec.d("g1")(xn), dtype=float) + np.zeros_like(xn)
-    d = spec.d
+    terminal = _on_grid(spec.d("g1"), xn)
 
     def coef(t, v, vx):
-        y, z, sig = _h_args(spec, grid, sol_u, t, v)
-        sig_x = np.asarray(d("sigma_x")(t, xn), dtype=float) + np.zeros_like(xn)
-        bb = np.asarray(spec.b(t, xn), dtype=float) + np.zeros_like(xn)
-        bx = np.asarray(d("b_x")(t, xn), dtype=float) + np.zeros_like(xn)
-        hz = np.asarray(d("h_z")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hy = np.asarray(d("h_y")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hx = np.asarray(d("h_x")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
+        sig, bb, sig_x, bx = _forward_at(spec, t, xn, "sigma_x", "b_x")
+        hz, hy, hx = _driver_at(spec, t, xn, sol_u, sig * v, "h_z", "h_y", "h_x")
         a2 = 0.5 * sig**2
         a1 = bb + sig * sig_x + sig * hz
         a0 = bx + hy + sig_x * hz
@@ -427,27 +419,16 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
     if sol_uprime is None:
         sol_uprime = solve_u_prime(spec, grid, sol_u=sol_u, theta=theta,
                                    max_iter=max_iter, tol=tol)
-    terminal = np.asarray(spec.d("g2")(xn), dtype=float) + np.zeros_like(xn)
+    terminal = _on_grid(spec.d("g2"), xn)
     cap = blowup_factor * max(float(np.max(np.abs(terminal))), 1e-12) + 1e6 * np.finfo(float).eps
-    d = spec.d
 
     def coef(t, w, wx):
         v = sol_uprime.row(t)
-        y, z, sig = _h_args(spec, grid, sol_u, t, v)
-        sig_x = np.asarray(d("sigma_x")(t, xn), dtype=float) + np.zeros_like(xn)
-        sig_xx = np.asarray(d("sigma_xx")(t, xn), dtype=float) + np.zeros_like(xn)
-        bb = np.asarray(spec.b(t, xn), dtype=float) + np.zeros_like(xn)
-        bx = np.asarray(d("b_x")(t, xn), dtype=float) + np.zeros_like(xn)
-        bxx = np.asarray(d("b_xx")(t, xn), dtype=float) + np.zeros_like(xn)
-        hz = np.asarray(d("h_z")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hy = np.asarray(d("h_y")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hx = np.asarray(d("h_x")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hzx = np.asarray(d("h_xz")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hzy = np.asarray(d("h_yz")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hzz = np.asarray(d("h_zz")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hyx = hzy * 0.0 + np.asarray(d("h_xy")(t, xn, y, z), dtype=float)
-        hyy = np.asarray(d("h_yy")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
-        hxx = np.asarray(d("h_xx")(t, xn, y, z), dtype=float) + np.zeros_like(xn)
+        sig, bb, sig_x, sig_xx, bx, bxx = _forward_at(spec, t, xn,
+                                                      "sigma_x", "sigma_xx", "b_x", "b_xx")
+        hz, hy, hx, hzx, hzy, hzz, hyx, hyy, hxx = _driver_at(
+            spec, t, xn, sol_u, sig * v,
+            "h_z", "h_y", "h_x", "h_xz", "h_yz", "h_zz", "h_xy", "h_yy", "h_xx")
         # total x-derivatives of h_q along (t, x, u, sigma u_x), w frozen
         zx = sig_x * v + sig * w
         Dhz = hzx + hzy * v + hzz * zx

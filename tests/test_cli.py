@@ -88,6 +88,13 @@ def test_parse_unknown_key():
     assert exc.value.line == 3
 
 
+def test_parse_rejects_g_quad_param():
+    # presets are built without keyword arguments: the key was never read
+    with pytest.raises(ParseError) as exc:
+        parse_config("[model]\npreset = ex_quad_exp\ng_quad_param = 2\n")
+    assert "g_quad_param" in str(exc.value)
+
+
 def test_parse_unknown_task():
     with pytest.raises(ParseError):
         parse_config("[model]\npreset = ex_counter\n[tasks]\nrun = fly\n")
@@ -207,3 +214,25 @@ def test_cli_seed_override(tmp_path):
           "--seed", "11", "--no-timestamps"])
     man = json.loads((tmp_path / "s1" / "manifest.json").read_text())
     assert man["seed"] == 11
+
+
+@pytest.mark.parametrize("task", ["density", "tails"])
+def test_run_snapshot_at_step_zero_fails_naming_t(tmp_path, task):
+    text = f"""
+[model]
+preset = ex_counter
+[numerics]
+n_steps = 32
+nt = 41
+nx = 121
+n_mc = 500
+[tasks]
+run = {task}
+{task}_t = 0.001
+[output]
+timestamps = false
+"""
+    manifest = run(parse_config(text), out_dir=tmp_path / "out")
+    assert manifest["tasks"]["solve"] == "ok"
+    status = manifest["tasks"][task]
+    assert status.startswith("failed") and "t=0.001" in status and "step 0" in status

@@ -10,6 +10,7 @@ from fbsdelab.criteria import (IntervalUnion, VariationBounds,
                                quadratic_check, second_order_check,
                                x_sign_check, z_lipschitz_check,
                                z_markovian_check, z_quadratic_check)
+from fbsdelab.config import parse_config
 from fbsdelab.density import bouleau_hirsch_diagnostic
 from fbsdelab.errors import PreconditionError
 
@@ -99,6 +100,38 @@ def test_quadratic_check_mirror():
     rep = quadratic_check(spec, 0.5)
     assert rep["Q-"].verdict == "holds"
     assert rep["Q+"].verdict == "fails"
+
+
+# K = 0 expression models: negating g and h turns each '+' package into the
+# '-' package of the negated model, margin and signed scalars negated exactly
+MIRROR_MODELS = {"counter": ("x", "(t-2)*x"), "cubic": ("x^3", "3*x")}
+SIGN_PAIRS = ((first_order_check, "H+", "H-"), (second_order_check, "Htilde+", "Htilde-"),
+              (quadratic_check, "Q+", "Q-"), (z_markovian_check, "Z-markov-a", "Z-markov-b"))
+
+
+def _expr_spec(g, h):
+    return parse_config(f"[model]\nb = 0\nsigma = 1\ng = {g}\nh = {h}\nf = w\n").build_spec()
+
+
+def _assert_mirror(plus, minus):
+    assert (plus.verdict, plus.notes) == (minus.verdict, minus.notes)
+    assert plus.margin == -minus.margin
+    assert set(plus.scalars) == set(minus.scalars)
+    for key, v in plus.scalars.items():
+        assert v == (minus.scalars[key] if key in ("K", "integral") else -minus.scalars[key]), key
+
+
+@pytest.mark.parametrize("A", [None, IntervalUnion([(-1.0, 0.5)])])
+@pytest.mark.parametrize("name", sorted(MIRROR_MODELS))
+def test_sign_packages_mirror_under_negation(name, A):
+    g, h = MIRROR_MODELS[name]
+    spec, neg = _expr_spec(g, h), _expr_spec(f"-({g})", f"-({h})")
+    for check, plus, minus in SIGN_PAIRS:
+        rep, rep_neg = check(spec, 0.5, A), check(neg, 0.5, A)
+        if "K" in rep[plus].scalars:
+            assert rep[plus].scalars["K"] == 0.0
+        _assert_mirror(rep[plus], rep_neg[minus])
+        _assert_mirror(rep[minus], rep_neg[plus])
 
 
 def test_quadratic_check_sign_change_fails():
