@@ -424,25 +424,18 @@ class MalliavinEnsemble:
         return getattr(self, which)[:, k]
 
 
-def _theta_paths(spec: ModelSpec, ens: PathEnsemble,
-                 sol: Union[BsdeSolution, GridSolution, tuple]):
-    """(Y, Z) along paths from whichever backward solution is supplied."""
+def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
+    """(Y, Z) at grid node k, time t, states x from whichever backward solution is supplied."""
     if isinstance(sol, BsdeSolution):
-        Z = np.concatenate([sol.Z, sol.Z[:, -1:]], axis=1)
-        return sol.Y, Z
-    if isinstance(sol, tuple):
-        sol_u, sol_up = sol
-    else:
-        sol_u, sol_up = sol, None
-    n, N = ens.n_paths, ens.n_steps
-    Y = np.empty((n, N + 1))
-    Z = np.empty((n, N + 1))
-    for k, t in enumerate(ens.t_grid):
-        xk = ens.X[:, k]
-        Y[:, k] = sol_u.eval(t, xk)
-        ux = sol_up.eval(t, xk) if sol_up is not None else sol_u.eval(t, xk, array=sol_u.u_x)
-        Z[:, k] = ux * np.asarray(spec.sigma(t, xk), dtype=float)
-    return Y, Z
+        last = sol.Z.shape[1] - 1
+        return lambda k, t, x: (sol.Y[:, k], sol.Z[:, min(k, last)])
+    sol_u, sol_up = sol if isinstance(sol, tuple) else (sol, None)
+
+    def at(k, t, x):
+        ux = sol_up.eval(t, x) if sol_up is not None else sol_u.eval(t, x, array=sol_u.u_x)
+        return sol_u.eval(t, x), ux * np.asarray(spec.sigma(t, x), dtype=float)
+
+    return at
 
 
 def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
@@ -468,57 +461,66 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
     if k_r == N:
         raise PreconditionError("r must precede the terminal time")
     t = ens.t_grid
-    # first, so that the kernel's temporary X is freed before the path arrays exist
-    nabla = variational_processes(spec, ens)
-    Ypath, Zpath = _theta_paths(spec, ens, sol)
-    DrX = malliavin_dx(spec, ens, nabla, k_r)
-
-    hy = np.empty((n, N))
-    hz = np.empty((n, N))
-    hx = np.empty((n, N + 1))
-    for k in range(N):
-        hy[:, k] = np.asarray(spec.d("h_y")(t[k], ens.X[:, k], Ypath[:, k], Zpath[:, k]), dtype=float)
-        hz[:, k] = np.asarray(spec.d("h_z")(t[k], ens.X[:, k], Ypath[:, k], Zpath[:, k]), dtype=float)
-        hx[:, k] = np.asarray(spec.d("h_x")(t[k], ens.X[:, k], Ypath[:, k], Zpath[:, k]), dtype=float)
-    hx[:, N] = np.asarray(spec.d("h_x")(t[N], ens.X[:, N], Ypath[:, N], Zpath[:, N]), dtype=float)
-
-    # per-step weights rho_k = exp(h_y dt) exp(h_z dW - h_z^2 dt / 2)
-    log_rho = hy * dt + hz * ens.dW - 0.5 * hz**2 * dt
-    rho = np.exp(log_rho)
-
-    warnings = []
-    girsanov = np.exp(np.sum(hz * ens.dW - 0.5 * hz**2 * dt, axis=1))
-    gv = float(np.var(girsanov))
-    if gv > 0:
-        kurt = float(np.mean((girsanov - girsanov.mean()) ** 4) / gv**2)
-        if kurt > kurtosis_gate:
-            warnings.append(f"importance-weight kurtosis {kurt:.1f} exceeds gate {kurtosis_gate:g}")
-
-    # backward accumulation of the discounted payoff, source by trapezoid
-    gprime = np.asarray(spec.d("g1")(ens.X[:, N]), dtype=float)
-    src = hx * nabla  # (h_x nablaX) at every node
-    G = np.empty((n, N + 1))
-    G[:, N] = gprime * nabla[:, N]
-    for k in range(N - 1, -1, -1):
-        G[:, k] = rho[:, k] * G[:, k + 1] + 0.5 * dt * (src[:, k] + rho[:, k] * src[:, k + 1])
-
     if times is None:
         k_eval = range(k_r, N + 1)
     else:
         k_eval = sorted({ens.index_of(tv) for tv in times})
         if any(k < k_r for k in k_eval):
             raise PreconditionError("requested evaluation time precedes r")
-    # cumulative future increments back the zero-mean chaos regressors that
-    # soak up the projection noise without entering the prediction
-    S = np.concatenate([np.cumsum(ens.dW[:, ::-1], axis=1)[:, ::-1],
-                        np.zeros((n, 1))], axis=1)
+    nabla = variational_processes(spec, ens)
+    DrX = malliavin_dx(spec, ens, nabla, k_r)
+    # time-major views: each node reads one contiguous row of X and nablaX
+    X, nab = ens.X.T, nabla.T
+    theta = _theta_node(spec, sol)
+    hy, hz, hx = (spec.d(name) for name in ("h_y", "h_z", "h_x"))
+
+    def at(f, k, yz):
+        return np.asarray(f(t[k], X[k], *yz), dtype=float)
+
+    # One backward pass over the nodes.  G is the discounted payoff with the
+    # trapezoid source,  G_k = rho_k G_{k+1} + dt/2 (h_x nablaX|_k + rho_k h_x nablaX|_{k+1}),
+    # with per-step weights rho_k = exp(h_y dt) exp(h_z dW - h_z^2 dt / 2); it is
+    # only needed down to the first evaluation node.  S_k, the future Brownian
+    # mass, backs the zero-mean chaos regressors that soak up the projection
+    # noise without entering the prediction.  The whole-path Girsanov exponent
+    # feeds the importance-weight kurtosis gate.
+    k_lo = min(k_eval)
+    wanted = set(k_eval)
+    gprime = np.asarray(spec.d("g1")(X[N]), dtype=float)
+    G = gprime * nab[N]
+    src_next = at(hx, N, theta(N, t[N], X[N])) * nab[N]
+    S = np.zeros(n)
+    log_girsanov = np.zeros(n)
+    G_at, S_at = {N: G}, {N: S}
+    for k in range(N - 1, -1, -1):
+        dw = ens.dW[:, k]
+        yz = theta(k, t[k], X[k])
+        hz_k = at(hz, k, yz)
+        log_girsanov += hz_k * dw - 0.5 * hz_k**2 * dt
+        S = S + dw
+        if k < k_lo:
+            continue
+        rho = np.exp(at(hy, k, yz) * dt + hz_k * dw - 0.5 * hz_k**2 * dt)
+        src = at(hx, k, yz) * nab[k]
+        G = rho * G + 0.5 * dt * (src + rho * src_next)
+        src_next = src
+        if k in wanted:
+            G_at[k], S_at[k] = G, S
+
+    warnings = []
+    girsanov = np.exp(log_girsanov)
+    gv = float(np.var(girsanov))
+    if gv > 0:
+        kurt = float(np.mean((girsanov - girsanov.mean()) ** 4) / gv**2)
+        if kurt > kurtosis_gate:
+            warnings.append(f"importance-weight kurtosis {kurt:.1f} exceeds gate {kurtosis_gate:g}")
+
     DrY = np.full((n, N + 1), np.nan)
     for k in k_eval:
         if k == N:
             cond = gprime * 1.0
         else:
-            resp = G[:, k] / nabla[:, k]
-            cond = _regress_chaos(basis, ens.X[:, k], resp, S[:, k], t[N] - t[k])
+            cond = _regress_chaos(basis, X[k], G_at[k] / nab[k], S_at[k], t[N] - t[k])
         DrY[:, k] = cond * DrX[:, k]
 
     DrZ = None
