@@ -12,7 +12,8 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .model import ModelSpec, Constants, Oracle, GridBox, preset, preset_names, validate_assumptions
+from .model import (ModelSpec, Constants, Oracle, GridBox, expression_spec, preset, preset_names,
+                    validate_assumptions)
 from .pde import GridSpec, GridSolution, solve_u, solve_u_prime, solve_u_doubleprime, eval_yz, default_grid
 from .mc import (PathEnsemble, BasisSpec, BsdeSolution, MalliavinEnsemble,
                  simulate_forward, solve_bsde_regression, variational_processes,

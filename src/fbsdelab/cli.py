@@ -21,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from .config import TASK_DEPS, ExperimentConfig, parse_config
-from .criteria import first_order_check, quadratic_check, second_order_check, x_sign_check
+from .criteria import CHECKS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
 from .errors import FbsdeLabError, PreconditionError
-from .mc import BasisSpec, simulate_forward, solve_bsde_regression
+from .mc import STREAM_FORWARD, BasisSpec, rng_stream, simulate_forward, solve_bsde_regression
 from .pde import default_grid, solve_u, solve_u_prime
 from .tails import compute_constants, envelope, empirical_density
 
@@ -119,15 +119,7 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                 for t in config.task_params["criteria_times"]:
                     for chk in config.task_params["criteria_checks"]:
                         try:
-                            if chk == "first-order":
-                                reps = first_order_check(spec, t)
-                            elif chk == "second-order":
-                                reps = second_order_check(spec, t)
-                            elif chk == "quadratic":
-                                reps = quadratic_check(spec, t)
-                            else:
-                                reps = x_sign_check(spec)
-                            rows += [r.to_dict() for r in reps.values()]
+                            rows += [r.to_dict() for r in CHECKS[chk](spec, t).values()]
                         except PreconditionError as exc:
                             rows.append({"criterion": chk, "t": t,
                                          "verdict": "precondition-error",
@@ -152,13 +144,12 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                 record(out / "gfunction.csv")
                 record(out / "density.csv")
             elif task == "tails":
-                t = config.task_params["tails_t"]
                 target = config.task_params["tails_target"]
-                sam, t_snap, ns = _snapshot_sampler(spec, state, num, t, target)
+                sam, t_snap, ns = _snapshot_sampler(spec, state, num,
+                                                    config.task_params["tails_t"], target)
                 v_grid = state["sol_uprime"] if target == "Z" else state["sol_u"]
-                consts = compute_constants(v_grid, t, 0.1, 0.1,
+                consts = compute_constants(v_grid, t_snap, 0.1, 0.1,
                                            config.task_params["tails_alpha_tilde"])
-                from .mc import rng_stream, STREAM_FORWARD
                 dW = rng_stream(seed, STREAM_FORWARD).standard_normal(
                     (num["n_mc"], ns)) * math.sqrt(spec.T / ns)
                 F, _ = sam.evaluate(dW)
@@ -169,7 +160,8 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                                form=config.task_params["tails_form"], target=target)
                 emp, se, _ = empirical_density(F, nodes)
                 env.to_csv(out / "envelope.csv", emp, 2.58 * se, header)
-                _write_json(out / "tail_constants.json", {"constants": consts.to_dict()}, header)
+                _write_json(out / "tail_constants.json",
+                            {"t": t_snap, "constants": consts.to_dict()}, header)
                 record(out / "envelope.csv")
                 record(out / "tail_constants.json")
             elif task == "oracle-compare":

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .criteria import CHECKS
 from .errors import ParseError
 from .expressions import compile_expression
-from .model import Constants, ModelSpec, preset
+from .model import COEFFICIENT_ARGS, ModelSpec, expression_spec, preset
 
 __all__ = ["ExperimentConfig", "parse_config", "TASK_NAMES", "TASK_DEPS"]
 
@@ -71,16 +72,11 @@ class ExperimentConfig:
         m = self.model
         if "preset" in m:
             return preset(m["preset"])
-        T = float(m.get("T", 1.0))
-        x0 = float(m.get("X0", 0.0))
-        regime = m.get("regime", "lipschitz").lower()
-        b = compile_expression(m.get("b", "0"), ("t", "x"))
-        sigma = compile_expression(m.get("sigma", "1"), ("t", "x"))
-        g = compile_expression(m.get("g", "x"), ("x",))
-        h = compile_expression(m.get("h", "0"), ("t", "x", "y", "z"))
-        f = compile_expression(m["f"], ("t", "w")) if "f" in m else None
-        return ModelSpec(b=b, sigma=sigma, g=g, h=h, T=T, X0=x0, regime=regime,
-                         markovian_f=f, constants=Constants(), name="config-model")
+        return expression_spec(
+            b=m.get("b", "0"), sigma=m.get("sigma", "1"), g=m.get("g", "x"),
+            h=m.get("h", "0"), f=m.get("f"), T=float(m.get("T", 1.0)),
+            X0=float(m.get("X0", 0.0)), regime=m.get("regime", "lipschitz").lower(),
+            name="config-model")
 
 
 def _parse_scalar(v: str):
@@ -138,11 +134,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError("model section must name a preset or give expressions")
     # validate expressions eagerly so errors carry the offending symbol
     if "preset" not in model:
-        for key, vars_ in (("b", ("t", "x")), ("sigma", ("t", "x")),
-                           ("g", ("x",)), ("h", ("t", "x", "y", "z")),
-                           ("f", ("t", "w"))):
+        for key, variables in COEFFICIENT_ARGS.items():
             if key in model:
-                compile_expression(model[key], vars_)
+                compile_expression(model[key], variables)
 
     numerics = dict(_DEFAULT_NUMERICS)
     for k, v in sections.get("numerics", {}).items():
@@ -169,10 +163,11 @@ def parse_config(text: str) -> ExperimentConfig:
         "oracle_times": [float(v) for v in _parse_list(tasks_section.get("oracle_times", "0.25, 0.5, 0.75"))],
     }
     for chk in task_params["criteria_checks"]:
-        if chk not in ("first-order", "second-order", "quadratic", "x-sign"):
+        if chk not in CHECKS:
             raise ParseError(f"unknown criteria check {chk!r}")
-    if task_params["density_target"] not in ("Y", "Z"):
-        raise ParseError("density_target must be Y or Z")
+    for key in ("density_target", "tails_target"):
+        if task_params[key] not in ("Y", "Z"):
+            raise ParseError(f"{key} must be Y or Z")
 
     # dependency closure in declaration order, inserting prerequisites first
     inserted = []

@@ -33,7 +33,7 @@ __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
     "first_order_check", "second_order_check", "quadratic_check",
     "z_lipschitz_check", "z_quadratic_check", "z_markovian_check",
-    "x_sign_check", "conditional_hit_lower_bound",
+    "x_sign_check", "conditional_hit_lower_bound", "CHECKS",
 ]
 
 
@@ -717,3 +717,13 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
                               margins, [f"witness {w}" for w in witnesses], _box_repr(box))
         out[tag] = rep
     return out
+
+
+# The checks a config's criteria_checks may name, each called as check(spec, t);
+# names resolve at call time, so wrappers installed on this module are used.
+CHECKS = {
+    "first-order": lambda spec, t: first_order_check(spec, t),
+    "second-order": lambda spec, t: second_order_check(spec, t),
+    "quadratic": lambda spec, t: quadratic_check(spec, t),
+    "x-sign": lambda spec, t: x_sign_check(spec),
+}

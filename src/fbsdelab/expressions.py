@@ -12,11 +12,15 @@ than unary minus):
 Allowed names: the variables t, x, y, z (and w as an alias of x for Markov
 maps) plus the functions exp, log, sin, cos, tanh, abs and the constants pi
 and e.  Compiled expressions evaluate vectorized over numpy arrays.
+
+``differentiate`` gives the exact partial derivative of a parsed tree, with
+constants folded; abs differentiates to an internal ``sign`` node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable
 
@@ -24,7 +28,8 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["compile_expression", "ALLOWED_FUNCTIONS", "ALLOWED_VARIABLES"]
+__all__ = ["compile_expression", "parse_expression", "differentiate",
+           "ALLOWED_FUNCTIONS", "ALLOWED_VARIABLES"]
 
 ALLOWED_FUNCTIONS = {
     "exp": np.exp,
@@ -34,6 +39,9 @@ ALLOWED_FUNCTIONS = {
     "tanh": np.tanh,
     "abs": np.abs,
 }
+_FUNCTIONS = {**ALLOWED_FUNCTIONS, "sign": np.sign}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}
 ALLOWED_VARIABLES = ("t", "x", "y", "z", "w")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -76,8 +84,7 @@ def _parse_expr(tz):
     node = _parse_term(tz)
     while tz.peek() == ("op", "+") or tz.peek() == ("op", "-"):
         _, op = tz.next()
-        rhs = _parse_term(tz)
-        node = ("+", node, rhs) if op == "+" else ("-", node, rhs)
+        node = (op, node, _parse_term(tz))
     return node
 
 
@@ -85,8 +92,7 @@ def _parse_term(tz):
     node = _parse_unary(tz)
     while tz.peek() == ("op", "*") or tz.peek() == ("op", "/"):
         _, op = tz.next()
-        rhs = _parse_unary(tz)
-        node = (op, node, rhs)
+        node = (op, node, _parse_unary(tz))
     return node
 
 
@@ -141,34 +147,103 @@ def _eval(node, env):
     if op == "neg":
         return -_eval(node[1], env)
     if op == "call":
-        return ALLOWED_FUNCTIONS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a ** b
+        return _FUNCTIONS[node[1]](_eval(node[2], env))
+    if op in _ARITH:
+        return _ARITH[op](_eval(node[1], env), _eval(node[2], env))
     raise ParseError(f"bad node {op!r}")
 
 
-def compile_expression(text: str, variables=("t", "x", "y", "z")) -> Callable:
-    """Compile an expression string into a vectorized callable.
+# -- symbolic differentiation --------------------------------------------------
 
-    The callable takes positional arguments in the order of ``variables``;
-    unknown symbols raise a parse error naming the symbol at compile time.
+_ZERO, _ONE, _TWO, _MINUS_ONE = (("num", v) for v in (0.0, 1.0, 2.0, -1.0))
+
+
+def _op(op, a, b):
+    """The node (op, a, b), constant-folded and without neutral elements."""
+    if a[0] == "num" and b[0] == "num":
+        return ("num", float(_ARITH[op](np.float64(a[1]), b[1])))
+    if op == "*" and b[0] == "num":
+        a, b = b, a  # constant factor first, so nested ones fold together
+    if op == "+" and a == _ZERO or op == "*" and a == _ONE:
+        return b
+    if op in "+-" and b == _ZERO or op in "/^" and b == _ONE:
+        return a
+    if op == "-" and a == _ZERO:
+        return _op("*", _MINUS_ONE, b)
+    if op in "*/" and a == _ZERO:
+        return _ZERO
+    if op == "*" and a[0] == "num" and b[0] == "*" and b[1][0] == "num":
+        return _op("*", _op("*", a, b[1]), b[2])
+    return (op, a, b)
+
+
+def _call(name, a):
+    if a[0] == "num":
+        return ("num", float(_FUNCTIONS[name](a[1])))
+    return ("call", name, a)
+
+
+# f'(a) for the call node n = f(a); log is differentiated as a'/a
+_OUTER = {
+    "exp": lambda n, a: n,
+    "sin": lambda n, a: _call("cos", a),
+    "cos": lambda n, a: _op("*", _MINUS_ONE, _call("sin", a)),
+    "tanh": lambda n, a: _op("-", _ONE, _op("^", n, _TWO)),
+    "abs": lambda n, a: _call("sign", a),
+    "sign": lambda n, a: _ZERO,
+}
+
+
+def differentiate(tree: tuple, var: str) -> tuple:
+    """Exact partial derivative of a parsed tree by ``var`` (``w`` means x).
+
+    A power whose exponent does not depend on ``var`` uses the power rule;
+    only one whose exponent does takes the form a^b (b' log a + b a'/a).
     """
+    var = "x" if var == "w" else var
+
+    def d(n):
+        op = n[0]
+        if op == "num" or op == "var":
+            return _ONE if n == ("var", var) else _ZERO
+        if op == "neg":
+            return _op("*", _MINUS_ONE, d(n[1]))
+        if op == "call":
+            a = n[2]
+            return _op("/", d(a), a) if n[1] == "log" else _op("*", _OUTER[n[1]](n, a), d(a))
+        a, b = n[1], n[2]
+        da, db = d(a), d(b)
+        if op in "+-":
+            return _op(op, da, db)
+        if op == "*":
+            return _op("+", _op("*", da, b), _op("*", a, db))
+        if op == "/":
+            return _op("-", _op("/", da, b), _op("/", _op("*", a, db), _op("^", b, _TWO)))
+        if db == _ZERO:
+            return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE))), da)
+        return _op("*", n, _op("+", _op("*", db, _call("log", a)), _op("/", _op("*", b, da), a)))
+
+    return d(tree)
+
+
+def parse_expression(text: str) -> tuple:
+    """Parse an expression string into its tuple tree; errors name the symbol."""
     tz = _Tokenizer(text)
     if not tz.tokens:
         raise ParseError("empty expression")
     tree = _parse_expr(tz)
     if tz.peek() != (None, None):
         raise ParseError(f"trailing tokens in expression starting with {tz.peek()[1]!r}")
+    return tree
+
+
+def compile_expression(source, variables=("t", "x", "y", "z")) -> Callable:
+    """Compile an expression string, or a parsed tree, into a vectorized callable.
+
+    The callable takes positional arguments in the order of ``variables``;
+    unknown symbols raise a parse error naming the symbol at compile time.
+    """
+    tree = parse_expression(source) if isinstance(source, str) else source
     varmap = ["x" if v == "w" else v for v in variables]
 
     def fn(*args):
@@ -177,7 +252,9 @@ def compile_expression(text: str, variables=("t", "x", "y", "z")) -> Callable:
         env = {k: np.asarray(a, dtype=float) for k, a in zip(varmap, args)}
         out = _eval(tree, env)
         shape = np.broadcast(*[env[k] for k in varmap]).shape if varmap else ()
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy() if shape else out
+        if not shape or tree[0] != "var" and np.shape(out) == shape:
+            return out  # a scalar, or a new array of the full shape
+        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
-    fn.expression = text
+    fn.expression = source
     return fn

@@ -3,11 +3,14 @@
     X_t = X_0 + int_0^t b(s, X_s) ds + int_0^t sigma(s, X_s) dW_s,
     Y_t = g(X_T) + int_t^T h(s, X_s, Y_s, Z_s) ds - int_t^T Z_s dW_s.
 
-A :class:`ModelSpec` bundles the four coefficient callables, whatever partial
-derivatives the user cares to supply (the rest are filled by central finite
-differences), the regime flag (Lipschitz vs quadratic driver) and declared
-structural constants.  Closed-form presets used as oracles throughout the test
-suite are registered in :func:`preset`.
+A :class:`ModelSpec` bundles the four coefficient callables, their partial
+derivatives, the regime flag (Lipschitz vs quadratic driver) and declared
+structural constants.  :func:`expression_spec` builds one from coefficient
+expressions and fills every partial in ``PARTIAL_NAMES`` with the exact
+symbolic derivative; for coefficients given as opaque callables the partials
+are whatever the user supplies, and central finite differences fill the rest.
+The closed-form presets used as oracles throughout the test suite are
+expression models registered in :func:`preset`.
 
 All coefficient callables must be pure functions of their arguments and accept
 numpy arrays (broadcasting); a ModelSpec is immutable after construction and
@@ -18,17 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EvaluationError, UnknownPresetError
+from .expressions import compile_expression, differentiate, parse_expression
 
 __all__ = [
     "Constants",
     "GridBox",
     "ModelSpec",
     "Oracle",
+    "expression_spec",
     "AssumptionReport",
     "AssumptionVerdict",
     "preset",
@@ -36,17 +42,23 @@ __all__ = [
     "validate_assumptions",
 ]
 
+# Coefficient -> its argument names in call order (f is the Markov map).
+COEFFICIENT_ARGS = {"b": ("t", "x"), "sigma": ("t", "x"), "g": ("x",),
+                    "h": ("t", "x", "y", "z"), "f": ("t", "w")}
+
+# Partial name -> (coefficient, variables differentiated by in turn).
+_PARTIALS = {
+    "b_x": ("b", "x"), "b_xx": ("b", "xx"),
+    "sigma_x": ("sigma", "x"), "sigma_xx": ("sigma", "xx"), "sigma_xxx": ("sigma", "xxx"),
+    "g1": ("g", "x"), "g2": ("g", "xx"),
+    **{f"h_{v}": ("h", v) for v in ("x", "y", "z", "xx", "yy", "zz", "xy", "xz", "yz",
+                                    "xt", "xxx", "xxy", "xyy")},
+    "f_w": ("f", "w"), "f_ww": ("f", "ww"),
+}
+
 # Derivative names accepted in ModelSpec.partials.  Anything absent is
 # computed by central differences of the parent callable.
-PARTIAL_NAMES = (
-    "b_x", "b_xx",
-    "sigma_x", "sigma_xx", "sigma_xxx",
-    "g1", "g2",
-    "h_x", "h_y", "h_z",
-    "h_xx", "h_yy", "h_zz", "h_xy", "h_xz", "h_yz",
-    "h_xt", "h_xxx", "h_xxy", "h_xyy",
-    "f_w", "f_ww",
-)
+PARTIAL_NAMES = tuple(_PARTIALS)
 
 # Relative finite-difference steps per derivative order; chosen near the
 # usual truncation/roundoff optimum for central differences in float64.
@@ -164,9 +176,11 @@ class ModelSpec:
     def d(self, name: str) -> Callable:
         """Return the named partial derivative, supplied or differenced.
 
-        Supported names are listed in ``PARTIAL_NAMES``; missing ones fall
-        back to central finite differences of the parent callable with a
-        relative step (``fd_step`` at first order, larger for higher orders).
+        Supported names are listed in ``PARTIAL_NAMES``.  Expression models
+        (:func:`expression_spec`) supply every one exactly; the fallback, for
+        partials of opaque callables only, is central finite differences of
+        the parent callable with a relative step (``fd_step`` at first order,
+        larger for higher orders).
         """
         if name in self.partials:
             return self.partials[name]
@@ -296,11 +310,28 @@ def _cdiff_mixed(h, t, args, i, j, si, sj):
     return (np.asarray(pp) - np.asarray(pm) - np.asarray(mp) + np.asarray(mm)) / (4.0 * si * sj)
 
 
+def expression_spec(b, sigma, g, h, f, **fields) -> ModelSpec:
+    """ModelSpec from coefficient expressions, with every partial exact.
+
+    ``b``, ``sigma``, ``g``, ``h`` and the Markov map ``f`` (or None) are
+    expression strings over their ``COEFFICIENT_ARGS``; each of their
+    ``PARTIAL_NAMES`` entries is compiled from the symbolic derivative.  A
+    coefficient may instead be a callable, used as is.  ``fields["partials"]``
+    replaces symbolic partials; those of a callable that it does not supply
+    fall back to finite differences.  Other ``fields`` go to ModelSpec.
+    """
+    given = {"b": b, "sigma": sigma, "g": g, "h": h, "f": f}
+    trees = {k: parse_expression(v) for k, v in given.items() if isinstance(v, str)}
+    fns = {k: compile_expression(v, COEFFICIENT_ARGS[k]) if k in trees else v
+           for k, v in given.items()}
+    symbolic = {name: compile_expression(reduce(differentiate, variables, trees[coeff]),
+                                         COEFFICIENT_ARGS[coeff])
+                for name, (coeff, variables) in _PARTIALS.items() if coeff in trees}
+    return ModelSpec(b=fns["b"], sigma=fns["sigma"], g=fns["g"], h=fns["h"], markovian_f=fns["f"],
+                     partials={**symbolic, **fields.pop("partials", {})}, **fields)
+
+
 # -- presets ---------------------------------------------------------------
-
-def _zero2(t, x):
-    return np.zeros_like(np.asarray(t, dtype=float) + np.asarray(x, dtype=float))
-
 
 def _counter_coeff(t):
     t = np.asarray(t, dtype=float)
@@ -309,80 +340,21 @@ def _counter_coeff(t):
 
 def _make_ex_counter() -> ModelSpec:
     # driver (t - 2) x with identity terminal condition on X = W
-    def h(t, x, y, z):
-        return (np.asarray(t, dtype=float) - 2.0) * np.asarray(x, dtype=float)
-
-    partials = {
-        "b_x": _zero2, "b_xx": _zero2,
-        "sigma_x": _zero2, "sigma_xx": _zero2, "sigma_xxx": _zero2,
-        "g1": lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        "g2": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        "h_x": lambda t, x, y, z: np.broadcast_arrays(np.asarray(t, dtype=float) - 2.0, x)[0].copy(),
-        "h_y": lambda t, x, y, z: _zero4(t, x),
-        "h_z": lambda t, x, y, z: _zero4(t, x),
-        "h_xx": lambda t, x, y, z: _zero4(t, x),
-        "h_yy": lambda t, x, y, z: _zero4(t, x),
-        "h_zz": lambda t, x, y, z: _zero4(t, x),
-        "h_xy": lambda t, x, y, z: _zero4(t, x),
-        "h_xz": lambda t, x, y, z: _zero4(t, x),
-        "h_yz": lambda t, x, y, z: _zero4(t, x),
-        "h_xt": lambda t, x, y, z: np.ones_like(np.asarray(t, dtype=float) + np.asarray(x, dtype=float)),
-        "h_xxx": lambda t, x, y, z: _zero4(t, x),
-        "h_xxy": lambda t, x, y, z: _zero4(t, x),
-        "h_xyy": lambda t, x, y, z: _zero4(t, x),
-        "f_w": lambda t, w: np.ones_like(np.asarray(w, dtype=float)),
-        "f_ww": lambda t, w: np.zeros_like(np.asarray(w, dtype=float)),
-    }
     oracle = Oracle(
         y=lambda t, w: np.asarray(w, dtype=float) * _counter_coeff(t),
         z=lambda t, w: np.broadcast_arrays(_counter_coeff(t), w)[0].copy(),
         u=lambda t, x: np.asarray(x, dtype=float) * _counter_coeff(t),
         u_x=lambda t, x: np.broadcast_arrays(_counter_coeff(t), x)[0].copy(),
-        u_xx=lambda t, x: _zero2(t, x),
+        u_xx=lambda t, x: np.zeros(np.broadcast(t, x).shape),
     )
-    return ModelSpec(
-        b=_zero2,
-        sigma=lambda t, x: np.ones_like(_zero2(t, x)),
-        g=lambda x: np.asarray(x, dtype=float),
-        h=h,
-        T=1.0,
-        X0=0.0,
-        regime="lipschitz",
-        partials=partials,
-        markovian_f=lambda t, w: np.asarray(w, dtype=float),
+    return expression_spec(
+        b="0", sigma="1", g="x", h="(t-2)*x", f="w", T=1.0, X0=0.0,
         constants=Constants(k_b=0.0, k_sigma=0.0, k_x=2.0, k_y=0.0, k_z=0.0, c=1.0),
-        oracle=oracle,
-        name="ex_counter",
-    )
-
-
-def _zero4(t, x):
-    return np.zeros_like(np.asarray(t, dtype=float) + np.asarray(x, dtype=float))
+        oracle=oracle, name="ex_counter")
 
 
 def _make_ex_cubic() -> ModelSpec:
     # cubic terminal condition with driver 3x on X = W
-    partials = {
-        "b_x": _zero2, "b_xx": _zero2,
-        "sigma_x": _zero2, "sigma_xx": _zero2, "sigma_xxx": _zero2,
-        "g1": lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
-        "g2": lambda x: 6.0 * np.asarray(x, dtype=float),
-        "h_x": lambda t, x, y, z: 3.0 * np.ones_like(_zero4(t, x)),
-        "h_y": lambda t, x, y, z: _zero4(t, x),
-        "h_z": lambda t, x, y, z: _zero4(t, x),
-        "h_xx": lambda t, x, y, z: _zero4(t, x),
-        "h_yy": lambda t, x, y, z: _zero4(t, x),
-        "h_zz": lambda t, x, y, z: _zero4(t, x),
-        "h_xy": lambda t, x, y, z: _zero4(t, x),
-        "h_xz": lambda t, x, y, z: _zero4(t, x),
-        "h_yz": lambda t, x, y, z: _zero4(t, x),
-        "h_xt": lambda t, x, y, z: _zero4(t, x),
-        "h_xxx": lambda t, x, y, z: _zero4(t, x),
-        "h_xxy": lambda t, x, y, z: _zero4(t, x),
-        "h_xyy": lambda t, x, y, z: _zero4(t, x),
-        "f_w": lambda t, w: np.ones_like(np.asarray(w, dtype=float)),
-        "f_ww": lambda t, w: np.zeros_like(np.asarray(w, dtype=float)),
-    }
     oracle = Oracle(
         y=lambda t, w: np.asarray(w, dtype=float) ** 3 + 6.0 * np.asarray(w, dtype=float) * (1.0 - np.asarray(t, dtype=float)),
         z=lambda t, w: 3.0 * np.asarray(w, dtype=float) ** 2 + 6.0 * (1.0 - np.asarray(t, dtype=float)),
@@ -390,93 +362,43 @@ def _make_ex_cubic() -> ModelSpec:
         u_x=lambda t, x: 3.0 * np.asarray(x, dtype=float) ** 2 + 6.0 * (1.0 - np.asarray(t, dtype=float)),
         u_xx=lambda t, x: 6.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float),
     )
-    return ModelSpec(
-        b=_zero2,
-        sigma=lambda t, x: np.ones_like(_zero2(t, x)),
-        g=lambda x: np.asarray(x, dtype=float) ** 3,
-        h=lambda t, x, y, z: 3.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float),
-        T=1.0,
-        X0=0.0,
-        regime="lipschitz",
-        partials=partials,
-        markovian_f=lambda t, w: np.asarray(w, dtype=float),
+    return expression_spec(
+        b="0", sigma="1", g="x^3", h="3*x", f="w", T=1.0, X0=0.0,
         constants=Constants(k_b=0.0, k_sigma=0.0, k_x=3.0, k_y=0.0, k_z=0.0, c=1.0),
-        oracle=oracle,
-        name="ex_cubic",
-    )
+        oracle=oracle, name="ex_cubic")
 
 
-def _quad_exp_value(t, w, g, T, n_quad=160):
-    """Exponential-transform value log E[exp(g(w + sqrt(T-t) xi))], xi ~ N(0,1)."""
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
+def _quad_exp_oracle(g, g1, T, n_quad=160) -> Oracle:
+    """Exponential-transform oracle by Gauss-Hermite quadrature, given W_t = w:
+
+    Y = log E[exp(g(w + sqrt(T-t) xi))] and Z = E[g'(X_T) e^{g}] / E[e^{g}].
+    """
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
-    tau = np.sqrt(np.maximum(T - t, 0.0))
-    pts = w[..., None] + tau[..., None] * nodes
-    ew = np.exp(g(pts))
-    return np.log(ew @ weights / math.sqrt(2.0 * math.pi))
 
+    def points(t, w):
+        tau = np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))
+        return np.asarray(w, dtype=float)[..., None] + tau[..., None] * nodes
 
-def _quad_exp_zvalue(t, w, g, g1, T, n_quad=160):
-    """Control value E[g'(X_T) e^{g}] / E[e^{g}] conditional on W_t = w."""
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
-    tau = np.sqrt(np.maximum(T - t, 0.0))
-    pts = w[..., None] + tau[..., None] * nodes
-    ew = np.exp(g(pts))
-    return (g1(pts) * ew) @ weights / (ew @ weights)
+    def y(t, w):
+        return np.log(np.exp(g(points(t, w))) @ weights / math.sqrt(2.0 * math.pi))
+
+    def z(t, w):
+        pts = points(t, w)
+        ew = np.exp(g(pts))
+        return (g1(pts) * ew) @ weights / (ew @ weights)
+
+    return Oracle(y=y, z=z)
 
 
 def _make_ex_quad_exp(g=None, g1=None, g2=None) -> ModelSpec:
     # purely quadratic driver z^2/2 with bounded terminal condition on X = W
-    if g is None:
-        g = lambda x: np.tanh(np.asarray(x, dtype=float))
-        g1 = lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
-        g2 = lambda x: -2.0 * np.tanh(np.asarray(x, dtype=float)) / np.cosh(np.asarray(x, dtype=float)) ** 2
-    T = 1.0
-    partials = {
-        "b_x": _zero2, "b_xx": _zero2,
-        "sigma_x": _zero2, "sigma_xx": _zero2, "sigma_xxx": _zero2,
-        "h_x": lambda t, x, y, z: _zero4(t, x),
-        "h_y": lambda t, x, y, z: _zero4(t, x),
-        "h_z": lambda t, x, y, z: np.broadcast_arrays(np.asarray(z, dtype=float), x)[0].copy(),
-        "h_xx": lambda t, x, y, z: _zero4(t, x),
-        "h_yy": lambda t, x, y, z: _zero4(t, x),
-        "h_zz": lambda t, x, y, z: np.ones_like(_zero4(t, x)),
-        "h_xy": lambda t, x, y, z: _zero4(t, x),
-        "h_xz": lambda t, x, y, z: _zero4(t, x),
-        "h_yz": lambda t, x, y, z: _zero4(t, x),
-        "h_xt": lambda t, x, y, z: _zero4(t, x),
-        "h_xxx": lambda t, x, y, z: _zero4(t, x),
-        "h_xxy": lambda t, x, y, z: _zero4(t, x),
-        "h_xyy": lambda t, x, y, z: _zero4(t, x),
-        "f_w": lambda t, w: np.ones_like(np.asarray(w, dtype=float)),
-        "f_ww": lambda t, w: np.zeros_like(np.asarray(w, dtype=float)),
-    }
-    if g1 is not None:
-        partials["g1"] = g1
-    if g2 is not None:
-        partials["g2"] = g2
-    oracle = Oracle(
-        y=lambda t, w: _quad_exp_value(t, w, g, T),
-        z=lambda t, w: _quad_exp_zvalue(t, w, g, g1 if g1 is not None else
-                                        (lambda x: _cdiff(g, np.asarray(x, dtype=float), 1e-6)), T),
-    )
-    return ModelSpec(
-        b=_zero2,
-        sigma=lambda t, x: np.ones_like(_zero2(t, x)),
-        g=g,
-        h=lambda t, x, y, z: 0.5 * np.asarray(z, dtype=float) ** 2 + 0.0 * np.asarray(x, dtype=float),
-        T=T,
-        X0=0.0,
-        regime="quadratic",
-        partials=partials,
-        markovian_f=lambda t, w: np.asarray(w, dtype=float),
+    spec = expression_spec(
+        b="0", sigma="1", g="tanh(x)" if g is None else g, h="0.5*z^2", f="w",
+        T=1.0, X0=0.0, regime="quadratic",
+        partials={k: v for k, v in (("g1", g1), ("g2", g2)) if v is not None},
         constants=Constants(k_b=0.0, k_sigma=0.0, c=1.0, K=0.5, K_y=1e-12, K_z=1.0),
-        oracle=oracle,
-        name="ex_quad_exp",
-    )
+        name="ex_quad_exp")
+    return replace(spec, oracle=_quad_exp_oracle(spec.g, spec.d("g1"), spec.T))
 
 
 _PRESETS = {
@@ -498,7 +420,8 @@ def preset(name: str, **kwargs) -> ModelSpec:
     ``ex_cubic``    -- cubic terminal condition, driver 3x; explicit Y and Z
                        with non-Gaussian tails.
     ``ex_quad_exp`` -- driver z^2/2 with a bounded terminal condition
-                       (default tanh, overridable via g/g1/g2 keywords);
+                       (default tanh, overridable by g/g1/g2 callables;
+                       a g without g1, g2 gets differenced ones);
                        solved by the exponential transform.
     """
     try:

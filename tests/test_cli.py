@@ -1,13 +1,17 @@
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fbsdelab import default_grid, preset, solve_u
 from fbsdelab.cli import main, run
 from fbsdelab.config import parse_config
 from fbsdelab.errors import ParseError
-from fbsdelab.expressions import compile_expression
+from fbsdelab.expressions import compile_expression, differentiate, parse_expression
+from fbsdelab.tails import compute_constants
 
 
 # -- expression grammar -------------------------------------------------------
@@ -53,6 +57,87 @@ def test_expression_errors():
         compile_expression("", ("x",))
 
 
+# -- symbolic derivatives -----------------------------------------------------
+
+_VARS = ("t", "x", "y", "z")
+_POINTS = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 16))
+
+
+def _compositions(sub):
+    pair = st.tuples(sub, sub)
+    return st.one_of(
+        pair.map(lambda p: f"({p[0]} + {p[1]})"),
+        pair.map(lambda p: f"({p[0]} - {p[1]})"),
+        pair.map(lambda p: f"({p[0]} * {p[1]})"),
+        pair.map(lambda p: f"({p[0]} / (2 + cos({p[1]})))"),
+        # non-constant exponent on a positive base
+        pair.map(lambda p: f"((2 + tanh({p[0]}))^tanh({p[1]}))"),
+        sub.map(lambda a: f"(-{a})"),
+        sub.map(lambda a: f"({a})^3"),
+        sub.map(lambda a: f"exp(tanh({a}))"),
+        sub.map(lambda a: f"log(2 + sin({a}))"),
+        sub.map(lambda a: f"sin({a})"),
+        sub.map(lambda a: f"cos({a})"),
+        sub.map(lambda a: f"tanh({a})"),
+        sub.map(lambda a: f"abs(tanh({a}) - 2)"),
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from(["t", "x", "w", "y", "z"]),
+              st.floats(-1, 1).map(lambda v: f"({v:.3f})")),
+    _compositions, max_leaves=6)
+
+
+def _central(fn, points, i, step=1e-3):
+    # five-point stencil, truncation error step^4 f^(5) / 30
+    def at(k):
+        p = points.copy()
+        p[i] += k * step
+        return fn(*p)
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * step)
+
+
+def _tol(fd):
+    # the stencil's roundoff and truncation errors scale with the sample's values
+    return 1e-6 * (1.0 + float(np.max(np.abs(fd))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_EXPRESSIONS)
+def test_symbolic_partials_match_central_differences(text):
+    # first partials against differences of the expression, second partials
+    # against differences of the symbolic first partial
+    tree = parse_expression(text)
+    f = compile_expression(tree, _VARS)
+    for i, u in enumerate(_VARS):
+        d1_tree = differentiate(tree, u)
+        d1 = compile_expression(d1_tree, _VARS)
+        v1 = d1(*_POINTS)
+        fd1 = _central(f, _POINTS, i)
+        np.testing.assert_allclose(v1, fd1, atol=_tol(fd1), err_msg=f"d/d{u} {text}")
+        for j, v in enumerate(_VARS):
+            d2 = compile_expression(differentiate(d1_tree, v), _VARS)
+            fd2 = _central(d1, _POINTS, j)
+            np.testing.assert_allclose(d2(*_POINTS), fd2, atol=_tol(fd2),
+                                       err_msg=f"d2/d{u}d{v} {text}")
+    assert differentiate(tree, "w") == differentiate(tree, "x")
+
+
+def test_differentiate_folds_constants():
+    d = lambda text, *vs: reduce(differentiate, vs, parse_expression(text))
+    assert d("x^3", "x", "x") == ("*", ("num", 6.0), ("var", "x"))
+    assert d("0.5*z^2", "z") == ("var", "z")
+    assert d("(t-2)*x", "x", "t") == ("num", 1.0)
+    assert d("3*x + y", "t") == ("num", 0.0)
+    # abs differentiates to the internal sign node, which the parser rejects
+    assert d("abs(x)", "x") == ("call", "sign", ("var", "x"))
+    np.testing.assert_array_equal(compile_expression(d("abs(x)", "x"), ("x",))([-2.0, 3.0]),
+                                  [-1.0, 1.0])
+    with pytest.raises(ParseError):
+        parse_expression("sign(x)")
+
+
 # -- config parsing -----------------------------------------------------------
 
 MINIMAL = """
@@ -93,6 +178,12 @@ def test_parse_rejects_g_quad_param():
     with pytest.raises(ParseError) as exc:
         parse_config("[model]\npreset = ex_quad_exp\ng_quad_param = 2\n")
     assert "g_quad_param" in str(exc.value)
+
+
+def test_parse_rejects_bad_tails_target():
+    with pytest.raises(ParseError) as exc:
+        parse_config("[model]\npreset = ex_counter\n[tasks]\ntails_target = Q\n")
+    assert "tails_target" in str(exc.value)
 
 
 def test_parse_unknown_task():
@@ -236,3 +327,33 @@ timestamps = false
     assert manifest["tasks"]["solve"] == "ok"
     status = manifest["tasks"][task]
     assert status.startswith("failed") and "t=0.001" in status and "step 0" in status
+
+
+def test_tails_constants_at_snapshot_time(tmp_path):
+    # n_steps = 128 puts the snapshot on a T/64 grid: t = 0.51 rounds to 33/64
+    text = """
+[model]
+preset = ex_cubic
+[numerics]
+n_steps = 128
+nt = 41
+nx = 121
+n_mc = 500
+[tasks]
+run = tails
+tails_target = Y
+tails_t = 0.51
+[output]
+timestamps = false
+"""
+    out = tmp_path / "out"
+    manifest = run(parse_config(text), out_dir=out)
+    assert manifest["ok"]
+    assert "# t=0.515625 " in (out / "envelope.csv").read_text()
+    consts = json.loads((out / "tail_constants.json").read_text())
+    assert consts["t"] == 0.515625
+    spec = preset("ex_cubic")
+    su = solve_u(spec, default_grid(spec, nt=41, nx=121))
+    expected = compute_constants(su, 0.515625, 0.1, 0.1, 2.0).to_dict()
+    for key in ("alpha_bar_v", "C_v", "C_vprime", "mu", "M"):
+        assert consts["constants"][key] == expected[key]

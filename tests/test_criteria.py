@@ -358,6 +358,18 @@ def test_second_order_margin_with_fd_fallback(counter):
     assert rep.margin == pytest.approx(-t * t / 2 + 2 * t - 0.5, abs=1e-3)
 
 
+def test_config_expression_model_is_exact():
+    # an expression model carries every partial symbolically, so the second
+    # order check runs at the exact-partials resolution
+    from fbsdelab.config import parse_config
+
+    spec = parse_config("[model]\nb = 0\nsigma = 1\ng = x\nh = (t-2)*x\n").build_spec()
+    t = 0.6
+    rep = second_order_check(spec, t)["Htilde+"]
+    assert rep.resolution == 1e-8
+    assert rep.margin == pytest.approx(-t * t / 2 + 2 * t - 0.5, abs=1e-12)
+
+
 def test_htilde_ito_term_uses_h_xyy():
     # h = x y^2 has h_z = 0 and h_xyy = 2, h_xxy = 0: only the Ito z^2 term
     # h_xyy separates the correct generator from one reading h_xxy there

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
 from fbsdelab.errors import EvaluationError, UnknownPresetError
-from fbsdelab.model import AssumptionVerdict, GridBox, default_box
+from fbsdelab.model import PARTIAL_NAMES, AssumptionVerdict, GridBox, default_box, expression_spec
 
 from conftest import make_spec
 
@@ -96,6 +96,46 @@ def test_fd_partials_on_random_cubics(a, b, c):
     x = np.linspace(-2, 2, 17)
     exact = 3 * a * x**2 + 2 * b * x + c
     np.testing.assert_allclose(spec.d("g1")(x), exact, atol=5e-7 * (1 + abs(a) + abs(b)))
+
+
+def _partials_at(spec, t, x, y, z):
+    args = {"b": (t, x), "s": (t, x), "g": (x,), "h": (t, x, y, z), "f": (t, x)}
+    return {n: spec.d(n)(*args[n[0]]) for n in PARTIAL_NAMES}
+
+
+def test_preset_partials_closed_forms():
+    rng = np.random.default_rng(3)
+    t, x, y, z = rng.uniform(0, 1, 50), rng.normal(0, 2, 50), rng.normal(0, 2, 50), rng.normal(0, 2, 50)
+    one, zero = np.ones(50), np.zeros(50)
+    exact = {
+        "ex_counter": {"g1": one, "h_x": t - 2.0, "h_xt": one},
+        "ex_cubic": {"g1": 3.0 * x**2, "g2": 6.0 * x, "h_x": 3.0 * one},
+        "ex_quad_exp": {"g1": 1.0 / np.cosh(x) ** 2, "g2": -2.0 * np.tanh(x) / np.cosh(x) ** 2,
+                        "h_z": z, "h_zz": one},
+    }
+    for name, nonzero in exact.items():
+        spec = fl.preset(name)
+        assert set(spec.partials) == set(PARTIAL_NAMES)
+        got = _partials_at(spec, t, x, y, z)
+        for p in PARTIAL_NAMES:
+            want = nonzero.get(p, one if p == "f_w" else zero)
+            np.testing.assert_allclose(got[p], want, rtol=0, atol=1e-15, err_msg=f"{name} {p}")
+
+
+def test_expression_spec_callables_and_overrides():
+    g = lambda x: np.sin(np.asarray(x, dtype=float))
+    g2 = lambda x: -np.sin(np.asarray(x, dtype=float))
+    spec = expression_spec(b="0.3*x", sigma="1 + 0.2*tanh(x)", g=g, h="x*y", f=None,
+                           T=1.0, X0=0.0, partials={"g2": g2, "h_x": lambda t, x, y, z: 0.0 * x})
+    assert "g1" not in spec.partials and spec.partials["g2"] is g2
+    assert "f_w" not in spec.partials
+    x = np.linspace(-2, 2, 9)
+    # g is opaque: g1 falls back to central differences
+    np.testing.assert_allclose(spec.d("g1")(x), np.cos(x), atol=1e-9)
+    np.testing.assert_array_equal(spec.d("h_x")(0.0, x, 2.0, 0.0), 0.0)
+    np.testing.assert_allclose(spec.d("sigma_xx")(0.0, x),
+                               -0.4 * np.tanh(x) / np.cosh(x) ** 2, atol=1e-15)
+    np.testing.assert_array_equal(spec.d("h_xy")(0.0, x, 2.0, 0.0), 1.0)
 
 
 def test_validate_assumptions_counter(counter):
