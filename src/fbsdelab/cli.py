@@ -2,9 +2,12 @@
 
 Every output file starts with header lines recording the package version,
 the master seed and the config hash (plus a timestamp unless disabled); a
-manifest lists all files with SHA-256 checksums.  All randomness flows from
-the single config seed through named substreams, so identical (config, seed,
-thread count) reruns produce byte-identical data files.
+manifest lists all files with SHA-256 checksums.  The manifest also carries
+the solver diagnostics (theta, fallback and Picard iterations of the u and u'
+solves; the LSMC saturation rate and warnings of oracle-compare), outside the
+checksummed files.  All randomness flows from the single config seed through
+named substreams, so identical (config, seed, thread count) reruns produce
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
     notes = [f"dependency auto-inserted: {d}" for d in config.inserted_dependencies]
     files: list = []
     state: dict = {}
+    # solver diagnostics go to the manifest, outside the checksummed data files
+    diagnostics: dict = {}
 
     def record(path: Path):
         files.append(path)
@@ -108,6 +113,10 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                 state["grid"] = grid
                 state["sol_u"] = su
                 state["sol_uprime"] = sp
+                diagnostics["solve"] = {
+                    name: {"theta": gs.theta, "fallback_used": gs.fallback_used,
+                           "max_iterations": gs.max_iterations}
+                    for name, gs in (("u", su), ("u_prime", sp))}
                 su.to_csv(out / "grid_u.csv", header)
                 sp.to_csv(out / "grid_uprime.csv", header)
                 su.to_binary(out / "grid_u.bin")
@@ -171,6 +180,8 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
                 sol = solve_bsde_regression(spec, ens,
                                             BasisSpec(degree=num["basis_degree"]),
                                             z_cap=num["z_cap"])
+                diagnostics["oracle-compare"] = {"saturation_rate": sol.saturation_rate,
+                                                 "warnings": list(sol.warnings)}
                 with open(out / "oracle_compare.csv", "w") as fh:
                     for line in header:
                         fh.write(f"# {line}\n")
@@ -200,6 +211,7 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
         "files": [{"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
                   for p in files],
         "ok": all(v == "ok" for v in status.values()),
+        "diagnostics": diagnostics,
     }
     _write_json(out / "manifest.json", manifest, header)
     return manifest

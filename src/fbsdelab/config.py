@@ -136,7 +136,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if "preset" not in model:
         for key, variables in COEFFICIENT_ARGS.items():
             if key in model:
-                compile_expression(model[key], variables)
+                try:
+                    compile_expression(model[key], variables)
+                except ParseError as exc:
+                    raise ParseError(f"[model] {key} = {model[key]}: {exc}") from exc
 
     numerics = dict(_DEFAULT_NUMERICS)
     for k, v in sections.get("numerics", {}).items():

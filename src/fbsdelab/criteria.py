@@ -497,10 +497,10 @@ def _structure_gate(spec: ModelSpec, box: GridBox, t: float, res: float, need_hy
 def estimate_variation_bounds(spec: ModelSpec, seed: int = 321, n_paths: int = 2048,
                               n_steps: int = 64) -> VariationBounds:
     """Monte Carlo extremes of D_r X_u (flow ratios) and of D^2_{r,r} X_u."""
-    from .mc import _euler, _malliavin_d2x, malliavin_dx, simulate_forward
+    from .mc import _malliavin_d2x, _variations, malliavin_dx, simulate_forward
 
     ens = simulate_forward(spec, n_paths, n_steps, seed)
-    _, nabla, nabla2 = _euler(spec, ens.dW, spec.X0, 0.0, ens.dt, order=2)
+    _, nabla, nabla2 = _variations(spec, ens, order=2)
     a_lo, a_hi = math.inf, -math.inf
     for k_r in range(0, n_steps, max(n_steps // 8, 1)):
         d = malliavin_dx(spec, ens, nabla.T, k_r)[:, k_r:]

@@ -163,9 +163,10 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
     order, and a transposed Phi would move g_F in the last bits.
     """
     k = r.size
-    sig_r = np.asarray(spec.sigma(r[:, None], X[:k]), dtype=float) + np.zeros_like(X[:k])
-    sig_r *= (slope * nabla[k - 1])[None, :]
-    return np.divide(sig_r.T, nabla[:k].T, out=np.empty(sig_r.T.shape))
+    sig_r = np.asarray(spec.sigma(r[:, None], X[:k]), dtype=float)
+    num = np.multiply(sig_r, slope * nabla[k - 1], out=np.empty(X[:k].shape))
+    del sig_r  # freed before Phi is allocated: this moment sets the sampler's peak RSS
+    return np.divide(num.T, nabla[:k].T, out=np.empty(num.T.shape))
 
 
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,

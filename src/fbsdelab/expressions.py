@@ -226,6 +226,13 @@ def differentiate(tree: tuple, var: str) -> tuple:
     return d(tree)
 
 
+def _variables(tree: tuple) -> set:
+    """The variable names a parsed tree reads (``w`` is read as x)."""
+    if tree[0] == "var":
+        return {tree[1]}
+    return set().union(*(_variables(a) for a in tree[1:] if isinstance(a, tuple)))
+
+
 def parse_expression(text: str) -> tuple:
     """Parse an expression string into its tuple tree; errors name the symbol."""
     tz = _Tokenizer(text)
@@ -241,10 +248,15 @@ def compile_expression(source, variables=("t", "x", "y", "z")) -> Callable:
     """Compile an expression string, or a parsed tree, into a vectorized callable.
 
     The callable takes positional arguments in the order of ``variables``;
-    unknown symbols raise a parse error naming the symbol at compile time.
+    unknown symbols, and variables that are not among ``variables``, raise a
+    parse error naming the symbol at compile time.
     """
     tree = parse_expression(source) if isinstance(source, str) else source
     varmap = ["x" if v == "w" else v for v in variables]
+    extra = sorted(_variables(tree) - set(varmap))
+    if extra:
+        raise ParseError(f"symbol {extra[0]!r} is not an argument of this expression "
+                         f"(arguments: {', '.join(variables) or 'none'})")
 
     def fn(*args):
         if len(args) != len(varmap):

@@ -5,7 +5,9 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
 path i depends on every earlier path (see ROADMAP.md, item 4).  One kernel,
-``_euler``, steps X and its first and second variations for every caller.
+``_euler``, steps X and its first and second variations for every caller;
+the Malliavin routines hand it an ensemble's held paths and step only the
+variations along them.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)
@@ -117,7 +119,8 @@ class PathEnsemble:
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0):
+def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0,
+           X: Optional[np.ndarray] = None):
     """Euler-Maruyama flow of the forward diffusion on given increments.
 
     Steps X from ``x0`` at time ``t0`` through the columns of ``dW``
@@ -128,13 +131,20 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
         nablaX_{k+1}  = nablaX_k g_k,   g_k = 1 + b_x dt + sigma_x dW_k
         nabla2X_{k+1} = nabla2X_k g_k + nablaX_k^2 (b_xx dt + sigma_xx dW_k)
 
-    with coefficients at (t0 + k dt, X_k).  Returns ``order + 1`` contiguous
-    time-major (n_steps+1, n_paths) arrays, so each step writes one row.  A
-    non-finite value raises an evaluation error with a (path, step) witness.
+    with coefficients at (t0 + k dt, X_k).  Given ``X``, the time-major
+    (n_steps+1, n_paths) states already stepped on these increments (a path
+    ensemble's ``X.T``), only the variations are stepped and ``X`` is returned
+    as it is; ``x0`` is then not read.  Returns ``order + 1`` time-major
+    (n_steps+1, n_paths) arrays, contiguous where the kernel fills them, so
+    each step writes one row.  A non-finite stepped value raises an
+    evaluation error with a (path, step) witness.
     """
     n, N = dW.shape
-    flow = [np.empty((N + 1, n)) for _ in range(order + 1)]
-    for a, start in zip(flow, (x0, 1.0, 0.0)):
+    held = X is not None
+    flow = [X if held else np.empty((N + 1, n))] + [np.empty((N + 1, n)) for _ in range(order)]
+    names = ("state", "variational state", "second variational state")
+    stepped = list(zip(flow, (x0, 1.0, 0.0), names))[held:]
+    for a, start, _ in stepped:
         a[0] = start
     X = flow[0]
     bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
@@ -144,14 +154,15 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
 
     for k in range(N):
         t, xk, dw = t0 + k * dt, X[k], dW[:, k]
-        X[k + 1] = xk + at(spec.b, t, xk) * dt + at(spec.sigma, t, xk) * dw
+        if not held:
+            X[k + 1] = xk + at(spec.b, t, xk) * dt + at(spec.sigma, t, xk) * dw
         if order >= 1:
             growth = 1.0 + at(bx, t, xk) * dt + at(sx, t, xk) * dw
             flow[1][k + 1] = flow[1][k] * growth
         if order >= 2:
             flow[2][k + 1] = flow[2][k] * growth \
                 + flow[1][k] ** 2 * (at(bxx, t, xk) * dt + at(sxx, t, xk) * dw)
-        for a, what in zip(flow, ("state", "variational state", "second variational state")):
+        for a, _, what in stepped:
             bad = ~np.isfinite(a[k + 1])
             if np.any(bad):
                 i = int(np.argmax(bad))
@@ -371,9 +382,15 @@ def variational_processes(spec: ModelSpec, ens: PathEnsemble) -> np.ndarray:
     nablaX[ :, 0] = 1 and d(nablaX) = b_x nablaX dt + sigma_x nablaX dW.
     The Malliavin derivative of the forward process follows from the flow
     representation  D_r X_t = nablaX_t (nablaX_r)^{-1} sigma(r, X_r).
+    The variation is stepped along the held paths ``ens.X``, not re-simulated.
     Returned as a (n_paths, n_steps+1) transpose view of the kernel output.
     """
-    return _euler(spec, ens.dW, ens.X[:, 0], ens.t_grid[0], ens.dt, order=1)[1].T
+    return _variations(spec, ens, order=1)[1].T
+
+
+def _variations(spec: ModelSpec, ens: PathEnsemble, order: int):
+    """The kernel's time-major (X, nablaX[, nabla2X]) along the ensemble's held paths."""
+    return _euler(spec, ens.dW, None, ens.t_grid[0], ens.dt, order, X=ens.X.T)
 
 
 def malliavin_dx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int) -> np.ndarray:
@@ -567,9 +584,10 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     """Second Malliavin derivative D^2_{r,s} Y and the D_r Z limit.
 
     Uses the chain-rule identity D^2 Y_t = u_x D^2 X_t + u_xx D_r X_t D_s X_t;
-    D^2 X follows from the first and second variations of the Euler flow
-    (``_malliavin_d2x``; identically zero for additive noise).  The limit
-    s -> t of D^2_{r,s} Y_t supplies D_r Z_t as (u_x sigma_x + u_xx sigma) D_r X_t.
+    D^2 X follows from the first and second variations of the Euler flow,
+    stepped along the held paths (``_malliavin_d2x``; identically zero for
+    additive noise).  The limit s -> t of D^2_{r,s} Y_t supplies D_r Z_t as
+    (u_x sigma_x + u_xx sigma) D_r X_t.
     """
     if sol_uprime is None:
         raise PreconditionError("second_malliavin requires the u' grid (u_xx source)")
@@ -577,7 +595,7 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     hi = max(k_r, k_s)
     n, N = ens.n_paths, ens.n_steps
     t = ens.t_grid
-    _, nabla, nabla2 = _euler(spec, ens.dW, ens.X[:, 0], t[0], ens.dt, order=2)
+    _, nabla, nabla2 = _variations(spec, ens, order=2)
     DrX = malliavin_dx(spec, ens, nabla.T, k_r)
     DsX = malliavin_dx(spec, ens, nabla.T, k_s)
     sx = spec.d("sigma_x")

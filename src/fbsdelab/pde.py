@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +40,15 @@ __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
 
 _BIN_MAGIC = b"FBLGRID1"
 _BIN_VERSION = 1
+
+
+def _require_uniform(x: np.ndarray) -> None:
+    """Raise a config error unless x increases with spacing uniform to 1e-9 relative."""
+    dx = np.diff(x)
+    if dx.size == 0 or np.any(dx <= 0):
+        raise ConfigError("grid nodes must be strictly increasing")
+    if np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0]:
+        raise ConfigError("x spacing must be uniform")
 
 
 @dataclass(frozen=True)
@@ -56,11 +66,9 @@ class GridSpec:
         object.__setattr__(self, "x_nodes", x)
         if x.size < 3:
             raise ConfigError("need at least 3 x-nodes")
-        if np.any(np.diff(t) <= 0) or np.any(np.diff(x) <= 0):
+        if np.any(np.diff(t) <= 0):
             raise ConfigError("grid nodes must be strictly increasing")
-        dx = np.diff(x)
-        if np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0]:
-            raise ConfigError("x spacing must be uniform")
+        _require_uniform(x)
         if self.boundary not in ("extrapolation", "dirichlet"):
             raise ConfigError(f"unknown boundary treatment {self.boundary!r}")
 
@@ -107,13 +115,23 @@ class GridSolution:
     max_iterations: int = 0
     fallback_used: bool = False
 
+    def __post_init__(self):
+        # the lookup tables below assume the node arrays stay as given
+        xn = np.asarray(self.x_nodes, dtype=float)
+        _require_uniform(xn)
+        self._t_list = np.asarray(self.t_nodes, dtype=float).tolist()
+        self._widths = np.diff(xn)
+        # cell bounds for the one-cell index correction; NaN ends never compare true
+        self._lo = np.concatenate([[np.nan], xn[1:]])
+        self._hi = np.concatenate([xn[1:], [np.nan]])
+
     # -- interpolation ------------------------------------------------------
 
     def _t_weights(self, t: float):
-        tn = self.t_nodes
-        i = int(np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2))
+        tn = self._t_list
+        i = min(max(bisect_left(tn, t) - 1, 0), len(tn) - 2)
         lam = (t - tn[i]) / (tn[i + 1] - tn[i])
-        return i, float(np.clip(lam, 0.0, 1.0))
+        return i, min(max(lam, 0.0), 1.0)
 
     def row(self, t: float, array: Optional[np.ndarray] = None) -> np.ndarray:
         """Time slice at t by linear interpolation between grid rows."""
@@ -133,23 +151,38 @@ class GridSolution:
         return CubicSpline(self.x_nodes, self.row(t, array))
 
     def eval(self, t: float, x, array: Optional[np.ndarray] = None, return_flag: bool = False):
-        """Bilinear interpolation; linear extension outside the x-box."""
+        """Bilinear interpolation; linear extension outside the x-box.
+
+        The time slice r = ``row(t, array)`` is read in cell j by index
+        arithmetic on the uniform x grid: j = floor((x - x_0) / dx), moved by
+        at most one cell so that x_j <= x < x_{j+1} as in np.interp's binary
+        search, and the value is slope_j (x - x_j) + r_j with np.interp's
+        slope_j = (r_{j+1} - r_j) / (x_{j+1} - x_j).  Below the box the first
+        cell's line continues; at and above the last node x_m the value is
+        r_m + (r_m - r_{m-1}) / dx (x - x_m).  Inside the box the result has
+        np.interp's bits.  NaN maps to NaN.  With ``return_flag`` the result
+        comes with whether any x lies outside the box or t outside the grid.
+        """
         x = np.asarray(x, dtype=float)
         r = self.row(t, array)
-        xn = self.x_nodes
-        out = np.interp(x, xn, r)
-        dx = xn[1] - xn[0]
-        below = x < xn[0]
-        above = x > xn[-1]
-        if np.any(below):
-            slope = (r[1] - r[0]) / dx
-            out = np.where(below, r[0] + slope * (x - xn[0]), out)
-        if np.any(above):
-            slope = (r[-1] - r[-2]) / dx
-            out = np.where(above, r[-1] + slope * (x - xn[-1]), out)
-        extrapolated = bool(np.any(below) or np.any(above)
-                            or t < self.t_nodes[0] - 1e-12 or t > self.t_nodes[-1] + 1e-12)
+        xn, w = self.x_nodes, self._widths
+        slope = np.empty(xn.size)
+        np.divide(r[1:] - r[:-1], w, out=slope[:-1])
+        slope[-1] = (r[-1] - r[-2]) / w[0]
+        xf = x.reshape(-1)
+        q = (xf - xn[0]) / w[0]
+        np.fmax(q, 0.0, out=q)  # NaN goes to cell 0 and stays NaN below
+        np.fmin(q, xn.size - 1, out=q)
+        j = q.astype(np.intp)
+        j -= xf < self._lo[j]
+        j += xf >= self._hi[j]
+        out = slope[j]
+        out *= xf - xn[j]
+        out += r[j]
+        out = out.reshape(x.shape) if x.ndim else out[0]
         if return_flag:
+            extrapolated = bool(np.any(x < xn[0]) or np.any(x > xn[-1])
+                                or t < self._t_list[0] - 1e-12 or t > self._t_list[-1] + 1e-12)
             return out, extrapolated
         return out
 

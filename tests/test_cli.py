@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from functools import reduce
@@ -198,6 +199,15 @@ def test_parse_expression_model_bad_symbol():
     assert "unknown_sym" in str(exc.value)
 
 
+@pytest.mark.parametrize("line, symbol, coeff", [("g = t*x", "t", "g"), ("b = y", "y", "b")])
+def test_parse_rejects_symbol_outside_coefficient_args(line, symbol, coeff):
+    # g is a function of x alone and b of (t, x): other variables are fatal at parse time
+    with pytest.raises(ParseError) as exc:
+        parse_config(f"[model]\n{line}\nh = 0\n")
+    msg = str(exc.value)
+    assert f"'{symbol}'" in msg and f"[model] {coeff} " in msg
+
+
 def test_dependency_closure_noted():
     cfg = parse_config("[model]\npreset = ex_counter\n[tasks]\nrun = density\n")
     assert cfg.tasks == ["solve", "density"]
@@ -257,6 +267,28 @@ def test_run_determinism(tmp_path):
     for name in ("grid_u.csv", "density.csv", "gfunction.csv", "criteria.json",
                  "manifest.json", "oracle_compare.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_manifest_diagnostics_outside_data_files(tmp_path):
+    cfg = parse_config(SMALL_RUN)
+    manifest = run(cfg, out_dir=tmp_path / "out")
+    diag = manifest["diagnostics"]
+    assert set(diag) == {"solve", "oracle-compare"}
+    for name in ("u", "u_prime"):
+        assert set(diag["solve"][name]) == {"theta", "fallback_used", "max_iterations"}
+        assert diag["solve"][name]["theta"] == 0.5
+        assert diag["solve"][name]["fallback_used"] is False
+        assert diag["solve"][name]["max_iterations"] >= 1
+    assert diag["oracle-compare"] == {"saturation_rate": 0.0, "warnings": []}
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["diagnostics"] == json.loads(json.dumps(diag))
+    # the diagnostics stay out of the checksummed data files
+    listed = {f["path"]: f["sha256"] for f in manifest["files"]}
+    assert "manifest.json" not in listed
+    for name, digest in listed.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert b"fallback_used" not in data and b"saturation_rate" not in data
 
 
 def test_run_failed_task_aborts_dependents(tmp_path):

@@ -368,3 +368,32 @@ def test_ensemble_binary_layout(tmp_path, counter):
     floats = np.frombuffer(raw[44:], dtype="<f8")
     assert floats.size == 9 + 5 * 8 + 5 * 9
     np.testing.assert_array_equal(floats[:9], ens.t_grid)
+
+
+def _restep(spec, ens, order):
+    # the variations re-stepped together with X from the increments
+    return _euler(spec, ens.dW, ens.X[:, 0], ens.t_grid[0], ens.dt, order)
+
+
+@pytest.mark.parametrize("model", ["cubic", "sin"])
+def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monkeypatch):
+    from fbsdelab import mc
+    from fbsdelab.criteria import estimate_variation_bounds
+
+    spec = cubic if model == "cubic" else fl.expression_spec(
+        b="sin(x)", sigma="1 + 0.3*tanh(x)", g="x", h="0", f=None, T=1.0, X0=0.4)
+    _, su, sp = cubic_grids
+    ens = fl.simulate_forward(spec, 600, 32, seed=41)
+    held = mc._variations(spec, ens, order=2)
+    assert np.shares_memory(held[0], ens.X)
+    nabla = fl.variational_processes(spec, ens)
+    second = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    bounds = estimate_variation_bounds(spec, n_paths=300, n_steps=32)
+    monkeypatch.setattr(mc, "_variations", _restep)
+    for a, b in zip(held, _restep(spec, ens, order=2)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(nabla, fl.variational_processes(spec, ens))
+    again = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    assert np.array_equal(second.D2X, again.D2X, equal_nan=True)
+    assert np.array_equal(second.D2Y, again.D2Y, equal_nan=True)
+    assert estimate_variation_bounds(spec, n_paths=300, n_steps=32) == bounds

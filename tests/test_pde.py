@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,78 @@ def test_csv_export(tmp_path, counter_grids):
     assert lines[0] == "# seed=0"
     assert lines[1] == "t,x,u,u_x,u_xx"
     assert len(lines) == 2 + su.u.size
+
+
+def _eval_reference(sol, t, x, array=None):
+    # np.interp inside the box, the first/last two nodes' line outside it
+    x = np.asarray(x, dtype=float)
+    r = sol.row(t, array)
+    xn = sol.x_nodes
+    dx = xn[1] - xn[0]
+    out = np.interp(x, xn, r)
+    out = np.where(x < xn[0], r[0] + (r[1] - r[0]) / dx * (x - xn[0]), out)
+    return np.where(x > xn[-1], r[-1] + (r[-1] - r[-2]) / dx * (x - xn[-1]), out)
+
+
+def test_eval_matches_interp_reference(cubic_grids, quad_grids):
+    rng = np.random.default_rng(11)
+    for grid, su, sp in (cubic_grids, quad_grids):
+        xn = grid.x_nodes
+        width = xn[-1] - xn[0]
+        x = np.concatenate([
+            rng.uniform(xn[0], xn[-1], 5000),
+            xn, np.nextafter(xn, -np.inf), np.nextafter(xn, np.inf),
+            rng.uniform(xn[0] - width, xn[0], 200), rng.uniform(xn[-1], xn[-1] + width, 200),
+            [xn[0], xn[-1]]])
+        for sol, array in ((su, None), (su, su.u_x), (sp, None), (sp, sp.u_x)):
+            for t in (0.0, 1.0, grid.t_nodes[7], 0.3141, rng.uniform()):
+                assert np.array_equal(sol.eval(t, x, array=array),
+                                      _eval_reference(sol, t, x, array))
+    _, su, _ = quad_grids
+    xn = su.x_nodes
+    for x in (xn[-1], 0.123, xn[0] - 1.0, xn[-1] + 2.0):
+        for arg in (x, np.float64(x), np.array(x)):
+            got = su.eval(0.4, arg)
+            assert np.shape(got) == () and got == _eval_reference(su, 0.4, x)
+    x2 = rng.uniform(xn[0] - 1, xn[-1] + 1, (3, 7))
+    assert np.array_equal(su.eval(0.4, x2), _eval_reference(su, 0.4, x2))
+
+
+def test_eval_flag_and_nan(quad_grids):
+    _, su, _ = quad_grids
+    xn = su.x_nodes
+    inside = np.array([xn[0], 0.0, xn[-1]])
+    assert su.eval(0.5, inside, return_flag=True)[1] is False
+    assert su.eval(0.5, [xn[0] - 1e-9], return_flag=True)[1] is True
+    assert su.eval(0.5, [xn[-1] + 1e-9], return_flag=True)[1] is True
+    assert su.eval(1.5, inside, return_flag=True)[1] is True
+    assert np.array_equal(su.eval(0.5, inside, return_flag=True)[0], su.eval(0.5, inside))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = su.eval(0.5, np.array([np.nan, 0.0, np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == _eval_reference(su, 0.5, 0.0)
+
+
+def test_grid_solution_requires_uniform_x(tmp_path, counter_grids):
+    _, su, _ = counter_grids
+    args = (su.u, su.u_x, su.u_xx, "u", 0.5, "extrapolation")
+    x = su.x_nodes.copy()
+    x[5] += 1e-6 * (x[1] - x[0])
+    with pytest.raises(ConfigError):
+        GridSolution(su.t_nodes, x, *args)
+    with pytest.raises(ConfigError):
+        GridSolution(su.t_nodes, su.x_nodes[::-1], *args)
+    # a spacing error at the 1e-9 relative level passes, as for GridSpec
+    x = su.x_nodes.copy()
+    x[5] += 1e-11 * (x[1] - x[0])
+    GridSolution(su.t_nodes, x, *args)
+    # from_binary checks the nodes it reads
+    p = tmp_path / "sol.bin"
+    su.to_binary(p)
+    raw = bytearray(p.read_bytes())
+    at = 8 + 20 + 8 * (su.t_nodes.size + 5)
+    raw[at:at + 8] = np.array([su.x_nodes[5] + 0.01], dtype="<f8").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError):
+        GridSolution.from_binary(p)
