@@ -33,6 +33,17 @@ class SolverError(FbsdeLabError):
         self.residual = residual
 
 
+class ResourceError(FbsdeLabError):
+    """A job's estimated array bytes exceed the machine's physical memory.
+
+    Raised before the arrays are allocated; ``witness`` is the estimate in bytes.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class DivergenceError(FbsdeLabError):
     """Numerical blow-up detected during a backward sweep."""
 

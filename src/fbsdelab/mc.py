@@ -7,35 +7,48 @@ ziggurat normal sampler consumes a variable number of counter words, so
 path i depends on every earlier path (see ROADMAP.md, item 4).  One kernel,
 ``_euler``, steps X and its first and second variations for every caller;
 the Malliavin routines hand it an ensemble's held paths and step only the
-variations along them.
+variations along them.  ``simulate_forward`` hands out the time grid, ``dW``
+and ``X`` read-only: later work is cached against them.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)
-basis in the Markovian state.
+basis in the Markovian state, with one Gram matrix per step shared by its
+fits.
 
 Malliavin derivatives of the backward component solve a linear BSDE; its
 closed-form representation discounts the terminal slope by exp(int h_y) under
 the h_z-tilted measure, which is implemented with pathwise exponential
 weights plus a single conditional-expectation regression per requested time,
-rather than nested regression.
+rather than nested regression.  Given the requested times, all of that is
+independent of the differentiation time r except the column scale
+sigma(r, X_r) / nablaX_r of D_r X.  ``solve_malliavin_bsde`` therefore keeps
+the r-independent work in a context on the ensemble, rebuilt when the model,
+the solution, the basis or the requested times change, and each call only
+rescales its columns.  Results hold the requested columns alone
+(``ColumnStore``).
+
+Jobs whose estimated array bytes exceed the machine's physical memory raise
+``ResourceError`` before allocating.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BasisError, EvaluationError, PreconditionError
+from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
 from .model import ModelSpec
 from .pde import GridSolution
 
 __all__ = [
     "STREAM_FORWARD", "STREAM_COUPLING", "STREAM_BOOTSTRAP",
-    "PathEnsemble", "BasisSpec", "BsdeSolution", "MalliavinEnsemble",
+    "PathEnsemble", "BasisSpec", "BsdeSolution", "ColumnStore", "MalliavinEnsemble",
     "simulate_forward", "solve_bsde_regression", "variational_processes",
     "solve_malliavin_bsde", "z_from_malliavin", "second_malliavin",
     "malliavin_fd", "rng_stream",
@@ -59,6 +72,11 @@ class PathEnsemble:
     with X[:, 0] = X0, a transpose view of the time-major array the kernel
     fills.  Row i of ``dW`` holds the normals drawn after rows 0..i-1 of the
     (seed, stream) Philox stream; it is not an addressable counter block.
+
+    An ensemble is immutable: ``simulate_forward`` marks ``t_grid``, ``dW``
+    and ``X`` read-only, because ``solve_malliavin_bsde`` caches its r-independent work
+    in the ensemble's private ``_malliavin`` slot and reuses it while the
+    paths, model, solution, basis and requested times stay the same.
     """
 
     t_grid: np.ndarray
@@ -67,6 +85,8 @@ class PathEnsemble:
     seed: int
     stream: int = STREAM_FORWARD
     antithetic: bool = False
+    _malliavin: Optional["_MalliavinContext"] = field(default=None, init=False, repr=False,
+                                                      compare=False)
 
     @property
     def n_paths(self) -> int:
@@ -171,15 +191,31 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     return tuple(flow)
 
 
+def _preflight(what: str, nbytes: int) -> None:
+    """Raise ResourceError, before allocating, when ``nbytes`` exceeds physical memory."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    if nbytes > limit:
+        raise ResourceError(f"{what} needs about {nbytes / 2**30:.3g} GiB of arrays, more than "
+                            f"the {limit / 2**30:.3g} GiB of physical memory", witness=nbytes)
+
+
 def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
                      antithetic: bool = False, stream: int = STREAM_FORWARD) -> PathEnsemble:
     """Euler-Maruyama simulation of the forward diffusion.
 
     Deterministic for fixed (seed, n_paths, n_steps, stream).  NaN from a
     coefficient raises an evaluation error carrying a (path, step) witness.
+    The returned ``t_grid``, ``dW`` and ``X`` are read-only (see ``PathEnsemble``).  A job
+    whose draws, increments and paths (about 8 (3 n_steps + 1) bytes per path)
+    exceed physical memory raises ``ResourceError`` before drawing.
     """
     if n_paths < 1 or n_steps < 1:
         raise PreconditionError("n_paths and n_steps must be >= 1")
+    _preflight(f"simulate_forward({n_paths} paths x {n_steps} steps)",
+               8 * n_paths * (3 * n_steps + 1))
     dt = spec.T / n_steps
     rng = rng_stream(seed, stream)
     if antithetic:
@@ -190,6 +226,8 @@ def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
         dW = rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt)
     t_grid = np.linspace(0.0, spec.T, n_steps + 1)
     X, = _euler(spec, dW, spec.X0, 0.0, dt)
+    for a in (t_grid, dW, X):
+        a.setflags(write=False)
     return PathEnsemble(t_grid, dW, X.T, seed, stream, antithetic)
 
 
@@ -261,17 +299,26 @@ def _hat_design(x, knots):
     return A
 
 
-def _ridge_fit(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    n = A.shape[0]
-    M = A.T @ A / n
+def _gram(A: np.ndarray, ridge: float) -> np.ndarray:
+    """Ridge-regularized Gram matrix A^T A / n + ridge I of a design."""
+    M = A.T @ A / A.shape[0]
     M[np.diag_indices_from(M)] += ridge
+    return M
+
+
+def _ridge_solve(M: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the ridge fit of ``y`` on ``A`` whose Gram matrix is ``M``."""
     try:
-        c = np.linalg.solve(M, A.T @ y / n)
+        c = np.linalg.solve(M, A.T @ y / A.shape[0])
     except np.linalg.LinAlgError as exc:
         raise BasisError("regression design is rank deficient") from exc
     if not np.all(np.isfinite(c)):
         raise BasisError("regression produced non-finite coefficients")
     return c
+
+
+def _ridge_fit(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    return _ridge_solve(_gram(A, ridge), A, y)
 
 
 def _regress(basis: BasisSpec, x: np.ndarray, y: np.ndarray):
@@ -347,15 +394,16 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     for k in range(N - 1, -1, -1):
         xk = ens.X[:, k]
         A, meta = _design(basis, xk)
+        M = _gram(A, basis.ridge)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
-        c_y0 = _ridge_fit(A, Y[:, k + 1], basis.ridge)
+        c_y0 = _ridge_solve(M, A, Y[:, k + 1])
         cond0 = A @ c_y0
-        c_z = _ridge_fit(A, (Y[:, k + 1] - cond0) * ens.dW[:, k] / dt, basis.ridge)
+        c_z = _ridge_solve(M, A, (Y[:, k + 1] - cond0) * ens.dW[:, k] / dt)
         zk = A @ c_z
         if control_variate:
-            c_y = _ridge_fit(A, Y[:, k + 1] - zk * ens.dW[:, k], basis.ridge)
+            c_y = _ridge_solve(M, A, Y[:, k + 1] - zk * ens.dW[:, k])
             cond = A @ c_y
         else:
             c_y, cond = c_y0, cond0
@@ -419,26 +467,72 @@ def _malliavin_d2x(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray,
     return cc * nabla2[hi:] + nabla[hi:] / nabla[hi] * start
 
 
+class ColumnStore:
+    """Read-only (n_paths, n_cols) array of which only some columns are held.
+
+    ``store[:, k]`` is column k across paths, all NaN when k is not held, and
+    ``k in store`` tells whether it is.  ``nbytes`` counts the held columns
+    only.  No other indexing is supported.
+    """
+
+    def __init__(self, columns: Sequence[int], rows: np.ndarray, n_cols: int):
+        self.columns = tuple(columns)
+        self._row = {k: i for i, k in enumerate(self.columns)}
+        rows.setflags(write=False)
+        self._rows = rows                       # row i holds column columns[i]
+        self.shape = (rows.shape[1], n_cols)
+
+    @property
+    def nbytes(self) -> int:
+        return self._rows.nbytes
+
+    def __contains__(self, k) -> bool:
+        return k in self._row
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], slice)
+                and key[0] == slice(None) and isinstance(key[1], (int, np.integer))):
+            raise IndexError("a ColumnStore is read one column at a time: store[:, k]")
+        k = range(self.shape[1])[key[1]]        # numpy's bounds and negative indices
+        if k in self._row:
+            return self._rows[self._row[k]]
+        col = np.full(self.shape[0], np.nan)
+        col.setflags(write=False)
+        return col
+
+
 @dataclass
 class MalliavinEnsemble:
-    """Pathwise Malliavin-derivative processes for one differentiation time r."""
+    """Pathwise Malliavin-derivative processes for one differentiation time r.
+
+    DrX, DrY, DrZ and nablaX are ``ColumnStore``s over the ensemble's grid,
+    (n_paths, n_steps+1), holding only the requested time columns (every
+    column from r on when no ``times`` were given); the others read as NaN.
+    ``at`` returns one held column and refuses any other.
+    """
 
     r: float
     r_index: int
     t_grid: np.ndarray
-    DrX: np.ndarray                 # (n_paths, n_steps+1); NaN for t < r
-    DrY: np.ndarray                 # same layout
-    nablaX: np.ndarray
-    DrZ: Optional[np.ndarray] = None
+    DrX: ColumnStore
+    DrY: ColumnStore
+    nablaX: ColumnStore
+    DrZ: Optional[ColumnStore] = None
     warnings: list = field(default_factory=list)
 
     def at(self, t: float, which: str = "DrY") -> np.ndarray:
+        """Column t of ``which`` ('DrX', 'DrY', 'DrZ' or 'nablaX') across paths, read-only."""
         k = int(round(t / (self.t_grid[1] - self.t_grid[0])))
-        if abs(self.t_grid[k] - t) > 1e-9:
+        if not 0 <= k < self.t_grid.size or abs(self.t_grid[k] - t) > 1e-9:
             raise PreconditionError(f"t={t} is not on the ensemble time grid")
         if k < self.r_index:
-            raise PreconditionError("requested time precedes the differentiation time r")
-        return getattr(self, which)[:, k]
+            raise PreconditionError(f"t={t} precedes the differentiation time r={self.r}")
+        cols = getattr(self, which)
+        if cols is None:
+            raise PreconditionError(f"{which} is not available (it needs the u' grid solution)")
+        if k not in cols:
+            raise PreconditionError(f"{which} was not computed at t={t}; list it in `times`")
+        return cols[:, k]
 
 
 def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
@@ -455,60 +549,85 @@ def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
     return at
 
 
-def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
-                         sol: Union[BsdeSolution, GridSolution, tuple],
-                         r: float, basis: Optional[BasisSpec] = None,
-                         kurtosis_gate: float = 100.0,
-                         times: Optional[Sequence] = None) -> MalliavinEnsemble:
-    """Malliavin derivative (D_r X, D_r Y, D_r Z) for t >= r.
+@dataclass
+class _MalliavinContext:
+    """The r-independent work of ``solve_malliavin_bsde`` on one ensemble.
 
-    Solves the linear equation satisfied by D_r Y through its explicit
-    representation: discount exp(int_t^T h_y) under the h_z-tilted measure,
-    both realized as pathwise exponential weights, followed by one projection
-    on the state per time node.  D_r Z is filled via the chain rule
-    d/dx[u_x sigma] when grid solutions are available.  ``times`` restricts
-    the conditional-expectation projections (and DrZ fill) to the listed grid
-    times; other columns stay NaN.
+    ``key`` is (objects compared by identity, values compared by equality) of
+    the inputs it was built from.  ``nabla`` is the time-major first variation
+    (n_steps+1, n_paths); row i of ``cond`` and ``dz`` holds, at the i-th
+    requested node t, the factors D_rY_t / D_rX_t and D_rZ_t / D_rX_t, which do
+    not depend on r.  ``kurtosis`` is that of the whole-path Girsanov weight.
     """
-    if r > spec.T:
-        raise PreconditionError("differentiation time r exceeds the horizon")
-    basis = basis or BasisSpec()
+
+    key: tuple
+    nabla: np.ndarray
+    cond: np.ndarray
+    dz: Optional[np.ndarray]
+    kurtosis: Optional[float]
+
+    def built_from(self, key: tuple) -> bool:
+        (objs, vals), (objs2, vals2) = self.key, key
+        return len(objs) == len(objs2) and all(map(operator.is_, objs, objs2)) and vals == vals2
+
+
+def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
+                       sol: Union[BsdeSolution, GridSolution, tuple],
+                       basis: BasisSpec, nodes: tuple) -> _MalliavinContext:
+    """The ensemble's cached context for these inputs, built when it is missing or stale.
+
+    The model, the paths and the solution (a (u, u') pair by its elements) are
+    matched by identity, the basis and the node set by value.
+    """
+    sols = sol if isinstance(sol, tuple) else (sol,)
+    key = ((spec, ens.t_grid, ens.dW, ens.X) + sols, (basis, nodes))
+    if ens._malliavin is not None and ens._malliavin.built_from(key):
+        return ens._malliavin
+    ens._malliavin = None  # free the stale context before building its successor
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
-    k_r = ens.index_of(r)
-    if k_r == N:
-        raise PreconditionError("r must precede the terminal time")
+    # the variation, two factor rows per node, the chaos design (3p columns
+    # and their temporaries), a dozen path vectors and one call's four results
+    p = basis.degree + 1 if basis.kind == "poly" else basis.n_knots
+    _preflight(f"the Malliavin context ({n} paths x {N} steps, {len(nodes)} times)",
+               8 * n * (N + 1 + 6 * len(nodes) + 6 * p + 12))
     t = ens.t_grid
-    if times is None:
-        k_eval = range(k_r, N + 1)
-    else:
-        k_eval = sorted({ens.index_of(tv) for tv in times})
-        if any(k < k_r for k in k_eval):
-            raise PreconditionError("requested evaluation time precedes r")
-    nabla = variational_processes(spec, ens)
-    DrX = malliavin_dx(spec, ens, nabla, k_r)
     # time-major views: each node reads one contiguous row of X and nablaX
-    X, nab = ens.X.T, nabla.T
+    X, nab = ens.X.T, _variations(spec, ens, order=1)[1]
     theta = _theta_node(spec, sol)
-    hy, hz, hx = (spec.d(name) for name in ("h_y", "h_z", "h_x"))
+    hy, hz, hx, sx = (spec.d(name) for name in ("h_y", "h_z", "h_x", "sigma_x"))
+    sol_up = sol[1] if isinstance(sol, tuple) else None
+    row = {k: i for i, k in enumerate(nodes)}
+    cond = np.empty((len(nodes), n))
+    dz = np.empty((len(nodes), n)) if sol_up is not None else None
+    gprime = np.asarray(spec.d("g1")(X[N]), dtype=float)
 
     def at(f, k, yz):
         return np.asarray(f(t[k], X[k], *yz), dtype=float)
 
+    def fill(k, G, S):
+        # E[G_k / nablaX_k | X_k] by the chaos regression; d/dx[u_x sigma] at X_k
+        i, xk = row[k], X[k]
+        cond[i] = gprime * 1.0 if k == N else _regress_chaos(basis, xk, G / nab[k], S, t[N] - t[k])
+        if dz is not None:
+            ux = sol_up.eval(t[k], xk)
+            uxx = sol_up.eval(t[k], xk, array=sol_up.u_x)
+            dz[i] = ux * np.asarray(sx(t[k], xk), dtype=float) \
+                + uxx * np.asarray(spec.sigma(t[k], xk), dtype=float)
+
     # One backward pass over the nodes.  G is the discounted payoff with the
     # trapezoid source,  G_k = rho_k G_{k+1} + dt/2 (h_x nablaX|_k + rho_k h_x nablaX|_{k+1}),
     # with per-step weights rho_k = exp(h_y dt) exp(h_z dW - h_z^2 dt / 2); it is
-    # only needed down to the first evaluation node.  S_k, the future Brownian
+    # only needed down to the first requested node.  S_k, the future Brownian
     # mass, backs the zero-mean chaos regressors that soak up the projection
     # noise without entering the prediction.  The whole-path Girsanov exponent
     # feeds the importance-weight kurtosis gate.
-    k_lo = min(k_eval)
-    wanted = set(k_eval)
-    gprime = np.asarray(spec.d("g1")(X[N]), dtype=float)
+    k_lo = nodes[0]
     G = gprime * nab[N]
     src_next = at(hx, N, theta(N, t[N], X[N])) * nab[N]
     S = np.zeros(n)
     log_girsanov = np.zeros(n)
-    G_at, S_at = {N: G}, {N: S}
+    if N in row:
+        fill(N, G, S)
     for k in range(N - 1, -1, -1):
         dw = ens.dW[:, k]
         yz = theta(k, t[k], X[k])
@@ -521,51 +640,84 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
         src = at(hx, k, yz) * nab[k]
         G = rho * G + 0.5 * dt * (src + rho * src_next)
         src_next = src
-        if k in wanted:
-            G_at[k], S_at[k] = G, S
+        if k in row:
+            fill(k, G, S)
 
-    warnings = []
     girsanov = np.exp(log_girsanov)
     gv = float(np.var(girsanov))
-    if gv > 0:
-        kurt = float(np.mean((girsanov - girsanov.mean()) ** 4) / gv**2)
-        if kurt > kurtosis_gate:
-            warnings.append(f"importance-weight kurtosis {kurt:.1f} exceeds gate {kurtosis_gate:g}")
+    kurt = float(np.mean((girsanov - girsanov.mean()) ** 4) / gv**2) if gv > 0 else None
+    ens._malliavin = _MalliavinContext(key, nab, cond, dz, kurt)
+    return ens._malliavin
 
-    DrY = np.full((n, N + 1), np.nan)
-    for k in k_eval:
-        if k == N:
-            cond = gprime * 1.0
-        else:
-            cond = _regress_chaos(basis, X[k], G_at[k] / nab[k], S_at[k], t[N] - t[k])
-        DrY[:, k] = cond * DrX[:, k]
 
-    DrZ = None
-    if not isinstance(sol, BsdeSolution):
-        sol_u, sol_up = sol if isinstance(sol, tuple) else (sol, None)
-        if sol_up is not None:
-            DrZ = np.full((n, N + 1), np.nan)
-            sx = spec.d("sigma_x")
-            for k in k_eval:
-                xk = ens.X[:, k]
-                ux = sol_up.eval(t[k], xk)
-                uxx = sol_up.eval(t[k], xk, array=sol_up.u_x)
-                sig = np.asarray(spec.sigma(t[k], xk), dtype=float)
-                sigx = np.asarray(sx(t[k], xk), dtype=float)
-                DrZ[:, k] = (ux * sigx + uxx * sig) * DrX[:, k]
+def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
+                         sol: Union[BsdeSolution, GridSolution, tuple],
+                         r: float, basis: Optional[BasisSpec] = None,
+                         kurtosis_gate: float = 100.0,
+                         times: Optional[Sequence] = None) -> MalliavinEnsemble:
+    """Malliavin derivative (D_r X, D_r Y, D_r Z) for t >= r.
 
-    return MalliavinEnsemble(t[k_r], k_r, t, DrX, DrY, nabla, DrZ, warnings)
+    Solves the linear equation satisfied by D_r Y through its explicit
+    representation: discount exp(int h_y) under the h_z-tilted measure, both
+    realized as pathwise exponential weights, followed by one projection on
+    the state per requested time.  D_r Z is filled via the chain rule
+    d/dx[u_x sigma] D_r X when a (u, u') pair of grid solutions is supplied.
+    ``times`` lists the grid times to compute (default: every grid time from
+    r on); the result holds those columns only (``MalliavinEnsemble``).
+
+    All of this except the column scale sigma(r, X_r) / nablaX_r of D_r X is
+    independent of r: it is computed once and kept on the ensemble, and calls
+    for other r with the same spec, solution, basis and times only rescale
+    it.  That context is keyed on the identity of ``spec``, of the solution
+    objects and of the ensemble's arrays, so neither may be mutated after the
+    first call (the ensemble's arrays are read-only).  Raises
+    ``ResourceError`` before building a context whose estimated arrays exceed
+    physical memory.
+    """
+    if r > spec.T:
+        raise PreconditionError("differentiation time r exceeds the horizon")
+    N = ens.n_steps
+    k_r = ens.index_of(r)
+    if k_r == N:
+        raise PreconditionError("r must precede the terminal time")
+    if times is None:
+        nodes = tuple(range(k_r, N + 1))
+    else:
+        nodes = tuple(sorted({ens.index_of(tv) for tv in times}))
+        if not nodes:
+            raise PreconditionError("times lists no evaluation time")
+        if nodes[0] < k_r:
+            raise PreconditionError("requested evaluation time precedes r")
+    ctx = _malliavin_context(spec, ens, sol, basis or BasisSpec(), nodes)
+    t, nab = ens.t_grid, ctx.nabla
+    nablaX = nab[list(nodes)]
+    DrX = np.asarray(spec.sigma(t[k_r], ens.X[:, k_r]), dtype=float) / nab[k_r] * nablaX
+    warnings = []
+    if ctx.kurtosis is not None and ctx.kurtosis > kurtosis_gate:
+        warnings.append(f"importance-weight kurtosis {ctx.kurtosis:.1f} exceeds gate "
+                        f"{kurtosis_gate:g}")
+
+    def store(rows):
+        return ColumnStore(nodes, rows, N + 1)
+
+    DrZ = None if ctx.dz is None else store(ctx.dz * DrX)
+    return MalliavinEnsemble(t[k_r], k_r, t, store(DrX), store(ctx.cond * DrX), store(nablaX),
+                             DrZ, warnings)
 
 
 def z_from_malliavin(mall: MalliavinEnsemble):
     """Z_t proxy D_{t-dt} Y_t: the first column one step past r.
 
-    Returns (t, Z_paths) where t = r + dt.
+    Returns (t, Z_paths) where t = r + dt; that column must have been
+    requested from ``solve_malliavin_bsde``.
     """
     k = mall.r_index + 1
     if k >= mall.t_grid.size:
         raise PreconditionError("no grid time strictly after r")
-    return float(mall.t_grid[k]), mall.DrY[:, k]
+    t = float(mall.t_grid[k])
+    if k not in mall.DrY:
+        raise PreconditionError(f"D_rY was not computed at t={t} (r + dt); list it in `times`")
+    return t, mall.DrY[:, k]
 
 
 @dataclass

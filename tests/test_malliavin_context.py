@@ -1,0 +1,136 @@
+"""The r-independent Malliavin context, the column store and the memory preflight."""
+
+import copy
+
+import numpy as np
+import pytest
+
+import fbsdelab as fl
+from fbsdelab.errors import PreconditionError, ResourceError
+from fbsdelab.mc import BasisSpec, PathEnsemble
+
+PRESETS = [("ex_counter", "counter"), ("ex_cubic", "cubic"), ("ex_quad_exp", "quad")]
+SOLUTIONS = ["pair", "u", "bsde"]
+FIELDS = ("DrX", "DrY", "DrZ", "nablaX")
+N_PATHS, N_STEPS, SEED = 400, 16, 31
+TIMES = [0.5, 0.75]
+
+
+def _setup(request, fixture, kind, n_steps=N_STEPS):
+    spec = request.getfixturevalue({"quad": "quad_exp"}.get(fixture, fixture))
+    _, su, sp = request.getfixturevalue(f"{fixture}_grids")
+    ens = fl.simulate_forward(spec, N_PATHS, n_steps, seed=SEED)
+    sol = {"pair": (su, sp), "u": su}.get(kind) or fl.solve_bsde_regression(spec, ens)
+    return spec, ens, sol
+
+
+def _assert_same(a, b, columns):
+    assert a.warnings == b.warnings
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            for k in columns:
+                assert np.array_equal(x[:, k], y[:, k]), (name, k)
+
+
+@pytest.mark.parametrize("preset,fixture", PRESETS)
+@pytest.mark.parametrize("kind", SOLUTIONS)
+def test_second_r_on_one_ensemble_matches_a_fresh_ensemble(request, preset, fixture, kind):
+    spec, ens, sol = _setup(request, fixture, kind)
+    fl.solve_malliavin_bsde(spec, ens, sol, r=0.0, times=TIMES, kurtosis_gate=0.1)
+    ctx = ens._malliavin
+    reused = fl.solve_malliavin_bsde(spec, ens, sol, r=0.25, times=TIMES, kurtosis_gate=0.1)
+    assert ens._malliavin is ctx
+    spec2, ens2, sol2 = _setup(request, fixture, kind)
+    fresh = fl.solve_malliavin_bsde(spec2, ens2, sol2, r=0.25, times=TIMES, kurtosis_gate=0.1)
+    _assert_same(reused, fresh, [ens.index_of(t) for t in TIMES])
+
+
+@pytest.mark.parametrize("preset,fixture", PRESETS)
+@pytest.mark.parametrize("kind", SOLUTIONS)
+def test_changed_inputs_rebuild_the_context(request, preset, fixture, kind):
+    spec, ens, sol = _setup(request, fixture, kind)
+    cols = [ens.index_of(t) for t in TIMES]
+
+    def ctx_after(**kw):
+        args = dict(spec=spec, ens=ens, sol=sol, r=0.25, times=TIMES) | kw
+        m = fl.solve_malliavin_bsde(**args)
+        return ens._malliavin, m
+
+    ctx, _ = ctx_after()
+    # an equal basis and a repeated time keep the context
+    assert ctx_after(basis=BasisSpec(), times=TIMES + [0.5])[0] is ctx
+    pw = BasisSpec(kind="pwlinear", n_knots=12)
+    rebuilt, m = ctx_after(basis=pw)
+    assert rebuilt is not ctx
+    _, ens2, sol2 = _setup(request, fixture, kind)
+    fresh = fl.solve_malliavin_bsde(spec, ens2, sol2, r=0.25, times=TIMES, basis=pw)
+    _assert_same(m, fresh, cols)
+    copied = (sol[0], copy.copy(sol[1])) if kind == "pair" else copy.copy(sol)
+    for change in (dict(times=[0.5]), dict(spec=fl.preset(preset)), dict(sol=copied)):
+        before, _ = ctx_after()
+        assert ctx_after(**change)[0] is not before, change
+    # a rebuilt pair with the same elements is the same solution
+    if kind == "pair":
+        assert ctx_after(sol=(sol[0], sol[1]))[0] is ens._malliavin
+
+
+@pytest.mark.parametrize("preset,fixture", PRESETS)
+@pytest.mark.parametrize("kind", SOLUTIONS)
+def test_ensemble_paths_are_read_only(request, preset, fixture, kind):
+    spec, ens, sol = _setup(request, fixture, kind)
+    fl.solve_malliavin_bsde(spec, ens, sol, r=0.25, times=TIMES)
+    for a in (ens.t_grid, ens.X, ens.dW, ens.X.T, ens.X[:, 3]):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("preset,fixture", PRESETS)
+@pytest.mark.parametrize("kind", SOLUTIONS)
+def test_result_bytes_follow_requested_columns_not_steps(request, preset, fixture, kind):
+    sizes = {}
+    for n_steps in (16, 64):
+        spec, ens, sol = _setup(request, fixture, kind, n_steps)
+        for times in ([0.5], TIMES):
+            m = fl.solve_malliavin_bsde(spec, ens, sol, r=0.25, times=times)
+            sizes[n_steps, len(times)] = {f: getattr(m, f).nbytes for f in FIELDS
+                                          if getattr(m, f) is not None}
+            col = m.DrY[:, ens.index_of(0.5)]
+            assert not col.flags.writeable
+            assert np.all(np.isnan(m.DrY[:, ens.index_of(0.25)]))
+            assert m.DrY.shape == (N_PATHS, n_steps + 1)
+            with pytest.raises(IndexError):
+                m.DrY[:, n_steps + 1]
+    for f, b in sizes[16, 1].items():
+        assert b == 8 * N_PATHS
+        assert sizes[64, 1][f] == b
+        assert sizes[16, 2][f] == sizes[64, 2][f] == 2 * b
+
+
+def test_unrequested_or_off_grid_times_raise(counter, counter_grids):
+    _, su, sp = counter_grids
+    ens = fl.simulate_forward(counter, 100, 16, seed=2)
+    m = fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.25, times=[0.5])
+    for t in (1.5, 0.75, 0.3125):
+        with pytest.raises(PreconditionError, match=f"t={t}"):
+            m.at(t)
+    with pytest.raises(PreconditionError, match="t=0.3125"):
+        fl.z_from_malliavin(m)
+    with pytest.raises(PreconditionError, match="DrZ"):
+        fl.solve_malliavin_bsde(counter, ens, su, r=0.25, times=[0.5]).at(0.5, "DrZ")
+
+
+def test_oversized_jobs_raise_before_allocating(counter, counter_grids):
+    _, su, sp = counter_grids
+    n = 10**9
+    with pytest.raises(ResourceError) as exc:
+        fl.simulate_forward(counter, n, 256, seed=0)
+    assert exc.value.witness == 8 * n * (3 * 256 + 1)
+    # zero-stride paths of 1e9 rows take no memory until the context would
+    t_grid = np.linspace(0.0, 1.0, 17)
+    ens = PathEnsemble(t_grid, np.broadcast_to(0.0, (n, 16)), np.broadcast_to(0.0, (n, 17)), 0)
+    with pytest.raises(ResourceError) as exc:
+        fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.25, times=[0.5])
+    assert exc.value.witness > 8 * n * 17
+    assert ens._malliavin is None
