@@ -13,9 +13,11 @@ The format is nested key-value sections:
     [output]
     dir = out
 
-Parsing is strict: unknown sections or keys, duplicate sections, and
-malformed values are fatal with line positions, so silent typos cannot skew a
-numerical experiment.  Coefficient expressions use the grammar documented in
+``SCHEMA`` holds every section, key, value parser and default; ``TASK_DEPS``
+every task name and its prerequisites.  Parsing is strict: unknown sections
+or keys, duplicates and malformed values are fatal, and each value is parsed
+as its line is read, so a ParseError names the section, key, value and line
+before any task runs.  Coefficient expressions use the grammar documented in
 ``expressions``; the model may also declare a Markov map ``f`` of (t, w).
 """
 
@@ -26,11 +28,11 @@ from dataclasses import dataclass, field
 from .criteria import CHECKS
 from .errors import ParseError
 from .expressions import compile_expression
-from .model import COEFFICIENT_ARGS, ModelSpec, expression_spec, preset
+from .model import COEFFICIENT_ARGS, ModelSpec, expression_spec, preset, preset_names
 
-__all__ = ["ExperimentConfig", "parse_config", "TASK_NAMES", "TASK_DEPS"]
+__all__ = ["ExperimentConfig", "parse_config", "parse_value", "task_closure",
+           "SCHEMA", "TASK_NAMES", "TASK_DEPS"]
 
-TASK_NAMES = ("solve", "density", "criteria", "tails", "oracle-compare")
 TASK_DEPS = {
     "solve": (),
     "criteria": (),
@@ -38,23 +40,128 @@ TASK_DEPS = {
     "tails": ("solve",),
     "oracle-compare": ("solve",),
 }
+TASK_NAMES = tuple(TASK_DEPS)
 
-_SCHEMA = {
-    "model": {"preset", "b", "sigma", "g", "h", "T", "X0", "regime", "f"},
-    "numerics": {"seed", "n_paths", "n_steps", "nt", "nx", "x_lo", "x_hi",
-                 "z_cap", "n_mc", "n_u_nodes", "basis_degree", "theta",
-                 "grid_width"},
-    "tasks": {"run", "criteria_times", "criteria_checks", "density_target",
-              "density_t", "tails_target", "tails_t", "tails_form",
-              "tails_alpha_tilde", "oracle_times"},
-    "output": {"dir", "timestamps"},
+
+# -- value parsers: each reads one stripped value or raises ValueError(reason) --
+
+def _value(cast, expected, ok=lambda v: True):
+    def parse(s):
+        try:
+            v = cast(s)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise ValueError(f"expected {expected}, got {s!r}")
+        return v
+    return parse
+
+
+_INTEGER = _value(int, "an integer")
+_REAL = _value(float, "a number")
+
+
+def _one_of(*choices, fold=str):
+    return _value(fold, f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
+def _list(item, unique=False):
+    def parse(s):
+        values = [item(p.strip()) for p in s.split(",") if p.strip()]
+        if unique and len(set(values)) != len(values):
+            raise ValueError("a name is repeated")
+        return values
+    return parse
+
+
+def _expression(coeff: str):
+    def parse(s):
+        compile_expression(s, COEFFICIENT_ARGS[coeff])  # raises ParseError naming the symbol
+        return s
+    return parse
+
+
+# {section: {key: (parser, default)}}.  A default is config text read by the
+# key's parser, so it meets the same checks as a value from a file; None
+# means the key is absent.
+SCHEMA = {
+    "model": {
+        "preset": (_one_of(*preset_names()), None),
+        "b": (_expression("b"), "0"),
+        "sigma": (_expression("sigma"), "1"),
+        "g": (_expression("g"), "x"),
+        "h": (_expression("h"), "0"),
+        "f": (_expression("f"), None),
+        "T": (_value(float, "a number > 0", lambda v: v > 0), "1"),
+        "X0": (_REAL, "0"),
+        "regime": (_one_of("lipschitz", "quadratic", fold=str.lower), "lipschitz"),
+    },
+    "numerics": {
+        "seed": (_value(int, "an integer >= 0", lambda v: v >= 0), "0"),
+        "n_paths": (_INTEGER, "20000"),
+        "n_steps": (_INTEGER, "128"),
+        "nt": (_INTEGER, "129"),
+        "nx": (_INTEGER, "401"),
+        "x_lo": (_REAL, None),
+        "x_hi": (_REAL, None),
+        "z_cap": (_REAL, "50"),
+        "n_mc": (_INTEGER, "20000"),
+        "n_u_nodes": (_INTEGER, "16"),
+        "basis_degree": (_INTEGER, "4"),
+        "theta": (_REAL, "0.5"),
+        "grid_width": (_REAL, "6"),
+    },
+    "tasks": {
+        "run": (_list(_one_of(*TASK_NAMES), unique=True), ""),
+        "criteria_times": (_list(_REAL), "0.5"),
+        "criteria_checks": (_list(_one_of(*CHECKS)), "first-order, second-order"),
+        "density_target": (_one_of("Y", "Z"), "Y"),
+        "density_t": (_REAL, "0.5"),
+        "tails_target": (_one_of("Y", "Z"), "Z"),
+        "tails_t": (_REAL, "1.0"),
+        "tails_form": (_one_of("theorem", "corollary"), "theorem"),
+        "tails_alpha_tilde": (_REAL, "2.0"),
+        "oracle_times": (_list(_REAL), "0.25, 0.5, 0.75"),
+    },
+    "output": {
+        "dir": (str, "out"),
+        "timestamps": (_value(lambda s: {"true": True, "false": False}.get(s.lower()),
+                              "true or false"), "true"),
+    },
 }
 
-_DEFAULT_NUMERICS = {
-    "seed": 0, "n_paths": 20000, "n_steps": 128, "nt": 129, "nx": 401,
-    "x_lo": None, "x_hi": None, "z_cap": 50.0, "n_mc": 20000,
-    "n_u_nodes": 16, "basis_degree": 4, "theta": 0.5, "grid_width": 6.0,
-}
+
+def _completed(keys: dict, given: dict) -> dict:
+    """``given`` with each missing key set to its parsed default (None if it has none)."""
+    return {key: given[key] if key in given else (None if default is None else parse(default))
+            for key, (parse, default) in keys.items()}
+
+
+def parse_value(section: str, key: str, text: str, line=None):
+    """``text`` read by the parser of [section] key; ParseError names both and the line."""
+    try:
+        return SCHEMA[section][key][0](text.strip())
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"[{section}] {key} = {text.strip()}: {exc}", line=line) from None
+
+
+def task_closure(tasks) -> tuple:
+    """(tasks with prerequisites inserted first, notes on the inserted ones)."""
+    inserted: list = []
+    ordered: list = []
+
+    def add(task):
+        for dep in TASK_DEPS[task]:
+            if dep not in ordered:
+                if dep not in tasks:
+                    inserted.append(f"{dep} (required by {task})")
+                add(dep)
+        if task not in ordered:
+            ordered.append(task)
+
+    for t in tasks:
+        add(t)
+    return ordered, inserted
 
 
 @dataclass
@@ -70,35 +177,15 @@ class ExperimentConfig:
 
     def build_spec(self) -> ModelSpec:
         m = self.model
-        if "preset" in m:
+        if m["preset"] is not None:
             return preset(m["preset"])
-        return expression_spec(
-            b=m.get("b", "0"), sigma=m.get("sigma", "1"), g=m.get("g", "x"),
-            h=m.get("h", "0"), f=m.get("f"), T=float(m.get("T", 1.0)),
-            X0=float(m.get("X0", 0.0)), regime=m.get("regime", "lipschitz").lower(),
-            name="config-model")
-
-
-def _parse_scalar(v: str):
-    s = v.strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        if any(c in s for c in ".eE") and not s.lstrip("+-").isdigit():
-            return float(s)
-        return int(s)
-    except ValueError:
-        return s
-
-
-def _parse_list(v: str):
-    return [p.strip() for p in v.split(",") if p.strip()]
+        return expression_spec(m["b"], m["sigma"], m["g"], m["h"], m["f"], T=m["T"],
+                               X0=m["X0"], regime=m["regime"], name="config-model")
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse configuration text; unknown keys are fatal (strict mode)."""
-    sections: dict = {}
+    """Parse configuration text against ``SCHEMA``; every violation is a ParseError."""
+    given: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -109,11 +196,11 @@ def parse_config(text: str) -> ExperimentConfig:
             if not stripped.endswith("]"):
                 raise ParseError("malformed section header", line=lineno)
             name = stripped[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in SCHEMA:
                 raise ParseError(f"unknown section [{name}]", line=lineno)
-            if name in sections:
+            if name in given:
                 raise ParseError(f"duplicate section [{name}]", line=lineno)
-            sections[name] = {}
+            given[name] = {}
             current = name
             continue
         if current is None:
@@ -123,71 +210,17 @@ def parse_config(text: str) -> ExperimentConfig:
                              column=len(line) - len(line.lstrip()) + 1)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA[current]:
+        if key not in SCHEMA[current]:
             raise ParseError(f"unknown key {key!r} in section [{current}]", line=lineno)
-        if key in sections[current]:
+        if key in given[current]:
             raise ParseError(f"duplicate key {key!r} in section [{current}]", line=lineno)
-        sections[current][key] = value.strip()
+        given[current][key] = parse_value(current, key, value, lineno)
 
-    model = sections.get("model", {})
-    if "preset" not in model and "g" not in model and "h" not in model:
+    if not {"preset", "g", "h"} & set(given.get("model", {})):
         raise ParseError("model section must name a preset or give expressions")
-    # validate expressions eagerly so errors carry the offending symbol
-    if "preset" not in model:
-        for key, variables in COEFFICIENT_ARGS.items():
-            if key in model:
-                try:
-                    compile_expression(model[key], variables)
-                except ParseError as exc:
-                    raise ParseError(f"[model] {key} = {model[key]}: {exc}") from exc
-
-    numerics = dict(_DEFAULT_NUMERICS)
-    for k, v in sections.get("numerics", {}).items():
-        numerics[k] = _parse_scalar(v)
-
-    tasks_section = sections.get("tasks", {})
-    tasks = _parse_list(tasks_section.get("run", ""))
-    for t in tasks:
-        if t not in TASK_NAMES:
-            raise ParseError(f"unknown task {t!r}; known: {TASK_NAMES}")
-    if len(set(tasks)) != len(tasks):
-        raise ParseError("duplicate task in run list")
-
-    task_params = {
-        "criteria_times": [float(v) for v in _parse_list(tasks_section.get("criteria_times", "0.5"))],
-        "criteria_checks": _parse_list(tasks_section.get("criteria_checks",
-                                                         "first-order, second-order")),
-        "density_target": tasks_section.get("density_target", "Y").strip(),
-        "density_t": float(tasks_section.get("density_t", 0.5)),
-        "tails_target": tasks_section.get("tails_target", "Z").strip(),
-        "tails_t": float(tasks_section.get("tails_t", 1.0)),
-        "tails_form": tasks_section.get("tails_form", "theorem").strip(),
-        "tails_alpha_tilde": float(tasks_section.get("tails_alpha_tilde", 2.0)),
-        "oracle_times": [float(v) for v in _parse_list(tasks_section.get("oracle_times", "0.25, 0.5, 0.75"))],
-    }
-    for chk in task_params["criteria_checks"]:
-        if chk not in CHECKS:
-            raise ParseError(f"unknown criteria check {chk!r}")
-    for key in ("density_target", "tails_target"):
-        if task_params[key] not in ("Y", "Z"):
-            raise ParseError(f"{key} must be Y or Z")
-
-    # dependency closure in declaration order, inserting prerequisites first
-    inserted = []
-    ordered: list = []
-    def add(task):
-        for dep in TASK_DEPS[task]:
-            if dep not in ordered:
-                if dep not in tasks:
-                    inserted.append(f"{dep} (required by {task})")
-                add(dep)
-        if task not in ordered:
-            ordered.append(task)
-    for t in tasks:
-        add(t)
-
-    out = sections.get("output", {})
-    return ExperimentConfig(model, numerics, ordered, task_params,
-                            out.get("dir", "out"),
-                            _parse_scalar(out.get("timestamps", "true")) is True,
-                            inserted, text)
+    sections = {name: _completed(keys, given.get(name, {})) for name, keys in SCHEMA.items()}
+    task_params = sections["tasks"]
+    tasks, inserted = task_closure(task_params.pop("run"))
+    out = sections["output"]
+    return ExperimentConfig(sections["model"], sections["numerics"], tasks, task_params,
+                            out["dir"], out["timestamps"], inserted, text)

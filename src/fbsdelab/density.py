@@ -169,6 +169,15 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
     return np.divide(num.T, nabla[:k].T, out=np.empty(num.T.shape))
 
 
+def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
+    """(dt, k_t, r): the step T/n_steps, the step index of t and the nodes r_0..r_{k_t} = t."""
+    dt = spec.T / n_steps
+    k_t = int(round(t / dt))
+    if abs(k_t * dt - t) > 1e-9:
+        raise PreconditionError("t must sit on the sampler time grid")
+    return dt, k_t, np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
+
+
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,
                   sol_uprime: Optional[GridSolution] = None) -> FunctionalSampler:
     """F = Y_t = u(t, X_t); Phi(r) = D_r Y_t by the flow representation.
@@ -177,11 +186,7 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
     by g_F, so the second-order kinks of linear interpolation must not leak
     into the functional near the edges of its support.
     """
-    dt = spec.T / n_steps
-    k_t = int(round(t / dt))
-    if abs(k_t * dt - t) > 1e-9:
-        raise PreconditionError("t must sit on the sampler time grid")
-    r = np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
+    dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     u_s = sol_u.row_spline(t)
     ux_s = sol_uprime.row_spline(t) if sol_uprime is not None \
         else sol_u.row_spline(t, sol_u.u_x)
@@ -199,11 +204,7 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
 def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
                   n_steps: int = 64) -> FunctionalSampler:
     """F = Z_t = u_x(t, X_t) sigma(t, X_t); Phi(r) = D_r Z_t by the chain rule."""
-    dt = spec.T / n_steps
-    k_t = int(round(t / dt))
-    if abs(k_t * dt - t) > 1e-9:
-        raise PreconditionError("t must sit on the sampler time grid")
-    r = np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
+    dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     sx = spec.d("sigma_x")
     ux_s = sol_uprime.row_spline(t)
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
@@ -224,7 +225,7 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
 # -- conditional expectation estimators --------------------------------------
 
 
-def _loclin(xdata, ydata, nodes, bw, chunk=8192):
+def _loclin(xdata, ydata, nodes, bw):
     """Gaussian-kernel local linear regression with pointwise SE and n_eff."""
     est = np.empty(nodes.size)
     se = np.empty(nodes.size)
@@ -273,14 +274,13 @@ def _bin_means(xdata, ydata, nodes, n_bins, min_count):
 
 def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
                 cond: Optional[ConditionalSpec] = None, seed: int = 0,
-                antithetic: bool = True, n_x_nodes: int = 101,
-                node_rule: str = "quantile") -> GFunction:
+                antithetic: bool = True, n_x_nodes: int = 101) -> GFunction:
     """Monte Carlo tabulation of g_F on nodes spanning the central 99% of F - E F.
 
     The independent copy W* uses a paired counter-based stream and is reused
     across all quadrature nodes (common random numbers); with ``antithetic``
-    the rotated derivative paths are averaged over +/- W*.  Node placement is
-    quantile-spaced by default so that heavy concentration of the law (e.g. a
+    the rotated derivative paths are averaged over +/- W*.  Nodes are
+    quantile-spaced so that heavy concentration of the law (e.g. a
     square-root spike at a support edge) is resolved where the mass sits.
     """
     cond = cond or ConditionalSpec()
@@ -304,16 +304,9 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     mean_F = float(np.mean(F))
     x = F - mean_F
     mad_F = float(np.mean(np.abs(x)))
-    if node_rule == "quantile":
-        nodes = np.quantile(x, np.linspace(0.005, 0.995, n_x_nodes))
-        nodes = np.unique(nodes)
-        if nodes.size < 3:
-            raise PreconditionError("functional is (nearly) degenerate; no node spread")
-    elif node_rule == "uniform":
-        lo, hi = np.quantile(x, [0.005, 0.995])
-        nodes = np.linspace(lo, hi, n_x_nodes)
-    else:
-        raise PreconditionError(f"unknown node rule {node_rule!r}")
+    nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, n_x_nodes)))
+    if nodes.size < 3:
+        raise PreconditionError("functional is (nearly) degenerate; no node spread")
     if cond.kind == "loclin":
         bw = cond.bandwidth or 1.06 * float(np.std(x)) * n_mc ** (-0.2)
         est, se, neff = _loclin(x, R, nodes, bw)

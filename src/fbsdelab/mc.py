@@ -250,11 +250,6 @@ class BasisSpec:
     ridge: float = 1e-8
     knots: str = "quantile"  # "quantile" | "uniform"
 
-    def describe(self) -> str:
-        if self.kind == "poly":
-            return f"poly(degree={self.degree}, ridge={self.ridge:g})"
-        return f"pwlinear(n_knots={self.n_knots}, {self.knots}, ridge={self.ridge:g})"
-
 
 def _design(basis: BasisSpec, x: np.ndarray):
     x = np.asarray(x, dtype=float)
@@ -263,7 +258,6 @@ def _design(basis: BasisSpec, x: np.ndarray):
         sd = sd if sd > 1e-300 else 1.0
         xs = (x - mu) / sd
         A = np.vander(xs, basis.degree + 1, increasing=True)
-        meta = ("poly", mu, sd)
     elif basis.kind == "pwlinear":
         if basis.knots == "uniform":
             lo, hi = np.quantile(x, [0.001, 0.999])
@@ -273,18 +267,9 @@ def _design(basis: BasisSpec, x: np.ndarray):
         if knots.size < 2:
             knots = np.array([knots[0] - 0.5, knots[0] + 0.5])
         A = _hat_design(x, knots)
-        meta = ("pwlinear", knots)
     else:
         raise BasisError(f"unknown basis kind {basis.kind!r}")
-    return A, meta
-
-
-def _design_from_meta(basis: BasisSpec, meta, x: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    if meta[0] == "poly":
-        _, mu, sd = meta
-        return np.vander((x - mu) / sd, basis.degree + 1, increasing=True)
-    return _hat_design(x, meta[1])
+    return A
 
 
 def _hat_design(x, knots):
@@ -322,9 +307,9 @@ def _ridge_fit(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _regress(basis: BasisSpec, x: np.ndarray, y: np.ndarray):
-    A, meta = _design(basis, x)
+    A = _design(basis, x)
     c = _ridge_fit(A, y, basis.ridge)
-    return A @ c, (c, meta)
+    return A @ c, c
 
 
 def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
@@ -337,7 +322,7 @@ def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
     while the dominant response noise is projected out; predictions zero the
     chaos columns.
     """
-    A, _ = _design(basis, x)
+    A = _design(basis, x)
     if tau <= 0:
         return A @ _ridge_fit(A, y, basis.ridge)
     h1 = (future_sum / math.sqrt(tau))[:, None]
@@ -359,27 +344,19 @@ class BsdeSolution:
     saturation_rate: float = 0.0
     z_cap: Optional[float] = None
     warnings: list = field(default_factory=list)
-    y_fits: list = field(default_factory=list)   # (coeffs, meta) per step, index k
-
-    def eval_y(self, k: int, x):
-        """Evaluate the fitted continuation value E[Y_{k+1} | X_k = x]."""
-        c, meta = self.y_fits[k]
-        return _design_from_meta(self.basis, meta, np.asarray(x, dtype=float)) @ c
 
 
 def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
                           basis: Optional[BasisSpec] = None,
-                          z_cap: float = 50.0,
-                          control_variate: bool = True) -> BsdeSolution:
+                          z_cap: float = 50.0) -> BsdeSolution:
     """Least-squares Monte Carlo backward induction for (Y, Z).
 
     Y_{t_k} = E[Y_{t_{k+1}} | X_{t_k}] + h(t_k, X_{t_k}, ., .) dt and
     Z_{t_k} = E[Y_{t_{k+1}} dW_k / dt | X_{t_k}], both projected on the basis.
-    With ``control_variate`` the fitted martingale increment Z_k dW_k is
-    subtracted from the continuation response, which removes most of the
-    one-step residual variance.  Quadratic drivers see the z-argument
-    truncated at ``z_cap``; the clip rate is reported and a warning is raised
-    above 1% of path-steps.
+    The fitted martingale increment Z_k dW_k is subtracted from the
+    continuation response, which removes most of the one-step residual
+    variance.  Quadratic drivers see the z-argument truncated at ``z_cap``;
+    the clip rate is reported and a warning is raised above 1% of path-steps.
     """
     basis = basis or BasisSpec()
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
@@ -388,27 +365,19 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     Z = np.empty((n, N))
     Y[:, N] = np.asarray(spec.g(ens.X[:, N]), dtype=float)
     residuals = np.zeros(N)
-    y_fits: list = [None] * N
     clipped = 0
     quadratic = spec.regime == "quadratic"
     for k in range(N - 1, -1, -1):
         xk = ens.X[:, k]
-        A, meta = _design(basis, xk)
+        A = _design(basis, xk)
         M = _gram(A, basis.ridge)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
-        c_y0 = _ridge_solve(M, A, Y[:, k + 1])
-        cond0 = A @ c_y0
-        c_z = _ridge_solve(M, A, (Y[:, k + 1] - cond0) * ens.dW[:, k] / dt)
-        zk = A @ c_z
-        if control_variate:
-            c_y = _ridge_solve(M, A, Y[:, k + 1] - zk * ens.dW[:, k])
-            cond = A @ c_y
-        else:
-            c_y, cond = c_y0, cond0
+        cond0 = A @ _ridge_solve(M, A, Y[:, k + 1])
+        zk = A @ _ridge_solve(M, A, (Y[:, k + 1] - cond0) * ens.dW[:, k] / dt)
+        cond = A @ _ridge_solve(M, A, Y[:, k + 1] - zk * ens.dW[:, k])
         Z[:, k] = zk
-        y_fits[k] = (c_y, meta)
         if quadratic:
             z_used = np.clip(zk, -z_cap, z_cap)
             clipped += int(np.sum(np.abs(zk) > z_cap))
@@ -417,8 +386,7 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
         Y[:, k] = cond + dt * np.asarray(spec.h(t[k], xk, cond, z_used), dtype=float)
         residuals[k] = float(np.mean((Y[:, k + 1] - cond) ** 2))
     rate = clipped / (n * N)
-    sol = BsdeSolution(t, Y, Z, basis, residuals, rate,
-                       z_cap if quadratic else None, [], y_fits)
+    sol = BsdeSolution(t, Y, Z, basis, residuals, rate, z_cap if quadratic else None)
     if quadratic and rate > 0.01:
         sol.warnings.append(f"driver truncation saturated on {100 * rate:.2f}% of path-steps")
     return sol
@@ -594,7 +562,7 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     # time-major views: each node reads one contiguous row of X and nablaX
     X, nab = ens.X.T, _variations(spec, ens, order=1)[1]
     theta = _theta_node(spec, sol)
-    hy, hz, hx, sx = (spec.d(name) for name in ("h_y", "h_z", "h_x", "sigma_x"))
+    hy, hz, hx = (spec.d(name) for name in ("h_y", "h_z", "h_x"))
     sol_up = sol[1] if isinstance(sol, tuple) else None
     row = {k: i for i, k in enumerate(nodes)}
     cond = np.empty((len(nodes), n))
@@ -609,10 +577,7 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
         i, xk = row[k], X[k]
         cond[i] = gprime * 1.0 if k == N else _regress_chaos(basis, xk, G / nab[k], S, t[N] - t[k])
         if dz is not None:
-            ux = sol_up.eval(t[k], xk)
-            uxx = sol_up.eval(t[k], xk, array=sol_up.u_x)
-            dz[i] = ux * np.asarray(sx(t[k], xk), dtype=float) \
-                + uxx * np.asarray(spec.sigma(t[k], xk), dtype=float)
+            dz[i] = _z_slope(spec, sol_up, t[k], xk)[2]
 
     # One backward pass over the nodes.  G is the discounted payoff with the
     # trapezoid source,  G_k = rho_k G_{k+1} + dt/2 (h_x nablaX|_k + rho_k h_x nablaX|_{k+1}),
@@ -730,6 +695,17 @@ class SecondMalliavinResult:
     DrZ: np.ndarray      # limit s -> t of D2_{r,s} Y_t, valid for t >= r
 
 
+def _z_slope(spec: ModelSpec, sol_uprime: GridSolution, tk: float, xk: np.ndarray):
+    """(u_x, u_xx, u_x sigma_x + u_xx sigma) at (tk, xk) from the u' grid.
+
+    The last is d/dx[u_x sigma], the factor that turns D_r X_t into D_r Z_t.
+    """
+    ux = sol_uprime.eval(tk, xk)
+    uxx = sol_uprime.eval(tk, xk, array=sol_uprime.u_x)
+    sig_x = np.asarray(spec.d("sigma_x")(tk, xk), dtype=float)
+    return ux, uxx, ux * sig_x + uxx * np.asarray(spec.sigma(tk, xk), dtype=float)
+
+
 def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
                      sol_uprime: Optional[GridSolution], ens: PathEnsemble,
                      r: float, s: float) -> SecondMalliavinResult:
@@ -750,7 +726,6 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     _, nabla, nabla2 = _variations(spec, ens, order=2)
     DrX = malliavin_dx(spec, ens, nabla.T, k_r)
     DsX = malliavin_dx(spec, ens, nabla.T, k_s)
-    sx = spec.d("sigma_x")
 
     D2X = np.full((N + 1, n), np.nan)
     D2X[hi:] = _malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_s)
@@ -759,14 +734,10 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     D2Y = np.full((n, N + 1), np.nan)
     DrZ = np.full((n, N + 1), np.nan)
     for k in range(k_r, N + 1):
-        xk = ens.X[:, k]
-        ux = sol_uprime.eval(t[k], xk)
-        uxx = sol_uprime.eval(t[k], xk, array=sol_uprime.u_x)
+        ux, uxx, slope = _z_slope(spec, sol_uprime, t[k], ens.X[:, k])
         if k >= hi:
             D2Y[:, k] = ux * D2X[:, k] + uxx * DrX[:, k] * DsX[:, k]
-        sig = np.asarray(spec.sigma(t[k], xk), dtype=float)
-        sigx = np.asarray(sx(t[k], xk), dtype=float)
-        DrZ[:, k] = (ux * sigx + uxx * sig) * DrX[:, k]
+        DrZ[:, k] = slope * DrX[:, k]
     return SecondMalliavinResult(t[k_r], t[k_s], t, D2Y, D2X, DrZ)
 
 

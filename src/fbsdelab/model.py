@@ -250,9 +250,6 @@ class ModelSpec:
         x = (self.X0 + np.linspace(-10.0, 10.0, n))[None, :]
         return float(np.max(np.abs(_on_grid(self.sigma, t, x))))
 
-    def with_constants(self, **kw) -> "ModelSpec":
-        return replace(self, constants=replace(self.constants, **kw))
-
 
 def _on_grid(fn, *args):
     """fn(*args) as floats broadcast to the common shape of its arguments.

@@ -231,24 +231,21 @@ class YZResult:
     extrapolated: bool = False
 
 
+def _centered_dx(v: np.ndarray, dx: float):
+    """First x-difference on the last axis: centred inside, one-sided at the two ends."""
+    out = np.empty_like(v)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * dx)
+    out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
+    out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
+    return out
+
+
 def _space_derivatives(u: np.ndarray, dx: float):
-    ux = np.empty_like(u)
     uxx = np.empty_like(u)
-    ux[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * dx)
-    ux[:, 0] = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * dx)
-    ux[:, -1] = (3 * u[:, -1] - 4 * u[:, -2] + u[:, -3]) / (2 * dx)
     uxx[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / dx**2
     uxx[:, 0] = uxx[:, 1]
     uxx[:, -1] = uxx[:, -2]
-    return ux, uxx
-
-
-def _centered_dx(v: np.ndarray, dx: float):
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * dx)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dx)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dx)
-    return out
+    return _centered_dx(u, dx), uxx
 
 
 def _apply_operator(a2, a1, a0, v, dx):

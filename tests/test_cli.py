@@ -389,3 +389,95 @@ timestamps = false
     expected = compute_constants(su, 0.515625, 0.1, 0.1, 2.0).to_dict()
     for key in ("alpha_bar_v", "C_v", "C_vprime", "mu", "M"):
         assert consts["constants"][key] == expected[key]
+
+
+# -- typed config values and the task table ------------------------------------
+
+MALFORMED_VALUES = [
+    ("numerics", "n_paths = 1e5"),
+    ("numerics", "n_mc = 2.5e3"),
+    ("numerics", "n_steps = 16.0"),
+    ("numerics", "n_paths = abc"),
+    ("numerics", "theta = abc"),
+    ("numerics", "seed = -1"),
+    ("tasks", "criteria_times = 0.1, abc"),
+    ("tasks", "density_t = abc"),
+    ("model", "T = abc"),
+    ("model", "T = -1"),
+    ("model", "regime = foo"),
+    ("model", "preset = nope"),
+    ("numerics", "seed = 1.5"),
+    ("output", "timestamps = yes"),
+]
+
+
+def _config_with(section, line):
+    """Config text whose line 4 is ``line`` inside ``section``."""
+    if section == "model":
+        return f"[model]\ng = x\nh = 0\n{line}\n"
+    return f"[model]\npreset = ex_counter\n[{section}]\n{line}\n"
+
+
+@pytest.mark.parametrize("section, line", MALFORMED_VALUES)
+def test_parse_rejects_malformed_value_naming_key_and_line(section, line):
+    # each of these used to crash a run, or run with a misread value
+    with pytest.raises(ParseError) as exc:
+        parse_config(_config_with(section, line))
+    key = line.split("=")[0].strip()
+    assert f"[{section}] {key} = " in str(exc.value)
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("text, flags, named", [
+    (_config_with("numerics", "seed = 1.5"), [], "[numerics] seed = 1.5"),
+    (_config_with("model", "T = -1"), [], "[model] T = -1"),
+    (SMALL_RUN, ["--seed", "-1"], "seed = -1"),
+    (SMALL_RUN, ["--seed", "2.5"], "seed = 2.5"),
+], ids=["seed-float", "T-negative", "flag-seed-negative", "flag-seed-float"])
+def test_cli_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags, named):
+    # the --seed override goes through the config's seed parser
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
+
+
+SINGLE_TASK = """
+[model]
+preset = ex_cubic
+[numerics]
+n_paths = 500
+n_steps = 32
+nt = 41
+nx = 121
+n_mc = 500
+[tasks]
+criteria_times = 0.5
+tails_target = Y
+[output]
+timestamps = false
+"""
+SOLVE_FILES = {"grid_u.csv", "grid_uprime.csv", "grid_u.bin"}
+
+
+@pytest.mark.parametrize("task, files", [
+    ("solve", SOLVE_FILES),
+    ("criteria", {"criteria.json", "criteria_table.txt"}),
+    ("density", SOLVE_FILES | {"gfunction.csv", "density.csv"}),
+    ("tails", SOLVE_FILES | {"envelope.csv", "tail_constants.json"}),
+    ("oracle-compare", SOLVE_FILES | {"oracle_compare.csv"}),
+])
+def test_cli_single_task_subcommands(tmp_path, task, files):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SINGLE_TASK)
+    out = tmp_path / "out"
+    assert main([task, "--config", str(cfg_path), "--out", str(out), "--no-timestamps"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    deps = ["solve"] if task not in ("solve", "criteria") else []
+    assert man["tasks"] == {name: "ok" for name in deps + [task]}
+    assert man["notes"] == [f"dependency auto-inserted: solve (required by {task})"
+                            for _ in deps]
+    assert {f["path"] for f in man["files"]} == files
+    assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
