@@ -15,10 +15,11 @@ The format is nested key-value sections:
 
 ``SCHEMA`` holds every section, key, value parser and default; ``TASK_DEPS``
 every task name and its prerequisites.  Parsing is strict: unknown sections
-or keys, duplicates and malformed values are fatal, and each value is parsed
-as its line is read, so a ParseError names the section, key, value and line
-before any task runs.  Coefficient expressions use the grammar documented in
-``expressions``; the model may also declare a Markov map ``f`` of (t, w).
+or keys, duplicates, malformed values and a model key beside a preset are
+fatal, and each value is parsed as its line is read, so a ParseError names
+the section, key, value and line before any task runs.  Coefficient
+expressions use the grammar documented in ``expressions``; the model may
+also declare a Markov map ``f`` of (t, w).
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ def _value(cast, expected, ok=lambda v: True):
     return parse
 
 
-_INTEGER = _value(int, "an integer")
 _REAL = _value(float, "a number")
+
+
+def _integer(lo):
+    return _value(int, f"an integer >= {lo}", lambda v: v >= lo)
 
 
 def _one_of(*choices, fold=str):
@@ -97,17 +101,17 @@ SCHEMA = {
         "regime": (_one_of("lipschitz", "quadratic", fold=str.lower), "lipschitz"),
     },
     "numerics": {
-        "seed": (_value(int, "an integer >= 0", lambda v: v >= 0), "0"),
-        "n_paths": (_INTEGER, "20000"),
-        "n_steps": (_INTEGER, "128"),
-        "nt": (_INTEGER, "129"),
-        "nx": (_INTEGER, "401"),
+        "seed": (_integer(0), "0"),
+        "n_paths": (_integer(1), "20000"),
+        "n_steps": (_integer(1), "128"),
+        "nt": (_integer(2), "129"),
+        "nx": (_integer(3), "401"),
         "x_lo": (_REAL, None),
         "x_hi": (_REAL, None),
         "z_cap": (_REAL, "50"),
-        "n_mc": (_INTEGER, "20000"),
-        "n_u_nodes": (_INTEGER, "16"),
-        "basis_degree": (_INTEGER, "4"),
+        "n_mc": (_integer(1), "20000"),
+        "n_u_nodes": (_integer(1), "16"),
+        "basis_degree": (_integer(0), "4"),
         "theta": (_REAL, "0.5"),
         "grid_width": (_REAL, "6"),
     },
@@ -214,6 +218,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"unknown key {key!r} in section [{current}]", line=lineno)
         if key in given[current]:
             raise ParseError(f"duplicate key {key!r} in section [{current}]", line=lineno)
+        if current == "model" and given["model"] and "preset" in {key, *given["model"]}:
+            raise ParseError(f"[model] {key} = {value.strip()}: a preset takes no other model "
+                             f"keys (also given: {', '.join(given['model'])})", line=lineno)
         given[current][key] = parse_value(current, key, value, lineno)
 
     if not {"preset", "g", "h"} & set(given.get("model", {})):

@@ -432,8 +432,7 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
     k_y = _sup_abs(c.k_y, spec.d("h_y"), *_mesh4(box, _s_nodes(box, t)))
     K = k_y + k_b
 
-    gvals = np.asarray(spec.g(fr.xg), dtype=float)
-    gt = fr.g1 + (spec.T - t) * _on_grid(spec.d("h_x"), spec.T, fr.xg, gvals, 0.0)
+    gt = fr.g1 + (spec.T - t) * _on_grid(spec.d("h_x"), spec.T, fr.xg, spec.g(fr.xg), 0.0)
     s_nodes, ht = _htilde_grid(spec, box, t)
     return _h_pair(fr, "Htilde", "gtilde", "htilde", "gtilde", gt, ht, s_nodes, K,
                    weighted=True)
@@ -670,21 +669,23 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
 
 
 def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
-                 resolution: float = 1e-3, n_x: int = 401) -> dict:
+                 resolution: Optional[float] = None, n_x: int = 401) -> dict:
     """Sign conditions on the diffusion coefficients controlling D^2 X.
 
     '+': sigma >= c > 0, sigma' >= 0, sigma'' <= 0, sigma''' <= 0 and the
     iterated bracket [sigma, [sigma, b]] >= 0, with [b, sigma] = b' sigma
-    + sigma' b; '-' mirrors every sign.
+    + sigma' b; '-' mirrors every sign.  The bracket's x-derivative comes
+    from the exact partials b'' and sigma''.
     """
     box = box or default_box(spec)
+    partials = ("sigma_x", "sigma_xx", "sigma_xxx", "b_x", "b_xx")
+    resolution = resolution if resolution is not None else _auto_resolution(spec, partials)
     tn = np.linspace(box.t_lo, box.t_hi, box.nt)[:, None]
     xn = np.linspace(box.x_lo, box.x_hi, n_x)[None, :]
     sig, b = _on_grid(spec.sigma, tn, xn), _on_grid(spec.b, tn, xn)
-    s1, s2, s3, b1 = (_on_grid(spec.d(n), tn, xn)
-                      for n in ("sigma_x", "sigma_xx", "sigma_xxx", "b_x"))
+    s1, s2, s3, b1, b2 = (_on_grid(spec.d(n), tn, xn) for n in partials)
     c1 = b1 * sig + s1 * b                      # [sigma, b] per the printed bracket
-    c1x = np.gradient(c1, xn[0], axis=1)
+    c1x = b2 * sig + 2.0 * b1 * s1 + s2 * b
     c2 = s1 * c1 + c1x * sig                    # [sigma, [sigma, b]]
     xs = xn[0]
     out = {}

@@ -160,13 +160,13 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
 
     Reads the first len(r) rows of the kernel's time-major X and nabla.  Phi
     is written in C order: ``estimate_gF`` sums its rows in a layout-dependent
-    order, and a transposed Phi would move g_F in the last bits.
+    order, and a transposed Phi would move g_F in the last bits.  It is built
+    in place, so that the sampler holds no second (n, len(r)) block.
     """
     k = r.size
-    sig_r = np.asarray(spec.sigma(r[:, None], X[:k]), dtype=float)
-    num = np.multiply(sig_r, slope * nabla[k - 1], out=np.empty(X[:k].shape))
-    del sig_r  # freed before Phi is allocated: this moment sets the sampler's peak RSS
-    return np.divide(num.T, nabla[:k].T, out=np.empty(num.T.shape))
+    Phi = np.empty((X.shape[1], k))
+    np.multiply(spec.sigma(r[:, None], X[:k]).T, (slope * nabla[k - 1])[:, None], out=Phi)
+    return np.divide(Phi, nabla[:k].T, out=Phi)
 
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
@@ -212,11 +212,11 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
     def evaluate(dW):
         X, nabla = _euler(spec, dW, spec.X0, 0.0, dt, order=1)
         xt = X[k_t]
-        sig_t = np.asarray(spec.sigma(t, xt), dtype=float)
+        sig_t = spec.sigma(t, xt)
         ux = ux_s(xt)
         uxx = uxx_s(xt)
         F = ux * sig_t
-        slope = ux * np.asarray(sx(t, xt), dtype=float) + uxx * sig_t
+        slope = ux * sx(t, xt) + uxx * sig_t
         return F, _flow_phi(spec, r, X, nabla, slope)
 
     return FunctionalSampler(spec.T, n_steps, r, evaluate, f"Z_{t} via gradient grid")

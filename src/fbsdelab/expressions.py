@@ -11,7 +11,10 @@ than unary minus):
 
 Allowed names: the variables t, x, y, z (and w as an alias of x for Markov
 maps) plus the functions exp, log, sin, cos, tanh, abs and the constants pi
-and e.  Compiled expressions evaluate vectorized over numpy arrays.
+and e.  Compiled expressions evaluate vectorized over numpy arrays and, as
+every model coefficient does (see ``model``), return floats that broadcast
+against their arguments rather than a copy of their full shape: a constant
+tree comes back 0-d, and a bare variable as a copy of its argument.
 
 ``differentiate`` gives the exact partial derivative of a parsed tree, with
 constants folded; abs differentiates to an internal ``sign`` node.
@@ -262,11 +265,9 @@ def compile_expression(source, variables=("t", "x", "y", "z")) -> Callable:
         if len(args) != len(varmap):
             raise TypeError(f"expected {len(varmap)} arguments, got {len(args)}")
         env = {k: np.asarray(a, dtype=float) for k, a in zip(varmap, args)}
-        out = _eval(tree, env)
-        shape = np.broadcast(*[env[k] for k in varmap]).shape if varmap else ()
-        if not shape or tree[0] != "var" and np.shape(out) == shape:
-            return out  # a scalar, or a new array of the full shape
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+        if tree[0] == "var":
+            return env[tree[1]].copy()  # never the caller's own array
+        return np.asarray(_eval(tree, env), dtype=float)
 
     fn.expression = source
     return fn

@@ -4,7 +4,7 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (Philox) random streams so that ensembles are reproducible for a fixed
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
-path i depends on every earlier path (see ROADMAP.md, item 4).  One kernel,
+path i depends on every earlier path (see ROADMAP.md, item 5).  One kernel,
 ``_euler``, steps X and its first and second variations for every caller;
 the Malliavin routines hand it an ensemble's held paths and step only the
 variations along them.  ``simulate_forward`` hands out the time grid, ``dW``
@@ -168,20 +168,16 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
         a[0] = start
     X = flow[0]
     bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
-
-    def at(f, t, x):
-        return np.asarray(f(t, x), dtype=float)
-
     for k in range(N):
         t, xk, dw = t0 + k * dt, X[k], dW[:, k]
         if not held:
-            X[k + 1] = xk + at(spec.b, t, xk) * dt + at(spec.sigma, t, xk) * dw
+            X[k + 1] = xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw
         if order >= 1:
-            growth = 1.0 + at(bx, t, xk) * dt + at(sx, t, xk) * dw
+            growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
             flow[1][k + 1] = flow[1][k] * growth
         if order >= 2:
             flow[2][k + 1] = flow[2][k] * growth \
-                + flow[1][k] ** 2 * (at(bxx, t, xk) * dt + at(sxx, t, xk) * dw)
+                + flow[1][k] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
         for a, _, what in stepped:
             bad = ~np.isfinite(a[k + 1])
             if np.any(bad):
@@ -363,7 +359,7 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     t = ens.t_grid
     Y = np.empty((n, N + 1))
     Z = np.empty((n, N))
-    Y[:, N] = np.asarray(spec.g(ens.X[:, N]), dtype=float)
+    Y[:, N] = spec.g(ens.X[:, N])
     residuals = np.zeros(N)
     clipped = 0
     quadratic = spec.regime == "quadratic"
@@ -383,7 +379,7 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
             clipped += int(np.sum(np.abs(zk) > z_cap))
         else:
             z_used = zk
-        Y[:, k] = cond + dt * np.asarray(spec.h(t[k], xk, cond, z_used), dtype=float)
+        Y[:, k] = cond + dt * spec.h(t[k], xk, cond, z_used)
         residuals[k] = float(np.mean((Y[:, k + 1] - cond) ** 2))
     rate = clipped / (n * N)
     sol = BsdeSolution(t, Y, Z, basis, residuals, rate, z_cap if quadratic else None)
@@ -411,7 +407,7 @@ def _variations(spec: ModelSpec, ens: PathEnsemble, order: int):
 
 def malliavin_dx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int) -> np.ndarray:
     """D_{t_{k_r}} X_t for all t >= t_{k_r} via the flow representation."""
-    sig_r = np.asarray(spec.sigma(ens.t_grid[k_r], ens.X[:, k_r]), dtype=float)
+    sig_r = spec.sigma(ens.t_grid[k_r], ens.X[:, k_r])
     out = np.full_like(nabla, np.nan)
     out[:, k_r:] = (sig_r / nabla[:, k_r])[:, None] * nabla[:, k_r:]
     return out
@@ -428,10 +424,9 @@ def _malliavin_d2x(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray,
     """
     t = ens.t_grid
     lo, hi = sorted((k_r, k_s))
-    c = {k: np.asarray(spec.sigma(t[k], ens.X[:, k]), dtype=float) / nabla[k] for k in (lo, hi)}
+    c = {k: spec.sigma(t[k], ens.X[:, k]) / nabla[k] for k in (lo, hi)}
     cc = c[k_r] * c[k_s]
-    start = np.asarray(spec.d("sigma_x")(t[hi], ens.X[:, hi]), dtype=float) * (c[lo] * nabla[hi]) \
-        - cc * nabla2[hi]
+    start = spec.d("sigma_x")(t[hi], ens.X[:, hi]) * (c[lo] * nabla[hi]) - cc * nabla2[hi]
     return cc * nabla2[hi:] + nabla[hi:] / nabla[hi] * start
 
 
@@ -512,7 +507,7 @@ def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
 
     def at(k, t, x):
         ux = sol_up.eval(t, x) if sol_up is not None else sol_u.eval(t, x, array=sol_u.u_x)
-        return sol_u.eval(t, x), ux * np.asarray(spec.sigma(t, x), dtype=float)
+        return sol_u.eval(t, x), ux * spec.sigma(t, x)
 
     return at
 
@@ -567,10 +562,7 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     row = {k: i for i, k in enumerate(nodes)}
     cond = np.empty((len(nodes), n))
     dz = np.empty((len(nodes), n)) if sol_up is not None else None
-    gprime = np.asarray(spec.d("g1")(X[N]), dtype=float)
-
-    def at(f, k, yz):
-        return np.asarray(f(t[k], X[k], *yz), dtype=float)
+    gprime = spec.d("g1")(X[N])
 
     def fill(k, G, S):
         # E[G_k / nablaX_k | X_k] by the chaos regression; d/dx[u_x sigma] at X_k
@@ -588,21 +580,21 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     # feeds the importance-weight kurtosis gate.
     k_lo = nodes[0]
     G = gprime * nab[N]
-    src_next = at(hx, N, theta(N, t[N], X[N])) * nab[N]
+    src_next = hx(t[N], X[N], *theta(N, t[N], X[N])) * nab[N]
     S = np.zeros(n)
     log_girsanov = np.zeros(n)
     if N in row:
         fill(N, G, S)
     for k in range(N - 1, -1, -1):
         dw = ens.dW[:, k]
-        yz = theta(k, t[k], X[k])
-        hz_k = at(hz, k, yz)
+        txyz = (t[k], X[k], *theta(k, t[k], X[k]))
+        hz_k = hz(*txyz)
         log_girsanov += hz_k * dw - 0.5 * hz_k**2 * dt
         S = S + dw
         if k < k_lo:
             continue
-        rho = np.exp(at(hy, k, yz) * dt + hz_k * dw - 0.5 * hz_k**2 * dt)
-        src = at(hx, k, yz) * nab[k]
+        rho = np.exp(hy(*txyz) * dt + hz_k * dw - 0.5 * hz_k**2 * dt)
+        src = hx(*txyz) * nab[k]
         G = rho * G + 0.5 * dt * (src + rho * src_next)
         src_next = src
         if k in row:
@@ -656,7 +648,7 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
     ctx = _malliavin_context(spec, ens, sol, basis or BasisSpec(), nodes)
     t, nab = ens.t_grid, ctx.nabla
     nablaX = nab[list(nodes)]
-    DrX = np.asarray(spec.sigma(t[k_r], ens.X[:, k_r]), dtype=float) / nab[k_r] * nablaX
+    DrX = spec.sigma(t[k_r], ens.X[:, k_r]) / nab[k_r] * nablaX
     warnings = []
     if ctx.kurtosis is not None and ctx.kurtosis > kurtosis_gate:
         warnings.append(f"importance-weight kurtosis {ctx.kurtosis:.1f} exceeds gate "
@@ -702,8 +694,7 @@ def _z_slope(spec: ModelSpec, sol_uprime: GridSolution, tk: float, xk: np.ndarra
     """
     ux = sol_uprime.eval(tk, xk)
     uxx = sol_uprime.eval(tk, xk, array=sol_uprime.u_x)
-    sig_x = np.asarray(spec.d("sigma_x")(tk, xk), dtype=float)
-    return ux, uxx, ux * sig_x + uxx * np.asarray(spec.sigma(tk, xk), dtype=float)
+    return ux, uxx, ux * spec.d("sigma_x")(tk, xk) + uxx * spec.sigma(tk, xk)
 
 
 def second_malliavin(spec: ModelSpec, sol_u: GridSolution,

@@ -13,8 +13,10 @@ The closed-form presets used as oracles throughout the test suite are
 expression models registered in :func:`preset`.
 
 All coefficient callables must be pure functions of their arguments and accept
-numpy arrays (broadcasting); a ModelSpec is immutable after construction and
-safe to share across workers.
+numpy arrays.  Coefficients and partials return floats that broadcast against
+their arguments (a constant may be 0-d), and no caller writes into a result;
+``_on_grid`` is the one place that broadcasts one to the full shape.  A
+ModelSpec is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -266,17 +268,17 @@ def _on_grid(fn, *args):
 # -- finite differences ----------------------------------------------------
 
 def _cdiff(f, x, step):
-    return (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * step)
+    return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
 def _cdiff2(f, x, step):
-    return (np.asarray(f(x + step)) - 2.0 * np.asarray(f(x)) + np.asarray(f(x - step))) / step**2
+    return (f(x + step) - 2.0 * f(x) + f(x - step)) / step**2
 
 
 def _cdiff3(f, x, step):
     # third-order central stencil (-1/2, 1, 0, -1, 1/2) / step^3
-    return (np.asarray(f(x + 2 * step)) - 2.0 * np.asarray(f(x + step))
-            + 2.0 * np.asarray(f(x - step)) - np.asarray(f(x - 2 * step))) / (2.0 * step**3)
+    return (f(x + 2 * step) - 2.0 * f(x + step)
+            + 2.0 * f(x - step) - f(x - 2 * step)) / (2.0 * step**3)
 
 
 def _shift(args, i, delta):
@@ -286,17 +288,17 @@ def _shift(args, i, delta):
 
 
 def _cdiff_arg(h, t, args, i, step):
-    return (np.asarray(h(t, *_shift(args, i, step))) - np.asarray(h(t, *_shift(args, i, -step)))) / (2.0 * step)
+    return (h(t, *_shift(args, i, step)) - h(t, *_shift(args, i, -step))) / (2.0 * step)
 
 
 def _cdiff2_arg(h, t, args, i, step):
-    return (np.asarray(h(t, *_shift(args, i, step))) - 2.0 * np.asarray(h(t, *args))
-            + np.asarray(h(t, *_shift(args, i, -step)))) / step**2
+    return (h(t, *_shift(args, i, step)) - 2.0 * h(t, *args)
+            + h(t, *_shift(args, i, -step))) / step**2
 
 
 def _cdiff3_arg(h, t, args, i, step):
-    return (np.asarray(h(t, *_shift(args, i, 2 * step))) - 2.0 * np.asarray(h(t, *_shift(args, i, step)))
-            + 2.0 * np.asarray(h(t, *_shift(args, i, -step))) - np.asarray(h(t, *_shift(args, i, -2 * step)))) / (2.0 * step**3)
+    return (h(t, *_shift(args, i, 2 * step)) - 2.0 * h(t, *_shift(args, i, step))
+            + 2.0 * h(t, *_shift(args, i, -step)) - h(t, *_shift(args, i, -2 * step))) / (2.0 * step**3)
 
 
 def _cdiff_mixed(h, t, args, i, j, si, sj):
@@ -304,7 +306,7 @@ def _cdiff_mixed(h, t, args, i, j, si, sj):
     pm = h(t, *_shift(_shift(args, i, si), j, -sj))
     mp = h(t, *_shift(_shift(args, i, -si), j, sj))
     mm = h(t, *_shift(_shift(args, i, -si), j, -sj))
-    return (np.asarray(pp) - np.asarray(pm) - np.asarray(mp) + np.asarray(mm)) / (4.0 * si * sj)
+    return (pp - pm - mp + mm) / (4.0 * si * sj)
 
 
 def expression_spec(b, sigma, g, h, f, **fields) -> ModelSpec:
@@ -377,11 +379,11 @@ def _quad_exp_oracle(g, g1, T, n_quad=160) -> Oracle:
         return np.asarray(w, dtype=float)[..., None] + tau[..., None] * nodes
 
     def y(t, w):
-        return np.log(np.exp(g(points(t, w))) @ weights / math.sqrt(2.0 * math.pi))
+        return np.log(np.exp(_on_grid(g, points(t, w))) @ weights / math.sqrt(2.0 * math.pi))
 
     def z(t, w):
         pts = points(t, w)
-        ew = np.exp(g(pts))
+        ew = np.exp(_on_grid(g, pts))
         return (g1(pts) * ew) @ weights / (ew @ weights)
 
     return Oracle(y=y, z=z)
@@ -529,7 +531,7 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     K_hat = float(np.max(habs / envelope))
     Kz_hat = float(np.max(np.abs(hz) / (1.0 + np.abs(z4))))
     Ky_hat = float(np.max(np.abs(hy)))
-    gvals = np.asarray(spec.g(box.x_nodes()), dtype=float)
+    gvals = _on_grid(spec.g, box.x_nodes())
     # boundedness is detected through saturation: a bounded map approaches its
     # grid sup with vanishing edge increments relative to its average slope
     agv = np.abs(gvals)
@@ -548,14 +550,14 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
 
     # Differentiability packages: partials evaluate finite on the grid
     try:
-        g1 = np.asarray(spec.d("g1")(box.x_nodes()), dtype=float)
+        g1 = spec.d("g1")(box.x_nodes())
         d1_ok = bool(np.all(np.isfinite(g1)) and np.all(np.isfinite(hx)))
     except Exception:
         d1_ok, g1 = False, None
     v["D1"] = AssumptionVerdict("D1", d1_ok, 0.0 if d1_ok else -1.0,
                                 [] if d1_ok else [(0.0, float(box.x_nodes()[0]))])
     try:
-        g2 = np.asarray(spec.d("g2")(box.x_nodes()), dtype=float)
+        g2 = spec.d("g2")(box.x_nodes())
         hxx = _eval_box(spec.d("h_xx"), box, "h_xx")
         d2_ok = bool(np.all(np.isfinite(g2)) and np.all(np.isfinite(hxx)))
     except Exception:

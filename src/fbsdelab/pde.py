@@ -398,10 +398,9 @@ def _needs_u(spec: ModelSpec, grid: GridSpec) -> bool:
     t = np.linspace(0.0, spec.T, 5)[:, None]
     x = grid.x_nodes[::max(grid.nx // 16, 1)][None, :]
     y = np.linspace(-3.0, 3.0, 3)[:, None, None]
-    hy = np.asarray(spec.d("h_y")(t, x, y, 0.0), dtype=float)
+    hy = spec.d("h_y")(t, x, y, 0.0)
     hz = spec.d("h_z")
-    probe = np.max(np.abs(np.asarray(hz(t, x, 1.0, 0.7), dtype=float)
-                          - np.asarray(hz(t, x, -1.0, 0.7), dtype=float)))
+    probe = np.max(np.abs(hz(t, x, 1.0, 0.7) - hz(t, x, -1.0, 0.7)))
     return bool(np.max(np.abs(hy)) > 1e-12 or probe > 1e-12)
 
 
@@ -493,5 +492,5 @@ def eval_yz(sol_u: GridSolution, sol_uprime: Optional[GridSolution],
         ux, flag2 = sol_uprime.eval(t, x, return_flag=True)
     else:
         ux, flag2 = sol_u.eval(t, x, array=sol_u.u_x, return_flag=True)
-    sig = float(np.asarray(spec.sigma(t, x), dtype=float))
+    sig = float(spec.sigma(t, x))
     return YZResult(float(y), float(ux) * sig, flag1 or flag2)

@@ -535,9 +535,7 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
     eps = params["eps"]
     eps_p = params["eps_prime"]
     xn = sol_u.x_nodes
-    g = np.asarray(spec.g(xn), dtype=float)
-    g1 = np.asarray(spec.d("g1")(xn), dtype=float) + np.zeros_like(xn)
-    g2 = np.asarray(spec.d("g2")(xn), dtype=float) + np.zeros_like(xn)
+    g, g1, g2 = spec.g(xn), spec.d("g1")(xn), spec.d("g2")(xn)
     T = spec.T
 
     hyp = {}
@@ -556,14 +554,14 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
     # driver gates: h <= 0, 0 <= h_zz < 1/(4 B_hi T), |h_z| <= C (1+|z|^lam)
     tprobe = np.linspace(0.0, T, 9)[:, None]
     zprobe = np.linspace(-30.0, 30.0, 41)[None, :]
-    hvals = np.asarray(spec.h(tprobe, 0.0, 0.0, zprobe), dtype=float)
+    hvals = spec.h(tprobe, 0.0, 0.0, zprobe)
     hyp["h_nonpositive"] = {"ok": bool(np.max(hvals) <= 1e-12), "margin": float(-np.max(hvals))}
-    hzz = np.asarray(spec.d("h_zz")(tprobe, 0.0, 0.0, zprobe), dtype=float)
+    hzz = spec.d("h_zz")(tprobe, 0.0, 0.0, zprobe)
     cap = 1.0 / (4.0 * params["B_hi"] * T)
     hyp["h_zz_window"] = {"ok": bool(np.min(hzz) >= -1e-12 and np.max(hzz) < cap),
                           "margin": float(min(np.min(hzz) + 1e-12, cap - np.max(hzz)))}
     lam = params["lam"]
-    hz = np.abs(np.asarray(spec.d("h_z")(tprobe, 0.0, 0.0, zprobe), dtype=float))
+    hz = np.abs(spec.d("h_z")(tprobe, 0.0, 0.0, zprobe))
     Cfit = float(np.max(hz / (1.0 + np.abs(zprobe) ** lam)))
     hyp["h_z_growth"] = {"ok": bool(lam <= 1.0 / eps - 1.0 + 1e-12), "margin": 1.0 / eps - 1.0 - lam,
                          "C_fit": Cfit}

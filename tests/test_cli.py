@@ -408,6 +408,14 @@ MALFORMED_VALUES = [
     ("model", "preset = nope"),
     ("numerics", "seed = 1.5"),
     ("output", "timestamps = yes"),
+    ("numerics", "n_paths = 0"),
+    ("numerics", "n_steps = 0"),
+    ("numerics", "n_mc = 0"),
+    ("numerics", "n_u_nodes = 0"),
+    ("numerics", "nt = 1"),
+    ("numerics", "nx = 2"),
+    ("numerics", "basis_degree = -1"),
+    ("model", "preset = ex_cubic"),
 ]
 
 
@@ -428,12 +436,22 @@ def test_parse_rejects_malformed_value_naming_key_and_line(section, line):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("line", ["T = 2", "regime = quadratic", "h = 0", "f = w"])
+def test_parse_rejects_model_key_after_preset(line):
+    # a preset is built as registered: a model key beside it would be ignored
+    with pytest.raises(ParseError) as exc:
+        parse_config(f"[model]\npreset = ex_cubic\n{line}\n")
+    assert f"[model] {line.split('=')[0].strip()} = " in str(exc.value)
+    assert exc.value.line == 3
+
+
 @pytest.mark.parametrize("text, flags, named", [
     (_config_with("numerics", "seed = 1.5"), [], "[numerics] seed = 1.5"),
     (_config_with("model", "T = -1"), [], "[model] T = -1"),
     (SMALL_RUN, ["--seed", "-1"], "seed = -1"),
     (SMALL_RUN, ["--seed", "2.5"], "seed = 2.5"),
-], ids=["seed-float", "T-negative", "flag-seed-negative", "flag-seed-float"])
+    (_config_with("numerics", "n_mc = 0"), [], "[numerics] n_mc = 0"),
+], ids=["seed-float", "T-negative", "flag-seed-negative", "flag-seed-float", "n_mc-zero"])
 def test_cli_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags, named):
     # the --seed override goes through the config's seed parser
     cfg_path = tmp_path / "exp.cfg"

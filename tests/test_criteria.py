@@ -275,6 +275,22 @@ def test_x_sign_curvature_flip():
     assert any("sigma_xx" in n for n in rep["X+"].notes)
 
 
+def test_x_sign_bracket_matches_closed_form():
+    # b = x^3, sigma = 2 + sin x: c1 = b' sigma + sigma' b is not linear in x,
+    # so a differenced c1' would miss the closed form at the box edges
+    spec = fl.expression_spec(b="x^3", sigma="2 + sin(x)", g="x", h="0", f=None,
+                              T=1.0, X0=0.0)
+    rep = x_sign_check(spec, box=fl.GridBox(0.0, 1.0, -1.0, 1.0, nt=3), n_x=101)
+    x = np.linspace(-1.0, 1.0, 101)
+    sig, s1, s2 = 2.0 + np.sin(x), np.cos(x), -np.sin(x)
+    b, b1, b2 = x**3, 3.0 * x**2, 6.0 * x
+    c1 = b1 * sig + s1 * b
+    c2 = s1 * c1 + (b2 * sig + 2.0 * b1 * s1 + s2 * b) * sig
+    assert rep["X+"].scalars["bracket"] == pytest.approx(c2.min(), abs=1e-12)
+    assert rep["X-"].scalars["bracket"] == pytest.approx((-c2).min(), abs=1e-12)
+    assert rep["X+"].resolution == rep["X-"].resolution == 1e-8
+
+
 def test_hit_probability_bounds(counter):
     lb = conditional_hit_lower_bound(counter, 0.5, IntervalUnion([(-1.0, 1.0)]))
     assert lb > 0.3

@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
+from fbsdelab import criteria, density, mc, tails
 from fbsdelab.errors import EvaluationError, UnknownPresetError
 from fbsdelab.model import PARTIAL_NAMES, AssumptionVerdict, GridBox, default_box, expression_spec
 
@@ -199,3 +201,89 @@ def test_default_box_spans_six_sigmas(counter):
     box = default_box(counter)
     assert box.x_hi == pytest.approx(6.0)
     assert box.x_lo == pytest.approx(-6.0)
+
+
+# -- the coefficient output contract --------------------------------------------
+
+def _constant_twins():
+    """A constant-coefficient expression model and its full-shape callable twin.
+
+    The expression model returns its constants 0-d; the twin returns every
+    coefficient at the full broadcast shape and differences its partials,
+    which is exact (0) for constants.  The Markov map is linear, and its
+    partials are supplied to the twin at the full shape.
+    """
+    full = lambda c: lambda *a: np.full(np.broadcast(*a).shape, c)
+    fields = dict(T=1.0, X0=0.3)
+    spec = expression_spec(b="0.2", sigma="1.5", g="2", h="0.5", f="0.2*t + 1.5*w", **fields)
+    twin = fl.ModelSpec(b=full(0.2), sigma=full(1.5), g=full(2.0), h=full(0.5),
+                        markovian_f=lambda t, w: 0.2 * t + 1.5 * w,
+                        partials={"f_w": full(1.5), "f_ww": full(0.0)}, **fields)
+    return spec, twin
+
+
+def _assert_same(a, b, where="result"):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            _assert_same(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (u, v) in enumerate(zip(a, b)):
+            _assert_same(u, v, f"{where}[{i}]")
+    elif hasattr(a, "__dataclass_fields__"):
+        _assert_same(vars(a), vars(b), where)
+    elif isinstance(a, (np.ndarray, float, np.floating)):
+        assert np.array_equal(a, b, equal_nan=True), where
+    else:
+        assert a == b, where
+
+
+def test_constant_coefficients_match_full_shape_twin():
+    # 0-d constants must give the bits of full-shape ones through every layer
+    spec, twin = _constant_twins()
+    assert np.ndim(spec.b(0.5, np.zeros(4))) == np.ndim(spec.g(np.zeros(5))) == 0
+    _assert_same(fl.validate_assumptions(spec), fl.validate_assumptions(twin), "assumptions")
+    # the twin's differenced partials would default to the coarser resolution
+    checks = {"x-sign": lambda s: criteria.x_sign_check(s, resolution=1e-8),
+              **{f.__name__: partial(f, t=0.5, resolution=1e-8) for f in (
+                  criteria.first_order_check, criteria.second_order_check,
+                  criteria.quadratic_check, criteria.z_lipschitz_check,
+                  criteria.z_markovian_check)}}
+    for name, check in checks.items():
+        _assert_same(check(spec), check(twin), name)
+
+    sols = []
+    for s in (spec, twin):
+        grid = fl.default_grid(s, nt=21, nx=41)
+        su = fl.solve_u(s, grid)
+        sp = fl.solve_u_prime(s, grid, sol_u=su)
+        spp = fl.solve_u_doubleprime(s, grid, sol_u=su, sol_uprime=sp)
+        sols.append((su, sp, spp))
+    for a, b in zip(*sols):
+        for arr in ("u", "u_x", "u_xx"):
+            assert np.array_equal(getattr(a, arr), getattr(b, arr)), arr
+    params = {"eps": 0.1, "eps_prime": 0.05, "C_lo": 0.5, "C_hi": 4.0,
+              "D_lo": 0.0, "D_hi": 1.0, "B_lo": 0.0, "B_hi": 1.0, "lam": 1.0}
+    _assert_same(*(tails.verify_growth_sandwich(*sol, s, params)
+                   for s, sol in ((spec, sols[0]), (twin, sols[1]))), "sandwich")
+
+    ens = [fl.simulate_forward(s, n_paths=200, n_steps=16, seed=4) for s in (spec, twin)]
+    assert np.array_equal(ens[0].X, ens[1].X)
+    flows = [mc._euler(s, e.dW, s.X0, 0.0, e.dt, order=2) for s, e in zip((spec, twin), ens)]
+    _assert_same(*flows, "euler")
+    _assert_same(*(mc.solve_bsde_regression(s, e) for s, e in zip((spec, twin), ens)), "lsmc")
+    for r in (0.0, 0.25):
+        malls = [mc.solve_malliavin_bsde(s, e, sol[:2], r, times=[0.5, 1.0])
+                 for s, e, sol in zip((spec, twin), ens, sols)]
+        for which in ("DrX", "DrY", "DrZ", "nablaX"):
+            for t in (0.5, 1.0):
+                assert np.array_equal(malls[0].at(t, which), malls[1].at(t, which)), (r, which, t)
+    _assert_same(*(mc.second_malliavin(s, sol[0], sol[1], e, 0.25, 0.5)
+                   for s, e, sol in zip((spec, twin), ens, sols)), "second_malliavin")
+
+    dW = ens[0].dW
+    for make in (lambda s, sol: density.pde_y_sampler(s, sol[0], 0.5, 16, sol_uprime=sol[1]),
+                 lambda s, sol: density.pde_z_sampler(s, sol[1], 0.5, 16)):
+        _assert_same(*(make(s, sol).evaluate(dW) for s, sol in zip((spec, twin), sols)),
+                     "sampler")
