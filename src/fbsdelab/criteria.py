@@ -325,7 +325,8 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
     >= 0 globally and > 0 with inf g over A only; '-' is the same pair of lines
     for the negated values (suprema, reversed inequalities).  Negation is
     exact, so one body with sgn = +1, -1 serves both.  Scalars keep the
-    original signs; the margin is the decisive left-hand side.
+    original signs; the margin is the decisive left-hand side.  A weight
+    exp(K s) beyond the float range raises PreconditionError naming K and T.
     """
     T = fr.spec.T
     out = {}
@@ -334,9 +335,14 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
         g_A = sgn * float(np.min(sgn * gv[fr.mask]))
         hrun = sgn * _running_inf(sgn * hv)
         h_t = float(hrun[0])
-        integ = _branch_integral(K, s_nodes, hrun, fr.t, T, weighted=weighted)
-        m1 = g_glob * math.exp(-_sgn(g_glob) * K * T) + h_t * integ
-        m2 = g_A * math.exp(-_sgn(g_A) * K * T) + h_t * integ
+        try:
+            with np.errstate(over="raise"):
+                integ = _branch_integral(K, s_nodes, hrun, fr.t, T, weighted=weighted)
+            m1 = g_glob * math.exp(-_sgn(g_glob) * K * T) + h_t * integ
+            m2 = g_A * math.exp(-_sgn(g_A) * K * T) + h_t * integ
+        except (OverflowError, FloatingPointError):
+            raise PreconditionError(f"exp(K s) leaves the float range on [{fr.t:g}, {T:g}] "
+                                    f"with K = {K:g}, T = {T:g}") from None
         verdict, margin = _verdict(sgn * m1, sgn * m2, fr.res)
         notes = list(fr.hit_notes)
         if _edge_running(sgn * gv):
@@ -425,8 +431,9 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
             "second-order conditions require a z-independent driver; "
             f"h_z != 0 near (t={float(probe_t[idx[0], 0]):g}, x={float(probe_x[0, idx[1]]):g})")
 
-    fr = _frame(spec, t, A, box, resolution,
-                ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx", "h_xxy", "h_y"), check_hit, seed)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx",
+                                               "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"),
+                check_hit, seed)
     c = spec.constants
     k_b = _sup_abs(c.k_b, spec.d("b_x"), np.linspace(0, spec.T, 9)[:, None], fr.xg[None, :])
     k_y = _sup_abs(c.k_y, spec.d("h_y"), *_mesh4(box, _s_nodes(box, t)))
@@ -598,8 +605,9 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     """Z-criterion under the Markov representation X_t = f(t, W_t).
 
     Variant a) needs h_zz >= 0 (with h_xz = h_yz = 0), the derivative of
-    (g' o f) f' bounded below, and min over A strictly positive after adding
-    (T-t) inf htilde; variant b) mirrors the signs.  Here
+    (g' o f) f', g''(f) f'^2 + g'(f) f'' from the model's partials, bounded
+    below, and min over A strictly positive after adding (T-t) inf htilde;
+    variant b) mirrors the signs.  Here
 
       htilde(t,w,x,y,z,zt) = h_xx |f'|^2 + h_x f'' + (h_yy z + 2 h_xy f') z
                              + h_y zt.
@@ -608,14 +616,13 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
         raise PreconditionError("z_markovian_check requires assumption (M): supply markovian_f")
     box = box or default_box(spec)
     res = resolution if resolution is not None else _auto_resolution(
-        spec, ("g1", "h_xx", "h_x", "h_yy", "h_xy", "h_y"))
-    f = spec.markovian_f
-    fw = spec.d("f_w")
-    fww = spec.d("f_ww")
+        spec, ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y"))
+    fw, fww = spec.d("f_w"), spec.d("f_ww")
     w = np.linspace(box.x_lo, box.x_hi, n_w)
-    fT = _on_grid(f, spec.T, w)
-    phi = _on_grid(spec.d("g1"), fT) * _on_grid(fw, spec.T, w)
-    dphi = np.gradient(phi, w, edge_order=2)
+    fT = _on_grid(spec.markovian_f, spec.T, w)
+    # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' at T
+    dphi = (_on_grid(spec.d("g2"), fT) * _on_grid(fw, spec.T, w) ** 2
+            + _on_grid(spec.d("g1"), fT) * _on_grid(fww, spec.T, w))
 
     # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box
     t6, x6, y6, z6, w6 = np.ix_(_s_nodes(box, t), box.x_nodes()[::max(box.nx // 17, 1)],

@@ -9,6 +9,10 @@ structural constants.  :func:`expression_spec` builds one from coefficient
 expressions and fills every partial in ``PARTIAL_NAMES`` with the exact
 symbolic derivative; for coefficients given as opaque callables the partials
 are whatever the user supplies, and central finite differences fill the rest.
+Both read the one table of partials, ``_PARTIALS``.  A differenced partial in
+one variable is the central stencil of its order (1 to 3); a mixed one is a
+first central difference, in the last variable it names once, of the partial
+without that variable; the step grows with the total order.
 The closed-form presets used as oracles throughout the test suite are
 expression models registered in :func:`preset`.
 
@@ -22,6 +26,7 @@ ModelSpec is immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Optional
@@ -59,12 +64,19 @@ _PARTIALS = {
 }
 
 # Derivative names accepted in ModelSpec.partials.  Anything absent is
-# computed by central differences of the parent callable.
+# computed by central differences (ModelSpec.d).
 PARTIAL_NAMES = tuple(_PARTIALS)
+_BY_VARIABLES = {v: k for k, v in _PARTIALS.items()}
 
 # Relative finite-difference steps per derivative order; chosen near the
 # usual truncation/roundoff optimum for central differences in float64.
 _FD_STEP = {1: 1e-5, 2: 3e-4, 3: 3e-3}
+
+# Central stencil per order: (offsets, weights, c) for
+# sum_k weights[k] f(v + offsets[k] step) / (c step^order).
+_STENCILS = {1: ((1, -1), (1.0, -1.0), 2.0),
+             2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+             3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0)}
 
 
 @dataclass(frozen=True)
@@ -179,10 +191,18 @@ class ModelSpec:
         """Return the named partial derivative, supplied or differenced.
 
         Supported names are listed in ``PARTIAL_NAMES``.  Expression models
-        (:func:`expression_spec`) supply every one exactly; the fallback, for
-        partials of opaque callables only, is central finite differences of
-        the parent callable with a relative step (``fd_step`` at first order,
-        larger for higher orders).
+        (:func:`expression_spec`) supply every one exactly.  The fallback,
+        for partials of opaque callables only, reads ``_PARTIALS``:
+
+        * a partial in one variable is the central stencil of its order
+          (``_STENCILS``, orders 1 to 3) on the parent callable;
+        * a mixed partial is a first central difference, in the last
+          variable it names once, of ``d`` of the partial that drops that
+          variable: h_xyy is the x-difference of h_yy, h_xt the
+          t-difference of h_x, h_xy the y-difference of h_x, so a supplied
+          lower partial is used;
+        * the step is relative: ``max(1, |v|)`` times ``fd_step`` at total
+          order 1 and ``_FD_STEP[order]`` at orders 2 and 3.
         """
         if name in self.partials:
             return self.partials[name]
@@ -195,54 +215,26 @@ class ModelSpec:
         return base * np.maximum(1.0, np.abs(v))
 
     def _fd(self, name: str) -> Callable:
-        b, sigma, g, h = self.b, self.sigma, self.g, self.h
-        if name == "b_x":
-            return lambda t, x: _cdiff(lambda u: b(t, u), x, self._step(x, 1))
-        if name == "b_xx":
-            return lambda t, x: _cdiff2(lambda u: b(t, u), x, self._step(x, 2))
-        if name == "sigma_x":
-            return lambda t, x: _cdiff(lambda u: sigma(t, u), x, self._step(x, 1))
-        if name == "sigma_xx":
-            return lambda t, x: _cdiff2(lambda u: sigma(t, u), x, self._step(x, 2))
-        if name == "sigma_xxx":
-            return lambda t, x: _cdiff3(lambda u: sigma(t, u), x, self._step(x, 3))
-        if name == "g1":
-            return lambda x: _cdiff(g, x, self._step(x, 1))
-        if name == "g2":
-            return lambda x: _cdiff2(g, x, self._step(x, 2))
-        if name in ("h_x", "h_y", "h_z"):
-            i = {"h_x": 0, "h_y": 1, "h_z": 2}[name]
-            return lambda t, x, y, z: _cdiff_arg(h, t, (x, y, z), i, self._step((x, y, z)[i], 1))
-        if name in ("h_xx", "h_yy", "h_zz"):
-            i = {"h_xx": 0, "h_yy": 1, "h_zz": 2}[name]
-            return lambda t, x, y, z: _cdiff2_arg(h, t, (x, y, z), i, self._step((x, y, z)[i], 2))
-        if name in ("h_xy", "h_xz", "h_yz"):
-            i, j = {"h_xy": (0, 1), "h_xz": (0, 2), "h_yz": (1, 2)}[name]
-            return lambda t, x, y, z: _cdiff_mixed(h, t, (x, y, z), i, j,
-                                                   self._step((x, y, z)[i], 2),
-                                                   self._step((x, y, z)[j], 2))
-        if name == "h_xt":
-            hx = self.d("h_x")
-            return lambda t, x, y, z: _cdiff(lambda s: hx(s, x, y, z), t, self._step(t, 2))
-        if name == "h_xxx":
-            return lambda t, x, y, z: _cdiff3_arg(h, t, (x, y, z), 0, self._step(x, 3))
-        if name == "h_xxy":
-            hxx = self.d("h_xx")
-            return lambda t, x, y, z: _cdiff(lambda v: hxx(t, x, v, z), y, self._step(y, 3))
-        if name == "h_xyy":
-            hyy = self.d("h_yy")
-            return lambda t, x, y, z: _cdiff(lambda u: hyy(t, u, y, z), x, self._step(x, 3))
-        if name == "f_w":
-            f = self.markovian_f
-            if f is None:
-                raise KeyError("markovian_f not declared")
-            return lambda t, w: _cdiff(lambda u: f(t, u), w, self._step(w, 1))
-        if name == "f_ww":
-            f = self.markovian_f
-            if f is None:
-                raise KeyError("markovian_f not declared")
-            return lambda t, w: _cdiff2(lambda u: f(t, u), w, self._step(w, 2))
-        raise KeyError(name)
+        coeff, variables = _PARTIALS[name]
+        fn = self.markovian_f if coeff == "f" else getattr(self, coeff)
+        if fn is None:
+            raise KeyError("markovian_f not declared")
+        if len(set(variables)) == 1:
+            v, order = variables[0], len(variables)
+        else:  # difference the partial that drops the last variable named once
+            v, order = [u for u in variables if variables.count(u) == 1][-1], 1
+            fn = self.d(_BY_VARIABLES[coeff, variables.replace(v, "")])
+        i = COEFFICIENT_ARGS[coeff].index(v)
+        offsets, weights, c = _STENCILS[order]
+
+        def partial(*args):
+            step = self._step(args[i], len(variables))
+            terms = [w * fn(*args) if o == 0 else
+                     w * fn(*args[:i], args[i] + o * step, *args[i + 1:])
+                     for o, w in zip(offsets, weights)]
+            return reduce(operator.add, terms) / (c * step**order)
+
+        return partial
 
     # -- convenience -------------------------------------------------------
 
@@ -263,50 +255,6 @@ def _on_grid(fn, *args):
     vals = np.asarray(fn(*args), dtype=float)
     shape = np.broadcast(*args).shape
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
-
-
-# -- finite differences ----------------------------------------------------
-
-def _cdiff(f, x, step):
-    return (f(x + step) - f(x - step)) / (2.0 * step)
-
-
-def _cdiff2(f, x, step):
-    return (f(x + step) - 2.0 * f(x) + f(x - step)) / step**2
-
-
-def _cdiff3(f, x, step):
-    # third-order central stencil (-1/2, 1, 0, -1, 1/2) / step^3
-    return (f(x + 2 * step) - 2.0 * f(x + step)
-            + 2.0 * f(x - step) - f(x - 2 * step)) / (2.0 * step**3)
-
-
-def _shift(args, i, delta):
-    out = list(args)
-    out[i] = out[i] + delta
-    return out
-
-
-def _cdiff_arg(h, t, args, i, step):
-    return (h(t, *_shift(args, i, step)) - h(t, *_shift(args, i, -step))) / (2.0 * step)
-
-
-def _cdiff2_arg(h, t, args, i, step):
-    return (h(t, *_shift(args, i, step)) - 2.0 * h(t, *args)
-            + h(t, *_shift(args, i, -step))) / step**2
-
-
-def _cdiff3_arg(h, t, args, i, step):
-    return (h(t, *_shift(args, i, 2 * step)) - 2.0 * h(t, *_shift(args, i, step))
-            + 2.0 * h(t, *_shift(args, i, -step)) - h(t, *_shift(args, i, -2 * step))) / (2.0 * step**3)
-
-
-def _cdiff_mixed(h, t, args, i, j, si, sj):
-    pp = h(t, *_shift(_shift(args, i, si), j, sj))
-    pm = h(t, *_shift(_shift(args, i, si), j, -sj))
-    mp = h(t, *_shift(_shift(args, i, -si), j, sj))
-    mm = h(t, *_shift(_shift(args, i, -si), j, -sj))
-    return (pp - pm - mp + mm) / (4.0 * si * sj)
 
 
 def expression_spec(b, sigma, g, h, f, **fields) -> ModelSpec:

@@ -317,6 +317,34 @@ timestamps = false
     assert not manifest["ok"]
 
 
+def test_criteria_overflowing_weight_is_a_precondition_row(tmp_path):
+    # K = k_y = 800 at T = 1: exp(K T) leaves the float range in the
+    # second-order integral; the run records that and still writes a manifest
+    text = """
+[model]
+b = 0
+sigma = 1
+g = x
+h = 800*y + x
+[tasks]
+run = criteria
+criteria_checks = first-order, second-order
+criteria_times = 0.5
+[output]
+timestamps = false
+"""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["tasks"] == {"criteria": "ok"}
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    assert {r["criterion"] for r in rows} == {"H+", "H-", "second-order"}
+    err = next(r for r in rows if r["criterion"] == "second-order")
+    assert err["verdict"] == "precondition-error"
+    assert "K = 800" in err["error"] and "T = 1" in err["error"]
+
+
 def test_cli_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL_RUN.replace("solve, criteria, density, oracle-compare",

@@ -413,6 +413,39 @@ def test_htilde_ito_term_uses_h_xyy():
     assert ht[i, j, k, m] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("missing", ["h_xyy", "b_x", "sigma_x"])
+def test_second_order_resolution_names_every_partial_it_reads(missing):
+    # the h = x y^2 model above with every partial it reads but one: the
+    # differenced one must set the coarse resolution
+    zero = lambda t, x, y, z: 0.0 * (x + y + z)
+    partials = {"b_x": lambda t, x: 0.3 + 0.0 * x, "sigma_x": lambda t, x: 0.2 + 0.0 * x,
+                "h_x": lambda t, x, y, z: y**2 + 0.0 * x, "h_y": lambda t, x, y, z: 2 * x * y,
+                "h_z": zero, "h_xx": zero, "h_xy": lambda t, x, y, z: 2 * y + 0.0 * x,
+                "h_xt": zero, "h_xxx": zero, "h_xxy": zero,
+                "h_xyy": lambda t, x, y, z: 2.0 + 0.0 * x, "g1": lambda x: 1.0 + 0.0 * x}
+    del partials[missing]
+    spec = fl.ModelSpec(
+        b=lambda t, x: 0.3 * x, sigma=lambda t, x: 1.0 + 0.2 * x,
+        g=lambda x: x, h=lambda t, x, y, z: x * y**2, T=1.0, X0=0.0, partials=partials)
+    box = fl.GridBox(0.0, 1.0, -2.0, 2.0, y_lo=-1.0, y_hi=1.0, z_lo=-20.0, z_hi=20.0)
+    for rep in second_order_check(spec, 0.5, box=box).values():
+        assert rep.resolution == 1e-3
+
+
+def test_z_markovian_dphi_from_exact_partials():
+    # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' with g = x^2, f = w + 0.3 sin w
+    spec = parse_config("[model]\nb = 0\nsigma = 1\ng = x^2\nh = 0\n"
+                        "f = w + 0.3*sin(w)\n").build_spec()
+    box = fl.GridBox(0.0, 1.0, -3.0, 3.0)
+    rep = z_markovian_check(spec, 0.5, box=box)
+    w = np.linspace(-3.0, 3.0, 257)
+    f, fw, fww = w + 0.3 * np.sin(w), 1.0 + 0.3 * np.cos(w), -0.3 * np.sin(w)
+    dphi = 2.0 * fw**2 + 2.0 * f * fww
+    assert rep["Z-markov-a"].resolution == 1e-8
+    assert rep["Z-markov-a"].scalars["dphi_extremum"] == pytest.approx(dphi.min(), abs=1e-12)
+    assert rep["Z-markov-b"].scalars["dphi_extremum"] == pytest.approx(dphi.max(), abs=1e-12)
+
+
 def test_estimate_variation_bounds_additive_and_geometric():
     from fbsdelab.criteria import estimate_variation_bounds
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import fbsdelab as fl
 from fbsdelab import criteria, density, mc, tails
 from fbsdelab.errors import EvaluationError, UnknownPresetError
-from fbsdelab.model import PARTIAL_NAMES, AssumptionVerdict, GridBox, default_box, expression_spec
+from fbsdelab.model import _PARTIALS, PARTIAL_NAMES, AssumptionVerdict, GridBox, default_box, expression_spec
 
 from conftest import make_spec
 
@@ -122,6 +122,26 @@ def test_preset_partials_closed_forms():
         for p in PARTIAL_NAMES:
             want = nonzero.get(p, one if p == "f_w" else zero)
             np.testing.assert_allclose(got[p], want, rtol=0, atol=1e-15, err_msg=f"{name} {p}")
+
+
+def test_fd_fallback_matches_exact_partials_of_every_name():
+    # the callable twin of an expression model with a nonzero partial of every
+    # name: each differenced partial must match the symbolic one, within a
+    # tolerance set by its order
+    exact = expression_spec(b="sin(x) + 0.2*t", sigma="1 + 0.3*tanh(x)", g="tanh(x) + 0.5*x",
+                            h="0.1*x*y + 0.2*sin(z)*cos(x) + t*x*y*z + x*y^2 + 0.5*x^2*y",
+                            f="w^3 + t*w", T=1.0, X0=0.0)
+    twin = fl.ModelSpec(b=exact.b, sigma=exact.sigma, g=exact.g, h=exact.h,
+                        markovian_f=exact.markovian_f, T=1.0, X0=0.0)
+    assert twin.partials == {}
+    rng = np.random.default_rng(5)
+    t, x, y, z = rng.uniform(0, 1, 200), rng.normal(0, 2, 200), rng.normal(0, 2, 200), rng.normal(0, 2, 200)
+    got, want = _partials_at(twin, t, x, y, z), _partials_at(exact, t, x, y, z)
+    tol = {1: 1e-8, 2: 1e-6, 3: 1e-4}
+    for name, (_, variables) in _PARTIALS.items():
+        assert np.any(want[name] != 0.0), name
+        np.testing.assert_allclose(got[name], want[name], rtol=tol[len(variables)],
+                                   atol=tol[len(variables)], err_msg=name)
 
 
 def test_expression_spec_callables_and_overrides():
