@@ -373,7 +373,8 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     together with the strict analogue where inf g' runs over A only; the '-'
     package mirrors both lines with suprema.  Margins are the left-hand sides.
     """
-    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"),
+                check_hit, seed)
     c = spec.constants
     s_nodes, hx = _grid4(spec, "h_x", fr.box, t)
     sx, mesh = (s_nodes[:, None], fr.xg[None, :]), _mesh4(fr.box, s_nodes)

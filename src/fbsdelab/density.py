@@ -158,7 +158,7 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
               slope: np.ndarray) -> np.ndarray:
     """Phi(r) = slope nablaX_t sigma(r, X_r) / nablaX_r on the nodes r, t = r[-1].
 
-    Reads the first len(r) rows of the kernel's time-major X and nabla.  Phi
+    Reads rows 0..len(r)-1 of the kernel's time-major X and nabla.  Phi
     is written in C order: ``estimate_gF`` sums its rows in a layout-dependent
     order, and a transposed Phi would move g_F in the last bits.  It is built
     in place, so that the sampler holds no second (n, len(r)) block.
@@ -184,7 +184,9 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
 
     Grid rows are evaluated through cubic splines: the reconstruction divides
     by g_F, so the second-order kinks of linear interpolation must not leak
-    into the functional near the edges of its support.
+    into the functional near the edges of its support.  Both PDE samplers
+    step the flow over the increments up to t only: F and Phi read nothing
+    past it.
     """
     dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     u_s = sol_u.row_spline(t)
@@ -192,7 +194,7 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
         else sol_u.row_spline(t, sol_u.u_x)
 
     def evaluate(dW):
-        X, nabla = _euler(spec, dW, spec.X0, 0.0, dt, order=1)
+        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
         xt = X[k_t]
         F = u_s(xt)
         ux = ux_s(xt)
@@ -210,7 +212,7 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
     def evaluate(dW):
-        X, nabla = _euler(spec, dW, spec.X0, 0.0, dt, order=1)
+        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
         xt = X[k_t]
         sig_t = spec.sigma(t, xt)
         ux = ux_s(xt)

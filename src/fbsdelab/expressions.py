@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["compile_expression", "parse_expression", "differentiate",
+__all__ = ["compile_expression", "parse_expression", "differentiate", "constant_value",
            "ALLOWED_FUNCTIONS", "ALLOWED_VARIABLES"]
 
 ALLOWED_FUNCTIONS = {
@@ -234,6 +234,15 @@ def _variables(tree: tuple) -> set:
     if tree[0] == "var":
         return {tree[1]}
     return set().union(*(_variables(a) for a in tree[1:] if isinstance(a, tuple)))
+
+
+def constant_value(source) -> Optional[float]:
+    """The value of an expression string or tree that reads no variable, else None.
+
+    It is the value the compiled callable returns, bit for bit.
+    """
+    tree = parse_expression(source) if isinstance(source, str) else source
+    return None if _variables(tree) else float(_eval(tree, {}))
 
 
 def parse_expression(text: str) -> tuple:

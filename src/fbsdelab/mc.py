@@ -5,8 +5,10 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
 path i depends on every earlier path (see ROADMAP.md, item 5).  One kernel,
-``_euler``, steps X and its first and second variations for every caller;
-the Malliavin routines hand it an ensemble's held paths and step only the
+``_euler``, steps X and its first and second variations for every caller,
+except a variation that the model's expressions fix at 1 or 0 (b_x, sigma_x,
+b_xx, sigma_xx the constant 0): that one is a read-only broadcast view.  The
+Malliavin routines hand it an ensemble's held paths and step only the
 variations along them.  ``simulate_forward`` hands out the time grid, ``dW``
 and ``X`` read-only: later work is cached against them.
 
@@ -139,6 +141,16 @@ class PathEnsemble:
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _fixed_variations(spec: ModelSpec) -> int:
+    """How many of (nablaX, nabla2X) are identically (1, 0) by the model's expressions.
+
+    nablaX = 1 when b_x and sigma_x are the constant 0; nabla2X = 0 when b_xx
+    and sigma_xx are as well.
+    """
+    zero = [spec.constant(name) == 0.0 for name in ("b_x", "sigma_x", "b_xx", "sigma_xx")]
+    return 2 if all(zero) else 1 if all(zero[:2]) else 0
+
+
 def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0,
            X: Optional[np.ndarray] = None):
     """Euler-Maruyama flow of the forward diffusion on given increments.
@@ -156,26 +168,34 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     ensemble's ``X.T``), only the variations are stepped and ``X`` is returned
     as it is; ``x0`` is then not read.  Returns ``order + 1`` time-major
     (n_steps+1, n_paths) arrays, contiguous where the kernel fills them, so
-    each step writes one row.  A non-finite stepped value raises an
-    evaluation error with a (path, step) witness.
+    each step writes one row.  A variation the model's expressions fix
+    (``_fixed_variations``) is not stepped: it comes back as a read-only
+    broadcast view of 1.0 or 0.0, the recursion's values bit for bit.  A
+    non-finite stepped value raises an evaluation error with a (path, step)
+    witness.
     """
     n, N = dW.shape
     held = X is not None
-    flow = [X if held else np.empty((N + 1, n))] + [np.empty((N + 1, n)) for _ in range(order)]
+    fixed = _fixed_variations(spec) if order else 0
+    flow = [X if held else np.empty((N + 1, n))]
+    flow += [np.broadcast_to(start, (N + 1, n)) if i <= fixed else np.empty((N + 1, n))
+             for i, start in ((1, 1.0), (2, 0.0))[:order]]
     names = ("state", "variational state", "second variational state")
-    stepped = list(zip(flow, (x0, 1.0, 0.0), names))[held:]
+    stepped = [(flow[i], (x0, 1.0, 0.0)[i], names[i])
+               for i in ([] if held else [0]) + list(range(fixed + 1, order + 1))]
     for a, start, _ in stepped:
         a[0] = start
     X = flow[0]
     bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
+    growth = 1.0
     for k in range(N):
         t, xk, dw = t0 + k * dt, X[k], dW[:, k]
         if not held:
             X[k + 1] = xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw
-        if order >= 1:
+        if fixed < 1 <= order:
             growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
             flow[1][k + 1] = flow[1][k] * growth
-        if order >= 2:
+        if fixed < 2 <= order:
             flow[2][k + 1] = flow[2][k] * growth \
                 + flow[1][k] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
         for a, _, what in stepped:
@@ -395,7 +415,9 @@ def variational_processes(spec: ModelSpec, ens: PathEnsemble) -> np.ndarray:
     The Malliavin derivative of the forward process follows from the flow
     representation  D_r X_t = nablaX_t (nablaX_r)^{-1} sigma(r, X_r).
     The variation is stepped along the held paths ``ens.X``, not re-simulated.
-    Returned as a (n_paths, n_steps+1) transpose view of the kernel output.
+    Returned as a (n_paths, n_steps+1) transpose view of the kernel output,
+    which is a read-only broadcast view of 1.0 when b_x and sigma_x are the
+    constant 0 (``_euler``).
     """
     return _variations(spec, ens, order=1)[1].T
 
@@ -518,7 +540,8 @@ class _MalliavinContext:
 
     ``key`` is (objects compared by identity, values compared by equality) of
     the inputs it was built from.  ``nabla`` is the time-major first variation
-    (n_steps+1, n_paths); row i of ``cond`` and ``dz`` holds, at the i-th
+    (n_steps+1, n_paths), a broadcast view that holds no memory when it is
+    fixed at 1 (``_euler``); row i of ``cond`` and ``dz`` holds, at the i-th
     requested node t, the factors D_rY_t / D_rX_t and D_rZ_t / D_rX_t, which do
     not depend on r.  ``kurtosis`` is that of the whole-path Girsanov weight.
     """
@@ -548,11 +571,13 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
         return ens._malliavin
     ens._malliavin = None  # free the stale context before building its successor
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
-    # the variation, two factor rows per node, the chaos design (3p columns
-    # and their temporaries), a dozen path vectors and one call's four results
+    # the variation unless it is fixed at 1, two factor rows per node, the
+    # chaos design (3p columns and their temporaries), a dozen path vectors
+    # and one call's four results
     p = basis.degree + 1 if basis.kind == "poly" else basis.n_knots
+    variation_rows = 0 if _fixed_variations(spec) else N + 1
     _preflight(f"the Malliavin context ({n} paths x {N} steps, {len(nodes)} times)",
-               8 * n * (N + 1 + 6 * len(nodes) + 6 * p + 12))
+               8 * n * (variation_rows + 6 * len(nodes) + 6 * p + 12))
     t = ens.t_grid
     # time-major views: each node reads one contiguous row of X and nablaX
     X, nab = ens.X.T, _variations(spec, ens, order=1)[1]
@@ -705,8 +730,9 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
     Uses the chain-rule identity D^2 Y_t = u_x D^2 X_t + u_xx D_r X_t D_s X_t;
     D^2 X follows from the first and second variations of the Euler flow,
     stepped along the held paths (``_malliavin_d2x``; identically zero for
-    additive noise).  The limit s -> t of D^2_{r,s} Y_t supplies D_r Z_t as
-    (u_x sigma_x + u_xx sigma) D_r X_t.
+    additive noise), or read-only views of 1 and 0 where the model's
+    expressions fix them (``_euler``).  The limit s -> t of D^2_{r,s} Y_t
+    supplies D_r Z_t as (u_x sigma_x + u_xx sigma) D_r X_t.
     """
     if sol_uprime is None:
         raise PreconditionError("second_malliavin requires the u' grid (u_xx source)")

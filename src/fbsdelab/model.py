@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, UnknownPresetError
-from .expressions import compile_expression, differentiate, parse_expression
+from .expressions import compile_expression, constant_value, differentiate, parse_expression
 
 __all__ = [
     "Constants",
@@ -209,6 +209,24 @@ class ModelSpec:
         if name not in PARTIAL_NAMES:
             raise KeyError(name)
         return self._fd(name)
+
+    def constant(self, name: str) -> Optional[float]:
+        """The value of a coefficient or partial that is a constant expression, else None.
+
+        ``name`` is a coefficient (b, sigma, g, h, f) or one of ``PARTIAL_NAMES``.
+        The value is read from the expression tree a compiled callable carries:
+        a coefficient's parsed tree, or the folded symbolic derivative
+        ``expression_spec`` builds.  An opaque callable, a partial supplied as
+        one through ``partials`` and a differenced partial give None.
+        """
+        if name in COEFFICIENT_ARGS:
+            fn = self.markovian_f if name == "f" else getattr(self, name)
+        elif name in PARTIAL_NAMES:
+            fn = self.partials.get(name)
+        else:
+            raise KeyError(name)
+        source = getattr(fn, "expression", None)
+        return None if source is None else constant_value(source)
 
     def _step(self, v, order):
         base = self.fd_step if order == 1 else _FD_STEP[order]

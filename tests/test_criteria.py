@@ -413,6 +413,22 @@ def test_htilde_ito_term_uses_h_xyy():
     assert ht[i, j, k, m] == pytest.approx(expected, rel=1e-12)
 
 
+def test_first_order_resolution_names_every_partial_it_reads(counter, cubic):
+    # K reads b_x and h_y here, and neither is supplied: their differences set
+    # the coarse resolution although g1 and h_x are exact
+    partials = {"g1": lambda x: 1.0 + 0.0 * x,
+                "h_x": lambda t, x, y, z: 1.0 + 0.0 * (x + y + z)}
+    spec = fl.ModelSpec(
+        b=lambda t, x: 0.3 * np.sin(x), sigma=lambda t, x: 1.0 + 0.0 * x, g=lambda x: x,
+        h=lambda t, x, y, z: x + 0.5 * np.sin(y) + 0.2 * z, T=1.0, X0=0.0, partials=partials)
+    box = fl.GridBox(0.0, 1.0, -3.0, 3.0)
+    for rep in first_order_check(spec, 0.5, box=box).values():
+        assert rep.resolution == 1e-3
+    for preset in (counter, cubic):
+        for rep in first_order_check(preset, 0.5).values():
+            assert rep.resolution == 1e-8
+
+
 @pytest.mark.parametrize("missing", ["h_xyy", "b_x", "sigma_x"])
 def test_second_order_resolution_names_every_partial_it_reads(missing):
     # the h = x y^2 model above with every partial it reads but one: the

@@ -211,3 +211,35 @@ def test_csv_exports(tmp_path):
     assert g_lines[1] == "x,value,ci_low,ci_high"
     d_lines = (tmp_path / "d.csv").read_text().splitlines()
     assert d_lines[1].startswith("x,value")
+
+
+def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
+    # F and Phi read X and nablaX up to t only: the first k_t steps give the
+    # bits of the full 64-step flow
+    from fbsdelab import density, mc
+
+    _, su, sp = cubic_grids
+    dt = 1.0 / 64
+    dW = mc.rng_stream(9, 0).standard_normal((500, 64)) * math.sqrt(dt)
+    X, nabla = mc._euler(cubic, dW, cubic.X0, 0.0, dt, order=1)
+    steps = []
+
+    def counted(spec, dW, *args, **kw):
+        steps.append(dW.shape[1])
+        return mc._euler(spec, dW, *args, **kw)
+
+    monkeypatch.setattr(density, "_euler", counted)
+    y = pde_y_sampler(cubic, su, 0.5, 64, sol_uprime=sp)
+    F, Phi = y.evaluate(dW)
+    xt = X[32]
+    assert np.array_equal(F, su.row_spline(0.5)(xt))
+    ux = sp.row_spline(0.5)(xt)
+    assert np.array_equal(Phi, density._flow_phi(cubic, y.r_nodes, X, nabla, ux))
+    z = pde_z_sampler(cubic, sp, 0.25, 64)
+    F, Phi = z.evaluate(dW)
+    xt = X[16]
+    ux, uxx = sp.row_spline(0.25)(xt), sp.row_spline(0.25, sp.u_x)(xt)
+    assert np.array_equal(F, ux * cubic.sigma(0.25, xt))
+    slope = ux * cubic.d("sigma_x")(0.25, xt) + uxx * cubic.sigma(0.25, xt)
+    assert np.array_equal(Phi, density._flow_phi(cubic, z.r_nodes, X, nabla, slope))
+    assert steps == [32, 16]

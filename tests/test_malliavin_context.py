@@ -1,6 +1,7 @@
 """The r-independent Malliavin context, the column store and the memory preflight."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -134,3 +135,20 @@ def test_oversized_jobs_raise_before_allocating(counter, counter_grids):
         fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.25, times=[0.5])
     assert exc.value.witness > 8 * n * 17
     assert ens._malliavin is None
+
+
+def test_preflight_counts_the_variation_only_when_stepped(counter, counter_grids):
+    # counter's nablaX is the constant view; behind an opaque b_x it is
+    # stepped and its n (n_steps+1) doubles enter the estimate
+    _, su, sp = counter_grids
+    n = 10**9
+    stepped = dataclasses.replace(counter, partials={**counter.partials,
+                                                     "b_x": lambda t, x: 0.0 * x})
+    witness = {}
+    for spec in (counter, stepped):
+        ens = PathEnsemble(np.linspace(0.0, 1.0, 17), np.broadcast_to(0.0, (n, 16)),
+                           np.broadcast_to(0.0, (n, 17)), 0)
+        with pytest.raises(ResourceError) as exc:
+            fl.solve_malliavin_bsde(spec, ens, (su, sp), r=0.25, times=[0.5])
+        witness[spec is counter] = exc.value.witness
+    assert witness[False] - witness[True] == 8 * n * 17

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -397,3 +398,39 @@ def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monk
     assert np.array_equal(second.D2X, again.D2X, equal_nan=True)
     assert np.array_equal(second.D2Y, again.D2Y, equal_nan=True)
     assert estimate_variation_bounds(spec, n_paths=300, n_steps=32) == bounds
+
+
+def _opaque_twin(spec, names=("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx")):
+    # the same callables behind lambdas: the kernel cannot read their trees
+    def wrap(fn):
+        return lambda *args: fn(*args)
+
+    coeffs = {k: wrap(getattr(spec, k)) for k in ("b", "sigma") if k in names}
+    partials = {k: wrap(v) if k in names else v for k, v in spec.partials.items()}
+    return dataclasses.replace(spec, partials=partials, **coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fixed_variations_match_the_stepped_flow(cubic, order):
+    from fbsdelab import mc
+
+    dt = 1.0 / 64
+    dW = rng_stream(5, 0).standard_normal((400, 64)) * math.sqrt(dt)
+    assert mc._fixed_variations(cubic) == 2
+    # all four partials opaque; only b_xx and sigma_xx opaque (nablaX fixed,
+    # nabla2X stepped with a unit growth factor)
+    for twin, fixed in ((_opaque_twin(cubic), 0), (_opaque_twin(cubic, ("b_xx", "sigma_xx")), 1)):
+        assert mc._fixed_variations(twin) == fixed
+        got, want = _euler(cubic, dW, 0.0, 0.0, dt, order), _euler(twin, dW, 0.0, 0.0, dt, order)
+        assert len(got) == len(want) == order + 1
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        X = got[0]
+        held = _euler(cubic, dW, None, 0.0, dt, order, X=X)
+        assert held[0] is X
+        for a, b in zip(held[1:], want[1:]):
+            assert np.array_equal(a, b)
+    for fixed_variation in got[1:]:
+        assert fixed_variation.strides == (0, 0)
+        with pytest.raises(ValueError):
+            fixed_variation[3, 2] = 2.0

@@ -160,6 +160,28 @@ def test_expression_spec_callables_and_overrides():
     np.testing.assert_array_equal(spec.d("h_xy")(0.0, x, 2.0, 0.0), 1.0)
 
 
+def test_constant_reads_the_expression_tree(counter, cubic):
+    assert cubic.constant("b_x") == 0.0 and cubic.constant("sigma") == 1.0
+    assert cubic.constant("h_x") == 3.0
+    assert counter.constant("h_x") is None        # (t-2)*x differentiates to t-2
+    assert counter.constant("f") is None
+    for spec in (counter, cubic):
+        for name in PARTIAL_NAMES:                # the value is the callable's own
+            value = spec.constant(name)
+            args = [0.5] * len(fl.model.COEFFICIENT_ARGS[_PARTIALS[name][0]])
+            assert value is None or spec.d(name)(*args) == value
+    opaque = expression_spec(b=lambda t, x: 0.0 * x, sigma="1", g="x", h="0", f=None,
+                             T=1.0, X0=0.0)
+    assert opaque.constant("b") is None
+    assert opaque.constant("b_x") is None         # differenced
+    assert opaque.constant("sigma_x") == 0.0
+    override = expression_spec(b="0", sigma="1", g="x", h="0", f=None, T=1.0, X0=0.0,
+                               partials={"b_x": lambda t, x: 0.0 * x})
+    assert override.constant("b") == 0.0 and override.constant("b_x") is None
+    with pytest.raises(KeyError):
+        cubic.constant("b_y")
+
+
 def test_validate_assumptions_counter(counter):
     rep = fl.validate_assumptions(counter)
     assert rep.holds("X") and rep.holds("L") and rep.holds("D1") and rep.holds("D2")
