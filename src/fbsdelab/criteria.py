@@ -16,12 +16,20 @@ Extrema over unbounded domains are always computed on a declared box; the
 restriction set A is a finite union of closed intervals, and the requirement
 P(X_T in A | F_t) > 0 is checked by Monte Carlo hit counting with a Wilson
 lower confidence bound.
+
+Every check returns ``{tag: CriterionReport}`` and is built from two parts.
+``_frame`` resolves what all checks share: the box, the resolution (fine
+only when every partial the check reads is exact), the A-mask and the hit
+bound.  ``_Frame.judge`` turns one sign package's (non-strict, strict) pair
+of lines into a report by one rule: the verdict from the margins, then a
+void hypothesis, the box-edge rule and a failed structural gate.  Each ±
+pair runs over ``SIGNS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,18 +84,7 @@ class CriterionReport:
     hit_lower_bound: Optional[float] = None
 
     def to_dict(self):
-        return {
-            "criterion": self.criterion,
-            "t": self.t,
-            "A": self.A,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "resolution": self.resolution,
-            "scalars": self.scalars,
-            "notes": self.notes,
-            "box": self.box,
-            "hit_lower_bound": self.hit_lower_bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,6 @@ def _edge_running(vals: np.ndarray) -> bool:
         return vals[-2] - vals[-1] > thresh
     return False
 
-
-def _auto_resolution(spec: ModelSpec, names) -> float:
-    supplied = all(n in spec.partials for n in names)
-    return 1e-8 if supplied else 1e-3
 
 
 # -- sign-branch integrals ----------------------------------------------------
@@ -260,26 +253,14 @@ def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
     return float(lb)
 
 
-def _hit_guard(spec, t, A, check_hit, seed):
-    if A is None or not check_hit:
-        return None, []
-    lb = conditional_hit_lower_bound(spec, t, A, seed=seed)
-    notes = []
-    if lb <= 0.0:
-        notes.append("P(X_T in A | F_t) not certified positive at 95% confidence")
-    return lb, notes
-
-
-def _apply_hit(verdict: str, hit_lb) -> str:
-    """Criteria demand P(X_T in A | F_t) > 0; an uncertified set voids them."""
-    if hit_lb is not None and hit_lb <= 0.0 and verdict == "holds":
-        return "inapplicable"
-    return verdict
+# Every +/- loop: (sign factor, tag suffix).  Negation is exact, so the '-'
+# package is the '+' body applied to the negated values.
+SIGNS = ((1.0, "+"), (-1.0, "-"))
 
 
 @dataclass
 class _Frame:
-    """What the grid checks share: box, resolution, x-nodes, g', the A-mask, hit bound."""
+    """What every check shares: box, resolution, x-nodes, g', the A-mask, hit bound."""
 
     spec: ModelSpec
     t: float
@@ -293,21 +274,58 @@ class _Frame:
     hit_notes: list
 
     def report(self, tag, verdict, margin, scalars, notes) -> CriterionReport:
-        return CriterionReport(tag, self.t, repr(self.A) if self.A else None,
-                               _apply_hit(verdict, self.hit_lb), margin, self.res,
-                               scalars, notes, _box_repr(self.box), self.hit_lb)
+        # criteria demand P(X_T in A | F_t) > 0; an uncertified set voids them
+        if self.hit_lb is not None and self.hit_lb <= 0.0 and verdict == "holds":
+            verdict = "inapplicable"
+        return CriterionReport(tag, self.t, repr(self.A) if self.A else None, verdict, margin,
+                               self.res, scalars, notes, _box_repr(self.box), self.hit_lb)
+
+    def judge(self, tag, sgn, nonstrict, strict, scalars, notes=(), edge=None, label="",
+              failed=False, void=None) -> CriterionReport:
+        """Report one sign package from its sign-normalised pair of lines.
+
+        Hit notes come first, then ``notes``.  A ``void`` hypothesis (its
+        note) makes the package inapplicable.  Otherwise an extremum of
+        ``edge`` still running at the box edge makes it inconclusive without
+        A and earns a note with A, and a ``failed`` gate makes it fail.  The
+        margin is returned in the original signs, sgn * margin.
+        """
+        verdict, margin = _verdict(nonstrict, strict, self.res)
+        notes = [*self.hit_notes, *notes]
+        if void:
+            verdict = "inapplicable"
+            notes.append(void)
+        else:
+            if edge is not None and _edge_running(edge):
+                if self.A is None:
+                    verdict = "inconclusive-unbounded"
+                else:
+                    notes.append(f"global extremum of {label} still running at the box edge; "
+                                 "certified on the declared box only")
+            if failed:
+                verdict = "fails"
+        return self.report(tag, verdict, sgn * margin, scalars, notes)
 
 
-def _frame(spec, t, A, box, resolution, partials, check_hit, seed) -> _Frame:
-    """Preamble of the grid checks; raises when A misses the box's x-nodes."""
+def _frame(spec, t, A, box, resolution, partials, check_hit, seed, a_on=None) -> _Frame:
+    """Preamble of every check.  The resolution is fine only when each partial
+    the check reads is exact; A is tested on ``a_on`` (the x-nodes by default)
+    and a PreconditionError is raised when it misses all of them."""
     box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(spec, partials)
+    if resolution is None:
+        resolution = 1e-8 if all(n in spec.partials for n in partials) else 1e-3
     xg = box.x_nodes()
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    mask = A.contains(xg) if A is not None else np.ones_like(xg, dtype=bool)
+    on = xg if a_on is None else a_on
+    hit_lb, hit_notes = None, []
+    if A is not None and check_hit:
+        hit_lb = conditional_hit_lower_bound(spec, t, A, seed=seed)
+        if hit_lb <= 0.0:
+            hit_notes.append("P(X_T in A | F_t) not certified positive at 95% confidence")
+    mask = A.contains(on) if A is not None else np.ones_like(on, dtype=bool)
     if not np.any(mask):
-        raise PreconditionError("A does not intersect the declared box")
-    return _Frame(spec, t, A, box, res, xg, _on_grid(spec.d("g1"), xg), mask,
+        raise PreconditionError("A does not intersect "
+                                + ("the declared box" if a_on is None else "f(T, w-box)"))
+    return _Frame(spec, t, A, box, resolution, xg, _on_grid(spec.d("g1"), xg), mask,
                   hit_lb, hit_notes)
 
 
@@ -323,14 +341,13 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
 
     '+' asks  inf g e^{-sgn(inf g) K T} + infh(t) int_t^T e^{-sgn(infh(s)) K s} [(T-s)] ds
     >= 0 globally and > 0 with inf g over A only; '-' is the same pair of lines
-    for the negated values (suprema, reversed inequalities).  Negation is
-    exact, so one body with sgn = +1, -1 serves both.  Scalars keep the
-    original signs; the margin is the decisive left-hand side.  A weight
-    exp(K s) beyond the float range raises PreconditionError naming K and T.
+    for the negated values (suprema, reversed inequalities).  Scalars keep the
+    original signs.  A weight exp(K s) beyond the float range raises
+    PreconditionError naming K and T.
     """
     T = fr.spec.T
     out = {}
-    for sgn, sign in ((1.0, "+"), (-1.0, "-")):
+    for sgn, sign in SIGNS:
         g_glob = sgn * float(np.min(sgn * gv))
         g_A = sgn * float(np.min(sgn * gv[fr.mask]))
         hrun = sgn * _running_inf(sgn * hv)
@@ -343,18 +360,11 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
         except (OverflowError, FloatingPointError):
             raise PreconditionError(f"exp(K s) leaves the float range on [{fr.t:g}, {T:g}] "
                                     f"with K = {K:g}, T = {T:g}") from None
-        verdict, margin = _verdict(sgn * m1, sgn * m2, fr.res)
-        notes = list(fr.hit_notes)
-        if _edge_running(sgn * gv):
-            if fr.A is None:
-                verdict = "inconclusive-unbounded"
-            else:
-                notes.append(f"global extremum of {g_label} still running at the box edge; "
-                             "certified on the declared box only")
         scal = {"K": K, f"{g_key}_extremum": g_glob, f"{g_key}_extremum_A": g_A,
                 f"{h_key}_extremum_t": h_t, "integral": integ,
                 "margin_global": m1, "margin_A": m2}
-        out[stem + sign] = fr.report(stem + sign, verdict, sgn * margin, scal, notes)
+        out[stem + sign] = fr.judge(stem + sign, sgn, sgn * m1, sgn * m2, scal,
+                                    edge=sgn * gv, label=g_label)
     return out
 
 
@@ -460,45 +470,23 @@ def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
     _, hx = _grid4(spec, "h_x", fr.box, t)
     out = {}
-    for sgn, sign in ((1.0, "+"), (-1.0, "-")):
+    for sgn, sign in SIGNS:
         m1 = float(np.min(sgn * fr.g1))
         m2 = float(np.min(sgn * fr.g1[fr.mask]))
         m3 = float(_running_inf(sgn * hx)[0])
-        verdict, margin = _verdict(min(m1, m3), m2, fr.res)
         scal = {"g1_extremum": sgn * m1, "g1_extremum_A": sgn * m2, "h_extremum_t": sgn * m3}
-        out["Q" + sign] = fr.report("Q" + sign, verdict, sgn * margin, scal,
-                                    list(fr.hit_notes))
+        out["Q" + sign] = fr.judge("Q" + sign, sgn, min(m1, m3), m2, scal)
     return out
 
 
 # -- Z-criteria ---------------------------------------------------------------
 
 
-def _structure_gate(spec: ModelSpec, box: GridBox, t: float, res: float, need_hy: bool):
-    """(C+) sign package and the cross-derivative annihilation h_xz = h_yz = 0."""
-    gates = {}
-    for name in ("h_x", "h_xx", "h_yy", "h_zz", "h_xy"):
-        _, vals = _grid4(spec, name, box, t)
-        gates[name] = float(vals.min())
-    cross = 0.0
-    for name in ("h_xz", "h_yz"):
-        _, vals = _grid4(spec, name, box, t)
-        cross = max(cross, float(np.max(np.abs(vals))))
-    ok = all(v >= -res for v in gates.values()) and cross <= 1e-10
-    notes = []
-    if cross > 1e-10:
-        notes.append(f"cross partials not annihilated: sup |h_xz|,|h_yz| = {cross:.3g}")
-    for name, v in gates.items():
-        if v < -res:
-            notes.append(f"(C+) violated: min {name} = {v:.3g}")
-    hy_min = None
-    if need_hy:
-        _, vals = _grid4(spec, "h_y", box, t)
-        hy_min = float(vals.min())
-        if hy_min < -res:
-            ok = False
-            notes.append(f"h_y >= 0 violated: min h_y = {hy_min:.3g}")
-    return ok, gates, cross, hy_min, notes
+def _cross(spec: ModelSpec, box: GridBox, t: float) -> list:
+    """The gate h_xz = h_yz = 0: one note when the cross partials survive, else none."""
+    cross = max(float(np.max(np.abs(_grid4(spec, n, box, t)[1]))) for n in ("h_xz", "h_yz"))
+    return [f"cross partials not annihilated: sup |h_xz|,|h_yz| = {cross:.3g}"] \
+        if cross > 1e-10 else []
 
 
 def estimate_variation_bounds(spec: ModelSpec, seed: int = 321, n_paths: int = 2048,
@@ -519,68 +507,56 @@ def estimate_variation_bounds(spec: ModelSpec, seed: int = 321, n_paths: int = 2
     return VariationBounds(a_lo, a_hi, b_hi)
 
 
-def _z_inequalities(g2_min, g2_min_A, g1_min, g1_min_A, hxx_min, a_lo, a_hi, b_hi, T, t):
-    i_neg = 1.0 if g2_min < 0 else 0.0
-    i_pos = 1.0 - i_neg
-    i_negA = 1.0 if g2_min_A < 0 else 0.0
-    i_posA = 1.0 - i_negA
-    i_g1 = 1.0 if g1_min < 0 else 0.0
-    m1 = i_neg * g2_min * a_hi**2 + g1_min * i_g1 * b_hi \
-        + (i_pos * g2_min + hxx_min * (T - t)) * a_lo**2
-    m2 = (i_negA * g2_min_A * a_hi**2 + g1_min_A * i_g1 * b_hi) \
-        + (i_posA * g2_min_A + hxx_min * (T - t)) * a_lo**2
-    return m1, m2
-
-
 def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
-             check_hit, seed):
-    fr = _frame(spec, t, A, box, resolution, ("g1", "g2", "h_xx"), check_hit, seed)
-    box, res, g1, mask = fr.box, fr.res, fr.g1, fr.mask
-    ok, gates, cross, hy_min, notes = _structure_gate(spec, box, t, res, need_hy)
-    g2 = _on_grid(spec.d("g2"), fr.xg)
+             check_hit, seed) -> dict:
+    """(C+) sign package on h_x, h_xx, h_yy, h_zz, h_xy; h_xz = h_yz = 0; the h_xy
+    branch; h_y >= 0 when ``need_hy``; then the two displayed inequalities."""
+    fr = _frame(spec, t, A, box, resolution,
+                ("g1", "g2", "h_xx", "h_x", "h_yy", "h_zz", "h_xy", "h_xz", "h_yz", "h_y",
+                 "b_x", "sigma_x", "b_xx", "sigma_xx"), check_hit, seed)
+    res, g1, mask = fr.res, fr.g1, fr.mask
+    grids = {n: _grid4(spec, n, fr.box, t)[1] for n in ("h_x", "h_xx", "h_yy", "h_zz", "h_xy")}
+    gates = {n: float(v.min()) for n, v in grids.items()}
+    notes = _cross(spec, fr.box, t) + [f"(C+) violated: min {n} = {v:.3g}"
+                                       for n, v in gates.items() if v < -res]
+    hy = {}
+    if need_hy:
+        hy["h_y_min"] = float(_grid4(spec, "h_y", fr.box, t)[1].min())
+        if hy["h_y_min"] < -res:
+            notes.append(f"h_y >= 0 violated: min h_y = {hy['h_y_min']:.3g}")
     # the h_xy branch condition: h_xy == 0, or h_xy >= 0 together with g' >= 0
-    hxy_sup = float(np.max(np.abs(_grid4(spec, "h_xy", box, t)[1])))
-    if hxy_sup > 1e-10 and float(np.min(g1)) < -res:
-        ok = False
+    if float(np.max(np.abs(grids["h_xy"]))) > 1e-10 and float(np.min(g1)) < -res:
         notes.append("h_xy != 0 requires g' >= 0 a.e., violated on the box")
+    failed = bool(notes)
     if bounds is None:
         bounds = estimate_variation_bounds(spec, seed=seed)
         notes.append(f"variation bounds estimated by MC: a in [{bounds.a_lo:.4g}, "
                      f"{bounds.a_hi:.4g}], b_hi = {bounds.b_hi:.4g}")
-    notes += fr.hit_notes
+    g2 = _on_grid(spec.d("g2"), fr.xg)
     g2_min, g2_min_A = float(np.min(g2)), float(np.min(g2[mask]))
     g1_min, g1_min_A = float(np.min(g1)), float(np.min(g1[mask]))
-    _, hxx4 = _grid4(spec, "h_xx", box, t)
-    hxx_min = float(_running_inf(hxx4)[0])
-    m1, m2 = _z_inequalities(g2_min, g2_min_A, g1_min, g1_min_A, hxx_min,
-                             bounds.a_lo, bounds.a_hi, bounds.b_hi, spec.T, t)
-    edge = _edge_running(g2)
+    hxx_min = gates["h_xx"]  # inf over [t, T] x box
+    a_lo, a_hi, b_hi = bounds.a_lo, bounds.a_hi, bounds.b_hi
+    neg, neg_A, ig1 = float(g2_min < 0), float(g2_min_A < 0), float(g1_min < 0)
+    m1 = neg * g2_min * a_hi**2 + g1_min * ig1 * b_hi \
+        + ((1.0 - neg) * g2_min + hxx_min * (spec.T - t)) * a_lo**2
+    m2 = (neg_A * g2_min_A * a_hi**2 + g1_min_A * ig1 * b_hi) \
+        + ((1.0 - neg_A) * g2_min_A + hxx_min * (spec.T - t)) * a_lo**2
     scal = {"g2_min": g2_min, "g2_min_A": g2_min_A, "g1_min": g1_min,
-            "g1_min_A": g1_min_A, "h_xx_min": hxx_min,
-            "a_lo": bounds.a_lo, "a_hi": bounds.a_hi, "b_hi": bounds.b_hi,
-            "ineq_global": m1, "ineq_A": m2, **{f"gate_{k}": v for k, v in gates.items()}}
-    if hy_min is not None:
-        scal["h_y_min"] = hy_min
-    verdict, margin = _verdict(m1, m2, res)
-    if bounds.a_lo <= 0:
-        verdict = "inapplicable"
-        notes.append("lower bound on D_r X not positive; theorem inapplicable")
-    elif edge and A is None:
-        verdict = "inconclusive-unbounded"
-    elif edge:
-        notes.append("global extremum of g'' still running at the box edge; "
-                     "certified on the declared box only")
-    if not ok and verdict not in ("inapplicable",):
-        verdict = "fails"
-    return fr.report(tag, verdict, margin, scal, notes)
+            "g1_min_A": g1_min_A, "h_xx_min": hxx_min, "a_lo": a_lo, "a_hi": a_hi,
+            "b_hi": b_hi, "ineq_global": m1, "ineq_A": m2,
+            **{f"gate_{k}": v for k, v in gates.items()}, **hy}
+    void = "lower bound on D_r X not positive; theorem inapplicable" if a_lo <= 0 else None
+    return {tag: fr.judge(tag, 1.0, m1, m2, scal, notes, edge=g2, label="g''",
+                          failed=failed, void=void)}
 
 
 def z_lipschitz_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
                       box: Optional[GridBox] = None,
                       bounds: Optional[VariationBounds] = None,
                       resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> CriterionReport:
-    """Density criterion for Z_t under a Lipschitz driver.
+                      check_hit: bool = False, seed: int = 123) -> dict:
+    """Density criterion for Z_t under a Lipschitz driver, as ``{"Z-lip": report}``.
 
     Requires the (C+) sign package, pathwise bounds a_lo <= D_r X <= a_hi,
     0 <= D^2 X <= b_hi, and the two displayed inequalities combining the
@@ -594,8 +570,8 @@ def z_quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
                       box: Optional[GridBox] = None,
                       bounds: Optional[VariationBounds] = None,
                       resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> CriterionReport:
-    """Quadratic-regime analogue of the Z-criterion (adds h_y >= 0)."""
+                      check_hit: bool = False, seed: int = 123) -> dict:
+    """Quadratic-regime analogue of the Z-criterion (adds h_y >= 0), as ``{"Z-quad": report}``."""
     return _z_check(spec, t, A, box, resolution, bounds, need_hy=True,
                     tag="Z-quad", check_hit=check_hit, seed=seed)
 
@@ -608,7 +584,7 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     Variant a) needs h_zz >= 0 (with h_xz = h_yz = 0), the derivative of
     (g' o f) f', g''(f) f'^2 + g'(f) f'' from the model's partials, bounded
     below, and min over A strictly positive after adding (T-t) inf htilde;
-    variant b) mirrors the signs.  Here
+    variant b) mirrors the signs.  A is tested on f(T, w) over the w-box.  Here
 
       htilde(t,w,x,y,z,zt) = h_xx |f'|^2 + h_x f'' + (h_yy z + 2 h_xy f') z
                              + h_y zt.
@@ -616,11 +592,12 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     if spec.markovian_f is None:
         raise PreconditionError("z_markovian_check requires assumption (M): supply markovian_f")
     box = box or default_box(spec)
-    res = resolution if resolution is not None else _auto_resolution(
-        spec, ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y"))
     fw, fww = spec.d("f_w"), spec.d("f_ww")
     w = np.linspace(box.x_lo, box.x_hi, n_w)
     fT = _on_grid(spec.markovian_f, spec.T, w)
+    fr = _frame(spec, t, A, box, resolution,
+                ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y"),
+                check_hit, seed, a_on=fT)
     # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' at T
     dphi = (_on_grid(spec.d("g2"), fT) * _on_grid(fw, spec.T, w) ** 2
             + _on_grid(spec.d("g1"), fT) * _on_grid(fww, spec.T, w))
@@ -635,44 +612,22 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     fp, fpp = _on_grid(fw, t6, w6), _on_grid(fww, t6, w6)
     core = E("h_xx") * fp**2 + E("h_x") * fpp + (E("h_yy") * z6 + 2.0 * E("h_xy") * fp) * z6
     hy = E("h_y")
-
-    hit_lb, hit_notes = _hit_guard(spec, t, A, check_hit, seed)
-    if A is not None:
-        maskA = A.contains(fT)
-        if not np.any(maskA):
-            raise PreconditionError("A does not intersect f(T, w-box)")
-    else:
-        maskA = np.ones_like(w, dtype=bool)
-
-    # sign gates on h_zz and the annihilated cross partials
     _, hzz = _grid4(spec, "h_zz", box, t)
-    cross = max(float(np.max(np.abs(_grid4(spec, "h_xz", box, t)[1]))),
-                float(np.max(np.abs(_grid4(spec, "h_yz", box, t)[1]))))
+    cross = _cross(spec, box, t)
     out = {}
-    for tag, sgn in (("Z-markov-a", 1.0), ("Z-markov-b", -1.0)):
-        notes = list(hit_notes)
-        if cross > 1e-10:
-            notes.append(f"cross partials not annihilated: {cross:.3g}")
-        gate = float(np.min(sgn * hzz)) >= -res and cross <= 1e-10
+    for sgn, sign in SIGNS:
+        tag = "Z-markov-" + ("a" if sgn > 0 else "b")
+        gate = not cross and float(np.min(sgn * hzz)) >= -fr.res
         # inf of sgn * htilde over the grid, zt at whichever box end minimizes it
         ht = sgn * float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo,
                                                         sgn * hy * box.z_hi)))
         m1 = sgn * float(np.min(sgn * dphi)) + (spec.T - t) * ht
-        m2 = sgn * float(np.min(sgn * dphi[maskA])) + (spec.T - t) * ht
-        verdict, margin = _verdict(sgn * m1, sgn * m2, res)
-        edge = _edge_running(sgn * dphi)
-        if not gate:
-            verdict = "fails"
-            notes.append("h_zz sign package violated")
-        elif edge and A is None:
-            verdict = "inconclusive-unbounded"
-        elif edge:
-            notes.append("global extremum still running at the box edge; "
-                         "certified on the declared box only")
+        m2 = sgn * float(np.min(sgn * dphi[fr.mask])) + (spec.T - t) * ht
         scal = {"dphi_extremum": m1 - (spec.T - t) * ht, "htilde_extremum": ht,
                 "margin_global": m1, "margin_A": m2}
-        out[tag] = CriterionReport(tag, t, repr(A) if A else None, _apply_hit(verdict, hit_lb),
-                                   sgn * margin, res, scal, notes, _box_repr(box), hit_lb)
+        out[tag] = fr.judge(tag, sgn, sgn * m1, sgn * m2, scal,
+                            cross + ([] if gate else ["h_zz sign package violated"]),
+                            edge=sgn * dphi, label="(g' o f) f'", failed=not gate)
     return out
 
 
@@ -683,11 +638,11 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     '+': sigma >= c > 0, sigma' >= 0, sigma'' <= 0, sigma''' <= 0 and the
     iterated bracket [sigma, [sigma, b]] >= 0, with [b, sigma] = b' sigma
     + sigma' b; '-' mirrors every sign.  The bracket's x-derivative comes
-    from the exact partials b'' and sigma''.
+    from the exact partials b'' and sigma''.  Reports carry t = box.t_lo.
     """
     box = box or default_box(spec)
     partials = ("sigma_x", "sigma_xx", "sigma_xxx", "b_x", "b_xx")
-    resolution = resolution if resolution is not None else _auto_resolution(spec, partials)
+    fr = _frame(spec, box.t_lo, None, box, resolution, partials, False, 0)
     tn = np.linspace(box.t_lo, box.t_hi, box.nt)[:, None]
     xn = np.linspace(box.x_lo, box.x_hi, n_x)[None, :]
     sig, b = _on_grid(spec.sigma, tn, xn), _on_grid(spec.b, tn, xn)
@@ -695,36 +650,24 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     c1 = b1 * sig + s1 * b                      # [sigma, b] per the printed bracket
     c1x = b2 * sig + 2.0 * b1 * s1 + s2 * b
     c2 = s1 * c1 + c1x * sig                    # [sigma, [sigma, b]]
-    xs = xn[0]
     out = {}
-    for tag, sgn in (("X+", 1.0), ("X-", -1.0)):
-        margins = {
-            "sigma": float(np.min(sgn * sig)),
-            "sigma_x": float(np.min(sgn * s1)),
-            "sigma_xx": float(np.min(-sgn * s2)),
-            "sigma_xxx": float(np.min(-sgn * s3)),
-            "bracket": float(np.min(sgn * c2)),
-        }
+    for sgn, sign in SIGNS:
+        arrays = {"sigma": sgn * sig, "sigma_x": sgn * s1, "sigma_xx": -sgn * s2,
+                  "sigma_xxx": -sgn * s3, "bracket": sgn * c2}
+        margins = {k: float(np.min(v)) for k, v in arrays.items()}
         margin = min(margins.values())
         witnesses = []
-        if margin < -resolution:
-            for key, arr in (("sigma", sgn * sig), ("sigma_x", sgn * s1),
-                             ("sigma_xx", -sgn * s2), ("sigma_xxx", -sgn * s3),
-                             ("bracket", sgn * c2)):
-                if float(np.min(arr)) < -resolution:
-                    i = np.unravel_index(int(np.argmin(arr)), arr.shape)
-                    witnesses.append((key, float(np.linspace(box.t_lo, box.t_hi, box.nt)[i[0]]),
-                                      float(xs[i[1]])))
+        for k, v in arrays.items():
+            if margins[k] < -fr.res:
+                i = np.unravel_index(int(np.argmin(v)), v.shape)
+                witnesses.append((k, float(tn[i[0], 0]), float(xn[0, i[1]])))
         # the ellipticity floor is strict; the derivative sign conditions are not
-        if margins["sigma"] <= resolution:
-            verdict = "boundary" if abs(margin) <= resolution else "fails"
-        elif margin >= -resolution:
-            verdict = "holds"
+        if margins["sigma"] <= fr.res:
+            verdict = "boundary" if abs(margin) <= fr.res else "fails"
         else:
-            verdict = "fails"
-        rep = CriterionReport(tag, box.t_lo, None, verdict, margin, resolution,
-                              margins, [f"witness {w}" for w in witnesses], _box_repr(box))
-        out[tag] = rep
+            verdict = "holds" if margin >= -fr.res else "fails"
+        out["X" + sign] = fr.report("X" + sign, verdict, margin, margins,
+                                    [f"witness {w}" for w in witnesses])
     return out
 
 
@@ -734,5 +677,8 @@ CHECKS = {
     "first-order": lambda spec, t: first_order_check(spec, t),
     "second-order": lambda spec, t: second_order_check(spec, t),
     "quadratic": lambda spec, t: quadratic_check(spec, t),
+    "z-lipschitz": lambda spec, t: z_lipschitz_check(spec, t),
+    "z-quadratic": lambda spec, t: z_quadratic_check(spec, t),
+    "z-markovian": lambda spec, t: z_markovian_check(spec, t),
     "x-sign": lambda spec, t: x_sign_check(spec),
 }

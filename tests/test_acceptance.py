@@ -155,7 +155,7 @@ def test_ac3_quadratic_sanity(quad_exp, quad_grids):
 
     spec = fl.preset("ex_quad_exp", g=g, g1=g1, g2=g2)
     rep = z_quadratic_check(spec, 0.5, A=IntervalUnion([(-0.5, 0.5)]),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-quad"]
     assert rep.verdict == "holds"
     _report("AC3", f"gradient route matches E[g' e^g | F]/E[e^g | F] at 11 states, "
                    f"max err {err:.2e} < 5e-3; Z-criterion holds for convex-piece "

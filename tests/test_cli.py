@@ -345,6 +345,41 @@ timestamps = false
     assert "K = 800" in err["error"] and "T = 1" in err["error"]
 
 
+def _criteria_run(tmp_path, model, checks):
+    cfg_path = tmp_path / "z.cfg"
+    cfg_path.write_text(f"[model]\n{model}\n[tasks]\nrun = criteria\n"
+                        f"criteria_checks = {checks}\ncriteria_times = 0.5\n"
+                        "[output]\ntimestamps = false\n")
+    out = tmp_path / "out"
+    return main(["run", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def test_criteria_z_checks_by_name(tmp_path):
+    rc, out = _criteria_run(tmp_path, "preset = ex_cubic",
+                            "z-lipschitz, z-quadratic, z-markovian")
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["tasks"] == {"criteria": "ok"}
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    assert [r["criterion"] for r in rows] == ["Z-lip", "Z-quad", "Z-markov-a", "Z-markov-b"]
+
+
+def test_criteria_z_markovian_without_f_is_a_precondition_row(tmp_path):
+    rc, out = _criteria_run(tmp_path, "b = 0\nsigma = 1\ng = x\nh = 0", "z-markovian")
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["tasks"] == {"criteria": "ok"}
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    assert [(r["criterion"], r["verdict"]) for r in rows] == [
+        ("z-markovian", "precondition-error")]
+    assert "markovian_f" in rows[0]["error"]
+
+
+def test_criteria_unknown_check_exits_2_before_writing(tmp_path, capsys):
+    rc, out = _criteria_run(tmp_path, "preset = ex_cubic", "first-order, z-lipshitz")
+    assert rc == 2
+    assert not out.exists()
+    assert "z-lipshitz" in capsys.readouterr().err
+
+
 def test_cli_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL_RUN.replace("solve, criteria, density, oracle-compare",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
+from fbsdelab import criteria
 from fbsdelab.criteria import (IntervalUnion, VariationBounds,
                                conditional_hit_lower_bound, first_order_check,
                                quadratic_check, second_order_check,
@@ -145,11 +146,11 @@ def test_quadratic_check_sign_change_fails():
 
 def test_z_lipschitz_cubic(cubic):
     full = z_lipschitz_check(cubic, 0.5,
-                             bounds=VariationBounds(1.0, 1.0, 0.0))
+                             bounds=VariationBounds(1.0, 1.0, 0.0))["Z-lip"]
     assert full.verdict == "inconclusive-unbounded"
     rep = z_lipschitz_check(cubic, 0.5, A=IntervalUnion([(0.5, 2.0)]),
                             box=fl.GridBox(0, 1, 0.5, 2.0),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-lip"]
     assert rep.verdict == "holds"
     assert rep.margin == pytest.approx(3.0, abs=1e-9)
 
@@ -158,7 +159,7 @@ def test_z_lipschitz_convex_box():
     spec = make_spec(g=lambda x: np.asarray(x, dtype=float) ** 2,
                      g1=lambda x: 2.0 * np.asarray(x, dtype=float),
                      g2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)))
-    rep = z_lipschitz_check(spec, 0.5, bounds=VariationBounds(1.0, 1.0, 0.0))
+    rep = z_lipschitz_check(spec, 0.5, bounds=VariationBounds(1.0, 1.0, 0.0))["Z-lip"]
     assert rep.verdict == "holds"
     assert rep.margin == pytest.approx(2.0, abs=1e-9)
 
@@ -178,7 +179,7 @@ def test_z_lipschitz_balancing_recipe():
                      h_partials={"h_x": lambda t, x, y, z: 5.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float),
                                  "h_xx": lambda t, x, y, z: 5.0 * np.ones_like(np.asarray(x + t, dtype=float))})
     rep = z_lipschitz_check(spec, 0.5, A=IntervalUnion([(-1.0, 1.0)]),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-lip"]
     # h_x changes sign so the (C+) gate fails; the displayed inequality itself
     # carries the balancing margin
     assert rep.scalars["ineq_global"] >= 0.0
@@ -188,7 +189,7 @@ def test_z_lipschitz_balancing_recipe():
                                     "h_xx": lambda t, x, y, z: 5.0 * np.ones_like(np.asarray(x + t, dtype=float))})
     rep_ok = z_lipschitz_check(spec_ok, 0.5, A=IntervalUnion([(-1.0, 1.0)]),
                                box=fl.GridBox(0, 1, -6.0, 6.0),
-                               bounds=VariationBounds(1.0, 1.0, 0.0))
+                               bounds=VariationBounds(1.0, 1.0, 0.0))["Z-lip"]
     assert rep_ok.verdict == "holds"
 
 
@@ -205,13 +206,13 @@ def test_z_quadratic_quad_exp_convex_piece():
         return np.where(np.abs(x) < 1.0, 2.0, 0.0)
     spec = fl.preset("ex_quad_exp", g=g, g1=g1, g2=g2)
     rep = z_quadratic_check(spec, 0.5, A=IntervalUnion([(-0.5, 0.5)]),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-quad"]
     assert rep.verdict == "holds"
 
 
 def test_z_quadratic_concave_region_fails(quad_exp):
     rep = z_quadratic_check(quad_exp, 0.5, A=IntervalUnion([(0.5, 4.0)]),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-quad"]
     assert rep.verdict == "fails"
 
 
@@ -220,7 +221,7 @@ def test_z_quadratic_flat_terminal_fails():
     spec = fl.preset("ex_quad_exp", g=lambda x: 0.0 * np.asarray(x, dtype=float),
                      g1=zero, g2=zero)
     rep = z_quadratic_check(spec, 0.5, A=IntervalUnion([(-1.0, 1.0)]),
-                            bounds=VariationBounds(1.0, 1.0, 0.0))
+                            bounds=VariationBounds(1.0, 1.0, 0.0))["Z-quad"]
     assert rep.verdict in ("fails", "boundary")
 
 
@@ -446,6 +447,30 @@ def test_second_order_resolution_names_every_partial_it_reads(missing):
     box = fl.GridBox(0.0, 1.0, -2.0, 2.0, y_lo=-1.0, y_hi=1.0, z_lo=-20.0, z_hi=20.0)
     for rep in second_order_check(spec, 0.5, box=box).values():
         assert rep.resolution == 1e-3
+
+
+def test_z_check_resolution_names_every_partial_it_reads(cubic):
+    # g1, g2 and h_xx are exact, but the gates difference h_x, h_yy, ... and
+    # the variation bounds difference b_x and sigma_x: the coarse resolution
+    spec = make_spec(g=lambda x: np.asarray(x, dtype=float) ** 2,
+                     g1=lambda x: 2.0 * np.asarray(x, dtype=float),
+                     g2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+                     h_partials={"h_xx": lambda t, x, y, z: 0.0 * np.asarray(x + t, dtype=float)})
+    bounds = VariationBounds(1.0, 1.0, 0.0)
+    for check in (z_lipschitz_check, z_quadratic_check):
+        for rep in check(spec, 0.5, bounds=bounds).values():
+            assert rep.resolution == 1e-3
+        for rep in check(cubic, 0.5, bounds=bounds).values():
+            assert rep.resolution == 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(criteria.CHECKS))
+def test_every_check_returns_reports_by_tag(name, cubic):
+    reports = criteria.CHECKS[name](cubic, 0.5)
+    assert isinstance(reports, dict) and reports
+    for tag, rep in reports.items():
+        assert isinstance(rep, criteria.CriterionReport)
+        assert tag == rep.criterion
 
 
 def test_z_markovian_dphi_from_exact_partials():
