@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task
 from .criteria import CHECKS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
 from .errors import FbsdeLabError, ParseError, PreconditionError
-from .mc import STREAM_FORWARD, BasisSpec, rng_stream, simulate_forward, solve_bsde_regression
+from .mc import STREAM_FORWARD, BasisSpec, _draw_increments, simulate_forward, solve_bsde_regression
 from .model import ModelSpec
 from .pde import GridSolution, default_grid, solve_u, solve_u_prime
 from .tails import compute_constants, envelope, empirical_density
@@ -138,8 +137,7 @@ def _tails(ctx: _Run) -> list:
     sam, t_snap, ns = _snapshot_sampler(ctx, ctx.params["tails_t"], target)
     v_grid = ctx.sol_uprime if target == "Z" else ctx.sol_u
     consts = compute_constants(v_grid, t_snap, 0.1, 0.1, ctx.params["tails_alpha_tilde"])
-    dW = rng_stream(ctx.seed, STREAM_FORWARD).standard_normal(
-        (ctx.num["n_mc"], ns)) * math.sqrt(ctx.spec.T / ns)
+    dW = _draw_increments(ctx.seed, STREAM_FORWARD, ctx.num["n_mc"], ns, ctx.spec.T / ns)
     F, _ = sam.evaluate(dW)
     stats = {"mean": float(np.mean(F)), "mad": float(np.mean(np.abs(F - np.mean(F))))}
     nodes = np.quantile(F, np.linspace(0.01, 0.99, 81))

@@ -596,8 +596,8 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     w = np.linspace(box.x_lo, box.x_hi, n_w)
     fT = _on_grid(spec.markovian_f, spec.T, w)
     fr = _frame(spec, t, A, box, resolution,
-                ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y"),
-                check_hit, seed, a_on=fT)
+                ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y",
+                 "h_zz", "h_xz", "h_yz"), check_hit, seed, a_on=fT)
     # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' at T
     dphi = (_on_grid(spec.d("g2"), fT) * _on_grid(fw, spec.T, w) ** 2
             + _on_grid(spec.d("g1"), fT) * _on_grid(fww, spec.T, w))
@@ -617,7 +617,8 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     out = {}
     for sgn, sign in SIGNS:
         tag = "Z-markov-" + ("a" if sgn > 0 else "b")
-        gate = not cross and float(np.min(sgn * hzz)) >= -fr.res
+        signed = float(np.min(sgn * hzz)) >= -fr.res
+        notes = cross + ([] if signed else ["h_zz sign package violated"])
         # inf of sgn * htilde over the grid, zt at whichever box end minimizes it
         ht = sgn * float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo,
                                                         sgn * hy * box.z_hi)))
@@ -625,9 +626,8 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
         m2 = sgn * float(np.min(sgn * dphi[fr.mask])) + (spec.T - t) * ht
         scal = {"dphi_extremum": m1 - (spec.T - t) * ht, "htilde_extremum": ht,
                 "margin_global": m1, "margin_A": m2}
-        out[tag] = fr.judge(tag, sgn, sgn * m1, sgn * m2, scal,
-                            cross + ([] if gate else ["h_zz sign package violated"]),
-                            edge=sgn * dphi, label="(g' o f) f'", failed=not gate)
+        out[tag] = fr.judge(tag, sgn, sgn * m1, sgn * m2, scal, notes,
+                            edge=sgn * dphi, label="(g' o f) f'", failed=bool(notes))
     return out
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _euler, rng_stream
+from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler
 from .model import ModelSpec
 from .pde import GridSolution
 from .special import gauss_laguerre
@@ -116,10 +116,11 @@ class DensityEstimate:
 class FunctionalSampler:
     """Draw-level access to (F(W), Phi_F(W)) for the coupling estimator.
 
-    ``evaluate`` maps Brownian increments of shape (n, n_steps) to the pair
+    ``evaluate`` maps Brownian increments of shape (n, m) to the pair
     (F values, derivative paths on ``r_nodes``); it must be a deterministic,
     reentrant function of the increments so the caller can re-evaluate it on
-    rotated paths with common random numbers.
+    rotated paths with common random numbers.  It reads only increment
+    columns 0..len(r_nodes)-2, all that ``estimate_gF`` hands it (time-major).
     """
 
     T: float
@@ -284,12 +285,13 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     the rotated derivative paths are averaged over +/- W*.  Nodes are
     quantile-spaced so that heavy concentration of the law (e.g. a
     square-root spike at a support edge) is resolved where the mass sits.
+    Draws are time-major; only the columns the sampler reads are rotated.
     """
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
     dt = sampler.T / sampler.n_steps
-    dW = rng_stream(seed, STREAM_FORWARD).standard_normal((n_mc, sampler.n_steps)) * math.sqrt(dt)
-    dWs = rng_stream(seed, STREAM_COUPLING).standard_normal((n_mc, sampler.n_steps)) * math.sqrt(dt)
+    dW, dWs = (_draw_increments(seed, s, n_mc, sampler.n_steps, dt)[:, :sampler.r_nodes.size - 1]
+               for s in (STREAM_FORWARD, STREAM_COUPLING))
 
     F, Phi = sampler.evaluate(dW)
     R = np.zeros(n_mc)

@@ -59,6 +59,7 @@ __all__ = [
 STREAM_FORWARD = 0
 STREAM_COUPLING = 1
 STREAM_BOOTSTRAP = 2
+_DRAW_BLOCK = 4096  # paths per block of ``_draw_increments``
 
 
 def rng_stream(seed: int, stream: int) -> Generator:
@@ -71,8 +72,9 @@ class PathEnsemble:
     """Euler-Maruyama paths of the forward diffusion.
 
     ``dW`` has shape (n_paths, n_steps); ``X`` has shape (n_paths, n_steps+1)
-    with X[:, 0] = X0, a transpose view of the time-major array the kernel
-    fills.  Row i of ``dW`` holds the normals drawn after rows 0..i-1 of the
+    with X[:, 0] = X0.  ``simulate_forward`` holds both time-major, as transpose
+    views, so ``dW[:, k]`` and ``X[:, k]`` are contiguous; any layout is accepted.
+    Row i of ``dW`` holds the normals drawn after rows 0..i-1 of the
     (seed, stream) Philox stream; it is not an addressable counter block.
 
     An ensemble is immutable: ``simulate_forward`` marks ``t_grid``, ``dW``
@@ -156,7 +158,8 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     """Euler-Maruyama flow of the forward diffusion on given increments.
 
     Steps X from ``x0`` at time ``t0`` through the columns of ``dW``
-    (n_paths, n_steps), read in place; ``order`` 1 adds the first variation
+    (n_paths, n_steps), read in place (contiguously when ``dW`` is time-major,
+    as ``_draw_increments`` hands it out); ``order`` 1 adds the first variation
     (nablaX_0 = 1) and ``order`` 2 the second variation (nabla2X_0 = 0):
 
         X_{k+1}       = X_k + b dt + sigma dW_k
@@ -218,6 +221,22 @@ def _preflight(what: str, nbytes: int) -> None:
                             f"the {limit / 2**30:.3g} GiB of physical memory", witness=nbytes)
 
 
+def _draw_increments(seed: int, stream: int, n_paths: int, n_steps: int, dt: float,
+                     antithetic: bool = False) -> np.ndarray:
+    """sqrt(dt) N(0, 1) increments as the (n_paths, n_steps) view of a time-major array.
+
+    Path blocks drawn path-major fill its columns: the numbers of one (n_paths,
+    n_steps) draw, no transpose copy.  ``antithetic`` negates the first half into the second.
+    """
+    drawn = (n_paths + 1) // 2 if antithetic else n_paths
+    rng, out = rng_stream(seed, stream), np.empty((n_steps, n_paths))
+    for i in range(0, drawn, _DRAW_BLOCK):
+        block = rng.standard_normal((min(_DRAW_BLOCK, drawn - i), n_steps))
+        np.multiply(block.T, math.sqrt(dt), out=out[:, i:i + len(block)])
+    np.negative(out[:, :n_paths - drawn], out=out[:, drawn:])
+    return out.T
+
+
 def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
                      antithetic: bool = False, stream: int = STREAM_FORWARD) -> PathEnsemble:
     """Euler-Maruyama simulation of the forward diffusion.
@@ -233,13 +252,7 @@ def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
     _preflight(f"simulate_forward({n_paths} paths x {n_steps} steps)",
                8 * n_paths * (3 * n_steps + 1))
     dt = spec.T / n_steps
-    rng = rng_stream(seed, stream)
-    if antithetic:
-        half = (n_paths + 1) // 2
-        base = rng.standard_normal((half, n_steps))
-        dW = np.vstack([base, -base])[:n_paths] * math.sqrt(dt)
-    else:
-        dW = rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt)
+    dW = _draw_increments(seed, stream, n_paths, n_steps, dt, antithetic)
     t_grid = np.linspace(0.0, spec.T, n_steps + 1)
     X, = _euler(spec, dW, spec.X0, 0.0, dt)
     for a in (t_grid, dW, X):
@@ -353,8 +366,8 @@ class BsdeSolution:
     """Regression solution of the backward pair along a path ensemble."""
 
     t_grid: np.ndarray
-    Y: np.ndarray            # (n_paths, n_steps+1)
-    Z: np.ndarray            # (n_paths, n_steps); Z[:, k] estimates Z at t_k
+    Y: np.ndarray            # (n_paths, n_steps+1), a transpose view: Y[:, k] is contiguous
+    Z: np.ndarray            # (n_paths, n_steps), the same; Z[:, k] estimates Z at t_k
     basis: BasisSpec
     residuals: np.ndarray    # per-step mean squared projection residuals
     saturation_rate: float = 0.0
@@ -376,33 +389,32 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     """
     basis = basis or BasisSpec()
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
-    t = ens.t_grid
-    Y = np.empty((n, N + 1))
-    Z = np.empty((n, N))
-    Y[:, N] = spec.g(ens.X[:, N])
+    t, X, dW = ens.t_grid, ens.X.T, ens.dW.T    # time-major: each step reads rows
+    Y, Z = np.empty((N + 1, n)), np.empty((N, n))
+    Y[N] = spec.g(X[N])
     residuals = np.zeros(N)
     clipped = 0
     quadratic = spec.regime == "quadratic"
     for k in range(N - 1, -1, -1):
-        xk = ens.X[:, k]
+        xk = X[k]
         A = _design(basis, xk)
         M = _gram(A, basis.ridge)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
-        cond0 = A @ _ridge_solve(M, A, Y[:, k + 1])
-        zk = A @ _ridge_solve(M, A, (Y[:, k + 1] - cond0) * ens.dW[:, k] / dt)
-        cond = A @ _ridge_solve(M, A, Y[:, k + 1] - zk * ens.dW[:, k])
-        Z[:, k] = zk
+        cond0 = A @ _ridge_solve(M, A, Y[k + 1])
+        zk = A @ _ridge_solve(M, A, (Y[k + 1] - cond0) * dW[k] / dt)
+        cond = A @ _ridge_solve(M, A, Y[k + 1] - zk * dW[k])
+        Z[k] = zk
         if quadratic:
             z_used = np.clip(zk, -z_cap, z_cap)
             clipped += int(np.sum(np.abs(zk) > z_cap))
         else:
             z_used = zk
-        Y[:, k] = cond + dt * spec.h(t[k], xk, cond, z_used)
-        residuals[k] = float(np.mean((Y[:, k + 1] - cond) ** 2))
+        Y[k] = cond + dt * spec.h(t[k], xk, cond, z_used)
+        residuals[k] = float(np.mean((Y[k + 1] - cond) ** 2))
     rate = clipped / (n * N)
-    sol = BsdeSolution(t, Y, Z, basis, residuals, rate, z_cap if quadratic else None)
+    sol = BsdeSolution(t, Y.T, Z.T, basis, residuals, rate, z_cap if quadratic else None)
     if quadratic and rate > 0.01:
         sol.warnings.append(f"driver truncation saturated on {100 * rate:.2f}% of path-steps")
     return sol
@@ -602,7 +614,9 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     # only needed down to the first requested node.  S_k, the future Brownian
     # mass, backs the zero-mean chaos regressors that soak up the projection
     # noise without entering the prediction.  The whole-path Girsanov exponent
-    # feeds the importance-weight kurtosis gate.
+    # feeds the importance-weight kurtosis gate.  With h_y = h_z = 0 by the model's
+    # expressions, rho and that weight are 1: the pass stops at the first node.
+    weighted = not spec.constant("h_y") == spec.constant("h_z") == 0.0
     k_lo = nodes[0]
     G = gprime * nab[N]
     src_next = hx(t[N], X[N], *theta(N, t[N], X[N])) * nab[N]
@@ -610,15 +624,16 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     log_girsanov = np.zeros(n)
     if N in row:
         fill(N, G, S)
-    for k in range(N - 1, -1, -1):
+    for k in range(N - 1, -1 if weighted else k_lo - 1, -1):
         dw = ens.dW[:, k]
         txyz = (t[k], X[k], *theta(k, t[k], X[k]))
-        hz_k = hz(*txyz)
-        log_girsanov += hz_k * dw - 0.5 * hz_k**2 * dt
+        if weighted:
+            hz_k = hz(*txyz)
+            log_girsanov += hz_k * dw - 0.5 * hz_k**2 * dt
         S = S + dw
         if k < k_lo:
             continue
-        rho = np.exp(hy(*txyz) * dt + hz_k * dw - 0.5 * hz_k**2 * dt)
+        rho = np.exp(hy(*txyz) * dt + hz_k * dw - 0.5 * hz_k**2 * dt) if weighted else 1.0
         src = hx(*txyz) * nab[k]
         G = rho * G + 0.5 * dt * (src + rho * src_next)
         src_next = src

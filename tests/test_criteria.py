@@ -487,6 +487,33 @@ def test_z_markovian_dphi_from_exact_partials():
     assert rep["Z-markov-b"].scalars["dphi_extremum"] == pytest.approx(dphi.max(), abs=1e-12)
 
 
+def test_z_markovian_cross_partials_alone_do_not_flag_h_zz():
+    # h_zz = 0 keeps the h_zz sign package; only the cross partials h_xz = 1 fail
+    spec = parse_config("[model]\nb = 0\nsigma = 1\ng = x^2 + x\nh = x*y + z*x + x^2\n"
+                        "f = w - 0.1*w^3\n").build_spec()
+    for rep in z_markovian_check(spec, 0.5).values():
+        assert rep.verdict == "fails"
+        assert any(n.startswith("cross partials not annihilated") for n in rep.notes)
+        assert "h_zz sign package violated" not in rep.notes
+
+
+def test_z_markovian_resolution_names_its_gate_partials():
+    # h = -0.05 z^2: h_zz, h_xz and h_yz are differenced when not supplied
+    zero = lambda *a: np.zeros(np.broadcast(*a).shape)
+    nine = {"f_w": lambda t, w: 1.0 + 0.0 * np.asarray(w, dtype=float),
+            "f_ww": lambda t, w: 0.0 * np.asarray(w, dtype=float),
+            **{n: zero for n in ("h_xx", "h_x", "h_yy", "h_xy", "h_y")}}
+    h = lambda t, x, y, z: -0.05 * np.asarray(z, dtype=float) ** 2 + 0.0 * np.asarray(x + t)
+    common = dict(g1=lambda v: np.ones_like(np.asarray(v, dtype=float)),
+                  g2=lambda v: np.zeros_like(np.asarray(v, dtype=float)), h=h,
+                  f=lambda t, w: np.asarray(w, dtype=float) + 0.0 * np.asarray(t))
+    for partials, res in ((nine, 1e-3),
+                          ({**nine, "h_zz": lambda *a: zero(*a) - 0.1, "h_xz": zero,
+                            "h_yz": zero}, 1e-8)):
+        for rep in z_markovian_check(make_spec(h_partials=partials, **common), 0.5).values():
+            assert rep.resolution == res
+
+
 def test_estimate_variation_bounds_additive_and_geometric():
     from fbsdelab.criteria import estimate_variation_bounds
 

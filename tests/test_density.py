@@ -243,3 +243,21 @@ def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
     slope = ux * cubic.d("sigma_x")(0.25, xt) + uxx * cubic.sigma(0.25, xt)
     assert np.array_equal(Phi, density._flow_phi(cubic, z.r_nodes, X, nabla, slope))
     assert steps == [32, 16]
+
+
+def test_gF_rotates_only_the_increments_the_sampler_reads(cubic):
+    # Y_1/2 on 64 steps reads k_t = 32 increments: every evaluation, the
+    # 2 x 4 antithetic rotations and the unrotated one, gets 32 columns
+    grid = fl.default_grid(cubic, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
+    su = fl.solve_u(cubic, grid)
+    sam = pde_y_sampler(cubic, su, 0.5, 64)
+    evaluate, shapes = sam.evaluate, []
+
+    def counted(dW):
+        shapes.append(dW.shape)
+        assert dW[:, 0].flags.c_contiguous
+        return evaluate(dW)
+
+    sam.evaluate = counted
+    estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
+    assert shapes == [(500, 32)] * 9

@@ -152,3 +152,37 @@ def test_preflight_counts_the_variation_only_when_stepped(counter, counter_grids
             fl.solve_malliavin_bsde(spec, ens, (su, sp), r=0.25, times=[0.5])
         witness[spec is counter] = exc.value.witness
     assert witness[False] - witness[True] == 8 * n * 17
+
+
+def _counting(fn, calls):
+    """``fn`` behind a wrapper that counts its calls and keeps its expression tree."""
+    def wrapped(*args):
+        calls.append(1)
+        return fn(*args)
+    wrapped.expression = fn.expression
+    return wrapped
+
+
+@pytest.mark.parametrize("kind", SOLUTIONS)
+def test_constant_zero_girsanov_weight_is_not_evaluated(request, kind):
+    # counter's h_y and h_z are the constant 0: rho = 1 and the Girsanov
+    # exponent 0 are not evaluated, with the bits of the same model whose
+    # h_y and h_z are opaque lambdas
+    spec, ens, sol = _setup(request, "counter", kind)
+    calls = []
+    counted = dataclasses.replace(spec, partials={
+        **spec.partials, **{n: _counting(spec.partials[n], calls) for n in ("h_y", "h_z")}})
+    opaque = dataclasses.replace(spec, partials={
+        **spec.partials, **{n: (lambda f: lambda *a: f(*a))(spec.partials[n])
+                            for n in ("h_y", "h_z")}})
+    assert counted.constant("h_y") == counted.constant("h_z") == 0.0
+    assert opaque.constant("h_y") is opaque.constant("h_z") is None
+    columns = [ens.index_of(t) for t in TIMES]
+    for r in (0.0, 0.25):
+        fast = fl.solve_malliavin_bsde(counted, ens, sol, r=r, times=TIMES)
+        ctx = ens._malliavin
+        slow = fl.solve_malliavin_bsde(opaque, ens, sol, r=r, times=TIMES)
+        _assert_same(fast, slow, columns)
+        assert np.array_equal(ctx.cond, ens._malliavin.cond)
+        assert ctx.kurtosis is ens._malliavin.kurtosis is None
+    assert calls == []

@@ -61,6 +61,36 @@ def test_antithetic_pairs(counter):
     np.testing.assert_allclose(ens.dW[:32], -ens.dW[32:], atol=0)
 
 
+def test_draw_increments_blocks_equal_one_draw():
+    # consecutive blocks of paths are one (n, N) draw, held time-major; n is
+    # odd and not a multiple of the block
+    from fbsdelab.mc import _DRAW_BLOCK, _draw_increments
+
+    n, N, dt = 2 * _DRAW_BLOCK + 1001, 8, 1.0 / 8
+    one = rng_stream(3, 0).standard_normal((n, N)) * math.sqrt(dt)
+    dW = _draw_increments(3, 0, n, N, dt)
+    assert dW.shape == (n, N) and dW.T.flags.c_contiguous
+    assert np.array_equal(dW, one)
+    half = (n + 1) // 2
+    base = rng_stream(3, 0).standard_normal((half, N))
+    anti = _draw_increments(3, 0, n, N, dt, antithetic=True)
+    assert np.array_equal(anti, np.vstack([base, -base])[:n] * math.sqrt(dt))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_forward_increments_and_lsmc_are_time_major(counter, antithetic):
+    n, N = 1001, 8
+    ens = fl.simulate_forward(counter, n, N, seed=6, antithetic=antithetic)
+    base = rng_stream(6, 0).standard_normal(((n + 1) // 2 if antithetic else n, N))
+    draw = np.vstack([base, -base])[:n] if antithetic else base
+    assert np.array_equal(ens.dW, draw * math.sqrt(1.0 / N))
+    sol = fl.solve_bsde_regression(counter, ens)
+    for k in range(N):
+        for a in (ens.dW, ens.X, sol.Y, sol.Z):
+            assert a[:, k].flags.c_contiguous
+    assert sol.Y[:, N].flags.c_contiguous
+
+
 def test_lsmc_constant_terminal():
     spec = make_spec(g=lambda x: 1.5 + 0.0 * np.asarray(x, dtype=float))
     ens = fl.simulate_forward(spec, 2000, 16, seed=4)

@@ -213,6 +213,20 @@ def test_csv_export(tmp_path, counter_grids):
     assert len(lines) == 2 + su.u.size
 
 
+def test_csv_export_bytes_match_row_format(tmp_path):
+    # one "%.17g" row per node, t-major: the bytes any faster formatter must keep
+    spec = fl.preset("ex_cubic")
+    su = fl.solve_u(spec, fl.default_grid(spec, nt=5, nx=7))
+    p = tmp_path / "sol.csv"
+    su.to_csv(p, header_lines=["a", "b"])
+    rows = ["# a", "# b", "t,x,u,u_x,u_xx"]
+    for i, t in enumerate(su.t_nodes):
+        for j, x in enumerate(su.x_nodes):
+            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g"
+                        % (t, x, su.u[i, j], su.u_x[i, j], su.u_xx[i, j]))
+    assert p.read_text() == "\n".join(rows) + "\n"
+
+
 def _eval_reference(sol, t, x, array=None):
     # np.interp inside the box, the first/last two nodes' line outside it
     x = np.asarray(x, dtype=float)
