@@ -1,8 +1,8 @@
 """Batch experiment runner: parse a config, execute tasks, emit artifacts.
 
 ``TASKS`` maps each task of ``config.TASK_DEPS`` to a function of the run
-context that writes its files and returns their paths.  Every file starts
-with header lines recording the package version, the master seed and the
+context that writes its files, each opened through ``_Run.file``.  Every file
+starts with header lines recording the package version, the master seed and the
 config hash (plus a timestamp unless disabled); ``manifest.json`` lists the
 files with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .artifacts import write_table
 from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task_closure
 from .criteria import CHECKS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
@@ -86,9 +87,16 @@ class _Run:
     sol_u: Optional[GridSolution] = None
     sol_uprime: Optional[GridSolution] = None
     diagnostics: dict = field(default_factory=dict)
+    files: list = field(default_factory=list)
+
+    def file(self, name: str) -> Path:
+        """The output path of ``name``, listed in the manifest once its task succeeds."""
+        path = self.out / name
+        self.files.append(path)
+        return path
 
 
-def _solve(ctx: _Run) -> list:
+def _solve(ctx: _Run) -> None:
     num = ctx.num
     grid = default_grid(ctx.spec, nt=num["nt"], nx=num["nx"], width=num["grid_width"],
                         x_lo=num["x_lo"], x_hi=num["x_hi"])
@@ -98,13 +106,12 @@ def _solve(ctx: _Run) -> list:
         name: {"theta": gs.theta, "fallback_used": gs.fallback_used,
                "max_iterations": gs.max_iterations}
         for name, gs in (("u", su), ("u_prime", sp))}
-    su.to_csv(ctx.out / "grid_u.csv", ctx.header)
-    sp.to_csv(ctx.out / "grid_uprime.csv", ctx.header)
-    su.to_binary(ctx.out / "grid_u.bin")
-    return [ctx.out / "grid_u.csv", ctx.out / "grid_uprime.csv", ctx.out / "grid_u.bin"]
+    su.to_csv(ctx.file("grid_u.csv"), ctx.header)
+    sp.to_csv(ctx.file("grid_uprime.csv"), ctx.header)
+    su.to_binary(ctx.file("grid_u.bin"))
 
 
-def _criteria(ctx: _Run) -> list:
+def _criteria(ctx: _Run) -> None:
     rows = []
     for t in ctx.params["criteria_times"]:
         for chk in ctx.params["criteria_checks"]:
@@ -113,26 +120,24 @@ def _criteria(ctx: _Run) -> list:
             except PreconditionError as exc:
                 rows.append({"criterion": chk, "t": t, "verdict": "precondition-error",
                              "error": str(exc)})
-    _write_json(ctx.out / "criteria.json", {"reports": rows}, ctx.header)
-    with open(ctx.out / "criteria_table.txt", "w") as fh:
+    _write_json(ctx.file("criteria.json"), {"reports": rows}, ctx.header)
+    with open(ctx.file("criteria_table.txt"), "w") as fh:
         fh.writelines(f"# {line}\n" for line in ctx.header)
         fh.write(f"{'criterion':<12}{'t':>8}  {'verdict':<26}{'margin':>15}\n")
         for r in rows:
             fh.write(f"{r['criterion']:<12}{r['t']:>8.4f}  {r['verdict']:<26}"
                      f"{r.get('margin', float('nan')):>15.6e}\n")
-    return [ctx.out / "criteria.json", ctx.out / "criteria_table.txt"]
 
 
-def _density(ctx: _Run) -> list:
+def _density(ctx: _Run) -> None:
     sam, _, _ = _snapshot_sampler(ctx, ctx.params["density_t"], ctx.params["density_target"])
     gf = estimate_gF(sam, n_mc=ctx.num["n_mc"], n_u_nodes=ctx.num["n_u_nodes"], seed=ctx.seed)
     de = density_from_gF(gf)
-    gf.to_csv(ctx.out / "gfunction.csv", ctx.header)
-    de.to_csv(ctx.out / "density.csv", ctx.header)
-    return [ctx.out / "gfunction.csv", ctx.out / "density.csv"]
+    gf.to_csv(ctx.file("gfunction.csv"), ctx.header)
+    de.to_csv(ctx.file("density.csv"), ctx.header)
 
 
-def _tails(ctx: _Run) -> list:
+def _tails(ctx: _Run) -> None:
     target = ctx.params["tails_target"]
     sam, t_snap, ns = _snapshot_sampler(ctx, ctx.params["tails_t"], target)
     v_grid = ctx.sol_uprime if target == "Z" else ctx.sol_u
@@ -143,13 +148,12 @@ def _tails(ctx: _Run) -> list:
     nodes = np.quantile(F, np.linspace(0.01, 0.99, 81))
     env = envelope(t_snap, consts, stats, nodes, form=ctx.params["tails_form"], target=target)
     emp, se, _ = empirical_density(F, nodes)
-    env.to_csv(ctx.out / "envelope.csv", emp, 2.58 * se, ctx.header)
-    _write_json(ctx.out / "tail_constants.json",
+    env.to_csv(ctx.file("envelope.csv"), emp, 2.58 * se, ctx.header)
+    _write_json(ctx.file("tail_constants.json"),
                 {"t": t_snap, "constants": consts.to_dict()}, ctx.header)
-    return [ctx.out / "envelope.csv", ctx.out / "tail_constants.json"]
 
 
-def _oracle_compare(ctx: _Run) -> list:
+def _oracle_compare(ctx: _Run) -> None:
     spec, num = ctx.spec, ctx.num
     if spec.oracle is None:
         raise PreconditionError("model has no closed-form oracle")
@@ -158,23 +162,19 @@ def _oracle_compare(ctx: _Run) -> list:
                                 z_cap=num["z_cap"])
     ctx.diagnostics[ctx.task] = {"saturation_rate": sol.saturation_rate,
                                  "warnings": list(sol.warnings)}
-    with open(ctx.out / "oracle_compare.csv", "w") as fh:
-        fh.writelines(f"# {line}\n" for line in ctx.header)
-        fh.write("t,max_err_pde,max_err_mc,mean_err_mc\n")
-        for t in ctx.params["oracle_times"]:
-            k = ens.index_of(t, nearest=True)
-            tk = ens.t_grid[k]
-            w = ens.X[:, k] - spec.X0
-            y_star = spec.oracle.y(tk, w)
-            y_pde = ctx.sol_u.eval(tk, ens.X[:, k])
-            e_pde = float(np.max(np.abs(y_pde - y_star)))
-            e_mc = float(np.max(np.abs(sol.Y[:, k] - y_star)))
-            m_mc = float(np.mean(np.abs(sol.Y[:, k] - y_star)))
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (tk, e_pde, e_mc, m_mc))
-    return [ctx.out / "oracle_compare.csv"]
+    rows = []
+    for t in ctx.params["oracle_times"]:
+        k = ens.index_of(t, nearest=True)
+        tk = ens.t_grid[k]
+        y_star = spec.oracle.y(tk, ens.X[:, k] - spec.X0)
+        err_mc = np.abs(sol.Y[:, k] - y_star)
+        rows.append((tk, np.max(np.abs(ctx.sol_u.eval(tk, ens.X[:, k]) - y_star)),
+                     np.max(err_mc), np.mean(err_mc)))
+    write_table(ctx.file("oracle_compare.csv"), ctx.header,
+                ("t", "max_err_pde", "max_err_mc", "mean_err_mc"), rows)
 
 
-# the task functions in TASK_DEPS order; each returns the paths it wrote
+# the task functions in TASK_DEPS order
 TASKS = dict(zip(TASK_DEPS, (_solve, _criteria, _density, _tails, _oracle_compare)))
 
 
@@ -196,16 +196,17 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
     header = _headers(cfg_hash, seed, use_ts)
     ctx = _Run(config.build_spec(), config.numerics, config.task_params, seed, out, header)
     status: dict = {}
-    files: list = []
     for task in config.tasks:
         if not all(status.get(d) == "ok" for d in TASK_DEPS[task]):
             status[task] = "aborted (dependency failed)"
             continue
         ctx.task = task
+        n_listed = len(ctx.files)
         try:
-            files += TASKS[task](ctx)
+            TASKS[task](ctx)
             status[task] = "ok"
         except FbsdeLabError as exc:
+            del ctx.files[n_listed:]
             status[task] = f"failed: {exc}"
 
     manifest = {
@@ -216,7 +217,7 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
         "tasks": status,
         "notes": [f"dependency auto-inserted: {d}" for d in config.inserted_dependencies],
         "files": [{"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
-                  for p in files],
+                  for p in ctx.files],
         "ok": all(v == "ok" for v in status.values()),
         "diagnostics": ctx.diagnostics,
     }
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
         seed = None if args.seed is None else parse_value("numerics", "seed", args.seed)
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         print(f"fbsdelab: {exc}", file=sys.stderr)
         return 2
     if args.command != "run":

@@ -310,7 +310,9 @@ class _Frame:
 def _frame(spec, t, A, box, resolution, partials, check_hit, seed, a_on=None) -> _Frame:
     """Preamble of every check.  The resolution is fine only when each partial
     the check reads is exact; A is tested on ``a_on`` (the x-nodes by default)
-    and a PreconditionError is raised when it misses all of them."""
+    and a PreconditionError is raised when it misses them all or t is not in [0, T]."""
+    if not 0.0 <= t <= spec.T:
+        raise PreconditionError(f"t={t:g} lies outside [0, T] = [0, {spec.T:g}]")
     box = box or default_box(spec)
     if resolution is None:
         resolution = 1e-8 if all(n in spec.partials for n in partials) else 1e-3

@@ -14,7 +14,8 @@ a.s., in which case
 (the e^{-u} weight is exact), realizes the independent copy W* on a paired
 random stream with common random numbers across quadrature nodes (optionally
 antithetic), and replaces the conditioning on the null event {F - E F = x}
-by local linear regression on F - E F (equal-count binning as fallback).
+by local linear regression on F - E F, or by equal-count binning when
+``ConditionalSpec(kind="bins")`` asks for it.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -29,11 +30,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler
 from .model import ModelSpec
 from .pde import GridSolution
-from .special import gauss_laguerre
+from .special import gauss_laguerre, integral_from_zero
 
 __all__ = [
     "ConditionalSpec", "GFunction", "DensityEstimate", "FunctionalSampler",
@@ -77,14 +79,11 @@ class GFunction:
             raise ValueError("g_F values must be finite and nonnegative")
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"# mean_F={self.mean_F:.17g} mad_F={self.mad_F:.17g} "
-                     f"bandwidth={self.bandwidth:.17g} n_mc={self.n_mc} seed={self.seed}\n")
-            fh.write("x,value,ci_low,ci_high\n")
-            for x, v, s in zip(self.x_nodes, self.values, self.se):
-                fh.write("%.17g,%.17g,%.17g,%.17g\n" % (x, v, max(v - 1.96 * s, 0.0), v + 1.96 * s))
+        comments = [*header_lines, f"mean_F={self.mean_F:.17g} mad_F={self.mad_F:.17g} "
+                    f"bandwidth={self.bandwidth:.17g} n_mc={self.n_mc} seed={self.seed}"]
+        rows = ((x, v, max(v - 1.96 * s, 0.0), v + 1.96 * s)
+                for x, v, s in zip(self.x_nodes, self.values, self.se))
+        write_table(path, comments, ("x", "value", "ci_low", "ci_high"), rows)
 
 
 @dataclass
@@ -102,14 +101,9 @@ class DensityEstimate:
     mad_F: float = 0.0
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"# verdict={self.verdict} defect={self.normalization_defect}\n")
-            fh.write("x,value,ci_low,ci_high\n")
-            if self.rho is not None:
-                for x, v, lo, hi in zip(self.x_nodes, self.rho, self.ci_low, self.ci_high):
-                    fh.write("%.17g,%.17g,%.17g,%.17g\n" % (x, v, lo, hi))
+        comments = [*header_lines, f"verdict={self.verdict} defect={self.normalization_defect}"]
+        rows = () if self.rho is None else zip(self.x_nodes, self.rho, self.ci_low, self.ci_high)
+        write_table(path, comments, ("x", "value", "ci_low", "ci_high"), rows)
 
 
 @dataclass
@@ -172,11 +166,30 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
     """(dt, k_t, r): the step T/n_steps, the step index of t and the nodes r_0..r_{k_t} = t."""
+    if not -1e-9 <= t <= spec.T + 1e-9:
+        raise PreconditionError(f"snapshot time t={t:g} lies outside [0, T] = [0, {spec.T:g}]")
     dt = spec.T / n_steps
     k_t = int(round(t / dt))
     if abs(k_t * dt - t) > 1e-9:
         raise PreconditionError("t must sit on the sampler time grid")
     return dt, k_t, np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
+
+
+def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, at_t: Callable,
+                 description: str) -> FunctionalSampler:
+    """The sampler of F = at_t(X_t)[0], whose derivative in X_t is at_t(X_t)[1].
+
+    It steps the flow over the increments up to t only: F and Phi read
+    nothing past it.
+    """
+    dt, k_t, r = _snapshot_grid(spec, t, n_steps)
+
+    def evaluate(dW):
+        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
+        F, slope = at_t(X[k_t])
+        return F, _flow_phi(spec, r, X, nabla, slope)
+
+    return FunctionalSampler(spec.T, n_steps, r, evaluate, description)
 
 
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,
@@ -185,44 +198,30 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
 
     Grid rows are evaluated through cubic splines: the reconstruction divides
     by g_F, so the second-order kinks of linear interpolation must not leak
-    into the functional near the edges of its support.  Both PDE samplers
-    step the flow over the increments up to t only: F and Phi read nothing
-    past it.
+    into the functional near the edges of its support.
     """
-    dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     u_s = sol_u.row_spline(t)
     ux_s = sol_uprime.row_spline(t) if sol_uprime is not None \
         else sol_u.row_spline(t, sol_u.u_x)
-
-    def evaluate(dW):
-        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
-        xt = X[k_t]
-        F = u_s(xt)
-        ux = ux_s(xt)
-        return F, _flow_phi(spec, r, X, nabla, ux)
-
-    return FunctionalSampler(spec.T, n_steps, r, evaluate, f"Y_{t} via value grid")
+    return _pde_sampler(spec, t, n_steps, lambda xt: (u_s(xt), ux_s(xt)),
+                        f"Y_{t} via value grid")
 
 
 def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
                   n_steps: int = 64) -> FunctionalSampler:
     """F = Z_t = u_x(t, X_t) sigma(t, X_t); Phi(r) = D_r Z_t by the chain rule."""
-    dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     sx = spec.d("sigma_x")
     ux_s = sol_uprime.row_spline(t)
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
-    def evaluate(dW):
-        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
-        xt = X[k_t]
+    def at_t(xt):
+        # this call order keeps density-cubic's peak RSS (uxx_s after sx: +8 MB)
         sig_t = spec.sigma(t, xt)
         ux = ux_s(xt)
         uxx = uxx_s(xt)
-        F = ux * sig_t
-        slope = ux * sx(t, xt) + uxx * sig_t
-        return F, _flow_phi(spec, r, X, nabla, slope)
+        return ux * sig_t, ux * sx(t, xt) + uxx * sig_t
 
-    return FunctionalSampler(spec.T, n_steps, r, evaluate, f"Z_{t} via gradient grid")
+    return _pde_sampler(spec, t, n_steps, at_t, f"Z_{t} via gradient grid")
 
 
 # -- conditional expectation estimators --------------------------------------
@@ -344,15 +343,8 @@ def density_from_gF(gF: GFunction, mean_F: Optional[float] = None,
     if np.any(g[interior] <= 0.0) or not np.any(interior):
         return DensityEstimate(nodes + mean_F, None, None, None, None, None,
                                "existence-undetermined", mean_F, mad_F)
-    # integrate u/g outward from 0 on the augmented node set
-    aug = np.unique(np.concatenate([nodes, [0.0]]))
-    g_aug = np.interp(aug, nodes, g)
-    g_aug = np.maximum(g_aug, 1e-300)
-    integrand = aug / g_aug
-    cumint = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(aug))])
-    i0 = int(np.searchsorted(aug, 0.0))
-    I = cumint - cumint[i0]
-    I_nodes = np.interp(nodes, aug, I)
+    I_nodes = integral_from_zero(lambda u: u / np.maximum(np.interp(u, nodes, g), 1e-300),
+                                 nodes, n_fine=0)
     g_safe = np.maximum(g, 1e-300)
     rho = mad_F / (2.0 * g_safe) * np.exp(-I_nodes)
     rel = np.divide(gF.se, g_safe, out=np.zeros_like(g_safe), where=g_safe > 0)

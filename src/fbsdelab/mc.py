@@ -44,6 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
 from .model import ModelSpec
 from .pde import GridSolution
@@ -122,15 +123,10 @@ class PathEnsemble:
         return k
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            fh.write(f"# seed={self.seed} stream={self.stream} n_paths={self.n_paths} "
-                     f"n_steps={self.n_steps}\n")
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("path,t,x\n")
-            for i in range(self.n_paths):
-                for k, t in enumerate(self.t_grid):
-                    fh.write("%d,%.17g,%.17g\n" % (i, t, self.X[i, k]))
+        comments = [f"seed={self.seed} stream={self.stream} n_paths={self.n_paths} "
+                    f"n_steps={self.n_steps}", *header_lines]
+        rows = ((i, t, x) for i, path_x in enumerate(self.X) for t, x in zip(self.t_grid, path_x))
+        write_table(path, comments, ("path", "t", "x"), rows)
 
     def to_binary(self, path):
         import struct
@@ -349,11 +345,9 @@ def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
     the future Brownian mass (interacted with the state basis).  They are
     conditionally centered given x, so the x-part of the fit stays unbiased
     while the dominant response noise is projected out; predictions zero the
-    chaos columns.
+    chaos columns.  The remaining time ``tau`` is positive: the caller does k = N.
     """
     A = _design(basis, x)
-    if tau <= 0:
-        return A @ _ridge_fit(A, y, basis.ridge)
     h1 = (future_sum / math.sqrt(tau))[:, None]
     h2 = ((future_sum**2 - tau) / (tau * math.sqrt(2.0)))[:, None]
     D = np.concatenate([A, A * h1, A * h2], axis=1)

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .artifacts import write_table
 from .errors import ConfigError, DivergenceError, SolverError
 from .model import ModelSpec, _on_grid
 
@@ -189,14 +190,10 @@ class GridSolution:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("t,x,u,u_x,u_xx\n")
-            for i, t in enumerate(self.t_nodes):
-                for j, x in enumerate(self.x_nodes):
-                    fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                             % (t, x, self.u[i, j], self.u_x[i, j], self.u_xx[i, j]))
+        x = self.x_nodes.tolist()  # Python floats: the same "%.17g" text, formatted faster
+        rows = ((t, *v) for t, *time_rows in zip(self.t_nodes.tolist(), self.u, self.u_x, self.u_xx)
+                for v in zip(x, *(a.tolist() for a in time_rows)))
+        write_table(path, header_lines, ("t", "x", "u", "u_x", "u_xx"), rows)
 
     def to_binary(self, path):
         with open(path, "wb") as fh:

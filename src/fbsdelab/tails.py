@@ -30,10 +30,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .artifacts import write_table
 from .errors import PreconditionError, UndefinedRateError
 from .model import ModelSpec
 from .pde import GridSolution
-from .special import gamma_fn, gauss_hermite_prob, norm_pdf
+from .special import gamma_fn, gauss_hermite_prob, integral_from_zero, norm_pdf
 
 __all__ = [
     "GrowthRates", "TailConstants", "TailEnvelope", "SandwichReport",
@@ -369,32 +370,15 @@ class TailEnvelope:
     degenerate: bool = False
 
     def to_csv(self, path, empirical=None, empirical_ci=None, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"# t={self.t} target={self.target} form={self.form} "
-                     f"y0={self.y0} gamma={self.gamma} p1={self.p1} p2={self.p2}\n")
-            fh.write("y,lower,upper,empirical_density,empirical_ci\n")
-            emp = empirical if empirical is not None else np.full_like(self.y_nodes, np.nan)
-            eci = empirical_ci if empirical_ci is not None else np.full_like(self.y_nodes, np.nan)
-            for row in zip(self.y_nodes, self.lower, self.upper, emp, eci):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        comments = [*header_lines, f"t={self.t} target={self.target} form={self.form} "
+                    f"y0={self.y0} gamma={self.gamma} p1={self.p1} p2={self.p2}"]
+        nan = np.full_like(self.y_nodes, np.nan)
+        emp = [nan if a is None else a for a in (empirical, empirical_ci)]
+        write_table(path, comments, ("y", "lower", "upper", "empirical_density", "empirical_ci"),
+                    zip(self.y_nodes, self.lower, self.upper, *emp))
 
 
 EPS_LADDER = (0.01, 0.02, 0.05, 0.1)
-
-
-def _cumulative(fn, targets, n_fine=4001):
-    """int_0^s fn(x) dx for every s in targets (trapezoid on a shared mesh)."""
-    targets = np.asarray(targets, dtype=float)
-    lo = min(0.0, float(np.min(targets)))
-    hi = max(0.0, float(np.max(targets)))
-    mesh = np.unique(np.concatenate([np.linspace(lo, hi, n_fine), [0.0], targets]))
-    vals = fn(mesh)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(mesh))])
-    i0 = int(np.searchsorted(mesh, 0.0))
-    cum = cum - cum[i0]
-    return np.interp(targets, mesh, cum)
 
 
 def envelope(t: float, consts: TailConstants, stats: dict, y_nodes,
@@ -424,12 +408,12 @@ def envelope(t: float, consts: TailConstants, stats: dict, y_nodes,
         q_up = 2.0 * at * (a_inv + ep)
         q_gam = 2.0 * (a_vp + e) * (a_inv + ep)
         pref_up = mad / (2.0 * M * t) * (1.0 + np.abs(y_nodes) ** q_up)
-        I_up = _cumulative(lambda x: x / (Mp * t * (1.0 + np.abs(x + mean) ** q_gam)),
-                           y_nodes - mean)
+        I_up = integral_from_zero(lambda x: x / (Mp * t * (1.0 + np.abs(x + mean) ** q_gam)),
+                                  y_nodes - mean)
         upper = pref_up * np.exp(-I_up)
         pref_lo = mad / (2.0 * Mp * t) / (1.0 + np.abs(y_nodes) ** q_gam)
-        I_lo = _cumulative(lambda x: x * (1.0 + np.abs(x + mean) ** q_up) / (M * t),
-                           y_nodes - mean)
+        I_lo = integral_from_zero(lambda x: x * (1.0 + np.abs(x + mean) ** q_up) / (M * t),
+                                  y_nodes - mean)
         lower = pref_lo * np.exp(-I_lo)
         return TailEnvelope(t, target, y_nodes, upper, lower, form, mean, mad,
                             eps=e, eps_prime=ep)

@@ -424,6 +424,45 @@ timestamps = false
     assert status.startswith("failed") and "t=0.001" in status and "step 0" in status
 
 
+@pytest.mark.parametrize("task", ["density", "tails"])
+def test_run_snapshot_past_T_fails_naming_t_and_T(tmp_path, task):
+    text = f"""
+[model]
+preset = ex_counter
+[numerics]
+n_steps = 32
+nt = 41
+nx = 121
+n_mc = 500
+[tasks]
+run = {task}, criteria
+{task}_t = 1.5
+criteria_times = 1.5
+[output]
+timestamps = false
+"""
+    cfg_path = tmp_path / "late.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tasks"]["solve"] == "ok" and manifest["tasks"]["criteria"] == "ok"
+    status = manifest["tasks"][task]
+    assert status.startswith("failed") and "t=1.5 lies outside [0, T] = [0, 1]" in status
+    assert {f["path"] for f in manifest["files"]} == {
+        "grid_u.csv", "grid_uprime.csv", "grid_u.bin", "criteria.json", "criteria_table.txt"}
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    assert {r["verdict"] for r in rows} == {"precondition-error"}
+    assert all("t=1.5 lies outside" in r["error"] for r in rows)
+
+
+def test_cli_missing_config_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "missing.cfg" in capsys.readouterr().err
+
+
 def test_tails_constants_at_snapshot_time(tmp_path):
     # n_steps = 128 puts the snapshot on a T/64 grid: t = 0.51 rounds to 33/64
     text = """

@@ -561,3 +561,11 @@ def test_consistency_with_simulation_random_models(seed):
     rep = first_order_check(spec, 0.5)
     assert rep["H+"].verdict == "holds"
     assert _bh_supports(spec, 0.5, seed=200 + seed).verdict == "supports-density"
+
+
+@pytest.mark.parametrize("name", [n for n in criteria.CHECKS if n != "x-sign"])
+@pytest.mark.parametrize("t", [-0.25, 1.5])
+def test_checks_reject_times_outside_horizon(cubic, name, t):
+    # outside [0, T] the integrals over [t, T] leave the horizon: no verdict means anything
+    with pytest.raises(PreconditionError, match=rf"t={t:g} lies outside \[0, T\] = \[0, 1\]"):
+        criteria.CHECKS[name](cubic, t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
-from fbsdelab.density import (ConditionalSpec, GFunction,
+from fbsdelab.density import (ConditionalSpec, DensityEstimate, GFunction,
                               bouleau_hirsch_diagnostic, brownian_terminal_sampler,
                               density_from_gF, estimate_gF, gaussian_integral_sampler,
                               pde_y_sampler, pde_z_sampler)
@@ -261,3 +261,38 @@ def test_gF_rotates_only_the_increments_the_sampler_reads(cubic):
     sam.evaluate = counted
     estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
     assert shapes == [(500, 32)] * 9
+
+
+@pytest.mark.parametrize("t", [-0.5, 1.5])
+def test_samplers_reject_times_outside_horizon(counter, counter_grids, t):
+    _, su, sp = counter_grids
+    for make in (lambda: pde_y_sampler(counter, su, t, n_steps=16, sol_uprime=sp),
+                 lambda: pde_z_sampler(counter, sp, t, n_steps=16)):
+        with pytest.raises(PreconditionError, match=rf"t={t:g} lies outside \[0, T\] = \[0, 1\]"):
+            make()
+
+
+def test_gfunction_csv_bytes_match_row_format(tmp_path):
+    x, v, se = np.array([-1.5, 1 / 3, 2.0]), np.array([0.01, 0.7, 1.1]), np.array([0.5, 0.1, 0.2])
+    gf = GFunction(x, v, se, np.ones(3, dtype=bool), 0.3, np.arange(4.0), 0.125, 2 / 3, 100, 5)
+    gf.to_csv(tmp_path / "g.csv", header_lines=["a", "b"])
+    rows = ["# a", "# b", "# mean_F=0.125 mad_F=%.17g bandwidth=%.17g n_mc=100 seed=5"
+            % (2 / 3, 0.3), "x,value,ci_low,ci_high"]
+    rows += ["%.17g,%.17g,%.17g,%.17g" % (xi, vi, max(vi - 1.96 * si, 0.0), vi + 1.96 * si)
+             for xi, vi, si in zip(x, v, se)]
+    assert (tmp_path / "g.csv").read_text() == "\n".join(rows) + "\n"
+
+
+def test_density_csv_bytes_match_row_format(tmp_path):
+    x, rho = np.array([-1.0, 0.1, 1 / 7]), np.array([0.2, 0.5, 1 / 3])
+    lo, hi = 0.9 * rho, 1.1 * rho
+    DensityEstimate(x, rho, lo, hi, (-1.0, 1 / 7), 0.01, "ok").to_csv(
+        tmp_path / "d.csv", header_lines=["a"])
+    rows = ["# a", "# verdict=ok defect=0.01", "x,value,ci_low,ci_high"]
+    rows += ["%.17g,%.17g,%.17g,%.17g" % r for r in zip(x, rho, lo, hi)]
+    assert (tmp_path / "d.csv").read_text() == "\n".join(rows) + "\n"
+    # no density: the comments and the column line only
+    DensityEstimate(x, None, None, None, None, None, "existence-undetermined").to_csv(
+        tmp_path / "u.csv", header_lines=["a"])
+    assert (tmp_path / "u.csv").read_text() == (
+        "# a\n# verdict=existence-undetermined defect=None\nx,value,ci_low,ci_high\n")

@@ -386,6 +386,16 @@ def test_ensemble_csv(tmp_path, counter):
     assert "seed=28" in head
 
 
+def test_ensemble_csv_bytes_match_row_format(tmp_path, counter):
+    # the path index is an integer, and "%.17g" writes it as "%d" does
+    ens = fl.simulate_forward(counter, 3, 4, seed=28)
+    ens.to_csv(tmp_path / "paths.csv", header_lines=["a", "b"])
+    rows = ["# seed=28 stream=0 n_paths=3 n_steps=4", "# a", "# b", "path,t,x"]
+    rows += ["%d,%.17g,%.17g" % (i, t, ens.X[i, k])
+             for i in range(3) for k, t in enumerate(ens.t_grid)]
+    assert (tmp_path / "paths.csv").read_text() == "\n".join(rows) + "\n"
+
+
 def test_ensemble_binary_layout(tmp_path, counter):
     import struct
 

@@ -8,7 +8,7 @@ import fbsdelab as fl
 from fbsdelab.errors import PreconditionError, UndefinedRateError
 from fbsdelab.pde import GridSolution
 from fbsdelab.special import gamma_fn
-from fbsdelab.tails import (GrowthRates, compute_constants,
+from fbsdelab.tails import (GrowthRates, TailEnvelope, compute_constants,
                             delta_const, empirical_density, envelope,
                             growth_rate, inverse_growth_bound, invert_monotone,
                             mu_integral, regular_variation_check,
@@ -210,6 +210,23 @@ def test_envelope_brownian_theorem_form():
     assert np.all(env.upper >= phi - 1e-12)
     assert np.all(env.lower <= phi + 1e-12)
     assert np.all(env.lower <= env.upper + 1e-12)
+
+
+def test_envelope_csv_bytes_match_row_format(tmp_path):
+    y = np.array([-1.0, 0.0, 1 / 3])
+    lower, upper = np.array([0.1, 0.2, 1 / 7]), np.array([0.3, 0.4, 2 / 7])
+    env = TailEnvelope(0.5, "Z", y, upper, lower, "corollary", 0.0, 0.7, y0=0.25, gamma=0.5,
+                       p1=1.0, p2=0.75)
+    head = ["# a", "# t=0.5 target=Z form=corollary y0=0.25 gamma=0.5 p1=1.0 p2=0.75",
+            "y,lower,upper,empirical_density,empirical_ci"]
+    emp, eci = np.array([0.2, 0.3, 0.25]), np.array([0.01, 0.02, 1 / 9])
+    env.to_csv(tmp_path / "e.csv", emp, eci, header_lines=["a"])
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g" % r for r in zip(y, lower, upper, emp, eci)]
+    assert (tmp_path / "e.csv").read_text() == "\n".join(head + rows) + "\n"
+    # without the empirical columns they read nan
+    env.to_csv(tmp_path / "n.csv", header_lines=["a"])
+    rows = ["%.17g,%.17g,%.17g,nan,nan" % r for r in zip(y, lower, upper)]
+    assert (tmp_path / "n.csv").read_text() == "\n".join(head + rows) + "\n"
 
 
 def test_envelope_degenerate_stats():
