@@ -23,7 +23,8 @@ only when every partial the check reads is exact), the A-mask and the hit
 bound.  ``_Frame.judge`` turns one sign package's (non-strict, strict) pair
 of lines into a report by one rule: the verdict from the margins, then a
 void hypothesis, the box-edge rule and a failed structural gate.  Each ±
-pair runs over ``SIGNS``.
+pair runs over ``model.SIGNS``.  Every grid value comes from ``model.evaluate``,
+so a NaN or ±inf partial raises EvaluationError naming it and its node.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .model import GridBox, ModelSpec, _on_grid, default_box
+from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, box_mesh, check_horizon,
+                    default_box, evaluate, sign_package)
 
 __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
@@ -177,26 +179,6 @@ def _branch_integral(K: float, s_nodes: np.ndarray, running: np.ndarray,
 # -- grid extremization -------------------------------------------------------
 
 
-def _s_nodes(box: GridBox, t: float) -> np.ndarray:
-    """Box time nodes in [t, T], with t itself prepended when it is not a node."""
-    s = box.t_nodes()
-    s = s[s >= t - 1e-12]
-    if s.size == 0 or s[0] > t + 1e-12:
-        s = np.concatenate([[t], s])
-    return s
-
-
-def _mesh4(box: GridBox, s: np.ndarray):
-    """Open (s, x, y, z) mesh of the box with the given time nodes."""
-    return np.ix_(s, box.x_nodes(), box.y_nodes(), box.z_nodes())
-
-
-def _grid4(spec: ModelSpec, name: str, box: GridBox, s_lo: float):
-    """Evaluate a driver partial on the (s, x, y, z) product grid, s >= s_lo."""
-    s = _s_nodes(box, s_lo)
-    return s, _on_grid(spec.d(name), *_mesh4(box, s))
-
-
 def _running_inf(vals: np.ndarray) -> np.ndarray:
     """inf over [s_i, T] x box as a function of s_i (non-decreasing).
 
@@ -206,9 +188,9 @@ def _running_inf(vals: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(per_s[::-1])[::-1]
 
 
-def _sup_abs(declared: Optional[float], fn, *args) -> float:
-    """A declared bound, else sup |fn(*args)| over the grid."""
-    return declared if declared is not None else float(np.max(np.abs(_on_grid(fn, *args))))
+def _sup_abs(declared: Optional[float], spec: ModelSpec, name: str, *args) -> float:
+    """A declared bound, else sup |name(*args)| over the grid."""
+    return declared if declared is not None else float(np.max(np.abs(evaluate(spec, name, *args))))
 
 
 # -- conditional hit probability ---------------------------------------------
@@ -251,11 +233,6 @@ def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
         hits = int(np.sum(A.contains(xx)))
         lb = min(lb, _wilson_lower(hits, n_sub))
     return float(lb)
-
-
-# Every +/- loop: (sign factor, tag suffix).  Negation is exact, so the '-'
-# package is the '+' body applied to the negated values.
-SIGNS = ((1.0, "+"), (-1.0, "-"))
 
 
 @dataclass
@@ -311,8 +288,7 @@ def _frame(spec, t, A, box, resolution, partials, check_hit, seed, a_on=None) ->
     """Preamble of every check.  The resolution is fine only when each partial
     the check reads is exact; A is tested on ``a_on`` (the x-nodes by default)
     and a PreconditionError is raised when it misses them all or t is not in [0, T]."""
-    if not 0.0 <= t <= spec.T:
-        raise PreconditionError(f"t={t:g} lies outside [0, T] = [0, {spec.T:g}]")
+    check_horizon(t, spec.T)
     box = box or default_box(spec)
     if resolution is None:
         resolution = 1e-8 if all(n in spec.partials for n in partials) else 1e-3
@@ -327,7 +303,7 @@ def _frame(spec, t, A, box, resolution, partials, check_hit, seed, a_on=None) ->
     if not np.any(mask):
         raise PreconditionError("A does not intersect "
                                 + ("the declared box" if a_on is None else "f(T, w-box)"))
-    return _Frame(spec, t, A, box, resolution, xg, _on_grid(spec.d("g1"), xg), mask,
+    return _Frame(spec, t, A, box, resolution, xg, evaluate(spec, "g1", xg), mask,
                   hit_lb, hit_notes)
 
 
@@ -388,14 +364,14 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"),
                 check_hit, seed)
     c = spec.constants
-    s_nodes, hx = _grid4(spec, "h_x", fr.box, t)
-    sx, mesh = (s_nodes[:, None], fr.xg[None, :]), _mesh4(fr.box, s_nodes)
-    k_b = _sup_abs(c.k_b, spec.d("b_x"), *sx)
-    k_sigma = _sup_abs(c.k_sigma, spec.d("sigma_x"), *sx)
-    k_y = _sup_abs(c.k_y, spec.d("h_y"), *mesh)
-    k_z = _sup_abs(c.k_z, spec.d("h_z"), *mesh)
+    sx, mesh = box_mesh(fr.box, t, 2), box_mesh(fr.box, t)
+    k_b = _sup_abs(c.k_b, spec, "b_x", *sx)
+    k_sigma = _sup_abs(c.k_sigma, spec, "sigma_x", *sx)
+    k_y = _sup_abs(c.k_y, spec, "h_y", *mesh)
+    k_z = _sup_abs(c.k_z, spec, "h_z", *mesh)
     K = k_b + k_y + k_sigma * k_z
-    return _h_pair(fr, "H", "g", "h", "g'", fr.g1, hx, s_nodes, K, weighted=False)
+    return _h_pair(fr, "H", "g", "h", "g'", fr.g1, evaluate(spec, "h_x", *mesh), mesh[0].ravel(),
+                   K, weighted=False)
 
 
 # -- corrected second-order conditions ----------------------------------------
@@ -410,19 +386,17 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
 
     The bracket is the Ito generator of h_x(s, X_s, Y_s) with dY = -h ds + z dW.
     """
-    s = _s_nodes(box, t)
-    t4, x4, y4, z4 = _mesh4(box, s)
+    mesh = box_mesh(box, t)
+    t4, x4, _, z4 = mesh
 
     def E(name):
-        return _on_grid(spec.d(name), t4, x4, y4, z4)
+        return evaluate(spec, name, *mesh)
 
-    hval = _on_grid(spec.h, t4, x4, y4, z4)
-    bval, bx = _on_grid(spec.b, t4, x4), _on_grid(spec.d("b_x"), t4, x4)
-    sig, sigx = _on_grid(spec.sigma, t4, x4), _on_grid(spec.d("sigma_x"), t4, x4)
-    ht = -(E("h_xt") + bval * E("h_xx") - hval * E("h_xy")
+    bval, bx, sig, sigx = (evaluate(spec, n, t4, x4) for n in ("b", "b_x", "sigma", "sigma_x"))
+    ht = -(E("h_xt") + bval * E("h_xx") - E("h") * E("h_xy")
            + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z4 * sig * E("h_xxy") + z4**2 * E("h_xyy"))) \
         - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z4 * sigx * E("h_xy"))
-    return s, ht
+    return mesh[0].ravel(), ht
 
 
 def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
@@ -437,7 +411,7 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
     # precondition: h must not depend on z
     probe_t = np.linspace(t, spec.T, 5)[:, None]
     probe_x = np.linspace(box.x_lo, box.x_hi, 7)[None, :]
-    hz = _on_grid(spec.d("h_z"), probe_t, probe_x, 0.3, 0.7)
+    hz = evaluate(spec, "h_z", probe_t, probe_x, 0.3, 0.7)
     if np.max(np.abs(hz)) > 1e-10:
         idx = np.unravel_index(int(np.argmax(np.abs(hz))), hz.shape)
         raise PreconditionError(
@@ -448,11 +422,11 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
                                                "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"),
                 check_hit, seed)
     c = spec.constants
-    k_b = _sup_abs(c.k_b, spec.d("b_x"), np.linspace(0, spec.T, 9)[:, None], fr.xg[None, :])
-    k_y = _sup_abs(c.k_y, spec.d("h_y"), *_mesh4(box, _s_nodes(box, t)))
+    k_b = _sup_abs(c.k_b, spec, "b_x", *np.ix_(np.linspace(0, spec.T, 9), fr.xg))
+    k_y = _sup_abs(c.k_y, spec, "h_y", *box_mesh(box, t))
     K = k_y + k_b
 
-    gt = fr.g1 + (spec.T - t) * _on_grid(spec.d("h_x"), spec.T, fr.xg, spec.g(fr.xg), 0.0)
+    gt = fr.g1 + (spec.T - t) * evaluate(spec, "h_x", spec.T, fr.xg, evaluate(spec, "g", fr.xg), 0.0)
     s_nodes, ht = _htilde_grid(spec, box, t)
     return _h_pair(fr, "Htilde", "gtilde", "htilde", "gtilde", gt, ht, s_nodes, K,
                    weighted=True)
@@ -470,7 +444,7 @@ def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None
     '-' mirrors the signs.
     """
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
-    _, hx = _grid4(spec, "h_x", fr.box, t)
+    hx = evaluate(spec, "h_x", *box_mesh(fr.box, t))
     out = {}
     for sgn, sign in SIGNS:
         m1 = float(np.min(sgn * fr.g1))
@@ -484,9 +458,8 @@ def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None
 # -- Z-criteria ---------------------------------------------------------------
 
 
-def _cross(spec: ModelSpec, box: GridBox, t: float) -> list:
-    """The gate h_xz = h_yz = 0: one note when the cross partials survive, else none."""
-    cross = max(float(np.max(np.abs(_grid4(spec, n, box, t)[1]))) for n in ("h_xz", "h_yz"))
+def _cross(cross: float) -> list:
+    """The gate h_xz = h_yz = 0 on sup |h_xz|, |h_yz|: one note when it fails, else none."""
     return [f"cross partials not annihilated: sup |h_xz|,|h_yz| = {cross:.3g}"] \
         if cross > 1e-10 else []
 
@@ -517,13 +490,13 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
                 ("g1", "g2", "h_xx", "h_x", "h_yy", "h_zz", "h_xy", "h_xz", "h_yz", "h_y",
                  "b_x", "sigma_x", "b_xx", "sigma_xx"), check_hit, seed)
     res, g1, mask = fr.res, fr.g1, fr.mask
-    grids = {n: _grid4(spec, n, fr.box, t)[1] for n in ("h_x", "h_xx", "h_yy", "h_zz", "h_xy")}
-    gates = {n: float(v.min()) for n, v in grids.items()}
-    notes = _cross(spec, fr.box, t) + [f"(C+) violated: min {n} = {v:.3g}"
-                                       for n, v in gates.items() if v < -res]
+    mesh, grids, cross = sign_package(spec, fr.box, t)
+    gates = {n: float(grids[n].min()) for n in SIGN_PARTIALS}
+    notes = _cross(cross) + [f"(C+) violated: min {n} = {v:.3g}"
+                             for n, v in gates.items() if v < -res]
     hy = {}
     if need_hy:
-        hy["h_y_min"] = float(_grid4(spec, "h_y", fr.box, t)[1].min())
+        hy["h_y_min"] = float(evaluate(spec, "h_y", *mesh).min())
         if hy["h_y_min"] < -res:
             notes.append(f"h_y >= 0 violated: min h_y = {hy['h_y_min']:.3g}")
     # the h_xy branch condition: h_xy == 0, or h_xy >= 0 together with g' >= 0
@@ -534,7 +507,7 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
         bounds = estimate_variation_bounds(spec, seed=seed)
         notes.append(f"variation bounds estimated by MC: a in [{bounds.a_lo:.4g}, "
                      f"{bounds.a_hi:.4g}], b_hi = {bounds.b_hi:.4g}")
-    g2 = _on_grid(spec.d("g2"), fr.xg)
+    g2 = evaluate(spec, "g2", fr.xg)
     g2_min, g2_min_A = float(np.min(g2)), float(np.min(g2[mask]))
     g1_min, g1_min_A = float(np.min(g1)), float(np.min(g1[mask]))
     hxx_min = gates["h_xx"]  # inf over [t, T] x box
@@ -594,33 +567,31 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     if spec.markovian_f is None:
         raise PreconditionError("z_markovian_check requires assumption (M): supply markovian_f")
     box = box or default_box(spec)
-    fw, fww = spec.d("f_w"), spec.d("f_ww")
     w = np.linspace(box.x_lo, box.x_hi, n_w)
-    fT = _on_grid(spec.markovian_f, spec.T, w)
+    fT = evaluate(spec, "f", spec.T, w)
     fr = _frame(spec, t, A, box, resolution,
                 ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y",
                  "h_zz", "h_xz", "h_yz"), check_hit, seed, a_on=fT)
     # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' at T
-    dphi = (_on_grid(spec.d("g2"), fT) * _on_grid(fw, spec.T, w) ** 2
-            + _on_grid(spec.d("g1"), fT) * _on_grid(fww, spec.T, w))
+    dphi = (evaluate(spec, "g2", fT) * evaluate(spec, "f_w", spec.T, w) ** 2
+            + evaluate(spec, "g1", fT) * evaluate(spec, "f_ww", spec.T, w))
 
     # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box
-    t6, x6, y6, z6, w6 = np.ix_(_s_nodes(box, t), box.x_nodes()[::max(box.nx // 17, 1)],
+    mesh, grids, cross = sign_package(spec, box, t)
+    t6, x6, y6, z6, w6 = np.ix_(mesh[0].ravel(), box.x_nodes()[::max(box.nx // 17, 1)],
                                 box.y_nodes(), box.z_nodes(), np.linspace(box.x_lo, box.x_hi, 33))
 
     def E(name):
-        return _on_grid(spec.d(name), t6, x6, y6, z6)
+        return evaluate(spec, name, t6, x6, y6, z6)
 
-    fp, fpp = _on_grid(fw, t6, w6), _on_grid(fww, t6, w6)
+    fp, fpp = evaluate(spec, "f_w", t6, w6), evaluate(spec, "f_ww", t6, w6)
     core = E("h_xx") * fp**2 + E("h_x") * fpp + (E("h_yy") * z6 + 2.0 * E("h_xy") * fp) * z6
     hy = E("h_y")
-    _, hzz = _grid4(spec, "h_zz", box, t)
-    cross = _cross(spec, box, t)
     out = {}
     for sgn, sign in SIGNS:
         tag = "Z-markov-" + ("a" if sgn > 0 else "b")
-        signed = float(np.min(sgn * hzz)) >= -fr.res
-        notes = cross + ([] if signed else ["h_zz sign package violated"])
+        signed = float(np.min(sgn * grids["h_zz"])) >= -fr.res
+        notes = _cross(cross) + ([] if signed else ["h_zz sign package violated"])
         # inf of sgn * htilde over the grid, zt at whichever box end minimizes it
         ht = sgn * float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo,
                                                         sgn * hy * box.z_hi)))
@@ -645,10 +616,8 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     box = box or default_box(spec)
     partials = ("sigma_x", "sigma_xx", "sigma_xxx", "b_x", "b_xx")
     fr = _frame(spec, box.t_lo, None, box, resolution, partials, False, 0)
-    tn = np.linspace(box.t_lo, box.t_hi, box.nt)[:, None]
-    xn = np.linspace(box.x_lo, box.x_hi, n_x)[None, :]
-    sig, b = _on_grid(spec.sigma, tn, xn), _on_grid(spec.b, tn, xn)
-    s1, s2, s3, b1, b2 = (_on_grid(spec.d(n), tn, xn) for n in partials)
+    tn, xn = np.ix_(box.t_nodes(), np.linspace(box.x_lo, box.x_hi, n_x))
+    sig, s1, s2, s3, b1, b2, b = (evaluate(spec, n, tn, xn) for n in ("sigma", *partials, "b"))
     c1 = b1 * sig + s1 * b                      # [sigma, b] per the printed bracket
     c1x = b2 * sig + 2.0 * b1 * s1 + s2 * b
     c2 = s1 * c1 + c1x * sig                    # [sigma, [sigma, b]]

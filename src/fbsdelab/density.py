@@ -33,7 +33,7 @@ import numpy as np
 from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler
-from .model import ModelSpec
+from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
 
@@ -166,8 +166,7 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
     """(dt, k_t, r): the step T/n_steps, the step index of t and the nodes r_0..r_{k_t} = t."""
-    if not -1e-9 <= t <= spec.T + 1e-9:
-        raise PreconditionError(f"snapshot time t={t:g} lies outside [0, T] = [0, {spec.T:g}]")
+    check_horizon(t, spec.T)
     dt = spec.T / n_steps
     k_t = int(round(t / dt))
     if abs(k_t * dt - t) > 1e-9:

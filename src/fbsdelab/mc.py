@@ -46,7 +46,7 @@ from numpy.random import Generator, Philox
 
 from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
-from .model import ModelSpec
+from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 
 __all__ = [
@@ -66,6 +66,16 @@ _DRAW_BLOCK = 4096  # paths per block of ``_draw_increments``
 def rng_stream(seed: int, stream: int) -> Generator:
     """Counter-based generator for a named substream of the master seed."""
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _time_index(t_grid: np.ndarray, t: float, nearest: bool = False) -> int:
+    """Index of time t on a uniform grid over [0, T]: a t outside [0, T] raises, and so
+    does one off the nodes unless ``nearest``."""
+    check_horizon(t, float(t_grid[-1]))
+    k = int(round((t - t_grid[0]) / (t_grid[1] - t_grid[0])))
+    if not nearest and abs(t_grid[k] - t) > 1e-9 + 1e-9 * abs(t):
+        raise PreconditionError(f"t={t} is not a grid time of this ensemble")
+    return k
 
 
 @dataclass
@@ -116,11 +126,7 @@ class PathEnsemble:
         return abs(m) <= 5.0 / math.sqrt(n) and abs(v - self.dt) <= 0.05 * self.dt
 
     def index_of(self, t: float, nearest: bool = False) -> int:
-        k = int(round((t - self.t_grid[0]) / self.dt))
-        k = min(max(k, 0), self.n_steps)
-        if not nearest and abs(self.t_grid[k] - t) > 1e-9 + 1e-9 * abs(t):
-            raise PreconditionError(f"t={t} is not a grid time of this ensemble")
-        return k
+        return _time_index(self.t_grid, t, nearest)
 
     def to_csv(self, path, header_lines=()):
         comments = [f"seed={self.seed} stream={self.stream} n_paths={self.n_paths} "
@@ -513,9 +519,7 @@ class MalliavinEnsemble:
 
     def at(self, t: float, which: str = "DrY") -> np.ndarray:
         """Column t of ``which`` ('DrX', 'DrY', 'DrZ' or 'nablaX') across paths, read-only."""
-        k = int(round(t / (self.t_grid[1] - self.t_grid[0])))
-        if not 0 <= k < self.t_grid.size or abs(self.t_grid[k] - t) > 1e-9:
-            raise PreconditionError(f"t={t} is not on the ensemble time grid")
+        k = _time_index(self.t_grid, t)
         if k < self.r_index:
             raise PreconditionError(f"t={t} precedes the differentiation time r={self.r}")
         cols = getattr(self, which)
@@ -665,8 +669,6 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
     ``ResourceError`` before building a context whose estimated arrays exceed
     physical memory.
     """
-    if r > spec.T:
-        raise PreconditionError("differentiation time r exceeds the horizon")
     N = ens.n_steps
     k_r = ens.index_of(r)
     if k_r == N:

@@ -19,8 +19,9 @@ expression models registered in :func:`preset`.
 All coefficient callables must be pure functions of their arguments and accept
 numpy arrays.  Coefficients and partials return floats that broadcast against
 their arguments (a constant may be 0-d), and no caller writes into a result;
-``_on_grid`` is the one place that broadcasts one to the full shape.  A
-ModelSpec is immutable after construction and safe to share across workers.
+``_on_grid`` and its finite-checked form ``evaluate`` are the places that
+broadcast one to the full shape.  A ModelSpec is immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, UnknownPresetError
+from .errors import EvaluationError, PreconditionError, UnknownPresetError
 from .expressions import compile_expression, constant_value, differentiate, parse_expression
 
 __all__ = [
@@ -275,6 +276,54 @@ def _on_grid(fn, *args):
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
+def check_horizon(t: float, T: float) -> None:
+    """Raise PreconditionError naming t and T unless t lies in [0, T] (1e-9 slack)."""
+    if not -1e-9 <= t <= T + 1e-9:
+        raise PreconditionError(f"t={t:g} lies outside [0, T] = [0, {T:g}]")
+
+
+def box_mesh(box: GridBox, t: float, dims: int = 4) -> tuple:
+    """Open (s, x, y, z) mesh of the box, cut to its first ``dims`` axes.
+
+    The time axis s is the box's nodes in [t, t_hi], with t prepended when it
+    is not a node, so ``t = box.t_lo`` gives every time node.
+    """
+    s = box.t_nodes()
+    s = s[s >= t - 1e-12]
+    if s.size == 0 or s[0] > t + 1e-12:
+        s = np.concatenate([[t], s])
+    return np.ix_(*(s, box.x_nodes(), box.y_nodes(), box.z_nodes())[:dims])
+
+
+def _node(args, score) -> tuple:
+    """The arguments at the first maximum of ``score`` over their broadcast shape."""
+    shape = np.broadcast(*args).shape
+    i = np.unravel_index(int(np.argmax(np.broadcast_to(score, shape))), shape)
+    return tuple(float(np.broadcast_to(a, shape)[i]) for a in args)
+
+
+def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
+    """Coefficient or partial ``name`` of ``spec`` at ``args``, broadcast as ``_on_grid`` does.
+
+    ``args`` are scalars or an open mesh (``box_mesh``, ``np.ix_``) in the
+    callable's ``COEFFICIENT_ARGS`` order.  The finiteness test runs on the
+    callable's own output, so a constant costs one scalar test.  A NaN or
+    +-inf raises EvaluationError naming ``name`` and the node, which is the
+    witness: the arguments at the first such value.
+    """
+    coeff = _PARTIALS[name][0] if name in _PARTIALS else name
+    fn = spec.d(name) if name in _PARTIALS else spec.markovian_f if name == "f" else getattr(spec, name)
+    vals = np.asarray(fn(*args), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        node = _node(args, bad)
+        raise EvaluationError(f"{name} = {vals.flat[int(np.argmax(bad))]:g} at "
+                              f"({', '.join(COEFFICIENT_ARGS[coeff])}) = "
+                              f"({', '.join(f'{v:g}' for v in node)})", witness=node)
+    shape = np.broadcast(*args).shape
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
 def expression_spec(b, sigma, g, h, f, **fields) -> ModelSpec:
     """ModelSpec from coefficient expressions, with every partial exact.
 
@@ -424,15 +473,25 @@ class AssumptionReport:
         return self.verdicts[key].holds
 
 
-def _eval_box(fn, box: GridBox, what: str, dims: int = 4):
-    """fn on the (t, x[, y, z]) box grid; a non-finite value raises with its node."""
-    nodes = (box.t_nodes(), box.x_nodes(), box.y_nodes(), box.z_nodes())[:dims]
-    vals = _on_grid(fn, *np.ix_(*nodes))
-    if not np.all(np.isfinite(vals)):
-        idx = np.argwhere(~np.isfinite(vals))[0]
-        witness = tuple(float(n[i]) for n, i in zip(nodes, idx))
-        raise EvaluationError(f"{what} evaluated to a non-finite value", witness=witness)
-    return vals
+# Every +/- loop: (sign factor, tag suffix).  Negation is exact, so the '-'
+# package is the '+' body applied to the negated values.
+SIGNS = ((1.0, "+"), (-1.0, "-"))
+
+# The driver partials the sign packages (C+/-) sign, and the cross partials
+# they need annihilated: h_xz = h_yz = 0.
+SIGN_PARTIALS = ("h_x", "h_xx", "h_yy", "h_zz", "h_xy")
+CROSS_PARTIALS = ("h_xz", "h_yz")
+
+
+def sign_package(spec: ModelSpec, box: GridBox, t: float):
+    """The (C+/-) inputs on [t, T] x box: (mesh, {name: values}, sup |h_xz|, |h_yz|).
+
+    The values cover ``SIGN_PARTIALS`` and ``CROSS_PARTIALS`` on
+    ``box_mesh(box, t)``; a non-finite one raises EvaluationError.
+    """
+    mesh = box_mesh(box, t)
+    vals = {n: evaluate(spec, n, *mesh) for n in SIGN_PARTIALS + CROSS_PARTIALS}
+    return mesh, vals, max(float(np.max(np.abs(vals[n]))) for n in CROSS_PARTIALS)
 
 
 def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
@@ -443,93 +502,64 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     Checks (X), (L), (Q), (D1), (D2), (M) and the driver sign packages
     (C+/-), (Ctilde+/-).  All extrema are taken over the supplied box and the
     report records the resolution used; nothing is certified beyond the box.
+    A violated verdict's witness is a node where its own condition fails: the
+    argmin of the violating signed values for (X), (C+/-) and (Ctilde+/-), the
+    argmax of each |h_x|, |h_y|, |h_z| over its declared bound for (L), the
+    growing edge of |g| for (Q) and the (t, X) of the largest gap for (M).  A
+    non-finite input of (X), (L) or (Q) raises EvaluationError; (D1) and (D2)
+    are the finiteness of g' and of g'', h_xx; a non-finite sign-package
+    partial fails (C+/-) and (Ctilde+/-) at its node.
     """
-    if box is None:
-        box = default_box(spec)
-    v = {}
+    box = box or default_box(spec)
+    declared, res, v = spec.constants, box.resolution(), {}
+    tx, mesh, xn = box_mesh(box, box.t_lo, 2), box_mesh(box, box.t_lo), box.x_nodes()
 
-    sig = _eval_box(spec.sigma, box, "sigma", 2)
-    b_x = _eval_box(spec.d("b_x"), box, "b_x", 2)
-    s_x = _eval_box(spec.d("sigma_x"), box, "sigma_x", 2)
+    sig = evaluate(spec, "sigma", *tx)
     c_floor = float(np.min(np.abs(sig)))
-    kb_hat, ks_hat = float(np.max(np.abs(b_x))), float(np.max(np.abs(s_x)))
-    x_ok = c_floor > tol
-    witnesses = []
-    if not x_ok:
-        idx = np.argwhere(np.abs(sig) <= tol)[:3]
-        tn, xn = box.t_nodes(), box.x_nodes()
-        witnesses = [(float(tn[i[0]]), float(xn[i[1]])) for i in idx]
-    declared = spec.constants
-    details = {"c_hat": c_floor, "k_b_hat": kb_hat, "k_sigma_hat": ks_hat}
-    res = box.resolution()
+    details = {"c_hat": c_floor, **{f"k_{n}_hat": float(np.max(np.abs(evaluate(spec, n + "_x", *tx))))
+                                    for n in ("b", "sigma")}}
     if declared.c is not None and c_floor < declared.c - tol:
         details["c_declared_violated"] = declared.c
-    v["X"] = AssumptionVerdict("X", x_ok, c_floor, witnesses, details)
+    v["X"] = AssumptionVerdict("X", c_floor > tol, c_floor,
+                               [] if c_floor > tol else [_node(tx, -np.abs(sig))], details)
 
     # Lipschitz package: grid maxima of the first partials of h
-    hx = _eval_box(spec.d("h_x"), box, "h_x")
-    hy = _eval_box(spec.d("h_y"), box, "h_y")
-    hz = _eval_box(spec.d("h_z"), box, "h_z")
-    kx_hat = float(np.max(np.abs(hx)))
-    ky_hat = float(np.max(np.abs(hy)))
-    kz_hat = float(np.max(np.abs(hz)))
-    lip_details = {"k_x_hat": kx_hat, "k_y_hat": ky_hat, "k_z_hat": kz_hat}
-    lip_ok = True
-    lip_wit = []
-    for key, hat in (("k_x", kx_hat), ("k_y", ky_hat), ("k_z", kz_hat)):
-        dec = getattr(declared, key)
-        if dec is not None and hat > dec + max(1e-6, 10 * res["dx"] * res["dx"]):
-            lip_ok = False
-            lip_details[f"{key}_declared"] = dec
-    if not lip_ok:
-        i = np.unravel_index(np.argmax(np.abs(hx)), hx.shape)
-        lip_wit = [(float(box.t_nodes()[i[0]]), float(box.x_nodes()[i[1]]))]
-    v["L"] = AssumptionVerdict("L", lip_ok, min(
-        (dec - hat) for dec, hat in (
-            (declared.k_x, kx_hat), (declared.k_y, ky_hat), (declared.k_z, kz_hat))
-        if dec is not None) if any(getattr(declared, k) is not None for k in ("k_x", "k_y", "k_z")) else kx_hat,
-        lip_wit, lip_details)
+    hv = {k: evaluate(spec, "h_" + k, *mesh) for k in "xyz"}
+    hat = {k: float(np.max(np.abs(a))) for k, a in hv.items()}
+    lip_details = {f"k_{k}_hat": hat[k] for k in "xyz"}
+    dec = {k: d for k in "xyz" if (d := getattr(declared, "k_" + k)) is not None}
+    over = [k for k in dec if hat[k] > dec[k] + max(1e-6, 10 * res["dx"] * res["dx"])]
+    lip_details.update({f"k_{k}_declared": dec[k] for k in over})
+    v["L"] = AssumptionVerdict("L", not over, min(dec[k] - hat[k] for k in dec) if dec else hat["x"],
+                               [_node(mesh, np.abs(hv[k])) for k in over], lip_details)
 
     # Quadratic package: fit the smallest growth constants on the grid
-    t4, x4, y4, z4 = np.ix_(box.t_nodes(), box.x_nodes(), box.y_nodes(), box.z_nodes())
-    habs = np.abs(_on_grid(spec.h, t4, x4, y4, z4))
+    y4, z4 = mesh[2], mesh[3]
+    habs = np.abs(evaluate(spec, "h", *mesh))
     envelope = 1.0 + np.abs(y4) + z4**2
-    K_hat = float(np.max(habs / envelope))
-    Kz_hat = float(np.max(np.abs(hz) / (1.0 + np.abs(z4))))
-    Ky_hat = float(np.max(np.abs(hy)))
-    gvals = _on_grid(spec.g, box.x_nodes())
+    agv = np.abs(evaluate(spec, "g", xn))
     # boundedness is detected through saturation: a bounded map approaches its
     # grid sup with vanishing edge increments relative to its average slope
-    agv = np.abs(gvals)
     incs = np.abs(np.diff(agv))
     mean_inc = float(np.mean(incs)) + 1e-300
-    g_edge_growing = False
-    for edge, inc in ((agv[0], incs[0]), (agv[-1], incs[-1])):
-        if edge >= np.max(agv) - tol and inc > 0.5 * mean_inc:
-            g_edge_growing = True
-    q_details = {"K_hat": K_hat, "K_z_hat": Kz_hat, "K_y_hat": Ky_hat,
-                 "g_sup_hat": float(np.max(np.abs(gvals))),
-                 "g_unbounded_trend": g_edge_growing}
-    q_ok = not g_edge_growing
-    q_wit = [] if q_ok else [(float(spec.T), float(box.x_nodes()[-1]))]
-    v["Q"] = AssumptionVerdict("Q", q_ok, -1.0 if g_edge_growing else K_hat, q_wit, q_details)
+    growing = [float(x) for x, edge, inc in ((xn[0], agv[0], incs[0]), (xn[-1], agv[-1], incs[-1]))
+               if edge >= np.max(agv) - tol and inc > 0.5 * mean_inc]
+    K_hat = float(np.max(habs / envelope))
+    q_details = {"K_hat": K_hat, "K_z_hat": float(np.max(np.abs(hv["z"]) / (1.0 + np.abs(z4)))),
+                 "K_y_hat": hat["y"], "g_sup_hat": float(np.max(agv)),
+                 "g_unbounded_trend": bool(growing)}
+    v["Q"] = AssumptionVerdict("Q", not growing, -1.0 if growing else K_hat,
+                               [(float(spec.T), x) for x in growing], q_details)
 
     # Differentiability packages: partials evaluate finite on the grid
-    try:
-        g1 = spec.d("g1")(box.x_nodes())
-        d1_ok = bool(np.all(np.isfinite(g1)) and np.all(np.isfinite(hx)))
-    except Exception:
-        d1_ok, g1 = False, None
-    v["D1"] = AssumptionVerdict("D1", d1_ok, 0.0 if d1_ok else -1.0,
-                                [] if d1_ok else [(0.0, float(box.x_nodes()[0]))])
-    try:
-        g2 = spec.d("g2")(box.x_nodes())
-        hxx = _eval_box(spec.d("h_xx"), box, "h_xx")
-        d2_ok = bool(np.all(np.isfinite(g2)) and np.all(np.isfinite(hxx)))
-    except Exception:
-        d2_ok, hxx = False, None
-    v["D2"] = AssumptionVerdict("D2", d2_ok, 0.0 if d2_ok else -1.0,
-                                [] if d2_ok else [(0.0, float(box.x_nodes()[0]))])
+    for tag, names in (("D1", ("g1",)), ("D2", ("g2", "h_xx"))):
+        try:
+            for n in names:
+                evaluate(spec, n, *(mesh if n == "h_xx" else (xn,)))
+        except EvaluationError as exc:
+            v[tag] = AssumptionVerdict(tag, False, -1.0, [exc.witness], {"non_finite": str(exc)})
+        else:
+            v[tag] = AssumptionVerdict(tag, True, 0.0)
 
     # (M): f(t, W) must reproduce Euler-simulated X pathwise
     if spec.markovian_f is not None:
@@ -537,39 +567,32 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
 
         ens = simulate_forward(spec, n_paths=256, n_steps=mc_check_steps, seed=seed)
         W = np.concatenate([np.zeros((256, 1)), np.cumsum(ens.dW, axis=1)], axis=1)
-        fX = spec.markovian_f(ens.t_grid[None, :], spec.X0 + W)
-        gap = float(np.max(np.abs(fX - ens.X)))
+        gaps = np.abs(spec.markovian_f(ens.t_grid[None, :], spec.X0 + W) - ens.X)
+        i, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        gap = float(gaps[i, k])
         scheme_tol = 5.0 * math.sqrt(spec.T / mc_check_steps)
-        m_ok = gap <= scheme_tol
-        v["M"] = AssumptionVerdict("M", m_ok, scheme_tol - gap,
-                                   [] if m_ok else [(float(spec.T), float(spec.X0))],
+        v["M"] = AssumptionVerdict("M", gap <= scheme_tol, scheme_tol - gap,
+                                   [] if gap <= scheme_tol else [(float(ens.t_grid[k]),
+                                                                  float(ens.X[i, k]))],
                                    {"max_gap": gap, "scheme_tol": scheme_tol})
     else:
         v["M"] = AssumptionVerdict("M", False, -1.0, [(0.0, spec.X0)],
                                    {"reason": "markovian_f not declared"})
 
-    # driver sign packages
-    if hxx is not None:
-        hyy = _eval_box(spec.d("h_yy"), box, "h_yy")
-        hzz = _eval_box(spec.d("h_zz"), box, "h_zz")
-        hxy = _eval_box(spec.d("h_xy"), box, "h_xy")
-        hxz = _eval_box(spec.d("h_xz"), box, "h_xz")
-        hyz = _eval_box(spec.d("h_yz"), box, "h_yz")
-        cross_zero = max(float(np.max(np.abs(hxz))), float(np.max(np.abs(hyz))))
-        for sgn, tag in ((1.0, "+"), (-1.0, "-")):
-            vals = [sgn * a for a in (hx, hxx, hyy, hzz, hxy)]
-            m = min(float(a.min()) for a in vals)
-            ok = m >= -tol and cross_zero <= 1e-10
-            wit = []
-            if not ok:
-                wit = [(float(box.t_nodes()[0]), float(box.x_nodes()[0]))]
-            v["C" + tag] = AssumptionVerdict("C" + tag, ok, min(m, 1e-10 - cross_zero), wit,
-                                             {"cross_partial_sup": cross_zero})
-            mz = float((sgn * hzz).min())
-            okz = mz >= -tol and cross_zero <= 1e-10
-            v["Ctilde" + tag] = AssumptionVerdict(
-                "Ctilde" + tag, okz, min(mz, 1e-10 - cross_zero),
-                [] if okz else [(float(box.t_nodes()[0]), float(box.x_nodes()[0]))],
-                {"cross_partial_sup": cross_zero})
-
+    # driver sign packages: (C+/-) signs all five partials, (Ctilde+/-) h_zz alone
+    try:
+        _, h, cross = sign_package(spec, box, box.t_lo)
+    except EvaluationError as exc:
+        v.update({tag: AssumptionVerdict(tag, False, -1.0, [exc.witness], {"non_finite": str(exc)})
+                  for _, sign in SIGNS for tag in ("C" + sign, "Ctilde" + sign)})
+        return AssumptionReport(v, box, res)
+    for sgn, sign in SIGNS:
+        signed = {n: sgn * h[n] for n in SIGN_PARTIALS}
+        for tag, arrays in (("C" + sign, list(signed.values())), ("Ctilde" + sign, [signed["h_zz"]])):
+            m = min(float(a.min()) for a in arrays)
+            ok = m >= -tol and cross <= 1e-10
+            wit = [] if ok else [_node(mesh, -min(arrays, key=np.min)) if m < -tol else
+                                 _node(mesh, np.maximum(*(np.abs(h[n]) for n in CROSS_PARTIALS)))]
+            v[tag] = AssumptionVerdict(tag, ok, min(m, 1e-10 - cross), wit,
+                                       {"cross_partial_sup": cross})
     return AssumptionReport(v, box, res)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError, UndefinedRateError
-from .model import ModelSpec
+from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gamma_fn, gauss_hermite_prob, integral_from_zero, norm_pdf
 
@@ -296,8 +296,9 @@ def compute_constants(v_grid: GridSolution, t: float, eps: float, eps_prime: flo
     ``v_grid.u`` supplies v and ``v_grid.u_x`` its space derivative; all
     sup-type constants are taken over the grid box (and flagged as such).
     The smallest K satisfying 1/v' <= K (1 + |x|^at) on the branch window is
-    fitted when not supplied.
+    fitted when not supplied.  A t outside the grid's time range raises PreconditionError.
     """
+    check_horizon(t, float(v_grid.t_nodes[-1]))
     xn = v_grid.x_nodes
     vp_t = v_grid.row(t, v_grid.u_x)
     sign = 1.0 if branch == "pos" else -1.0

@@ -601,3 +601,45 @@ def test_cli_single_task_subcommands(tmp_path, task, files):
                             for _ in deps]
     assert {f["path"] for f in man["files"]} == files
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+
+
+def test_criteria_non_finite_partial_fails_the_task_naming_it(tmp_path):
+    # h_x = 1 + 2y/x is NaN on x = 0, a node of the criteria box but not of
+    # the even PDE grid: criteria fails naming h_x, solve and density still run
+    text = """
+[model]
+b = 0
+sigma = 1
+g = x
+h = x + log(x^2)*y
+[numerics]
+n_steps = 32
+nt = 41
+nx = 120
+n_mc = 500
+[tasks]
+run = solve, criteria, density
+criteria_checks = quadratic
+criteria_times = 0.5
+[output]
+timestamps = false
+"""
+    with np.errstate(all="ignore"):
+        manifest = run(parse_config(text), out_dir=tmp_path / "out")
+    status = manifest["tasks"]["criteria"]
+    assert status.startswith("failed") and "h_x = nan at (t, x, y, z) = (0.5, 0, -20, -20)" in status
+    assert manifest["tasks"]["solve"] == "ok" and manifest["tasks"]["density"] == "ok"
+    assert "criteria.json" not in {f["path"] for f in manifest["files"]}
+
+
+def test_oracle_times_outside_horizon_fail_the_task(tmp_path):
+    cfg_path = tmp_path / "late.cfg"
+    cfg_path.write_text(SMALL_RUN.replace("criteria_times = 0.1, 0.5",
+                                          "criteria_times = 0.5\noracle_times = 0.5, 1.5, -0.25"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    status = manifest["tasks"]["oracle-compare"]
+    assert status.startswith("failed") and "t=1.5 lies outside [0, T] = [0, 1]" in status
+    assert all(manifest["tasks"][t] == "ok" for t in ("solve", "criteria", "density"))
+    assert not (out / "oracle_compare.csv").exists()

@@ -569,3 +569,16 @@ def test_checks_reject_times_outside_horizon(cubic, name, t):
     # outside [0, T] the integrals over [t, T] leave the horizon: no verdict means anything
     with pytest.raises(PreconditionError, match=rf"t={t:g} lies outside \[0, T\] = \[0, 1\]"):
         criteria.CHECKS[name](cubic, t)
+
+
+@pytest.mark.parametrize("check", [quadratic_check, first_order_check, second_order_check])
+def test_non_finite_partial_raises_with_finite_witness(check):
+    # h = x + log(x^2) y: h_x and h_y are NaN or -inf on x = 0, a box node
+    from fbsdelab.errors import EvaluationError
+
+    spec = parse_config("[model]\nb = 0\nsigma = 1\ng = x\nh = x + log(x^2)*y\n").build_spec()
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError) as exc:
+        check(spec, 0.5)
+    witness = exc.value.witness
+    assert len(witness) == 4 and all(math.isfinite(v) for v in witness)
+    assert witness[1] == 0.0

@@ -474,3 +474,12 @@ def test_fixed_variations_match_the_stepped_flow(cubic, order):
         assert fixed_variation.strides == (0, 0)
         with pytest.raises(ValueError):
             fixed_variation[3, 2] = 2.0
+
+
+@pytest.mark.parametrize("t", [1.5, -0.25])
+def test_index_of_rejects_times_outside_horizon(counter, t):
+    ens = fl.simulate_forward(counter, 10, 8, seed=1)
+    for nearest in (False, True):
+        with pytest.raises(PreconditionError, match=rf"t={t:g} lies outside \[0, T\] = \[0, 1\]"):
+            ens.index_of(t, nearest=nearest)
+    assert ens.index_of(1.0 + 5e-10, nearest=True) == 8

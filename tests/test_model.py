@@ -329,3 +329,27 @@ def test_constant_coefficients_match_full_shape_twin():
                  lambda s, sol: density.pde_z_sampler(s, sol[1], 0.5, 16)):
         _assert_same(*(make(s, sol).evaluate(dW) for s, sol in zip((spec, twin), sols)),
                      "sampler")
+
+
+# -- witnesses and non-finite partials ------------------------------------------
+
+def test_sign_package_witness_violates_its_condition():
+    # h = tanh(x - 3): h_x > 0 everywhere, h_xx < 0 only for x > 3
+    spec = expression_spec(b="0", sigma="1", g="x", h="tanh(x - 3)", f="w", T=1.0, X0=0.0)
+    rep = fl.validate_assumptions(spec)
+    assert not rep.holds("C+")
+    (node,) = rep["C+"].violated_at
+    assert len(node) == 4 and node[1] > 3.0
+    assert min(float(spec.d(n)(*node)) for n in ("h_x", "h_xx", "h_yy", "h_zz", "h_xy")) < -1e-9
+
+
+def test_non_finite_second_partial_keeps_every_verdict():
+    # h = |x|^1.5 has h_xx non-finite at x = 0 (a node of the default box)
+    spec = expression_spec(b="0", sigma="1", g="x", h="abs(x)^1.5", f="w", T=1.0, X0=0.0)
+    with np.errstate(all="ignore"):
+        rep = fl.validate_assumptions(spec)
+    assert set(rep.verdicts) == {"X", "L", "Q", "D1", "D2", "M", "C+", "C-", "Ctilde+", "Ctilde-"}
+    assert rep.holds("D1") and not rep.holds("D2")
+    assert rep["D2"].violated_at[0][1] == 0.0
+    for tag in ("C+", "C-", "Ctilde+", "Ctilde-"):
+        assert not rep.holds(tag) and rep[tag].violated_at[0][1] == 0.0

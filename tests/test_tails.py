@@ -356,3 +356,9 @@ def test_empirical_density_accuracy():
     phi = np.exp(-nodes**2 / 2) / math.sqrt(2 * math.pi)
     assert float(np.max(np.abs(est - phi))) < 0.01
     assert np.all(se < 0.01)
+
+
+def test_compute_constants_rejects_times_outside_the_grid(cubic_grids):
+    _, su, _ = cubic_grids
+    with pytest.raises(PreconditionError, match=r"t=1.5 lies outside \[0, T\] = \[0, 1\]"):
+        compute_constants(su, 1.5, 0.1, 0.1, 0.5)
