@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .artifacts import write_table
 from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task_closure
-from .criteria import CHECKS
+from .criteria import CHECKS, TIMELESS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
 from .errors import FbsdeLabError, ParseError, PreconditionError
 from .mc import STREAM_FORWARD, BasisSpec, _draw_increments, simulate_forward, solve_bsde_regression
@@ -113,8 +113,10 @@ def _solve(ctx: _Run) -> None:
 
 def _criteria(ctx: _Run) -> None:
     rows = []
-    for t in ctx.params["criteria_times"]:
+    for i, t in enumerate(ctx.params["criteria_times"]):
         for chk in ctx.params["criteria_checks"]:
+            if i and chk in TIMELESS:
+                continue
             try:
                 rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t).values()]
             except PreconditionError as exc:

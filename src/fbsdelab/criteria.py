@@ -43,8 +43,10 @@ __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
     "first_order_check", "second_order_check", "quadratic_check",
     "z_lipschitz_check", "z_quadratic_check", "z_markovian_check",
-    "x_sign_check", "conditional_hit_lower_bound", "CHECKS",
+    "x_sign_check", "conditional_hit_lower_bound", "CHECKS", "TIMELESS",
 ]
+
+_HIT_STEPS = 64  # Euler steps over [0, T] of conditional_hit_lower_bound
 
 
 @dataclass(frozen=True)
@@ -157,18 +159,18 @@ def _closed_integral(K: float, sgn: float, t: float, T: float, weighted: bool) -
 
 
 def _branch_integral(K: float, s_nodes: np.ndarray, running: np.ndarray,
-                     t: float, T: float, weighted: bool, n_quad: int = 128) -> float:
+                     t: float, T: float, weighted: bool) -> float:
     """int_t^T exp(-sgn(running(s)) K s) [(T-s)] ds.
 
     Closed form when the running extremum keeps one sign on [t, T]; otherwise
-    composite quadrature with the sign evaluated node by node.
+    the trapezoidal rule on 128 steps with the sign evaluated node by node.
     """
     signs = np.sign(running)
     if np.all(signs >= 0) or np.all(signs <= 0):
         sgn = _sgn(float(running[0])) if np.any(signs != 0) else 0.0
         if np.all(signs == signs[0]) or K == 0.0:
             return _closed_integral(K, sgn if signs[0] != 0 else 0.0, t, T, weighted)
-    s = np.linspace(t, T, n_quad + 1)
+    s = np.linspace(t, T, 129)
     m = np.interp(s, s_nodes, running)
     vals = np.exp(-np.sign(m) * K * s)
     if weighted:
@@ -196,7 +198,8 @@ def _sup_abs(declared: Optional[float], spec: ModelSpec, name: str, *args) -> fl
 # -- conditional hit probability ---------------------------------------------
 
 
-def _wilson_lower(k: int, n: int, z: float = 1.959963984540054) -> float:
+def _wilson_lower(k: int, n: int) -> float:
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     if n == 0:
         return 0.0
     p = k / n
@@ -207,9 +210,7 @@ def _wilson_lower(k: int, n: int, z: float = 1.959963984540054) -> float:
 
 
 def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
-                                seed: int = 123, n_pilot: int = 2048,
-                                n_sub: int = 2048, n_steps: int = 64,
-                                n_probes: int = 5) -> float:
+                                seed: int = 123) -> float:
     """95% Wilson lower bound on P(X_T in A | X_t = x) minimized over probes x.
 
     Probe states are quantiles of a pilot simulation of X_t; from each probe
@@ -218,20 +219,20 @@ def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
     from .mc import STREAM_BOOTSTRAP, _euler, rng_stream
 
     rng = rng_stream(seed, STREAM_BOOTSTRAP)
-    k_t = max(int(round(t / spec.T * n_steps)), 1)
+    k_t = max(int(round(t / spec.T * _HIT_STEPS)), 1)
     dt1 = t / k_t
     # one (steps, paths) block per phase: the same normals as step-by-step draws
-    dW = rng.standard_normal((k_t, n_pilot)) * math.sqrt(dt1)
+    dW = rng.standard_normal((k_t, 2048)) * math.sqrt(dt1)
     x = _euler(spec, dW.T, spec.X0, 0.0, dt1)[0][-1]
-    probes = np.quantile(x, np.linspace(0.05, 0.95, n_probes))
-    k_rest = max(n_steps - k_t, 1)
+    probes = np.quantile(x, np.linspace(0.05, 0.95, 5))
+    k_rest = max(_HIT_STEPS - k_t, 1)
     dt2 = (spec.T - t) / k_rest
     lb = math.inf
     for xp in probes:
-        dW = rng.standard_normal((k_rest, n_sub)) * math.sqrt(dt2)
+        dW = rng.standard_normal((k_rest, 2048)) * math.sqrt(dt2)
         xx = _euler(spec, dW.T, float(xp), t, dt2)[0][-1]
         hits = int(np.sum(A.contains(xx)))
-        lb = min(lb, _wilson_lower(hits, n_sub))
+        lb = min(lb, _wilson_lower(hits, xx.size))
     return float(lb)
 
 
@@ -553,7 +554,7 @@ def z_quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
 
 def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
                       box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                      n_w: int = 257, check_hit: bool = False, seed: int = 123) -> dict:
+                      check_hit: bool = False, seed: int = 123) -> dict:
     """Z-criterion under the Markov representation X_t = f(t, W_t).
 
     Variant a) needs h_zz >= 0 (with h_xz = h_yz = 0), the derivative of
@@ -567,7 +568,7 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     if spec.markovian_f is None:
         raise PreconditionError("z_markovian_check requires assumption (M): supply markovian_f")
     box = box or default_box(spec)
-    w = np.linspace(box.x_lo, box.x_hi, n_w)
+    w = np.linspace(box.x_lo, box.x_hi, 257)
     fT = evaluate(spec, "f", spec.T, w)
     fr = _frame(spec, t, A, box, resolution,
                 ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y",
@@ -653,3 +654,5 @@ CHECKS = {
     "z-markovian": lambda spec, t: z_markovian_check(spec, t),
     "x-sign": lambda spec, t: x_sign_check(spec),
 }
+# The checks that read no t: a run over several times reports them once, at the first.
+TIMELESS = frozenset({"x-sign"})

@@ -275,12 +275,12 @@ def _bin_means(xdata, ydata, nodes, n_bins, min_count):
 
 def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
                 cond: Optional[ConditionalSpec] = None, seed: int = 0,
-                antithetic: bool = True, n_x_nodes: int = 101) -> GFunction:
+                antithetic: bool = True) -> GFunction:
     """Monte Carlo tabulation of g_F on nodes spanning the central 99% of F - E F.
 
     The independent copy W* uses a paired counter-based stream and is reused
     across all quadrature nodes (common random numbers); with ``antithetic``
-    the rotated derivative paths are averaged over +/- W*.  Nodes are
+    the rotated derivative paths are averaged over +/- W*.  The 101 nodes are
     quantile-spaced so that heavy concentration of the law (e.g. a
     square-root spike at a support edge) is resolved where the mass sits.
     Draws are time-major; only the columns the sampler reads are rotated.
@@ -306,7 +306,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     mean_F = float(np.mean(F))
     x = F - mean_F
     mad_F = float(np.mean(np.abs(x)))
-    nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, n_x_nodes)))
+    nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, 101)))
     if nodes.size < 3:
         raise PreconditionError("functional is (nearly) degenerate; no node spread")
     if cond.kind == "loclin":
@@ -325,8 +325,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
                      n_mc, seed, clip_rate, cond.kind)
 
 
-def density_from_gF(gF: GFunction, mean_F: Optional[float] = None,
-                    mad_F: Optional[float] = None) -> DensityEstimate:
+def density_from_gF(gF: GFunction) -> DensityEstimate:
     """Density reconstruction rho from a tabulated g_F.
 
     Requires g_F > 0 on the interior reliable nodes; otherwise the existence
@@ -335,8 +334,7 @@ def density_from_gF(gF: GFunction, mean_F: Optional[float] = None,
     reported density is NOT renormalized -- the normalization defect is part
     of the output.
     """
-    mean_F = gF.mean_F if mean_F is None else mean_F
-    mad_F = gF.mad_F if mad_F is None else mad_F
+    mean_F, mad_F = gF.mean_F, gF.mad_F
     nodes, g = gF.x_nodes, gF.values
     interior = gF.reliable
     if np.any(g[interior] <= 0.0) or not np.any(interior):

@@ -61,6 +61,7 @@ STREAM_FORWARD = 0
 STREAM_COUPLING = 1
 STREAM_BOOTSTRAP = 2
 _DRAW_BLOCK = 4096  # paths per block of ``_draw_increments``
+_RIDGE = 1e-8  # ridge added to the diagonal of every regression Gram matrix
 
 
 def rng_stream(seed: int, stream: int) -> Generator:
@@ -177,7 +178,7 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     (``_fixed_variations``) is not stepped: it comes back as a read-only
     broadcast view of 1.0 or 0.0, the recursion's values bit for bit.  A
     non-finite stepped value raises an evaluation error with a (path, step)
-    witness.
+    witness; numpy's floating-point warnings are off for the stepping.
     """
     n, N = dW.shape
     held = X is not None
@@ -193,22 +194,23 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     X = flow[0]
     bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
     growth = 1.0
-    for k in range(N):
-        t, xk, dw = t0 + k * dt, X[k], dW[:, k]
-        if not held:
-            X[k + 1] = xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw
-        if fixed < 1 <= order:
-            growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
-            flow[1][k + 1] = flow[1][k] * growth
-        if fixed < 2 <= order:
-            flow[2][k + 1] = flow[2][k] * growth \
-                + flow[1][k] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
-        for a, _, what in stepped:
-            bad = ~np.isfinite(a[k + 1])
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise EvaluationError(f"non-finite {what} at path {i}, step {k + 1}",
-                                      witness=(i, k + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(N):
+            t, xk, dw = t0 + k * dt, X[k], dW[:, k]
+            if not held:
+                X[k + 1] = xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw
+            if fixed < 1 <= order:
+                growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
+                flow[1][k + 1] = flow[1][k] * growth
+            if fixed < 2 <= order:
+                flow[2][k + 1] = flow[2][k] * growth \
+                    + flow[1][k] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
+            for a, _, what in stepped:
+                bad = ~np.isfinite(a[k + 1])
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    raise EvaluationError(f"non-finite {what} at path {i}, step {k + 1}",
+                                          witness=(i, k + 1))
     return tuple(flow)
 
 
@@ -278,7 +280,6 @@ class BasisSpec:
     kind: str = "poly"
     degree: int = 4
     n_knots: int = 33
-    ridge: float = 1e-8
     knots: str = "quantile"  # "quantile" | "uniform"
 
 
@@ -339,7 +340,7 @@ def _ridge_fit(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
 
 def _regress(basis: BasisSpec, x: np.ndarray, y: np.ndarray):
     A = _design(basis, x)
-    c = _ridge_fit(A, y, basis.ridge)
+    c = _ridge_fit(A, y, _RIDGE)
     return A @ c, c
 
 
@@ -357,7 +358,7 @@ def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
     h1 = (future_sum / math.sqrt(tau))[:, None]
     h2 = ((future_sum**2 - tau) / (tau * math.sqrt(2.0)))[:, None]
     D = np.concatenate([A, A * h1, A * h2], axis=1)
-    c = _ridge_fit(D, y, basis.ridge)
+    c = _ridge_fit(D, y, _RIDGE)
     return A @ c[: A.shape[1]]
 
 
@@ -398,7 +399,7 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     for k in range(N - 1, -1, -1):
         xk = X[k]
         A = _design(basis, xk)
-        M = _gram(A, basis.ridge)
+        M = _gram(A, _RIDGE)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
@@ -770,17 +771,17 @@ def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
 
 
 def malliavin_fd(spec: ModelSpec, ens: PathEnsemble, sol_u: GridSolution,
-                 r: float, t: float, eps: float = 1e-4) -> np.ndarray:
+                 r: float, t: float) -> np.ndarray:
     """Brute-force Malliavin derivative by perturbing one Brownian increment.
 
-    Bumps dW at the step starting at r by +/- eps on every path, re-runs the
+    Bumps dW at the step starting at r by +/- 1e-4 on every path, re-runs the
     Euler forward recursion, and differences Y_t = u(t, X_t).  Independent of
     the linear-BSDE weight route by construction.
     """
     k_r, k_t = ens.index_of(r), ens.index_of(t)
     if k_t <= k_r:
         raise PreconditionError("need t strictly after r (the bumped increment must act)")
-    out = []
+    eps, out = 1e-4, []
     for sign in (+1.0, -1.0):
         dW = ens.dW[:, k_r:k_t].copy()
         dW[:, 0] += sign * eps

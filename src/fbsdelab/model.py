@@ -86,8 +86,7 @@ class Constants:
 
     ``k_b``, ``k_sigma`` bound ``|b_x|``, ``|sigma_x|``; ``k_x``, ``k_y``,
     ``k_z`` are the Lipschitz constants of the driver; ``c`` is the
-    ellipticity floor of sigma; ``K``, ``K_y``, ``K_z`` are the quadratic
-    growth constants.
+    ellipticity floor of sigma.  Each is None when not declared.
     """
 
     k_b: Optional[float] = None
@@ -96,9 +95,6 @@ class Constants:
     k_y: Optional[float] = None
     k_z: Optional[float] = None
     c: Optional[float] = None
-    K: Optional[float] = None
-    K_y: Optional[float] = None
-    K_z: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,10 @@ class GridBox:
         }
 
 
-def default_box(spec: "ModelSpec", nt: int = 41, nx: int = 161, **kw) -> GridBox:
+def default_box(spec: "ModelSpec") -> GridBox:
     """Default (t,x,y,z) box: x spans X0 +/- 6 sqrt(T) sigma_max."""
     half = 6.0 * math.sqrt(spec.T) * spec.sigma_max_estimate()
-    return GridBox(0.0, spec.T, spec.X0 - half, spec.X0 + half, nt=nt, nx=nx, **kw)
+    return GridBox(0.0, spec.T, spec.X0 - half, spec.X0 + half)
 
 
 @dataclass(frozen=True)
@@ -257,10 +253,10 @@ class ModelSpec:
 
     # -- convenience -------------------------------------------------------
 
-    def sigma_max_estimate(self, n: int = 257) -> float:
+    def sigma_max_estimate(self) -> float:
         """Crude sup of |sigma| over a pilot box around X0 (used for domains)."""
         t = np.linspace(0.0, self.T, 9)[:, None]
-        x = (self.X0 + np.linspace(-10.0, 10.0, n))[None, :]
+        x = (self.X0 + np.linspace(-10.0, 10.0, 257))[None, :]
         return float(np.max(np.abs(_on_grid(self.sigma, t, x))))
 
 
@@ -309,11 +305,13 @@ def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
     callable's ``COEFFICIENT_ARGS`` order.  The finiteness test runs on the
     callable's own output, so a constant costs one scalar test.  A NaN or
     +-inf raises EvaluationError naming ``name`` and the node, which is the
-    witness: the arguments at the first such value.
+    witness: the arguments at the first such value.  Numpy's floating-point
+    warnings are off for the call, since the error reports the value.
     """
     coeff = _PARTIALS[name][0] if name in _PARTIALS else name
     fn = spec.d(name) if name in _PARTIALS else spec.markovian_f if name == "f" else getattr(spec, name)
-    vals = np.asarray(fn(*args), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(fn(*args), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
         node = _node(args, bad)
@@ -382,12 +380,12 @@ def _make_ex_cubic() -> ModelSpec:
         oracle=oracle, name="ex_cubic")
 
 
-def _quad_exp_oracle(g, g1, T, n_quad=160) -> Oracle:
-    """Exponential-transform oracle by Gauss-Hermite quadrature, given W_t = w:
+def _quad_exp_oracle(g, g1, T) -> Oracle:
+    """Exponential-transform oracle by 160-node Gauss-Hermite quadrature, given W_t = w:
 
     Y = log E[exp(g(w + sqrt(T-t) xi))] and Z = E[g'(X_T) e^{g}] / E[e^{g}].
     """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
 
     def points(t, w):
         tau = np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))
@@ -410,7 +408,7 @@ def _make_ex_quad_exp(g=None, g1=None, g2=None) -> ModelSpec:
         b="0", sigma="1", g="tanh(x)" if g is None else g, h="0.5*z^2", f="w",
         T=1.0, X0=0.0, regime="quadratic",
         partials={k: v for k, v in (("g1", g1), ("g2", g2)) if v is not None},
-        constants=Constants(k_b=0.0, k_sigma=0.0, c=1.0, K=0.5, K_y=1e-12, K_z=1.0),
+        constants=Constants(k_b=0.0, k_sigma=0.0, c=1.0),
         name="ex_quad_exp")
     return replace(spec, oracle=_quad_exp_oracle(spec.g, spec.d("g1"), spec.T))
 
@@ -495,8 +493,7 @@ def sign_package(spec: ModelSpec, box: GridBox, t: float):
 
 
 def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
-                         tol: float = 1e-9, mc_check_steps: int = 64,
-                         seed: int = 0) -> AssumptionReport:
+                         tol: float = 1e-9, seed: int = 0) -> AssumptionReport:
     """Grid-sampled verdicts for the standing assumptions of a model.
 
     Checks (X), (L), (Q), (D1), (D2), (M) and the driver sign packages
@@ -565,12 +562,12 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     if spec.markovian_f is not None:
         from .mc import simulate_forward  # local import to avoid a cycle
 
-        ens = simulate_forward(spec, n_paths=256, n_steps=mc_check_steps, seed=seed)
+        ens = simulate_forward(spec, n_paths=256, n_steps=64, seed=seed)
         W = np.concatenate([np.zeros((256, 1)), np.cumsum(ens.dW, axis=1)], axis=1)
         gaps = np.abs(spec.markovian_f(ens.t_grid[None, :], spec.X0 + W) - ens.X)
         i, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
         gap = float(gaps[i, k])
-        scheme_tol = 5.0 * math.sqrt(spec.T / mc_check_steps)
+        scheme_tol = 5.0 * math.sqrt(spec.T / ens.n_steps)
         v["M"] = AssumptionVerdict("M", gap <= scheme_tol, scheme_tol - gap,
                                    [] if gap <= scheme_tol else [(float(ens.t_grid[k]),
                                                                   float(ens.X[i, k]))],

@@ -25,7 +25,7 @@ y0 (corollary form, requiring the rate gap gamma < 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +44,9 @@ __all__ = [
     "mu_integral", "delta_const", "xi_const", "big_d_const",
 ]
 
+_ALPHAS = np.arange(0.0, 8.0 + 0.01 / 2, 0.01)  # growth_rate's trial exponents
+_BAND_TOL, _FLOOR_TOL = 0.12, 1e-3  # verify_growth_sandwich's rate-band and floor slack
+
 
 @dataclass
 class GrowthRates:
@@ -61,15 +64,14 @@ class GrowthRates:
             raise ValueError("liminf rate exceeds limsup rate beyond fit tolerance")
 
 
-def _branch_envelope(f: Callable, x_lo: float, x_hi: float, n_pts: int,
-                     sign: float, n_per_decade: int):
-    xs = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), n_pts))
+def _branch_envelope(f: Callable, x_lo: float, x_hi: float, sign: float):
+    xs = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), 4096))
     vals = np.abs(np.asarray(f(sign * xs), dtype=float))
     if not np.all(np.isfinite(vals)):
         raise UndefinedRateError("function not finite on the window")
     decades = math.log10(x_hi / x_lo)
-    n_sub = max(int(round(decades * n_per_decade)), 4)
-    edges = np.linspace(0, n_pts, n_sub + 1).astype(int)
+    n_sub = max(int(round(decades * 8)), 4)
+    edges = np.linspace(0, xs.size, n_sub + 1).astype(int)
     env, pos = [], []
     for i in range(n_sub):
         sl = slice(edges[i], max(edges[i + 1], edges[i] + 1))
@@ -82,8 +84,8 @@ def _branch_envelope(f: Callable, x_lo: float, x_hi: float, n_pts: int,
     return pos[keep], env[keep]
 
 
-def _lattice_rate(pos, env, alphas, theta, head_frac, mode):
-    """Smallest lattice exponent whose envelope/x^alpha stops growing.
+def _lattice_rate(pos, env, mode):
+    """Smallest exponent of ``_ALPHAS`` whose envelope/x^alpha stops growing.
 
     The sup test compares head/tail maxima of env/x^alpha at the envelope
     nodes themselves; the inf test works on a densified log-log interpolation
@@ -98,27 +100,24 @@ def _lattice_rate(pos, env, alphas, theta, head_frac, mode):
         logenv_t = np.interp(dense, logx, logenv)
     else:
         logx_t, logenv_t = logx, logenv
-    split = logx_t[0] + head_frac * (logx_t[-1] - logx_t[0])
+    split = logx_t[0] + 0.5 * (logx_t[-1] - logx_t[0])
     head = logx_t <= split
     tail = ~head
     if not np.any(tail) or not np.any(head):
         raise UndefinedRateError("window too narrow to split")
-    for a in alphas:
+    for a in _ALPHAS:
         g = logenv_t - a * logx_t
         if mode == "sup":
             grow = np.max(g[tail]) - np.max(g[head])
         else:
             grow = np.min(g[tail]) - np.min(g[head])
-        if grow <= math.log1p(theta):
+        if grow <= math.log1p(0.02):
             return float(a), False
-    return float(alphas[-1]), True
+    return float(_ALPHAS[-1]), True
 
 
-def growth_rate(f: Callable, window: tuple, n_pts: int = 4096,
-                branches: str = "both", min_ratio: float = 100.0,
-                theta: float = 0.02, lattice: float = 0.01,
-                alpha_max: float = 8.0, n_per_decade: int = 8,
-                head_frac: float = 0.5) -> GrowthRates:
+def growth_rate(f: Callable, window: tuple, branches: str = "both",
+                min_ratio: float = 100.0) -> GrowthRates:
     """Estimate the limsup/liminf growth exponents of f on a window.
 
     The window (x_lo, x_hi) is in absolute coordinates with x_lo > 0 and
@@ -132,17 +131,16 @@ def growth_rate(f: Callable, window: tuple, n_pts: int = 4096,
     if x_hi / x_lo < min_ratio:
         raise PreconditionError(f"window ratio {x_hi / x_lo:.3g} below required {min_ratio:g}")
     signs = {"both": (1.0, -1.0), "pos": (1.0,), "neg": (-1.0,)}[branches]
-    alphas = np.arange(0.0, alpha_max + lattice / 2, lattice)
     bars, unders, unresolved = [], [], False
     all_logx, all_logenv = [], []
     got = False
     for s in signs:
-        pos, env = _branch_envelope(f, x_lo, x_hi, n_pts, s, n_per_decade)
+        pos, env = _branch_envelope(f, x_lo, x_hi, s)
         if pos.size < 4:
             continue
         got = True
-        ab, ur1 = _lattice_rate(pos, env, alphas, theta, head_frac, "sup")
-        au, ur2 = _lattice_rate(pos, env, alphas, theta, head_frac, "inf")
+        ab, ur1 = _lattice_rate(pos, env, "sup")
+        au, ur2 = _lattice_rate(pos, env, "inf")
         unresolved = unresolved or ur1 or ur2
         bars.append(ab)
         unders.append(au)
@@ -173,13 +171,12 @@ def inverse_growth_bound(alpha_under_f: float, eta: float) -> float:
     return 1.0 / (alpha_under_f - eta)
 
 
-def invert_monotone(f: Callable, window: tuple, n_pts: int = 200000,
-                    sign: float = 1.0):
+def invert_monotone(f: Callable, window: tuple):
     """Numeric inverse of a strictly monotone f on [x_lo, x_hi] (bisection grid).
 
     Returns (inverse_callable, (y_lo, y_hi)).
     """
-    xs = np.linspace(window[0], window[1], n_pts) * sign
+    xs = np.linspace(window[0], window[1], 200000)
     ys = np.asarray(f(xs), dtype=float)
     if np.any(np.diff(ys) <= 0):
         if np.all(np.diff(ys) < 0):
@@ -194,14 +191,13 @@ def invert_monotone(f: Callable, window: tuple, n_pts: int = 200000,
     return inverse, (lo, hi)
 
 
-def regular_variation_check(fprime: Callable, beta: float, window: tuple,
-                            n_pts: int = 400000) -> dict:
+def regular_variation_check(fprime: Callable, beta: float, window: tuple) -> dict:
     """Karamata consistency: x f'(x)/(f(x) - f(x0)) should approach beta + 1.
 
     f is reconstructed from f' by cumulative quadrature from the window start;
     the report also cross-checks rate additivity (rate of f ~ rate of f' + 1).
     """
-    x = np.linspace(window[0], window[1], n_pts)
+    x = np.linspace(window[0], window[1], 400000)
     fp = np.asarray(fprime(x), dtype=float)
     if fp[-1] <= 0:
         raise PreconditionError("f' must be positive near the window edge")
@@ -229,11 +225,11 @@ def regular_variation_check(fprime: Callable, beta: float, window: tuple,
 # -- constants ----------------------------------------------------------------
 
 
-def mu_integral(alpha_tilde: float, n_quad: int = 256) -> float:
-    """mu(at) = E[1 / (1 + |Z|^at)], Z standard normal (Gauss-Hermite)."""
+def mu_integral(alpha_tilde: float) -> float:
+    """mu(at) = E[1 / (1 + |Z|^at)], Z standard normal (256-node Gauss-Hermite)."""
     if alpha_tilde <= 0:
         raise PreconditionError("alpha_tilde must be positive")
-    nodes, weights = gauss_hermite_prob(n_quad)
+    nodes, weights = gauss_hermite_prob(256)
     return float(np.sum(weights / (1.0 + np.abs(nodes) ** alpha_tilde)))
 
 
@@ -474,18 +470,16 @@ def envelope(t: float, consts: TailConstants, stats: dict, y_nodes,
                         y0, gam, p1, p2, e, ep)
 
 
-def empirical_density(samples: np.ndarray, nodes: np.ndarray,
-                      bandwidth: Optional[float] = None, chunk: int = 65536):
-    """Gaussian kernel density estimate with pointwise standard errors."""
+def empirical_density(samples: np.ndarray, nodes: np.ndarray):
+    """Gaussian kernel density estimate (bandwidth 1.06 sigma n^{-1/5}) with pointwise standard errors."""
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     n = samples.size
-    bw = bandwidth or 1.06 * float(np.std(samples)) * n ** (-0.2)
+    bw = 1.06 * float(np.std(samples)) * n ** (-0.2)
     est = np.zeros(nodes.size)
     sq = np.zeros(nodes.size)
-    for i0 in range(0, n, chunk):
-        s = samples[i0:i0 + chunk, None]
-        k = norm_pdf((nodes[None, :] - s) / bw) / bw
+    for s in np.split(samples, range(65536, n, 65536)):
+        k = norm_pdf((nodes[None, :] - s[:, None]) / bw) / bw
         est += k.sum(axis=0)
         sq += (k**2).sum(axis=0)
     est /= n
@@ -507,8 +501,7 @@ class SandwichReport:
 
 def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
                            sol_udoubleprime: GridSolution, spec: ModelSpec,
-                           params: dict, rate_window: Optional[tuple] = None,
-                           band_tol: float = 0.12, floor_tol: float = 1e-3) -> SandwichReport:
+                           params: dict, rate_window: Optional[tuple] = None) -> SandwichReport:
     """Check comparison-principle growth conclusions on solved grids.
 
     ``params`` carries eps, eps_prime, C_lo, C_hi, D_lo, D_hi, B_lo, B_hi and
@@ -561,8 +554,8 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
         fn = lambda x: grid_sol.eval(0.0, x)
         try:
             r = growth_rate(fn, rate_window)
-            ok = (lo - band_tol <= r.alpha_under <= hi + band_tol
-                  and lo - band_tol <= r.alpha_bar <= hi + band_tol)
+            ok = (lo - _BAND_TOL <= r.alpha_under <= hi + _BAND_TOL
+                  and lo - _BAND_TOL <= r.alpha_bar <= hi + _BAND_TOL)
             conclusions[label] = {"ok": bool(ok), "alpha_bar": r.alpha_bar,
                                   "alpha_under": r.alpha_under, "band": (lo, hi)}
         except (PreconditionError, UndefinedRateError) as exc:
@@ -572,10 +565,10 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
     band("alpha_uprime", sol_uprime, eps_p, eps)
     band("alpha_udoubleprime", sol_udoubleprime, 0.0, 0.0)
     conclusions["uprime_floor"] = {
-        "ok": bool(np.min(sol_uprime.u) >= params["D_lo"] - floor_tol),
+        "ok": bool(np.min(sol_uprime.u) >= params["D_lo"] - _FLOOR_TOL),
         "min": float(np.min(sol_uprime.u)), "floor": params["D_lo"]}
     conclusions["udoubleprime_floor"] = {
-        "ok": bool(np.min(sol_udoubleprime.u) >= params["B_lo"] - floor_tol),
+        "ok": bool(np.min(sol_udoubleprime.u) >= params["B_lo"] - _FLOOR_TOL),
         "min": float(np.min(sol_udoubleprime.u)), "floor": params["B_lo"]}
 
     # fitted sandwich constants: u between C_lo kappa - C1 (T-t) and C_hi k + C (T-t)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -643,3 +644,32 @@ def test_oracle_times_outside_horizon_fail_the_task(tmp_path):
     assert status.startswith("failed") and "t=1.5 lies outside [0, T] = [0, 1]" in status
     assert all(manifest["tasks"][t] == "ok" for t in ("solve", "criteria", "density"))
     assert not (out / "oracle_compare.csv").exists()
+
+
+def test_solve_non_finite_system_fails_the_task_naming_the_node(tmp_path):
+    # with nx = 121, x = 0 is a grid node, where h = x + log(x^2)*y is NaN:
+    # solve fails naming the node, the manifest is written, criteria still runs
+    cfg_path = tmp_path / "nan.cfg"
+    cfg_path.write_text("[model]\nb = 0\nsigma = 1\ng = x\nh = x + log(x^2)*y\n"
+                        "[numerics]\nnx = 121\n[tasks]\nrun = solve, criteria\n"
+                        "[output]\ntimestamps = false\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+    assert tasks["solve"] == "failed: non-finite PDE coefficient or source at (t, x) = (0.992188, 0)"
+    assert tasks["criteria"].startswith("failed: h_y = -inf at")
+
+
+def test_criteria_timeless_check_reports_once(tmp_path):
+    cfg_path = tmp_path / "x.cfg"
+    cfg_path.write_text("[model]\npreset = ex_counter\n[tasks]\nrun = criteria\n"
+                        "criteria_checks = x-sign, quadratic\ncriteria_times = 0.1, 0.5, 0.9\n"
+                        "[output]\ntimestamps = false\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    assert [r["criterion"] for r in rows] == ["X+", "X-", "Q+", "Q-", "Q+", "Q-", "Q+", "Q-"]
+    table = (out / "criteria_table.txt").read_text().splitlines()
+    assert [line.split()[0] for line in table if line.startswith("X")] == ["X+", "X-"]

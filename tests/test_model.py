@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -353,3 +354,12 @@ def test_non_finite_second_partial_keeps_every_verdict():
     assert rep["D2"].violated_at[0][1] == 0.0
     for tag in ("C+", "C-", "Ctilde+", "Ctilde-"):
         assert not rep.holds(tag) and rep[tag].violated_at[0][1] == 0.0
+
+
+def test_non_finite_partial_prints_no_runtime_warning():
+    # the EvaluationError already names the value and its node
+    spec = expression_spec(b="0", sigma="1", g="x", h="abs(x)^1.5", f="w", T=1.0, X0=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = fl.validate_assumptions(spec)
+    assert not rep.holds("D2") and not rep.holds("C+")

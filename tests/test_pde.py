@@ -300,3 +300,19 @@ def test_grid_solution_requires_uniform_x(tmp_path, counter_grids):
     p.write_bytes(bytes(raw))
     with pytest.raises(ConfigError):
         GridSolution.from_binary(p)
+
+
+def test_non_finite_system_raises_evaluation_error_at_its_node(monkeypatch):
+    # h = x + log(x^2)*y is NaN on x = 0, a node of the 121-point grid: the
+    # solve names the node and is not retried at theta = 1
+    spec = fl.expression_spec(b="0", sigma="1", g="x", h="x + log(x^2)*y", f=None, T=1.0, X0=0.0)
+    grid = fl.default_grid(spec, nt=9, nx=121)
+    thetas, sweep = [], fl.pde._backward_sweep
+    monkeypatch.setattr(fl.pde, "_backward_sweep", lambda g, term, coef, theta, *rest:
+                        thetas.append(theta) or sweep(g, term, coef, theta, *rest))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(fl.errors.EvaluationError) as exc:
+            fl.solve_u(spec, grid)
+    assert exc.value.witness == (0.875, 0.0) and thetas == [0.5]
+    assert "(t, x) = (0.875, 0)" in str(exc.value)
