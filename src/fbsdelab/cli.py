@@ -29,7 +29,7 @@ from .artifacts import write_table
 from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task_closure
 from .criteria import CHECKS, TIMELESS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
-from .errors import FbsdeLabError, ParseError, PreconditionError
+from .errors import EvaluationError, FbsdeLabError, ParseError, PreconditionError
 from .mc import STREAM_FORWARD, BasisSpec, _draw_increments, simulate_forward, solve_bsde_regression
 from .model import ModelSpec
 from .pde import GridSolution, default_grid, solve_u, solve_u_prime
@@ -119,8 +119,9 @@ def _criteria(ctx: _Run) -> None:
                 continue
             try:
                 rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t).values()]
-            except PreconditionError as exc:
-                rows.append({"criterion": chk, "t": t, "verdict": "precondition-error",
+            except (PreconditionError, EvaluationError) as exc:
+                kind = "precondition" if isinstance(exc, PreconditionError) else "evaluation"
+                rows.append({"criterion": chk, "t": t, "verdict": f"{kind}-error",
                              "error": str(exc)})
     _write_json(ctx.file("criteria.json"), {"reports": rows}, ctx.header)
     with open(ctx.file("criteria_table.txt"), "w") as fh:

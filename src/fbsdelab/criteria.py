@@ -100,15 +100,6 @@ class VariationBounds:
     b_hi: float
 
 
-def _sgn(v: float) -> float:
-    # extremum exactly at zero contributes a unit factor
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
 def _verdict(nonstrict: float, strict: float, res: float):
     """Classify a (non-strict line, strict line) pair; returns (verdict, margin).
 
@@ -150,29 +141,28 @@ def _edge_running(vals: np.ndarray) -> bool:
 
 
 def _closed_integral(K: float, sgn: float, t: float, T: float, weighted: bool) -> float:
-    a = -sgn * K
-    if abs(a) < 1e-300:
-        return 0.5 * (T - t) ** 2 if weighted else (T - t)
+    """int_t^T e^{-K T - sgn K s} [(T-s)] ds; no exponent is positive on 0 <= s <= T."""
+    c = sgn * K
+    if abs(c) < 1e-300:
+        return math.exp(-K * T) * (0.5 * (T - t) ** 2 if weighted else (T - t))
+    eT, et = math.exp(-(K + c) * T), math.exp(-K * T - c * t)
     if not weighted:
-        return (math.exp(a * T) - math.exp(a * t)) / a
-    return -math.exp(a * t) * (T - t) / a + (math.exp(a * T) - math.exp(a * t)) / a**2
+        return (et - eT) / c
+    return (et * (T - t) - (et - eT) / c) / c
 
 
 def _branch_integral(K: float, s_nodes: np.ndarray, running: np.ndarray,
                      t: float, T: float, weighted: bool) -> float:
-    """int_t^T exp(-sgn(running(s)) K s) [(T-s)] ds.
+    """int_t^T e^{-K T - sgn(running(s)) K s} [(T-s)] ds, each weight at most 1.
 
-    Closed form when the running extremum keeps one sign on [t, T]; otherwise
-    the trapezoidal rule on 128 steps with the sign evaluated node by node.
+    Closed form when K = 0 or the running extremum keeps one sign on [t, T];
+    otherwise the trapezoidal rule on 128 steps with the sign node by node.
     """
     signs = np.sign(running)
-    if np.all(signs >= 0) or np.all(signs <= 0):
-        sgn = _sgn(float(running[0])) if np.any(signs != 0) else 0.0
-        if np.all(signs == signs[0]) or K == 0.0:
-            return _closed_integral(K, sgn if signs[0] != 0 else 0.0, t, T, weighted)
+    if K == 0.0 or np.all(signs == signs[0]):
+        return _closed_integral(K, float(signs[0]), t, T, weighted)
     s = np.linspace(t, T, 129)
-    m = np.interp(s, s_nodes, running)
-    vals = np.exp(-np.sign(m) * K * s)
+    vals = np.exp(-K * (T + np.sign(np.interp(s, s_nodes, running)) * s))
     if weighted:
         vals = vals * (T - s)
     return float(np.trapezoid(vals, s))
@@ -259,16 +249,17 @@ class _Frame:
                                self.res, scalars, notes, _box_repr(self.box), self.hit_lb)
 
     def judge(self, tag, sgn, nonstrict, strict, scalars, notes=(), edge=None, label="",
-              failed=False, void=None) -> CriterionReport:
+              failed=False, void=None, scale=1.0) -> CriterionReport:
         """Report one sign package from its sign-normalised pair of lines.
 
         Hit notes come first, then ``notes``.  A ``void`` hypothesis (its
         note) makes the package inapplicable.  Otherwise an extremum of
         ``edge`` still running at the box edge makes it inconclusive without
-        A and earns a note with A, and a ``failed`` gate makes it fail.  The
-        margin is returned in the original signs, sgn * margin.
+        A and earns a note with A, and a ``failed`` gate makes it fail.  Lines
+        that carry a positive factor ``scale`` are judged against the resolution
+        times it.  The margin is returned in the original signs, sgn * margin.
         """
-        verdict, margin = _verdict(nonstrict, strict, self.res)
+        verdict, margin = _verdict(nonstrict, strict, self.res * scale)
         notes = [*self.hit_notes, *notes]
         if void:
             verdict = "inapplicable"
@@ -318,32 +309,26 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
             weighted: bool) -> dict:
     """The '+' and '-' packages of a first- or second-order condition.
 
-    '+' asks  inf g e^{-sgn(inf g) K T} + infh(t) int_t^T e^{-sgn(infh(s)) K s} [(T-s)] ds
-    >= 0 globally and > 0 with inf g over A only; '-' is the same pair of lines
-    for the negated values (suprema, reversed inequalities).  Scalars keep the
-    original signs.  A weight exp(K s) beyond the float range raises
-    PreconditionError naming K and T.
+    '+' asks  e^{-KT} [G e^{-sgn(G) K T} + H(t) int_t^T e^{-sgn(H(s)) K s} [(T-s)] ds]
+    >= 0 with G = inf g and H(s) = inf h over [s, T] x box, and > 0 with G over A
+    only.  '-' is the '+' package of the negated model (g -> -g, h -> -h(t, x,
+    -y, -z)), so its G and H are the infima of -g and -h.  The factor e^{-KT} > 0
+    keeps every weight at most 1; the lines are judged against the resolution
+    times e^{-KT}, so the verdict is the bracket's.  Scalars keep the original
+    signs.
     """
     T = fr.spec.T
     out = {}
     for sgn, sign in SIGNS:
-        g_glob = sgn * float(np.min(sgn * gv))
-        g_A = sgn * float(np.min(sgn * gv[fr.mask]))
-        hrun = sgn * _running_inf(sgn * hv)
-        h_t = float(hrun[0])
-        try:
-            with np.errstate(over="raise"):
-                integ = _branch_integral(K, s_nodes, hrun, fr.t, T, weighted=weighted)
-            m1 = g_glob * math.exp(-_sgn(g_glob) * K * T) + h_t * integ
-            m2 = g_A * math.exp(-_sgn(g_A) * K * T) + h_t * integ
-        except (OverflowError, FloatingPointError):
-            raise PreconditionError(f"exp(K s) leaves the float range on [{fr.t:g}, {T:g}] "
-                                    f"with K = {K:g}, T = {T:g}") from None
-        scal = {"K": K, f"{g_key}_extremum": g_glob, f"{g_key}_extremum_A": g_A,
-                f"{h_key}_extremum_t": h_t, "integral": integ,
-                "margin_global": m1, "margin_A": m2}
-        out[stem + sign] = fr.judge(stem + sign, sgn, sgn * m1, sgn * m2, scal,
-                                    edge=sgn * gv, label=g_label)
+        G, G_A = float(np.min(sgn * gv)), float(np.min(sgn * gv[fr.mask]))
+        H = _running_inf(sgn * hv)
+        h_t, integ = float(H[0]), _branch_integral(K, s_nodes, H, fr.t, T, weighted=weighted)
+        m1, m2 = (g * math.exp(-K * T * (1.0 + np.sign(g))) + h_t * integ for g in (G, G_A))
+        scal = {"K": K, f"{g_key}_extremum": sgn * G, f"{g_key}_extremum_A": sgn * G_A,
+                f"{h_key}_extremum_t": sgn * h_t, "integral": integ,
+                "margin_global": sgn * m1, "margin_A": sgn * m2}
+        out[stem + sign] = fr.judge(stem + sign, sgn, m1, m2, scal, edge=sgn * gv, label=g_label,
+                                    scale=math.exp(-K * T))
     return out
 
 
@@ -360,7 +345,9 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
         inf g' e^{-sgn(inf g') K T} + infh(t) int_t^T e^{-sgn(infh(s)) K s} ds >= 0
 
     together with the strict analogue where inf g' runs over A only; the '-'
-    package mirrors both lines with suprema.  Margins are the left-hand sides.
+    package is the '+' package of the negated model (g -> -g, h -> -h(t, x, -y, -z)).
+    Margins are the left-hand sides times e^{-KT} (equal at K = 0), judged
+    against the resolution times e^{-KT}, so the verdict is the left-hand side's.
     """
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"),
                 check_hit, seed)
@@ -594,13 +581,12 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
         signed = float(np.min(sgn * grids["h_zz"])) >= -fr.res
         notes = _cross(cross) + ([] if signed else ["h_zz sign package violated"])
         # inf of sgn * htilde over the grid, zt at whichever box end minimizes it
-        ht = sgn * float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo,
-                                                        sgn * hy * box.z_hi)))
-        m1 = sgn * float(np.min(sgn * dphi)) + (spec.T - t) * ht
-        m2 = sgn * float(np.min(sgn * dphi[fr.mask])) + (spec.T - t) * ht
-        scal = {"dphi_extremum": m1 - (spec.T - t) * ht, "htilde_extremum": ht,
-                "margin_global": m1, "margin_A": m2}
-        out[tag] = fr.judge(tag, sgn, sgn * m1, sgn * m2, scal, notes,
+        H = float(np.min(sgn * core + np.minimum(sgn * hy * box.z_lo, sgn * hy * box.z_hi)))
+        D, D_A = float(np.min(sgn * dphi)), float(np.min(sgn * dphi[fr.mask]))
+        m1, m2 = D + (spec.T - t) * H, D_A + (spec.T - t) * H
+        scal = {"dphi_extremum": sgn * D, "htilde_extremum": sgn * H,
+                "margin_global": sgn * m1, "margin_A": sgn * m2}
+        out[tag] = fr.judge(tag, sgn, m1, m2, scal, notes,
                             edge=sgn * dphi, label="(g' o f) f'", failed=bool(notes))
     return out
 

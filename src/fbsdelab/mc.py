@@ -4,13 +4,14 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (Philox) random streams so that ensembles are reproducible for a fixed
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
-path i depends on every earlier path (see ROADMAP.md, item 5).  One kernel,
-``_euler``, steps X and its first and second variations for every caller,
-except a variation that the model's expressions fix at 1 or 0 (b_x, sigma_x,
-b_xx, sigma_xx the constant 0): that one is a read-only broadcast view.  The
-Malliavin routines hand it an ensemble's held paths and step only the
-variations along them.  ``simulate_forward`` hands out the time grid, ``dW``
-and ``X`` read-only: later work is cached against them.
+path i depends on every earlier path (see ROADMAP.md, item "Draw blocks as the
+unit of work").  One kernel, ``_euler``, steps X and its first and second
+variations for every caller, except a variation that the model's expressions
+fix at 1 or 0 (b_x, sigma_x, b_xx, sigma_xx the constant 0): that one is a
+read-only broadcast view.  The Malliavin routines hand it an ensemble's held
+paths and step only the variations along them.  ``simulate_forward`` hands
+out the time grid, ``dW`` and ``X`` read-only: later work is cached against
+them.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)

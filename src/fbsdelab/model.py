@@ -492,12 +492,11 @@ def sign_package(spec: ModelSpec, box: GridBox, t: float):
     return mesh, vals, max(float(np.max(np.abs(vals[n]))) for n in CROSS_PARTIALS)
 
 
-def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
-                         tol: float = 1e-9, seed: int = 0) -> AssumptionReport:
+def validate_assumptions(spec: ModelSpec) -> AssumptionReport:
     """Grid-sampled verdicts for the standing assumptions of a model.
 
     Checks (X), (L), (Q), (D1), (D2), (M) and the driver sign packages
-    (C+/-), (Ctilde+/-).  All extrema are taken over the supplied box and the
+    (C+/-), (Ctilde+/-).  All extrema are taken over the default box and the
     report records the resolution used; nothing is certified beyond the box.
     A violated verdict's witness is a node where its own condition fails: the
     argmin of the violating signed values for (X), (C+/-) and (Ctilde+/-), the
@@ -507,7 +506,7 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     are the finiteness of g' and of g'', h_xx; a non-finite sign-package
     partial fails (C+/-) and (Ctilde+/-) at its node.
     """
-    box = box or default_box(spec)
+    box, tol = default_box(spec), 1e-9  # tol: the absolute slack of every verdict
     declared, res, v = spec.constants, box.resolution(), {}
     tx, mesh, xn = box_mesh(box, box.t_lo, 2), box_mesh(box, box.t_lo), box.x_nodes()
 
@@ -562,7 +561,7 @@ def validate_assumptions(spec: ModelSpec, box: Optional[GridBox] = None,
     if spec.markovian_f is not None:
         from .mc import simulate_forward  # local import to avoid a cycle
 
-        ens = simulate_forward(spec, n_paths=256, n_steps=64, seed=seed)
+        ens = simulate_forward(spec, n_paths=256, n_steps=64, seed=0)
         W = np.concatenate([np.zeros((256, 1)), np.cumsum(ens.dW, axis=1)], axis=1)
         gaps = np.abs(spec.markovian_f(ens.t_grid[None, :], spec.X0 + W) - ens.X)
         i, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)

@@ -428,8 +428,7 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
 
 def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
                         sol_u: Optional[GridSolution] = None,
-                        sol_uprime: Optional[GridSolution] = None,
-                        theta: float = 0.5, max_iter: int = 30, tol: float = 1e-10) -> GridSolution:
+                        sol_uprime: Optional[GridSolution] = None) -> GridSolution:
     """Solve the equation satisfied by w = u_xx (second space derivative).
 
     The quadratic self-interaction h_zz w^2 is resolved by the Picard freeze;
@@ -439,10 +438,9 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
     """
     xn = grid.x_nodes
     if sol_u is None and _needs_u(spec, grid):
-        sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
+        sol_u = solve_u(spec, grid, max_iter=30)
     if sol_uprime is None:
-        sol_uprime = solve_u_prime(spec, grid, sol_u=sol_u, theta=theta,
-                                   max_iter=max_iter, tol=tol)
+        sol_uprime = solve_u_prime(spec, grid, sol_u=sol_u, max_iter=30)
     terminal = _on_grid(spec.d("g2"), xn)
     cap = 4.0 * max(float(np.max(np.abs(terminal))), 1e-12) + 1e6 * np.finfo(float).eps
 
@@ -467,7 +465,7 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
         s = beta_x * v + Dhx
         return a2, a1, a0, s
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol,
+    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, 0.5, 30, 1e-10,
                                              blowup_cap=cap)
     ux, uxx = _space_derivatives(vals, grid.dx)
     return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u_doubleprime", th,

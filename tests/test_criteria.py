@@ -103,15 +103,22 @@ def test_quadratic_check_mirror():
     assert rep["Q+"].verdict == "fails"
 
 
-# K = 0 expression models: negating g and h turns each '+' package into the
-# '-' package of the negated model, margin and signed scalars negated exactly
-MIRROR_MODELS = {"counter": ("x", "(t-2)*x"), "cubic": ("x^3", "3*x")}
+# expression models as (b, g, h, h(t, x, -y, -z)): the negated model g -> -g,
+# h -> -h(t, x, -y, -z) turns each '+' package into the '-' package, margin and
+# signed scalars negated exactly; K = 0 exactly when h reads no y
+MIRROR_MODELS = {
+    "counter": ("0", "x", "(t-2)*x", "(t-2)*x"),
+    "cubic": ("0", "x^3", "3*x", "3*x"),
+    "linear": ("0", "x", "0.5*y + (t - 2)*x", "0.5*(-y) + (t - 2)*x"),
+    "witness": ("-0.2*x", "tanh(x) + 0.2*x", "(t - 1.87)*x + 0.46*sin(y)",
+                "(t - 1.87)*x + 0.46*sin(-y)"),
+}
 SIGN_PAIRS = ((first_order_check, "H+", "H-"), (second_order_check, "Htilde+", "Htilde-"),
               (quadratic_check, "Q+", "Q-"), (z_markovian_check, "Z-markov-a", "Z-markov-b"))
 
 
-def _expr_spec(g, h):
-    return parse_config(f"[model]\nb = 0\nsigma = 1\ng = {g}\nh = {h}\nf = w\n").build_spec()
+def _expr_spec(g, h, b="0"):
+    return parse_config(f"[model]\nb = {b}\nsigma = 1\ng = {g}\nh = {h}\nf = w\n").build_spec()
 
 
 def _assert_mirror(plus, minus):
@@ -125,14 +132,28 @@ def _assert_mirror(plus, minus):
 @pytest.mark.parametrize("A", [None, IntervalUnion([(-1.0, 0.5)])])
 @pytest.mark.parametrize("name", sorted(MIRROR_MODELS))
 def test_sign_packages_mirror_under_negation(name, A):
-    g, h = MIRROR_MODELS[name]
-    spec, neg = _expr_spec(g, h), _expr_spec(f"-({g})", f"-({h})")
-    for check, plus, minus in SIGN_PAIRS:
+    b, g, h, h_flip = MIRROR_MODELS[name]
+    spec, neg = _expr_spec(g, h, b), _expr_spec(f"-({g})", f"-({h_flip})", b)
+    # the y-nodes are symmetric only up to rounding, so Z-markov's h_y and h_yy
+    # terms mirror exactly only when h reads no y
+    for check, plus, minus in SIGN_PAIRS if h == h_flip else SIGN_PAIRS[:3]:
         rep, rep_neg = check(spec, 0.5, A), check(neg, 0.5, A)
         if "K" in rep[plus].scalars:
-            assert rep[plus].scalars["K"] == 0.0
+            assert (rep[plus].scalars["K"] > 0.0) == (h != h_flip)
         _assert_mirror(rep[plus], rep_neg[minus])
         _assert_mirror(rep[minus], rep_neg[plus])
+
+
+def test_first_order_holds_with_large_K():
+    # g' = h_x = 1, K = 20: the bracket e^{-20} + (e^{-10} - e^{-20})/20 = 2.27e-6
+    # clears the resolution 1e-8; the margin, e^{-20} times it, is judged against
+    # e^{-20} times the resolution
+    spec = parse_config("[model]\nb = 0\nsigma = 1\ng = x\nh = 20*y + x\n").build_spec()
+    rep = first_order_check(spec, 0.5)["H+"]
+    assert rep.verdict == "holds"
+    assert rep.margin / math.exp(-20.0) == pytest.approx(
+        math.exp(-20.0) + (math.exp(-10.0) - math.exp(-20.0)) / 20.0, rel=1e-12)
+    assert rep.resolution == 1e-8
 
 
 def test_quadratic_check_sign_change_fails():
