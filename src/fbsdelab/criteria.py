@@ -13,18 +13,21 @@ reports a signed margin (the left-hand side); verdicts are
   forward Malliavin derivative, Markov representation) is not available.
 
 Extrema over unbounded domains are always computed on a declared box; the
-restriction set A is a finite union of closed intervals, and the requirement
-P(X_T in A | F_t) > 0 is checked by Monte Carlo hit counting with a Wilson
-lower confidence bound.
+restriction set A is a finite union of closed intervals.  Every criterion
+assumes the ellipticity (X), read as sigma keeping one strict sign on the box.
+Under (X) the law of X_T given F_t has full support (Stroock and Varadhan's
+support theorem), so P(X_T in A | F_t) > 0 exactly when an interval of A has
+positive length.
 
 Every check returns ``{tag: CriterionReport}`` and is built from two parts.
 ``_frame`` resolves what all checks share: the box, the resolution (fine
-only when every partial the check reads is exact), the A-mask and the hit
-bound.  ``_Frame.judge`` turns one sign package's (non-strict, strict) pair
-of lines into a report by one rule: the verdict from the margins, then a
-void hypothesis, the box-edge rule and a failed structural gate.  Each ±
-pair runs over ``model.SIGNS``.  Every grid value comes from ``model.evaluate``,
-so a NaN or ±inf partial raises EvaluationError naming it and its node.
+only when every partial the check reads is exact), the A-mask, the range of
+sigma and the void of (X) or of A.  ``_Frame.judge`` turns one sign
+package's (non-strict, strict) pair of lines into a report by one rule: the
+verdict from the margins, then a void hypothesis, the box-edge rule and a
+failed structural gate.  Each ± pair runs over ``model.SIGNS``.  Every grid
+value comes from ``model.evaluate``, so a NaN or ±inf partial raises
+EvaluationError naming it and its node.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
     "first_order_check", "second_order_check", "quadratic_check",
     "z_lipschitz_check", "z_quadratic_check", "z_markovian_check",
-    "x_sign_check", "conditional_hit_lower_bound", "CHECKS", "TIMELESS",
+    "x_sign_check", "CHECKS", "TIMELESS",
 ]
-
-_HIT_STEPS = 64  # Euler steps over [0, T] of conditional_hit_lower_bound
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,6 @@ class CriterionReport:
     scalars: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     box: Optional[str] = None
-    hit_lower_bound: Optional[float] = None
 
     def to_dict(self):
         return asdict(self)
@@ -185,50 +185,10 @@ def _sup_abs(declared: Optional[float], spec: ModelSpec, name: str, *args) -> fl
     return declared if declared is not None else float(np.max(np.abs(evaluate(spec, name, *args))))
 
 
-# -- conditional hit probability ---------------------------------------------
-
-
-def _wilson_lower(k: int, n: int) -> float:
-    z = 1.959963984540054  # the two-sided 95% normal quantile
-    if n == 0:
-        return 0.0
-    p = k / n
-    denom = 1.0 + z * z / n
-    center = p + z * z / (2 * n)
-    rad = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return max((center - rad) / denom, 0.0)
-
-
-def conditional_hit_lower_bound(spec: ModelSpec, t: float, A: IntervalUnion,
-                                seed: int = 123) -> float:
-    """95% Wilson lower bound on P(X_T in A | X_t = x) minimized over probes x.
-
-    Probe states are quantiles of a pilot simulation of X_t; from each probe
-    the bridge to T is re-simulated and hits of A are counted.
-    """
-    from .mc import STREAM_BOOTSTRAP, _euler, rng_stream
-
-    rng = rng_stream(seed, STREAM_BOOTSTRAP)
-    k_t = max(int(round(t / spec.T * _HIT_STEPS)), 1)
-    dt1 = t / k_t
-    # one (steps, paths) block per phase: the same normals as step-by-step draws
-    dW = rng.standard_normal((k_t, 2048)) * math.sqrt(dt1)
-    x = _euler(spec, dW.T, spec.X0, 0.0, dt1)[0][-1]
-    probes = np.quantile(x, np.linspace(0.05, 0.95, 5))
-    k_rest = max(_HIT_STEPS - k_t, 1)
-    dt2 = (spec.T - t) / k_rest
-    lb = math.inf
-    for xp in probes:
-        dW = rng.standard_normal((k_rest, 2048)) * math.sqrt(dt2)
-        xx = _euler(spec, dW.T, float(xp), t, dt2)[0][-1]
-        hits = int(np.sum(A.contains(xx)))
-        lb = min(lb, _wilson_lower(hits, xx.size))
-    return float(lb)
-
-
 @dataclass
 class _Frame:
-    """What every check shares: box, resolution, x-nodes, g', the A-mask, hit bound."""
+    """What every check shares: box, resolution, x-nodes, g', the A-mask, the
+    (inf, sup) of sigma on the box and the note that voids every package, if any."""
 
     spec: ModelSpec
     t: float
@@ -238,29 +198,28 @@ class _Frame:
     xg: np.ndarray
     g1: np.ndarray
     mask: np.ndarray
-    hit_lb: Optional[float]
-    hit_notes: list
+    sigma: tuple
+    void: Optional[str]
 
     def report(self, tag, verdict, margin, scalars, notes) -> CriterionReport:
-        # criteria demand P(X_T in A | F_t) > 0; an uncertified set voids them
-        if self.hit_lb is not None and self.hit_lb <= 0.0 and verdict == "holds":
-            verdict = "inapplicable"
         return CriterionReport(tag, self.t, repr(self.A) if self.A else None, verdict, margin,
-                               self.res, scalars, notes, _box_repr(self.box), self.hit_lb)
+                               self.res, scalars, notes, _box_repr(self.box))
 
     def judge(self, tag, sgn, nonstrict, strict, scalars, notes=(), edge=None, label="",
               failed=False, void=None, scale=1.0) -> CriterionReport:
         """Report one sign package from its sign-normalised pair of lines.
 
-        Hit notes come first, then ``notes``.  A ``void`` hypothesis (its
-        note) makes the package inapplicable.  Otherwise an extremum of
-        ``edge`` still running at the box edge makes it inconclusive without
-        A and earns a note with A, and a ``failed`` gate makes it fail.  Lines
-        that carry a positive factor ``scale`` are judged against the resolution
-        times it.  The margin is returned in the original signs, sgn * margin.
+        The frame's void ((X) or the reach of A), else the check's ``void``
+        hypothesis, makes the package inapplicable; its note follows ``notes``.
+        Otherwise an extremum of ``edge`` still running at the box edge makes
+        it inconclusive without A and earns a note with A, and a ``failed``
+        gate makes it fail.  Lines that carry a positive factor ``scale`` are
+        judged against the resolution times it.  The margin is returned in the
+        original signs, sgn * margin.
         """
         verdict, margin = _verdict(nonstrict, strict, self.res * scale)
-        notes = [*self.hit_notes, *notes]
+        notes = list(notes)
+        void = self.void or void
         if void:
             verdict = "inapplicable"
             notes.append(void)
@@ -276,27 +235,30 @@ class _Frame:
         return self.report(tag, verdict, sgn * margin, scalars, notes)
 
 
-def _frame(spec, t, A, box, resolution, partials, check_hit, seed, a_on=None) -> _Frame:
+def _frame(spec, t, A, box, resolution, partials, a_on=None) -> _Frame:
     """Preamble of every check.  The resolution is fine only when each partial
     the check reads is exact; A is tested on ``a_on`` (the x-nodes by default)
-    and a PreconditionError is raised when it misses them all or t is not in [0, T]."""
+    and a PreconditionError is raised when it misses them all or t is not in [0, T].
+
+    Every package is void when sigma takes both signs or the value 0 on the
+    box's (s, x) mesh over all its time nodes, since D_r Y_t reads sigma at
+    r <= t, or, under (X), when no interval of A has positive length."""
     check_horizon(t, spec.T)
     box = box or default_box(spec)
     if resolution is None:
         resolution = 1e-8 if all(n in spec.partials for n in partials) else 1e-3
     xg = box.x_nodes()
     on = xg if a_on is None else a_on
-    hit_lb, hit_notes = None, []
-    if A is not None and check_hit:
-        hit_lb = conditional_hit_lower_bound(spec, t, A, seed=seed)
-        if hit_lb <= 0.0:
-            hit_notes.append("P(X_T in A | F_t) not certified positive at 95% confidence")
     mask = A.contains(on) if A is not None else np.ones_like(on, dtype=bool)
     if not np.any(mask):
         raise PreconditionError("A does not intersect "
                                 + ("the declared box" if a_on is None else "f(T, w-box)"))
-    return _Frame(spec, t, A, box, resolution, xg, evaluate(spec, "g1", xg), mask,
-                  hit_lb, hit_notes)
+    sig = evaluate(spec, "sigma", *box_mesh(box, box.t_lo, 2))
+    lo, hi = float(np.min(sig)), float(np.max(sig))
+    void = (f"(X) fails: sigma takes values in [{lo:.3g}, {hi:.3g}] on the box" if lo <= 0.0 <= hi
+            else "no interval of A has positive length: P(X_T in A | F_t) = 0"
+            if A is not None and all(a == b for a, b in A.intervals) else None)
+    return _Frame(spec, t, A, box, resolution, xg, evaluate(spec, "g1", xg), mask, (lo, hi), void)
 
 
 def _box_repr(box: GridBox) -> str:
@@ -336,8 +298,7 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
 
 
 def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                      box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> dict:
+                      box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """First-order conditions for a density of Y_t (Lipschitz regime).
 
     With K = k_b + k_y + k_sigma k_z, the '+' package asks
@@ -349,8 +310,7 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     Margins are the left-hand sides times e^{-KT} (equal at K = 0), judged
     against the resolution times e^{-KT}, so the verdict is the left-hand side's.
     """
-    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"),
-                check_hit, seed)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"))
     c = spec.constants
     sx, mesh = box_mesh(fr.box, t, 2), box_mesh(fr.box, t)
     k_b = _sup_abs(c.k_b, spec, "b_x", *sx)
@@ -388,8 +348,7 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
 
 
 def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                       box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                       check_hit: bool = False, seed: int = 123) -> dict:
+                       box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """Corrected second-order conditions (driver independent of z).
 
     Uses gtilde(x) = g'(x) + (T-t) h_x(T, x, g(x)), the correction term
@@ -407,8 +366,7 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
             f"h_z != 0 near (t={float(probe_t[idx[0], 0]):g}, x={float(probe_x[0, idx[1]]):g})")
 
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx",
-                                               "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"),
-                check_hit, seed)
+                                               "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"))
     c = spec.constants
     k_b = _sup_abs(c.k_b, spec, "b_x", *np.ix_(np.linspace(0, spec.T, 9), fr.xg))
     k_y = _sup_abs(c.k_y, spec, "h_y", *box_mesh(box, t))
@@ -424,14 +382,13 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
 
 
 def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                    box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                    check_hit: bool = False, seed: int = 123) -> dict:
+                    box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """Sign conditions for a density of Y_t under a quadratic-growth driver.
 
     '+': g' >= 0 everywhere, g' > 0 on A, and inf h_x over [t,T] >= 0;
     '-' mirrors the signs.
     """
-    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), check_hit, seed)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"))
     hx = evaluate(spec, "h_x", *box_mesh(fr.box, t))
     out = {}
     for sgn, sign in SIGNS:
@@ -452,31 +409,34 @@ def _cross(cross: float) -> list:
         if cross > 1e-10 else []
 
 
-def estimate_variation_bounds(spec: ModelSpec, seed: int = 321, n_paths: int = 2048,
-                              n_steps: int = 64) -> VariationBounds:
-    """Monte Carlo extremes of D_r X_u (flow ratios) and of D^2_{r,r} X_u."""
-    from .mc import _malliavin_d2x, _variations, malliavin_dx, simulate_forward
+def _model_bounds(fr: _Frame) -> tuple:
+    """(bounds on D_r X and D^2 X read off the model on the box, None), or (NaN bounds, why not).
 
-    ens = simulate_forward(spec, n_paths, n_steps, seed)
-    _, nabla, nabla2 = _variations(spec, ens, order=2)
-    a_lo, a_hi = math.inf, -math.inf
-    for k_r in range(0, n_steps, max(n_steps // 8, 1)):
-        d = malliavin_dx(spec, ens, nabla.T, k_r)[:, k_r:]
-        a_lo = min(a_lo, float(np.min(d)))
-        a_hi = max(a_hi, float(np.max(d)))
-    # second derivative probe on the diagonal r = s of a coarser r-grid
-    b_hi = max(float(np.max(np.abs(_malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_r))))
-               for k_r in range(0, n_steps, max(n_steps // 4, 1)))
-    return VariationBounds(a_lo, a_hi, b_hi)
+    With sigma_x = 0, D_r X_u = sigma(r) exp(int_r^u b_x ds), so a_lo = inf sigma
+    e^{T min(0, inf b_x)} and a_hi = sup sigma e^{T max(0, sup b_x)}.  Then
+    D^2_{r,s} X_u = D_r X_u int_{max(r,s)}^u b_xx(v, X_v) D_s X_v dv lies in
+    [0, T sup b_xx a_hi^2] when b_xx >= 0.
+    """
+    spec, sx = fr.spec, box_mesh(fr.box, fr.box.t_lo, 2)
+    bx, bxx = evaluate(spec, "b_x", *sx), evaluate(spec, "b_xx", *sx)
+    why = ("sigma_x != 0 on the box: no model bound on D_r X"
+           if float(np.max(np.abs(evaluate(spec, "sigma_x", *sx)))) > 1e-10 else
+           "b_xx < 0 on the box: D^2 X can be negative" if float(np.min(bxx)) < 0.0 else None)
+    if why:
+        return VariationBounds(math.nan, math.nan, math.nan), why + "; theorem inapplicable"
+    T, (s_lo, s_hi) = spec.T, fr.sigma
+    a_hi = s_hi * math.exp(T * max(0.0, float(np.max(bx))))
+    return VariationBounds(s_lo * math.exp(T * min(0.0, float(np.min(bx)))), a_hi,
+                           T * max(0.0, float(np.max(bxx))) * a_hi**2), None
 
 
-def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
-             check_hit, seed) -> dict:
+def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag) -> dict:
     """(C+) sign package on h_x, h_xx, h_yy, h_zz, h_xy; h_xz = h_yz = 0; the h_xy
-    branch; h_y >= 0 when ``need_hy``; then the two displayed inequalities."""
+    branch; h_y >= 0 when ``need_hy``; then the two displayed inequalities, with
+    the model's bounds on D_r X and D^2 X when ``bounds`` is None."""
     fr = _frame(spec, t, A, box, resolution,
                 ("g1", "g2", "h_xx", "h_x", "h_yy", "h_zz", "h_xy", "h_xz", "h_yz", "h_y",
-                 "b_x", "sigma_x", "b_xx", "sigma_xx"), check_hit, seed)
+                 "b_x", "sigma_x", "b_xx", "sigma_xx"))
     res, g1, mask = fr.res, fr.g1, fr.mask
     mesh, grids, cross = sign_package(spec, fr.box, t)
     gates = {n: float(grids[n].min()) for n in SIGN_PARTIALS}
@@ -490,11 +450,9 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
     # the h_xy branch condition: h_xy == 0, or h_xy >= 0 together with g' >= 0
     if float(np.max(np.abs(grids["h_xy"]))) > 1e-10 and float(np.min(g1)) < -res:
         notes.append("h_xy != 0 requires g' >= 0 a.e., violated on the box")
-    failed = bool(notes)
+    failed, void = bool(notes), None
     if bounds is None:
-        bounds = estimate_variation_bounds(spec, seed=seed)
-        notes.append(f"variation bounds estimated by MC: a in [{bounds.a_lo:.4g}, "
-                     f"{bounds.a_hi:.4g}], b_hi = {bounds.b_hi:.4g}")
+        bounds, void = _model_bounds(fr)
     g2 = evaluate(spec, "g2", fr.xg)
     g2_min, g2_min_A = float(np.min(g2)), float(np.min(g2[mask]))
     g1_min, g1_min_A = float(np.min(g1)), float(np.min(g1[mask]))
@@ -509,7 +467,8 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
             "g1_min_A": g1_min_A, "h_xx_min": hxx_min, "a_lo": a_lo, "a_hi": a_hi,
             "b_hi": b_hi, "ineq_global": m1, "ineq_A": m2,
             **{f"gate_{k}": v for k, v in gates.items()}, **hy}
-    void = "lower bound on D_r X not positive; theorem inapplicable" if a_lo <= 0 else None
+    if a_lo <= 0:
+        void = "lower bound on D_r X not positive; theorem inapplicable"
     return {tag: fr.judge(tag, 1.0, m1, m2, scal, notes, edge=g2, label="g''",
                           failed=failed, void=void)}
 
@@ -517,31 +476,28 @@ def _z_check(spec: ModelSpec, t, A, box, resolution, bounds, need_hy, tag,
 def z_lipschitz_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
                       box: Optional[GridBox] = None,
                       bounds: Optional[VariationBounds] = None,
-                      resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> dict:
+                      resolution: Optional[float] = None) -> dict:
     """Density criterion for Z_t under a Lipschitz driver, as ``{"Z-lip": report}``.
 
     Requires the (C+) sign package, pathwise bounds a_lo <= D_r X <= a_hi,
     0 <= D^2 X <= b_hi, and the two displayed inequalities combining the
-    extrema of g'', g' and inf h_xx; the margin is their minimum.
+    extrema of g'', g' and inf h_xx; the margin is their minimum.  Without
+    ``bounds`` they are read off the model on the box: a model with sigma_x != 0
+    or b_xx < 0 somewhere on it has none, and its package is inapplicable.
     """
-    return _z_check(spec, t, A, box, resolution, bounds, need_hy=False,
-                    tag="Z-lip", check_hit=check_hit, seed=seed)
+    return _z_check(spec, t, A, box, resolution, bounds, need_hy=False, tag="Z-lip")
 
 
 def z_quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
                       box: Optional[GridBox] = None,
                       bounds: Optional[VariationBounds] = None,
-                      resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> dict:
+                      resolution: Optional[float] = None) -> dict:
     """Quadratic-regime analogue of the Z-criterion (adds h_y >= 0), as ``{"Z-quad": report}``."""
-    return _z_check(spec, t, A, box, resolution, bounds, need_hy=True,
-                    tag="Z-quad", check_hit=check_hit, seed=seed)
+    return _z_check(spec, t, A, box, resolution, bounds, need_hy=True, tag="Z-quad")
 
 
 def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                      box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                      check_hit: bool = False, seed: int = 123) -> dict:
+                      box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """Z-criterion under the Markov representation X_t = f(t, W_t).
 
     Variant a) needs h_zz >= 0 (with h_xz = h_yz = 0), the derivative of
@@ -559,20 +515,23 @@ def z_markovian_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     fT = evaluate(spec, "f", spec.T, w)
     fr = _frame(spec, t, A, box, resolution,
                 ("g1", "g2", "f_w", "f_ww", "h_xx", "h_x", "h_yy", "h_xy", "h_y",
-                 "h_zz", "h_xz", "h_yz"), check_hit, seed, a_on=fT)
+                 "h_zz", "h_xz", "h_yz"), a_on=fT)
     # d/dw [(g' o f) f'] = g''(f) f'^2 + g'(f) f'' at T
     dphi = (evaluate(spec, "g2", fT) * evaluate(spec, "f_w", spec.T, w) ** 2
             + evaluate(spec, "g1", fT) * evaluate(spec, "f_ww", spec.T, w))
 
-    # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box
+    # htilde extremized over [t,T] x w-box x (x,y,z) box x zt-box; it reads w only
+    # through (f', f''), so only their distinct w-columns are broadcast
     mesh, grids, cross = sign_package(spec, box, t)
-    t6, x6, y6, z6, w6 = np.ix_(mesh[0].ravel(), box.x_nodes()[::max(box.nx // 17, 1)],
-                                box.y_nodes(), box.z_nodes(), np.linspace(box.x_lo, box.x_hi, 33))
+    s, w33 = mesh[0].ravel(), np.linspace(box.x_lo, box.x_hi, 33)
+    fw = np.unique(np.stack([evaluate(spec, n, s[:, None], w33) for n in ("f_w", "f_ww")]), axis=2)
+    fp, fpp = fw[:, :, None, None, None, :]
+    t6, x6, y6, z6 = (a[..., None] for a in np.ix_(s, box.x_nodes()[::max(box.nx // 17, 1)],
+                                                   box.y_nodes(), box.z_nodes()))
 
     def E(name):
         return evaluate(spec, name, t6, x6, y6, z6)
 
-    fp, fpp = evaluate(spec, "f_w", t6, w6), evaluate(spec, "f_ww", t6, w6)
     core = E("h_xx") * fp**2 + E("h_x") * fpp + (E("h_yy") * z6 + 2.0 * E("h_xy") * fp) * z6
     hy = E("h_y")
     out = {}
@@ -602,7 +561,7 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     """
     box = box or default_box(spec)
     partials = ("sigma_x", "sigma_xx", "sigma_xxx", "b_x", "b_xx")
-    fr = _frame(spec, box.t_lo, None, box, resolution, partials, False, 0)
+    fr = _frame(spec, box.t_lo, None, box, resolution, partials)
     tn, xn = np.ix_(box.t_nodes(), np.linspace(box.x_lo, box.x_hi, n_x))
     sig, s1, s2, s3, b1, b2, b = (evaluate(spec, n, tn, xn) for n in ("sigma", *partials, "b"))
     c1 = b1 * sig + s1 * b                      # [sigma, b] per the printed bracket

@@ -51,7 +51,7 @@ from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 
 __all__ = [
-    "STREAM_FORWARD", "STREAM_COUPLING", "STREAM_BOOTSTRAP",
+    "STREAM_FORWARD", "STREAM_COUPLING",
     "PathEnsemble", "BasisSpec", "BsdeSolution", "ColumnStore", "MalliavinEnsemble",
     "simulate_forward", "solve_bsde_regression", "variational_processes",
     "solve_malliavin_bsde", "z_from_malliavin", "second_malliavin",
@@ -60,7 +60,6 @@ __all__ = [
 
 STREAM_FORWARD = 0
 STREAM_COUPLING = 1
-STREAM_BOOTSTRAP = 2
 _DRAW_BLOCK = 4096  # paths per block of ``_draw_increments``
 _RIDGE = 1e-8  # ridge added to the diagonal of every regression Gram matrix
 

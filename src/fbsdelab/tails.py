@@ -285,23 +285,21 @@ class TailConstants:
 
 def compute_constants(v_grid: GridSolution, t: float, eps: float, eps_prime: float,
                       alpha_tilde: float, K: Optional[float] = None,
-                      rate_window: Optional[tuple] = None,
-                      branch: str = "pos") -> TailConstants:
+                      rate_window: Optional[tuple] = None) -> TailConstants:
     """Evaluate the envelope constants from a solved grid at time t.
 
     ``v_grid.u`` supplies v and ``v_grid.u_x`` its space derivative; all
     sup-type constants are taken over the grid box (and flagged as such).
-    The smallest K satisfying 1/v' <= K (1 + |x|^at) on the branch window is
+    The smallest K satisfying 1/v' <= K (1 + |x|^at) on the x > 0 window is
     fitted when not supplied.  A t outside the grid's time range raises PreconditionError.
     """
     check_horizon(t, float(v_grid.t_nodes[-1]))
     xn = v_grid.x_nodes
     vp_t = v_grid.row(t, v_grid.u_x)
-    sign = 1.0 if branch == "pos" else -1.0
     if rate_window is None:
-        hi = float(xn[-1]) if branch == "pos" else -float(xn[0])
+        hi = float(xn[-1])
         rate_window = (max(hi / 150.0, 1e-3), hi * 0.98)
-    wmask = (sign * xn >= rate_window[0]) & (sign * xn <= rate_window[1])
+    wmask = (xn >= rate_window[0]) & (xn <= rate_window[1])
     if not np.any(wmask):
         raise PreconditionError("rate window does not meet the grid")
     if np.any(vp_t[wmask] <= 0):
@@ -314,10 +312,9 @@ def compute_constants(v_grid: GridSolution, t: float, eps: float, eps_prime: flo
     def vp_fn(x):
         return np.interp(np.asarray(x, dtype=float) * 1.0, xn, vp_t)
 
-    rv = growth_rate(lambda x: v_fn(sign * x), rate_window, branches="pos")
-    rvp = growth_rate(lambda x: vp_fn(sign * x), rate_window, branches="pos")
-    inv, (ylo, yhi) = invert_monotone(v_fn, (sign * rate_window[0], sign * rate_window[1])
-                                      if branch == "pos" else (-rate_window[1], -rate_window[0]))
+    rv = growth_rate(v_fn, rate_window, branches="pos")
+    rvp = growth_rate(vp_fn, rate_window, branches="pos")
+    inv, (ylo, yhi) = invert_monotone(v_fn, rate_window)
     y_abs_lo = max(min(abs(ylo), abs(yhi)), 1e-6)
     y_abs_hi = max(abs(ylo), abs(yhi)) * 0.999
     sign_y = 1.0 if yhi > 0 else -1.0

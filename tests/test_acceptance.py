@@ -249,8 +249,7 @@ def test_ac7_growth_rate_suite():
 
 def test_ac8_tail_envelopes(cubic, cubic_grids, cubic_z1_samples):
     su, sp = cubic_grids
-    consts = compute_constants(sp, 1.0, 0.01, 0.01, 2.0,
-                               rate_window=(0.1, 11.5), branch="pos")
+    consts = compute_constants(sp, 1.0, 0.01, 0.01, 2.0, rate_window=(0.1, 11.5))
     z = cubic_z1_samples
     mean = float(np.mean(z))
     mad = float(np.mean(np.abs(z - mean)))

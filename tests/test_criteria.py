@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
 from fbsdelab import criteria
-from fbsdelab.criteria import (IntervalUnion, VariationBounds,
-                               conditional_hit_lower_bound, first_order_check,
+from fbsdelab.criteria import (IntervalUnion, VariationBounds, first_order_check,
                                quadratic_check, second_order_check,
                                x_sign_check, z_lipschitz_check,
                                z_markovian_check, z_quadratic_check)
@@ -313,18 +312,22 @@ def test_x_sign_bracket_matches_closed_form():
     assert rep["X+"].resolution == rep["X-"].resolution == 1e-8
 
 
-def test_hit_probability_bounds(counter):
-    lb = conditional_hit_lower_bound(counter, 0.5, IntervalUnion([(-1.0, 1.0)]))
-    assert lb > 0.3
-    lb_far = conditional_hit_lower_bound(counter, 0.5, IntervalUnion([(50.0, 51.0)]))
-    assert lb_far == 0.0
+def test_zero_length_A_voids_holds(counter):
+    # under (X) X_T given F_t has full support: any interval of positive length,
+    # however far, is reached; a single point is not
+    rep = first_order_check(counter, 0.5, A=IntervalUnion([(0.0, 0.0)]))["H+"]
+    assert rep.verdict == "inapplicable"
+    assert rep.notes == ["no interval of A has positive length: P(X_T in A | F_t) = 0"]
+    assert first_order_check(counter, 0.5, A=IntervalUnion([(5.5, 5.9)]))["H+"].verdict == "holds"
 
 
-def test_uncertified_hit_voids_holds(counter):
-    far = IntervalUnion([(5.5, 5.9)])
-    rep = first_order_check(counter, 0.5, A=far, check_hit=True)
-    assert rep["H+"].verdict == "inapplicable"
-    assert rep["H+"].hit_lower_bound == 0.0
+def test_degenerate_sigma_voids_every_package():
+    # sigma = x with X0 = 0 keeps X = 0, so Y_t = 0 has no density although g' = 1
+    spec = parse_config("[model]\nb = 0\nsigma = x\ng = x\nh = 0\n").build_spec()
+    for A in (None, IntervalUnion([(0.5, 1.0)])):
+        for rep in first_order_check(spec, 0.5, A=A).values():
+            assert rep.verdict == "inapplicable"
+            assert rep.notes[-1].startswith("(X) fails: sigma takes values in")
 
 
 @settings(max_examples=20, deadline=None)
@@ -535,18 +538,22 @@ def test_z_markovian_resolution_names_its_gate_partials():
             assert rep.resolution == res
 
 
-def test_estimate_variation_bounds_additive_and_geometric():
-    from fbsdelab.criteria import estimate_variation_bounds
-
-    spec_w = make_spec()
-    b_w = estimate_variation_bounds(spec_w, n_paths=256, n_steps=32)
-    assert b_w.a_lo == pytest.approx(1.0, abs=1e-9)
-    assert b_w.a_hi == pytest.approx(1.0, abs=1e-9)
-    assert b_w.b_hi == pytest.approx(0.0, abs=1e-9)
-    spec_g = make_spec(sigma=lambda t, x: 0.2 * np.asarray(x, dtype=float), X0=1.0)
-    b_g = estimate_variation_bounds(spec_g, n_paths=256, n_steps=32)
-    assert b_g.a_lo > 0.0
-    assert b_g.b_hi > 0.0
+def test_variation_bounds_from_the_model():
+    # additive (b = 0, sigma = 1): D_r X = 1 and D^2 X = 0 exactly
+    rep = z_lipschitz_check(make_spec(), 0.5)["Z-lip"]
+    assert (rep.scalars["a_lo"], rep.scalars["a_hi"], rep.scalars["b_hi"]) == (1.0, 1.0, 0.0)
+    # b = -0.2 x: D_r X_u = e^{-0.2 (u - r)} >= e^{-0.2 T}
+    spec = parse_config("[model]\nb = -0.2*x\nsigma = 1\ng = x\nh = 0\n").build_spec()
+    assert z_lipschitz_check(spec, 0.5)["Z-lip"].scalars["a_lo"] == math.exp(-0.2)
+    # geometric sigma = 0.2 x vanishes on the box: (X) fails
+    geo = make_spec(sigma=lambda t, x: 0.2 * np.asarray(x, dtype=float), X0=1.0)
+    assert z_lipschitz_check(geo, 0.5)["Z-lip"].verdict == "inapplicable"
+    # sigma_x != 0 leaves D_r X unbounded; b_xx < 0 lets D^2 X turn negative
+    for b, sigma, why in (("0", "1 + 0.2*tanh(x)", "sigma_x != 0"), ("0.3*sin(x)", "1", "b_xx < 0")):
+        spec = parse_config(f"[model]\nb = {b}\nsigma = {sigma}\ng = x\nh = 0\n").build_spec()
+        rep = z_lipschitz_check(spec, 0.5)["Z-lip"]
+        assert rep.verdict == "inapplicable"
+        assert rep.notes[-1].startswith(why)
 
 
 def test_z_consistency_with_simulation(cubic):

@@ -8,16 +8,14 @@ from the artificial boundary closure.
 """
 
 import functools
-import math
 
 import numpy as np
 import pytest
 
 import fbsdelab as fl
 from fbsdelab.config import parse_config
-from fbsdelab.criteria import (VariationBounds, first_order_check, quadratic_check,
-                               second_order_check, z_lipschitz_check, z_markovian_check,
-                               z_quadratic_check)
+from fbsdelab.criteria import (first_order_check, quadratic_check, second_order_check,
+                               z_lipschitz_check, z_markovian_check, z_quadratic_check)
 from fbsdelab.model import default_box
 
 # (b, sigma, g, h, f) on T = 1, X0 = 0, none of them a preset; f is the Markov
@@ -35,9 +33,6 @@ MODELS = [
     ("0", "1", "-x^2", "0.05*y - 0.5*x", "w"),
     ("-0.2*x", "1", "-sin(x) - 1.5*x", "0.3*sin(x) - 0.4*y", None),
 ]
-# exact bounds on D_r X_u = exp(b_x (u - r)) and D^2 X = 0 when sigma = 1 and b is linear
-EXACT_BOUNDS = {"0": VariationBounds(1.0, 1.0, 0.0),
-                "-0.2*x": VariationBounds(math.exp(-0.2), 1.0, 0.0)}
 TIMES = (0.1, 0.5, 0.9)
 NEGATIVE = ("-", "-b")  # tag suffixes of the packages that conclude a negative sign
 
@@ -54,14 +49,12 @@ def _verdicts(i):
     quarter = 0.25 * (box.x_hi - box.x_lo)
     mid = np.abs(grid.x_nodes - 0.5 * (box.x_lo + box.x_hi)) <= quarter
     x = grid.x_nodes[mid]
-    bounds = EXACT_BOUNDS.get(b) if sigma == "1" else None
     out = []
     for t in TIMES:
+        # Z-lip and Z-quad read their bounds on D_r X and D^2 X off the model
         reps = {**first_order_check(spec, t), **second_order_check(spec, t),
-                **quadratic_check(spec, t)}
-        if bounds is not None:
-            reps.update({**z_lipschitz_check(spec, t, bounds=bounds),
-                         **z_quadratic_check(spec, t, bounds=bounds)})
+                **quadratic_check(spec, t), **z_lipschitz_check(spec, t),
+                **z_quadratic_check(spec, t)}
         if f:
             reps.update(z_markovian_check(spec, t))
         ux, uxx = sp.row(t)[mid], sp.row(t, sp.u_x)[mid]

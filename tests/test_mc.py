@@ -419,7 +419,6 @@ def _restep(spec, ens, order):
 @pytest.mark.parametrize("model", ["cubic", "sin"])
 def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monkeypatch):
     from fbsdelab import mc
-    from fbsdelab.criteria import estimate_variation_bounds
 
     spec = cubic if model == "cubic" else fl.expression_spec(
         b="sin(x)", sigma="1 + 0.3*tanh(x)", g="x", h="0", f=None, T=1.0, X0=0.4)
@@ -429,7 +428,6 @@ def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monk
     assert np.shares_memory(held[0], ens.X)
     nabla = fl.variational_processes(spec, ens)
     second = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
-    bounds = estimate_variation_bounds(spec, n_paths=300, n_steps=32)
     monkeypatch.setattr(mc, "_variations", _restep)
     for a, b in zip(held, _restep(spec, ens, order=2)):
         assert np.array_equal(a, b)
@@ -437,7 +435,6 @@ def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monk
     again = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
     assert np.array_equal(second.D2X, again.D2X, equal_nan=True)
     assert np.array_equal(second.D2Y, again.D2Y, equal_nan=True)
-    assert estimate_variation_bounds(spec, n_paths=300, n_steps=32) == bounds
 
 
 def _opaque_twin(spec, names=("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx")):

@@ -251,7 +251,7 @@ def test_monotone_dependence_on_K():
 
 def test_envelope_corollary_cubic_z(cubic, cubic_grids):
     _, su, sp = cubic_grids
-    c = compute_constants(sp, 1.0, 0.01, 0.01, 2.0, rate_window=(0.1, 11.5), branch="pos")
+    c = compute_constants(sp, 1.0, 0.01, 0.01, 2.0, rate_window=(0.1, 11.5))
     assert c.alpha_bar_vprime == pytest.approx(1.0, abs=0.02)
     assert c.alpha_bar_vinv == pytest.approx(0.5, abs=0.02)
     assert c.alpha_under_v == pytest.approx(2.0, abs=0.05)
