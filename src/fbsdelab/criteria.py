@@ -415,11 +415,13 @@ def _model_bounds(fr: _Frame) -> tuple:
     With sigma_x = 0, D_r X_u = sigma(r) exp(int_r^u b_x ds), so a_lo = inf sigma
     e^{T min(0, inf b_x)} and a_hi = sup sigma e^{T max(0, sup b_x)}.  Then
     D^2_{r,s} X_u = D_r X_u int_{max(r,s)}^u b_xx(v, X_v) D_s X_v dv lies in
-    [0, T sup b_xx a_hi^2] when b_xx >= 0.
+    [0, T sup b_xx a_hi^2] when b_xx >= 0.  These bounds hold for sigma > 0 only.
     """
     spec, sx = fr.spec, box_mesh(fr.box, fr.box.t_lo, 2)
     bx, bxx = evaluate(spec, "b_x", *sx), evaluate(spec, "b_xx", *sx)
-    why = ("sigma_x != 0 on the box: no model bound on D_r X"
+    why = ("sigma < 0 on the box: the model bounds on D_r X assume sigma > 0"
+           if fr.sigma[1] < 0.0 else
+           "sigma_x != 0 on the box: no model bound on D_r X"
            if float(np.max(np.abs(evaluate(spec, "sigma_x", *sx)))) > 1e-10 else
            "b_xx < 0 on the box: D^2 X can be negative" if float(np.min(bxx)) < 0.0 else None)
     if why:
@@ -482,8 +484,9 @@ def z_lipschitz_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     Requires the (C+) sign package, pathwise bounds a_lo <= D_r X <= a_hi,
     0 <= D^2 X <= b_hi, and the two displayed inequalities combining the
     extrema of g'', g' and inf h_xx; the margin is their minimum.  Without
-    ``bounds`` they are read off the model on the box: a model with sigma_x != 0
-    or b_xx < 0 somewhere on it has none, and its package is inapplicable.
+    ``bounds`` they are read off the model on the box: a model with sigma < 0,
+    or sigma_x != 0 or b_xx < 0 somewhere on it, has none, and its package is
+    inapplicable.
     """
     return _z_check(spec, t, A, box, resolution, bounds, need_hy=False, tag="Z-lip")
 

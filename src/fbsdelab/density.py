@@ -13,9 +13,11 @@ a.s., in which case
 ``estimate_gF`` evaluates the outer integral with Gauss-Laguerre quadrature
 (the e^{-u} weight is exact), realizes the independent copy W* on a paired
 random stream with common random numbers across quadrature nodes (optionally
-antithetic), and replaces the conditioning on the null event {F - E F = x}
-by local linear regression on F - E F, or by equal-count binning when
-``ConditionalSpec(kind="bins")`` asks for it.
+antithetic), takes the inner product in r by the trapezoid rule on the
+sampler's nodes, and replaces the conditioning on the null event
+{F - E F = x} by Gaussian-kernel local linear regression on F - E F, cut at
+six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
+asks for it.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -43,6 +45,9 @@ __all__ = [
     "brownian_terminal_sampler", "gaussian_integral_sampler",
     "pde_y_sampler", "pde_z_sampler", "BHReport",
 ]
+
+# local linear conditioning drops draws beyond this many bandwidths (weight e^{-18} ~ 1.5e-8)
+_KERNEL_CUT = 6.0
 
 
 @dataclass(frozen=True)
@@ -154,9 +159,10 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
     """Phi(r) = slope nablaX_t sigma(r, X_r) / nablaX_r on the nodes r, t = r[-1].
 
     Reads rows 0..len(r)-1 of the kernel's time-major X and nabla.  Phi
-    is written in C order: ``estimate_gF`` sums its rows in a layout-dependent
-    order, and a transposed Phi would move g_F in the last bits.  It is built
-    in place, so that the sampler holds no second (n, len(r)) block.
+    is written in C order: the einsum of ``estimate_gF`` sums its rows in a
+    layout-dependent order, and a transposed Phi would move g_F in the last
+    bits.  It is built in place, so that the sampler holds no second
+    (n, len(r)) block.
     """
     k = r.size
     Phi = np.empty((X.shape[1], k))
@@ -214,11 +220,9 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
     def at_t(xt):
-        # this call order keeps density-cubic's peak RSS (uxx_s after sx: +8 MB)
         sig_t = spec.sigma(t, xt)
         ux = ux_s(xt)
-        uxx = uxx_s(xt)
-        return ux * sig_t, ux * sx(t, xt) + uxx * sig_t
+        return ux * sig_t, ux * sx(t, xt) + uxx_s(xt) * sig_t
 
     return _pde_sampler(spec, t, n_steps, at_t, f"Z_{t} via gradient grid")
 
@@ -227,30 +231,45 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
 
 
 def _loclin(xdata, ydata, nodes, bw):
-    """Gaussian-kernel local linear regression with pointwise SE and n_eff."""
-    est = np.empty(nodes.size)
-    se = np.empty(nodes.size)
-    neff = np.empty(nodes.size)
-    for j0 in range(0, nodes.size, 64):
-        block = nodes[j0:j0 + 64]
-        d = xdata[:, None] - block[None, :]
+    """Gaussian-kernel local linear regression with pointwise SE and n_eff.
+
+    The draws are sorted once; each node sums only over the draws within
+    ``_KERNEL_CUT`` bandwidths of it, found by ``searchsorted``, so no
+    (draws, nodes) block is formed.  A node whose window carries no weight,
+    or whose weighted design is singular (all its draws at one x), has
+    n_eff = 0 and SE = inf; its value is then T0 / S0, or 0 with no weight.
+    """
+    order = np.argsort(xdata)
+    xs, ys = xdata[order], ydata[order]
+    lo = np.searchsorted(xs, nodes - _KERNEL_CUT * bw, side="left")
+    hi = np.searchsorted(xs, nodes + _KERNEL_CUT * bw, side="right")
+    est, se, neff = np.zeros(nodes.size), np.full(nodes.size, np.inf), np.zeros(nodes.size)
+    for j, (node, a, b) in enumerate(zip(nodes, lo, hi)):
+        d, y = xs[a:b] - node, ys[a:b]
         w = np.exp(-0.5 * (d / bw) ** 2)
-        S0 = w.sum(axis=0)
-        S1 = (w * d).sum(axis=0)
-        S2 = (w * d * d).sum(axis=0)
-        T0 = (w * ydata[:, None]).sum(axis=0)
-        T1 = (w * d * ydata[:, None]).sum(axis=0)
-        den = S0 * S2 - S1**2
-        den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-        a = (S2 * T0 - S1 * T1) / den
-        bcoef = (S0 * T1 - S1 * T0) / den
-        resid2 = ((ydata[:, None] - a[None, :] - bcoef[None, :] * d) ** 2 * w).sum(axis=0) \
-            / np.maximum(S0, 1e-300)
-        l2 = (w**2 * (S2 - S1 * d) ** 2).sum(axis=0) / den**2
-        est[j0:j0 + 64] = a
-        se[j0:j0 + 64] = np.sqrt(np.maximum(resid2 * l2, 0.0))
-        neff[j0:j0 + 64] = S0**2 / np.maximum((w**2).sum(axis=0), 1e-300)
+        wd = w * d
+        S0, S1, S2, T0, T1 = w.sum(), wd.sum(), _dot(wd, d), _dot(w, y), _dot(wd, y)
+        if S0 == 0.0:  # no draw in the window
+            continue
+        den = S0 * S2 - S1 * S1
+        if den <= 1e-12 * S0 * S2:  # all the window's weight at one x
+            est[j] = T0 / S0
+            continue
+        est[j] = (S2 * T0 - S1 * T1) / den
+        r = y - est[j] - (S0 * T1 - S1 * T0) / den * d
+        lev = w * (S2 - S1 * d)
+        se[j] = math.sqrt(_dot(w * r, r) / S0 * _dot(lev, lev) / den**2)
+        neff[j] = S0**2 / _dot(w, w)
     return est, se, neff
+
+
+def _dot(a, b):
+    """Inner product of two vectors outside BLAS.
+
+    OpenBLAS threads its ddot on long windows; on a 2-CPU VM the threads
+    added 0.4-0.5 s of wall time to a 1.4 s density-cubic operation.
+    """
+    return np.einsum("i,i", a, b)
 
 
 def _bin_means(xdata, ydata, nodes, n_bins, min_count):
@@ -284,6 +303,13 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     quantile-spaced so that heavy concentration of the law (e.g. a
     square-root spike at a support edge) is resolved where the mass sits.
     Draws are time-major; only the columns the sampler reads are rotated.
+
+    Phi is multiplied once by the trapezoid weights of ``sampler.r_nodes``
+    (general weights: the nodes may be non-uniform), so each rotation costs
+    one weighted inner product per draw, and each rotated Phi is dropped
+    once its product is taken: one is held at a time.  The conditioning
+    sums over the draws within six bandwidths of each node only (see
+    ``_loclin``).
     """
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
@@ -292,16 +318,19 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
                for s in (STREAM_FORWARD, STREAM_COUPLING))
 
     F, Phi = sampler.evaluate(dW)
+    h = np.diff(sampler.r_nodes)
+    Phiw = Phi * (0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0))))  # out of place: Phi may be shared
+    del Phi
+    signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)
     for u, w in zip(u_nodes, u_weights):
         c = math.exp(-u)
         s = math.sqrt(max(1.0 - c * c, 0.0))
-        _, Phi_rot = sampler.evaluate(c * dW + s * dWs)
-        inner = np.trapezoid(Phi * Phi_rot, sampler.r_nodes, axis=1)
-        if antithetic:
-            _, Phi_rot2 = sampler.evaluate(c * dW - s * dWs)
-            inner = 0.5 * (inner + np.trapezoid(Phi * Phi_rot2, sampler.r_nodes, axis=1))
-        R += w * inner
+        # each rotated Phi is dropped as soon as its inner product is taken;
+        # c dW + (-s) dWs is bit-equal to c dW - s dWs
+        inner = sum(np.einsum("ij,ij->i", Phiw, sampler.evaluate(c * dW + (sg * s) * dWs)[1])
+                    for sg in signs)
+        R += w * (inner / len(signs))
 
     mean_F = float(np.mean(F))
     x = F - mean_F

@@ -556,6 +556,16 @@ def test_variation_bounds_from_the_model():
         assert rep.notes[-1].startswith(why)
 
 
+def test_variation_bounds_need_positive_sigma():
+    # sigma = -1 keeps one strict sign, so (X) holds, but sigma_max e^{T max(0, sup b_x)}
+    # bounds D_r X from above only when sigma > 0
+    spec = parse_config("[model]\nb = 0\nsigma = -1\ng = -x\nh = 0\n").build_spec()
+    rep = z_lipschitz_check(spec, 0.5)["Z-lip"]
+    assert rep.verdict == "inapplicable"
+    assert math.isnan(rep.scalars["a_lo"]) and math.isnan(rep.scalars["a_hi"])
+    assert rep.notes[-1].startswith("sigma < 0 on the box")
+
+
 def test_z_consistency_with_simulation(cubic):
     # a holding Z-criterion must not coexist with a degenerate Z-derivative
     # norm; the norm of 6 W_t is a.s. positive yet has essential infimum 0,

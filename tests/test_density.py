@@ -7,7 +7,7 @@ import fbsdelab as fl
 from fbsdelab.density import (ConditionalSpec, DensityEstimate, GFunction,
                               bouleau_hirsch_diagnostic, brownian_terminal_sampler,
                               density_from_gF, estimate_gF, gaussian_integral_sampler,
-                              pde_y_sampler, pde_z_sampler)
+                              pde_y_sampler, pde_z_sampler, _loclin)
 from fbsdelab.errors import PreconditionError
 
 from conftest import make_spec
@@ -296,3 +296,83 @@ def test_density_csv_bytes_match_row_format(tmp_path):
         tmp_path / "u.csv", header_lines=["a"])
     assert (tmp_path / "u.csv").read_text() == (
         "# a\n# verdict=existence-undetermined defect=None\nx,value,ci_low,ci_high\n")
+
+
+@pytest.mark.parametrize("bw", [1e-6, 1e-3])
+def test_loclin_degenerate_windows_are_unreliable(bw):
+    # windows with no draw, or with all their draws at one x, give neff = 0,
+    # se = inf and a finite value, and no numpy warning
+    gf = estimate_gF(brownian_terminal_sampler(1.0, 16), n_mc=300, seed=9,
+                     cond=ConditionalSpec(bandwidth=bw))
+    degenerate = np.isinf(gf.se)
+    assert np.any(degenerate)
+    assert not np.any(np.isnan(gf.se))
+    assert not np.any(gf.reliable[degenerate])
+    assert np.all(np.isfinite(gf.values))
+    x = np.sort(np.random.default_rng(9).standard_normal(300))
+    est, se, neff = _loclin(x, np.ones_like(x), np.array([x[0], x[0] + 1.0, 9.0]), bw)
+    assert np.array_equal(np.isinf(se), neff == 0.0)
+    # one draw in the window: the local constant; none: 0
+    assert neff[0] == 0.0 and est[0] == 1.0
+    assert neff[2] == 0.0 and est[2] == 0.0
+
+
+def _dense_loclin(x, y, nodes, bw):
+    """Local linear regression with the full Gaussian kernel, one (n, nodes) block."""
+    d = x[:, None] - nodes[None, :]
+    w = np.exp(-0.5 * (d / bw) ** 2)
+    S0, S1, S2 = w.sum(axis=0), (w * d).sum(axis=0), (w * d * d).sum(axis=0)
+    T0, T1 = (w * y[:, None]).sum(axis=0), (w * d * y[:, None]).sum(axis=0)
+    den = S0 * S2 - S1**2
+    a, b = (S2 * T0 - S1 * T1) / den, (S0 * T1 - S1 * T0) / den
+    resid2 = ((y[:, None] - a - b * d) ** 2 * w).sum(axis=0) / S0
+    l2 = (w**2 * (S2 - S1 * d) ** 2).sum(axis=0) / den**2
+    return a, np.sqrt(resid2 * l2)
+
+
+@pytest.mark.parametrize("law", ["normal", "chi2"])
+def test_loclin_window_matches_dense_kernel(law):
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(2000)
+    x = z if law == "normal" else z**2
+    y = 2.0 + np.sin(x) + 0.3 * rng.standard_normal(x.size)
+    nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, 101)))
+    bw = 1.06 * float(np.std(x)) * x.size ** (-0.2)
+    est, se, _ = _loclin(x, y, nodes, bw)
+    ref_est, ref_se = _dense_loclin(x, y, nodes, bw)
+    np.testing.assert_allclose(est, ref_est, rtol=1e-7, atol=0)
+    m = ref_se > 1e-8 * np.abs(ref_est)
+    assert np.all(np.abs(se - ref_se)[m] <= 1e-6 * np.abs(ref_est[m]))
+
+
+def test_gF_uses_trapezoid_weights_of_nonuniform_nodes():
+    # Phi = f(r) is deterministic, so g_F is int f^2 dr on the sampler's own nodes
+    T, n = 1.0, 24
+    r = T * (np.arange(n + 1) / n) ** 2
+    f = lambda r: 1.0 + np.sin(3.0 * r)
+
+    def evaluate(dW):
+        return dW @ np.linspace(1.0, 2.0, n), np.broadcast_to(f(r), (dW.shape[0], r.size))
+
+    sam = fl.FunctionalSampler(T, n, r, evaluate, "non-uniform nodes")
+    gf = estimate_gF(sam, n_mc=3000, n_u_nodes=8, seed=4)
+    np.testing.assert_allclose(gf.values, np.trapezoid(f(r) ** 2, r), rtol=1e-12)
+
+
+def test_gF_holds_one_rotated_phi_at_a_time():
+    # every evaluation starts with no derivative path of an earlier one alive
+    import weakref
+
+    sam, live, seen = brownian_terminal_sampler(1.0, 16), set(), []
+    evaluate = sam.evaluate
+
+    def tracked(dW):
+        seen.append(len(live))
+        F, Phi = evaluate(dW)
+        live.add(id(Phi))
+        weakref.finalize(Phi, live.discard, id(Phi))
+        return F, Phi
+
+    sam.evaluate = tracked
+    estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
+    assert seen == [0] * 9
