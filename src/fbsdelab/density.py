@@ -17,7 +17,12 @@ antithetic), takes the inner product in r by the trapezoid rule on the
 sampler's nodes, and replaces the conditioning on the null event
 {F - E F = x} by Gaussian-kernel local linear regression on F - E F, cut at
 six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
-asks for it.
+asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws;
+each rotated path reaches it as a stream of time-major increment rows, and
+it returns only the weighted inner product with Phi (``FunctionalSampler.
+project``).  The PDE samplers step the kernel's ``mc._flow`` over those rows
+and accumulate the product node by node, so no rotated increment, path or
+Phi array is formed.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -28,13 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError
-from .mc import STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler
+from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler,
+                 _flow)
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
@@ -116,10 +123,15 @@ class FunctionalSampler:
     """Draw-level access to (F(W), Phi_F(W)) for the coupling estimator.
 
     ``evaluate`` maps Brownian increments of shape (n, m) to the pair
-    (F values, derivative paths on ``r_nodes``); it must be a deterministic,
-    reentrant function of the increments so the caller can re-evaluate it on
-    rotated paths with common random numbers.  It reads only increment
-    columns 0..len(r_nodes)-2, all that ``estimate_gF`` hands it (time-major).
+    (F values, derivative paths on ``r_nodes``, shape (n, len(r_nodes))); it
+    must be a deterministic, reentrant function of the increments.  It reads
+    only increment columns 0..len(r_nodes)-2, all that ``estimate_gF`` hands
+    it (time-major).  ``project`` maps those increments, given as an iterable
+    of time-major (n,) rows, and weights ``phiw`` of shape (len(r_nodes), n)
+    to sum_r phiw[r] Phi(r) per draw: the inner product that ``estimate_gF``
+    takes on each rotated path with common random numbers.  By default it
+    stacks the rows and calls ``evaluate``; a sampler with a ``streamed``
+    route computes it row by row instead, holding no (n, len(r_nodes)) block.
     """
 
     T: float
@@ -127,6 +139,13 @@ class FunctionalSampler:
     r_nodes: np.ndarray
     evaluate: Callable
     description: str = ""
+    streamed: Optional[Callable] = None  # (rows, phiw) -> sum_r phiw[r] Phi(r)
+
+    def project(self, rows: Iterable[np.ndarray], phiw: np.ndarray) -> np.ndarray:
+        if self.streamed is not None:
+            return self.streamed(rows, phiw)
+        _, Phi = self.evaluate(np.stack(tuple(rows)).T)
+        return np.einsum("ij,ji->i", Phi, phiw)
 
 
 def brownian_terminal_sampler(T: float = 1.0, n_steps: int = 64) -> FunctionalSampler:
@@ -158,16 +177,15 @@ def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
               slope: np.ndarray) -> np.ndarray:
     """Phi(r) = slope nablaX_t sigma(r, X_r) / nablaX_r on the nodes r, t = r[-1].
 
-    Reads rows 0..len(r)-1 of the kernel's time-major X and nabla.  Phi
-    is written in C order: the einsum of ``estimate_gF`` sums its rows in a
-    layout-dependent order, and a transposed Phi would move g_F in the last
-    bits.  It is built in place, so that the sampler holds no second
-    (n, len(r)) block.
+    Reads rows 0..len(r)-1 of the kernel's time-major X and nabla.  Phi is
+    built time-major and in place, one (len(r), n) block, and returned as its
+    (n, len(r)) transpose view, so ``estimate_gF`` weights its rows without a
+    copy.
     """
     k = r.size
-    Phi = np.empty((X.shape[1], k))
-    np.multiply(spec.sigma(r[:, None], X[:k]).T, (slope * nabla[k - 1])[:, None], out=Phi)
-    return np.divide(Phi, nabla[:k].T, out=Phi)
+    Phi = np.multiply(spec.sigma(r[:, None], X[:k]), slope * nabla[k - 1],
+                      out=np.empty((k, X.shape[1])))
+    return np.divide(Phi, nabla[:k], out=Phi).T
 
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
@@ -180,21 +198,33 @@ def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
     return dt, k_t, np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
 
 
-def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, at_t: Callable,
+def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope: Callable,
                  description: str) -> FunctionalSampler:
-    """The sampler of F = at_t(X_t)[0], whose derivative in X_t is at_t(X_t)[1].
+    """The sampler of F = value(X_t), whose derivative in X_t is slope(X_t).
 
     It steps the flow over the increments up to t only: F and Phi read
-    nothing past it.
+    nothing past it.  Its ``streamed`` route runs the kernel's ``_flow`` over
+    the first k_t rows it is given, accumulating phiw[k] sigma(r_k, X_k) /
+    nablaX_k node by node, and multiplies the sum by slope(X_t) nablaX_t; it
+    does not evaluate F.
     """
     dt, k_t, r = _snapshot_grid(spec, t, n_steps)
 
     def evaluate(dW):
         X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
-        F, slope = at_t(X[k_t])
-        return F, _flow_phi(spec, r, X, nabla, slope)
+        xt = X[k_t]
+        return value(xt), _flow_phi(spec, r, X, nabla, slope(xt))
 
-    return FunctionalSampler(spec.T, n_steps, r, evaluate, description)
+    def streamed(rows, phiw):
+        n = phiw.shape[1]
+        acc = np.zeros(n)
+        nodes = _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt,
+                      order=1)
+        for rk, w, (x, nabla) in zip(r, phiw, nodes):
+            acc += w * spec.sigma(rk, x) / nabla
+        return acc * (slope(x) * nabla)
+
+    return FunctionalSampler(spec.T, n_steps, r, evaluate, description, streamed)
 
 
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,
@@ -208,8 +238,7 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
     u_s = sol_u.row_spline(t)
     ux_s = sol_uprime.row_spline(t) if sol_uprime is not None \
         else sol_u.row_spline(t, sol_u.u_x)
-    return _pde_sampler(spec, t, n_steps, lambda xt: (u_s(xt), ux_s(xt)),
-                        f"Y_{t} via value grid")
+    return _pde_sampler(spec, t, n_steps, u_s, ux_s, f"Y_{t} via value grid")
 
 
 def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
@@ -219,12 +248,13 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
     ux_s = sol_uprime.row_spline(t)
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
-    def at_t(xt):
-        sig_t = spec.sigma(t, xt)
-        ux = ux_s(xt)
-        return ux * sig_t, ux * sx(t, xt) + uxx_s(xt) * sig_t
+    def value(xt):
+        return ux_s(xt) * spec.sigma(t, xt)
 
-    return _pde_sampler(spec, t, n_steps, at_t, f"Z_{t} via gradient grid")
+    def slope(xt):
+        return ux_s(xt) * sx(t, xt) + uxx_s(xt) * spec.sigma(t, xt)
+
+    return _pde_sampler(spec, t, n_steps, value, slope, f"Z_{t} via gradient grid")
 
 
 # -- conditional expectation estimators --------------------------------------
@@ -304,12 +334,14 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     square-root spike at a support edge) is resolved where the mass sits.
     Draws are time-major; only the columns the sampler reads are rotated.
 
-    Phi is multiplied once by the trapezoid weights of ``sampler.r_nodes``
-    (general weights: the nodes may be non-uniform), so each rotation costs
-    one weighted inner product per draw, and each rotated Phi is dropped
-    once its product is taken: one is held at a time.  The conditioning
-    sums over the draws within six bandwidths of each node only (see
-    ``_loclin``).
+    ``sampler.evaluate`` runs once, on the unrotated draws.  Its Phi is
+    multiplied once by the trapezoid weights of ``sampler.r_nodes`` (general
+    weights: the nodes may be non-uniform) and held time-major as ``phiw``.
+    Each (u, sign) rotation is handed to ``sampler.project`` as a lazy
+    sequence of rows c dW_k + sign s dW*_k, formed as the sampler reads
+    them, and comes back as the weighted inner product per draw.  The
+    conditioning sums over the draws within six bandwidths of each node only
+    (see ``_loclin``).
     """
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
@@ -319,18 +351,20 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
 
     F, Phi = sampler.evaluate(dW)
     h = np.diff(sampler.r_nodes)
-    Phiw = Phi * (0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0))))  # out of place: Phi may be shared
+    w = 0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0)))
+    # time-major and out of place: Phi may be shared
+    phiw = np.multiply(Phi.T, w[:, None], out=np.empty((w.size, n_mc)))
     del Phi
     signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)
-    for u, w in zip(u_nodes, u_weights):
+    for u, wu in zip(u_nodes, u_weights):
         c = math.exp(-u)
         s = math.sqrt(max(1.0 - c * c, 0.0))
-        # each rotated Phi is dropped as soon as its inner product is taken;
-        # c dW + (-s) dWs is bit-equal to c dW - s dWs
-        inner = sum(np.einsum("ij,ij->i", Phiw, sampler.evaluate(c * dW + (sg * s) * dWs)[1])
+        # c dW + (-s) dWs is bit-equal to c dW - s dWs; each rotated row is
+        # formed as the sampler reads it
+        inner = sum(sampler.project((c * a + (sg * s) * b for a, b in zip(dW.T, dWs.T)), phiw)
                     for sg in signs)
-        R += w * (inner / len(signs))
+        R += wu * (inner / len(signs))
 
     mean_F = float(np.mean(F))
     x = F - mean_F
@@ -361,7 +395,9 @@ def density_from_gF(gF: GFunction) -> DensityEstimate:
     dichotomy is undetermined and no density is emitted.  The inner integral
     int_0^x u/g(u) du is trapezoidal on the node grid (0 inserted); the
     reported density is NOT renormalized -- the normalization defect is part
-    of the output.
+    of the output.  The interval is rho (1 +/- 1.96 SE / g_F), floored at 0,
+    and [0, inf] at a node whose SE is inf (an empty or singular kernel
+    window), whatever its rho.
     """
     mean_F, mad_F = gF.mean_F, gF.mad_F
     nodes, g = gF.x_nodes, gF.values
@@ -373,9 +409,12 @@ def density_from_gF(gF: GFunction) -> DensityEstimate:
                                  nodes, n_fine=0)
     g_safe = np.maximum(g, 1e-300)
     rho = mad_F / (2.0 * g_safe) * np.exp(-I_nodes)
-    rel = np.divide(gF.se, g_safe, out=np.zeros_like(g_safe), where=g_safe > 0)
+    rel = gF.se / g_safe
+    wide = np.isinf(rel)  # SE = inf: the interval is [0, inf], whatever rho is
+    rel[wide] = 0.0
     ci_low = np.maximum(rho * (1.0 - 1.96 * rel), 0.0)
     ci_high = rho * (1.0 + 1.96 * rel)
+    ci_low[wide], ci_high[wide] = 0.0, np.inf
     x_global = nodes + mean_F
     defect = abs(float(np.trapezoid(rho, x_global)) - 1.0)
     support = (float(x_global[0]), float(x_global[-1]))

@@ -5,13 +5,15 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
 path i depends on every earlier path (see ROADMAP.md, item "Draw blocks as the
-unit of work").  One kernel, ``_euler``, steps X and its first and second
-variations for every caller, except a variation that the model's expressions
-fix at 1 or 0 (b_x, sigma_x, b_xx, sigma_xx the constant 0): that one is a
-read-only broadcast view.  The Malliavin routines hand it an ensemble's held
-paths and step only the variations along them.  ``simulate_forward`` hands
-out the time grid, ``dW`` and ``X`` read-only: later work is cached against
-them.
+unit of work").  One recursion, ``_flow``, steps X and its first and
+second variations for every caller, one increment row at a time; ``_euler``
+collects it into time-major arrays, and the g_F samplers of ``density``
+consume it node by node.  A variation that the model's expressions fix at 1
+or 0 (b_x, sigma_x, b_xx, sigma_xx the constant 0) is not stepped: ``_euler``
+returns it as a read-only broadcast view.  The Malliavin routines hand it an
+ensemble's held paths and step only the variations along them.
+``simulate_forward`` hands out the time grid, ``dW`` and ``X`` read-only:
+later work is cached against them.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)
@@ -40,7 +42,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -156,29 +158,77 @@ def _fixed_variations(spec: ModelSpec) -> int:
     return 2 if all(zero) else 1 if all(zero[:2]) else 0
 
 
-def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0,
-           X: Optional[np.ndarray] = None):
-    """Euler-Maruyama flow of the forward diffusion on given increments.
+def _flow(spec: ModelSpec, rows: Iterable[np.ndarray], x0, t0: float, dt: float,
+          order: int = 0, X: Optional[Iterable[np.ndarray]] = None) -> Iterator[tuple]:
+    """The Euler-Maruyama recursion, one node at a time.
 
-    Steps X from ``x0`` at time ``t0`` through the columns of ``dW``
-    (n_paths, n_steps), read in place (contiguously when ``dW`` is time-major,
-    as ``_draw_increments`` hands it out); ``order`` 1 adds the first variation
+    Steps X from the (n_paths,) row ``x0`` at time ``t0`` through the
+    increment rows dW_0, dW_1, ... of ``rows`` (time-major (n_paths,)
+    vectors, read once each, in order); ``order`` 1 adds the first variation
     (nablaX_0 = 1) and ``order`` 2 the second variation (nabla2X_0 = 0):
 
         X_{k+1}       = X_k + b dt + sigma dW_k
         nablaX_{k+1}  = nablaX_k g_k,   g_k = 1 + b_x dt + sigma_x dW_k
         nabla2X_{k+1} = nabla2X_k g_k + nablaX_k^2 (b_xx dt + sigma_xx dW_k)
 
-    with coefficients at (t0 + k dt, X_k).  Given ``X``, the time-major
-    (n_steps+1, n_paths) states already stepped on these increments (a path
-    ensemble's ``X.T``), only the variations are stepped and ``X`` is returned
-    as it is; ``x0`` is then not read.  Returns ``order + 1`` time-major
-    (n_steps+1, n_paths) arrays, contiguous where the kernel fills them, so
-    each step writes one row.  A variation the model's expressions fix
-    (``_fixed_variations``) is not stepped: it comes back as a read-only
-    broadcast view of 1.0 or 0.0, the recursion's values bit for bit.  A
-    non-finite stepped value raises an evaluation error with a (path, step)
-    witness; numpy's floating-point warnings are off for the stepping.
+    with coefficients at (t0 + k dt, X_k).  Yields (X_k, nablaX_k,
+    nabla2X_k)[:order + 1] for k = 0, 1, ..., one node per row plus the start,
+    and holds only the node it steps from.  Given ``X``, an iterable of the
+    state rows already stepped on these increments, only the variations are
+    stepped along it and ``x0`` is not read.  The start values 1.0 and 0.0,
+    and a variation the model's expressions fix (``_fixed_variations``) at
+    every node, are yielded as floats.  A non-finite stepped value raises an
+    evaluation error with a (path, step) witness: one sum per stepped row
+    screens it, and only a row whose sum is not finite is searched (a finite
+    row whose sum overflows passes).  numpy's floating-point warnings are off
+    for the stepping and the screen.
+    """
+    held = X is not None
+    fixed = _fixed_variations(spec) if order else 0
+    states = iter(X) if held else None
+    node = [next(states) if held else x0, 1.0, 0.0][:order + 1]
+    names = ("state", "variational state", "second variational state")
+    stepped = ([] if held else [0]) + list(range(fixed + 1, order + 1))
+    bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
+    growth = 1.0
+    yield tuple(node)
+    for k, dw in enumerate(rows):
+        t, xk = t0 + k * dt, node[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = [next(states) if held else xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw,
+                   *node[1:]]
+            if fixed < 1 <= order:
+                growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
+                new[1] = node[1] * growth
+            if fixed < 2 <= order:
+                new[2] = node[2] * growth \
+                    + node[1] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
+            for i in stepped:
+                if not math.isfinite(float(new[i].sum())):
+                    bad = ~np.isfinite(new[i])
+                    if np.any(bad):
+                        j = int(np.argmax(bad))
+                        raise EvaluationError(f"non-finite {names[i]} at path {j}, step {k + 1}",
+                                              witness=(j, k + 1))
+        node = new
+        yield tuple(node)
+
+
+def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0,
+           X: Optional[np.ndarray] = None):
+    """The flow of ``_flow`` on the columns of ``dW``, collected into arrays.
+
+    ``dW`` is (n_paths, n_steps), read column by column in place
+    (contiguously when it is time-major, as ``_draw_increments`` hands it
+    out), and ``x0`` a start broadcast to n_paths.  Given ``X``, the
+    time-major (n_steps+1, n_paths) states already stepped on these
+    increments (a path ensemble's ``X.T``), only the variations are stepped
+    and ``X`` is returned as it is; ``x0`` is then not read.  Returns
+    ``order + 1`` time-major (n_steps+1, n_paths) arrays, contiguous where
+    the kernel fills them, so each step writes one row.  A variation the
+    model's expressions fix (``_fixed_variations``) is not stepped: it comes
+    back as a read-only broadcast view of 1.0 or 0.0, the recursion's values
+    bit for bit.
     """
     n, N = dW.shape
     held = X is not None
@@ -186,31 +236,11 @@ def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int
     flow = [X if held else np.empty((N + 1, n))]
     flow += [np.broadcast_to(start, (N + 1, n)) if i <= fixed else np.empty((N + 1, n))
              for i, start in ((1, 1.0), (2, 0.0))[:order]]
-    names = ("state", "variational state", "second variational state")
-    stepped = [(flow[i], (x0, 1.0, 0.0)[i], names[i])
-               for i in ([] if held else [0]) + list(range(fixed + 1, order + 1))]
-    for a, start, _ in stepped:
-        a[0] = start
-    X = flow[0]
-    bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
-    growth = 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(N):
-            t, xk, dw = t0 + k * dt, X[k], dW[:, k]
-            if not held:
-                X[k + 1] = xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw
-            if fixed < 1 <= order:
-                growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
-                flow[1][k + 1] = flow[1][k] * growth
-            if fixed < 2 <= order:
-                flow[2][k + 1] = flow[2][k] * growth \
-                    + flow[1][k] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
-            for a, _, what in stepped:
-                bad = ~np.isfinite(a[k + 1])
-                if np.any(bad):
-                    i = int(np.argmax(bad))
-                    raise EvaluationError(f"non-finite {what} at path {i}, step {k + 1}",
-                                          witness=(i, k + 1))
+    stepped = ([] if held else [0]) + list(range(fixed + 1, order + 1))
+    start = None if held else np.full(n, x0, dtype=float)
+    for k, node in enumerate(_flow(spec, dW.T, start, t0, dt, order, X)):
+        for i in stepped:
+            flow[i][k] = node[i]
     return tuple(flow)
 
 

@@ -246,21 +246,31 @@ def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
 
 
 def test_gF_rotates_only_the_increments_the_sampler_reads(cubic):
-    # Y_1/2 on 64 steps reads k_t = 32 increments: every evaluation, the
-    # 2 x 4 antithetic rotations and the unrotated one, gets 32 columns
+    # Y_1/2 on 64 steps reads k_t = 32 increments: the unrotated draws are
+    # evaluated once, and each of the 2 x 4 antithetic rotations reaches
+    # project as 32 contiguous rows, all of them read
     grid = fl.default_grid(cubic, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
     su = fl.solve_u(cubic, grid)
     sam = pde_y_sampler(cubic, su, 0.5, 64)
-    evaluate, shapes = sam.evaluate, []
+    evaluate, project, shapes, reads = sam.evaluate, sam.project, [], []
 
     def counted(dW):
         shapes.append(dW.shape)
         assert dW[:, 0].flags.c_contiguous
         return evaluate(dW)
 
+    def rows_read(rows):
+        reads.append(0)
+        for row in rows:
+            assert row.shape == (500,) and row.flags.c_contiguous
+            reads[-1] += 1
+            yield row
+
     sam.evaluate = counted
+    sam.project = lambda rows, phiw: project(rows_read(rows), phiw)
     estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
-    assert shapes == [(500, 32)] * 9
+    assert shapes == [(500, 32)]
+    assert reads == [32] * 8
 
 
 @pytest.mark.parametrize("t", [-0.5, 1.5])
@@ -317,6 +327,20 @@ def test_loclin_degenerate_windows_are_unreliable(bw):
     assert neff[2] == 0.0 and est[2] == 0.0
 
 
+def test_density_interval_of_an_infinite_se_node_is_zero_to_inf():
+    # a caller-set bandwidth leaves nodes with value 0 and SE = inf among
+    # reliable ones, where rho underflows to 0: no 0 * inf, no warning
+    gf = estimate_gF(brownian_terminal_sampler(1.0, 16), n_mc=300, seed=9,
+                     cond=ConditionalSpec(bandwidth=0.01, min_count=5))
+    de = density_from_gF(gf)
+    wide = np.isinf(gf.se)
+    assert np.any(wide & (de.rho == 0.0))
+    assert np.all(de.ci_low[wide] == 0.0) and np.all(np.isposinf(de.ci_high[wide]))
+    rel = gf.se[~wide] / np.maximum(gf.values[~wide], 1e-300)
+    assert np.array_equal(de.ci_low[~wide], np.maximum(de.rho[~wide] * (1.0 - 1.96 * rel), 0.0))
+    assert np.array_equal(de.ci_high[~wide], de.rho[~wide] * (1.0 + 1.96 * rel))
+
+
 def _dense_loclin(x, y, nodes, bw):
     """Local linear regression with the full Gaussian kernel, one (n, nodes) block."""
     d = x[:, None] - nodes[None, :]
@@ -359,10 +383,34 @@ def test_gF_uses_trapezoid_weights_of_nonuniform_nodes():
     np.testing.assert_allclose(gf.values, np.trapezoid(f(r) ** 2, r), rtol=1e-12)
 
 
-def test_gF_holds_one_rotated_phi_at_a_time():
-    # every evaluation starts with no derivative path of an earlier one alive
+def test_gF_holds_one_rotated_phi_at_a_time(cubic):
+    # a PDE sampler streams each rotation: no call of project allocates more
+    # than a few (draws,) vectors (about 8: the rotated row, the flow's step
+    # temporaries and the sum), against 33 for one (draws, nodes) block
+    import tracemalloc
     import weakref
 
+    grid = fl.default_grid(cubic, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
+    sam = pde_y_sampler(cubic, fl.solve_u(cubic, grid), 0.5, 64)
+    n, project, peaks = 4000, sam.project, []
+
+    def traced(rows, phiw):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = project(rows, phiw)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    sam.project = traced
+    tracemalloc.start()
+    try:
+        estimate_gF(sam, n_mc=n, n_u_nodes=4, seed=3)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 8 and max(peaks) <= 12 * 8 * n
+
+    # a sampler with evaluate alone: every evaluation starts with no
+    # derivative path of an earlier one alive
     sam, live, seen = brownian_terminal_sampler(1.0, 16), set(), []
     evaluate = sam.evaluate
 
@@ -376,3 +424,35 @@ def test_gF_holds_one_rotated_phi_at_a_time():
     sam.evaluate = tracked
     estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
     assert seen == [0] * 9
+
+
+@pytest.mark.parametrize("model", ["tanh", "cubic"])
+def test_streamed_projection_matches_the_materialised_one(model, cubic, cubic_grids):
+    # the streamed sum_r phiw[r] Phi(r) against rotate, evaluate and einsum;
+    # b = -0.2 x, sigma = 1 + 0.2 tanh x steps nablaX, ex_cubic fixes it at 1
+    from fbsdelab import mc
+
+    if model == "cubic":
+        spec, (_, su, sp) = cubic, cubic_grids
+    else:
+        spec = fl.expression_spec(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x", h="0", f=None,
+                                  T=1.0, X0=0.3)
+        assert mc._fixed_variations(spec) == 0
+        grid = fl.default_grid(spec, nt=41, nx=201)
+        su = fl.solve_u(spec, grid)
+        sp = fl.solve_u_prime(spec, grid, sol_u=su)
+    n, dt = 600, 1.0 / 64
+    dW, dWs = (mc._draw_increments(17, s, n, 64, dt) for s in (0, 1))
+    c = math.exp(-0.7)
+    s = math.sqrt(1.0 - c * c)
+    for sam in (pde_y_sampler(spec, su, 0.5, 64, sol_uprime=sp), pde_z_sampler(spec, sp, 1.0, 64)):
+        k = sam.r_nodes.size
+        h = np.diff(sam.r_nodes)
+        phiw = np.ascontiguousarray(sam.evaluate(dW[:, :k - 1])[1].T
+                                    * (0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0))))[:, None])
+        for sg in (1.0, -1.0):
+            rot = c * dW[:, :k - 1] + (sg * s) * dWs[:, :k - 1]
+            want = np.einsum("ij,ji->i", sam.evaluate(rot)[1], phiw)
+            got = sam.project(iter(rot.T), phiw)
+            assert np.all(want != 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -340,6 +340,34 @@ def test_euler_variations_match_central_differences():
     np.testing.assert_allclose(nabla2[-1], d2, atol=1e-5)
 
 
+def _witness_spec():
+    # sigma = 0 holds each path at its start x0; b turns inf on the paths
+    # started at 2 and 4 from t = 5/8 on, sigma_x NaN on the one started at 3
+    # at t = 2/8
+    zero = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
+    b = lambda t, x: np.where(((x == 2.0) | (x == 4.0)) & (t >= 0.625), np.inf, 0.0)
+    sx = lambda t, x: np.where((x == 3.0) & (t == 0.25), np.nan, 0.0)
+    return make_spec(b=b, sigma="zero", h_partials={"b_x": zero, "sigma_x": sx,
+                                                    "b_xx": zero, "sigma_xx": zero})
+
+
+@pytest.mark.parametrize("order, what, witness", [
+    (0, "state", (2, 6)), (1, "variational state", (3, 3)), (2, "variational state", (3, 3))])
+def test_euler_non_finite_witness_is_the_first_bad_path_and_step(order, what, witness):
+    dW = rng_stream(2, 0).standard_normal((6, 8))
+    with pytest.raises(EvaluationError) as exc:
+        _euler(_witness_spec(), dW, np.arange(6.0), 0.0, 1.0 / 8, order)
+    assert str(exc.value) == f"non-finite {what} at path {witness[0]}, step {witness[1]}"
+    assert exc.value.witness == witness
+
+
+def test_euler_finite_flow_whose_sum_overflows_does_not_raise():
+    # four paths held at 1e308: every row sums to inf, and no value is inf
+    dW = rng_stream(3, 0).standard_normal((4, 8))
+    X, nabla = _euler(make_spec(sigma="zero", X0=1e308), dW, 1e308, 0.0, 1.0 / 8, order=1)
+    assert np.all(X == 1e308) and np.all(nabla == 1.0)
+
+
 def test_second_malliavin_geometric(counter_grids):
     # sigma = a x, b = 0: D_r X_t = a X_t and D^2_{r,s} X_t = a^2 X_t
     a = 0.3
