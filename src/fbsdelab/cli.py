@@ -187,9 +187,10 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
 
     Each task is dispatched through ``TASKS``.  A failing task aborts its
     dependents but independent tasks still run; the manifest records per-task
-    status and the exit code is nonzero unless everything succeeded.  All
-    numerics are single-threaded per task, so the recorded thread count is
-    bookkeeping for the determinism contract.
+    status and the exit code is nonzero unless everything succeeded.  The
+    package starts no threads of its own (numpy's OpenBLAS may run a call such
+    as the Gram product in ``mc._gram`` on its own pool), so the recorded
+    thread count is bookkeeping for the determinism contract.
     """
     out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +234,8 @@ def _add_common(p):
     p.add_argument("--seed", default=None, help="override the config seed (an integer >= 0)")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="recorded in the manifest only; all numerics run single-threaded")
+                   help="recorded in the manifest only; the package starts no threads "
+                        "(numpy's BLAS may use its own)")
     p.add_argument("--no-timestamps", action="store_true",
                    help="omit timestamps from file headers")
 

@@ -16,7 +16,13 @@ Three backward parabolic problems are solved on a rectangular grid:
 
 Time stepping is a theta-scheme (Crank-Nicolson by default, implicit Euler as
 fallback); the nonlinear coupling through the gradient is resolved by
-frozen-coefficient Picard sweeps within each time step.  The artificial
+frozen-coefficient Picard sweeps within each time step.  A step's sweeps
+stop when the relative change of the iterate falls below the tolerance, or,
+without a further solve, when the coefficients at the new iterate are bitwise
+those of the step's last solve: that solve would return the same iterate, and
+the iteration is counted as if it ran.  The coefficients of the last
+evaluation are reused when (t, iterate) repeat bit for bit, so the explicit
+half-step reads those at which the step before stopped.  The artificial
 boundary imposes a vanishing second difference (linear extrapolation) by
 default, matching the polynomial growth of the solutions of interest.
 """
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .artifacts import write_table
 from .errors import ConfigError, DivergenceError, EvaluationError, SolverError
@@ -259,38 +265,55 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                     blowup_cap: Optional[float] = None):
     """Generic theta-scheme backward solver for v_t = -[a2 v_xx + a1 v_x + a0 v + s].
 
-    coef_fn(t, v_frozen, v_frozen_x) must return arrays (a2, a1, a0, s) over
-    x_nodes, with any nonlinear dependence evaluated at the frozen iterate.
-    Returns (values, max Picard iterations used).
+    coef_fn(t, v_frozen, v_frozen_x) must be a pure function returning arrays
+    (a2, a1, a0, s) over x_nodes, with any nonlinear dependence evaluated at
+    the frozen iterate.  Its last evaluation is reused when (t, v) repeat bit
+    for bit, as when the explicit half-step at t_{n+1} reads the iterate on
+    which step n+1 stopped.  A Picard iteration whose coefficients are bitwise
+    those of the step's last solve would solve the same system again and
+    return the same iterate (delta = 0): it stops the step without the solve
+    and is counted as run.  Returns (values, max Picard iterations used).
     """
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
     nt, nx = tn.size, xn.size
+    last = [None, None]  # (t, bytes of v) of the last evaluation, its coefficients
+
+    def coefs(t, v):
+        key = (t, v.tobytes())
+        if key != last[0]:
+            last[:] = key, coef_fn(t, v, _centered_dx(v, dx))
+        return last[1]
+
     v_all = np.empty((nt, nx))
     v_all[-1] = terminal
+    w = terminal.copy()
     if theta < 0.5:
-        a2_T = coef_fn(tn[-1], terminal, _centered_dx(terminal, dx))[0]
+        a2_T = coefs(tn[-1], w)[0]
         if np.max(np.abs(a2_T)) * (1 - theta) * 2 * np.max(np.diff(tn)) > dx**2:
             raise ConfigError("grid too coarse for the explicit weight: "
                               "dt exceeds the diffusive stability limit")
     max_used = 0
-    w = terminal.copy()
     for n in range(nt - 2, -1, -1):
         dt = tn[n + 1] - tn[n]
         t_new, t_old = tn[n], tn[n + 1]
-        wx = _centered_dx(w, dx)
-        a2o, a1o, a0o, so = coef_fn(t_old, w, wx)
+        a2o, a1o, a0o, so = coefs(t_old, w)
         explicit = w + dt * (1 - theta) * (_apply_operator(a2o, a1o, a0o, w, dx) + _src_pad(so))
-        v = w.copy()
+        v = w
+        solved = None  # bytes of the coefficients of this step's last solve
         converged = False
         for m in range(max_iter):
-            vx = _centered_dx(v, dx)
-            a2, a1, a0, s = coef_fn(t_new, v, vx)
-            rhs = explicit + dt * theta * _src_pad(s)
-            v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new)
-            if not np.all(np.isfinite(v_new)):
-                raise SolverError(f"non-finite iterate at t={t_new:.6g}", residual=float("inf"))
-            delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
-            v = v_new
+            c = coefs(t_new, v)
+            bits = [a.tobytes() for a in c]
+            if bits == solved:
+                delta = 0.0
+            else:
+                a2, a1, a0, s = c
+                rhs = explicit + dt * theta * _src_pad(s)
+                v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new)
+                if not np.all(np.isfinite(v_new)):
+                    raise SolverError(f"non-finite iterate at t={t_new:.6g}", residual=float("inf"))
+                delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
+                v, solved = v_new, bits
             if delta < tol:
                 converged = True
                 max_used = max(max_used, m + 1)
@@ -317,21 +340,24 @@ def _src_pad(s):
 def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
     """Solve (I - w L) v = rhs with boundary closure rows; banded (2,2) system.
 
-    A NaN or +-inf in a row of the system raises EvaluationError with witness (t, x).
+    The band goes straight to LAPACK's gbsv: rows 0-1 of ``ab`` are its LU
+    fill, rows 2-6 the diagonals +2, +1, 0, -1, -2.  A NaN or +-inf in a row
+    of the system raises EvaluationError with witness (t, x); a zero pivot
+    raises SolverError naming (t, x) of its node.
     """
     nx, dx = rhs.size, grid.dx
-    ab = np.zeros((5, nx))  # diagonals: +2, +1, 0, -1, -2
+    ab = np.zeros((7, nx), order="F")  # Fortran order: gbsv factors it in place
     lo = -w * (a2[1:-1] / dx**2 - a1[1:-1] / (2 * dx))
     di = 1.0 - w * (-2 * a2[1:-1] / dx**2 + a0[1:-1])
     up = -w * (a2[1:-1] / dx**2 + a1[1:-1] / (2 * dx))
-    ab[2, 1:-1] = di
-    ab[1, 2:] = up
-    ab[3, :-2] = lo
+    ab[4, 1:-1] = di
+    ab[3, 2:] = up
+    ab[5, :-2] = lo
     b = rhs.copy()
-    ab[2, [0, -1]] = 1.0
+    ab[4, [0, -1]] = 1.0
     if grid.boundary == "extrapolation":  # vanishing second difference at both edges
-        ab[1, 1] = ab[3, -2] = -2.0
-        ab[0, 2] = ab[4, -3] = 1.0
+        ab[3, 1] = ab[5, -2] = -2.0
+        ab[2, 2] = ab[6, -3] = 1.0
         b[[0, -1]] = 0.0
     else:  # dirichlet: hold the terminal values at the edges
         b[[0, -1]] = terminal[[0, -1]]
@@ -341,7 +367,13 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
         x = float(grid.x_nodes[int(np.argmax(bad))])
         raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
                               witness=(float(t), x))
-    return solve_banded((2, 2), ab, b, check_finite=False)
+    _, _, v, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        x = float(grid.x_nodes[info - 1])
+        raise SolverError(f"singular implicit system: zero pivot at (t, x) = ({t:g}, {x:g})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    return v
 
 
 def _run_with_fallback(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None):

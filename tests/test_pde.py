@@ -316,3 +316,123 @@ def test_non_finite_system_raises_evaluation_error_at_its_node(monkeypatch):
             fl.solve_u(spec, grid)
     assert exc.value.witness == (0.875, 0.0) and thetas == [0.5]
     assert "(t, x) = (0.875, 0)" in str(exc.value)
+
+
+def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None):
+    # the Picard loop as first written: the coefficients recomputed at t_old and
+    # one scipy.linalg.solve_banded per iteration, delta = 0 confirmed by a solve;
+    # the models compared below never reach its failure exits, so it has none
+    from scipy.linalg import solve_banded
+    from fbsdelab.pde import _apply_operator, _centered_dx, _src_pad
+
+    tn, dx = grid.t_nodes, grid.dx
+    v_all = np.empty((tn.size, grid.nx))
+    v_all[-1] = terminal
+    max_used, w = 0, terminal.copy()
+    for n in range(tn.size - 2, -1, -1):
+        dt, t_new, t_old = tn[n + 1] - tn[n], tn[n], tn[n + 1]
+        a2, a1, a0, s = coef_fn(t_old, w, _centered_dx(w, dx))
+        explicit = w + dt * (1 - theta) * (_apply_operator(a2, a1, a0, w, dx) + _src_pad(s))
+        v = w.copy()
+        for m in range(max_iter):
+            a2, a1, a0, s = coef_fn(t_new, v, _centered_dx(v, dx))
+            rhs = explicit + dt * theta * _src_pad(s)
+            ab = np.zeros((5, grid.nx))
+            ww = dt * theta
+            ab[2, 1:-1] = 1.0 - ww * (-2 * a2[1:-1] / dx**2 + a0[1:-1])
+            ab[1, 2:] = -ww * (a2[1:-1] / dx**2 + a1[1:-1] / (2 * dx))
+            ab[3, :-2] = -ww * (a2[1:-1] / dx**2 - a1[1:-1] / (2 * dx))
+            ab[2, [0, -1]] = 1.0
+            if grid.boundary == "extrapolation":
+                ab[1, 1] = ab[3, -2] = -2.0
+                ab[0, 2] = ab[4, -3] = 1.0
+                rhs[[0, -1]] = 0.0
+            else:
+                rhs[[0, -1]] = terminal[[0, -1]]
+            v_new = solve_banded((2, 2), ab, rhs, check_finite=False)
+            delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
+            v = v_new
+            if delta < tol:
+                max_used = max(max_used, m + 1)
+                break
+        v_all[n] = v
+        w = v
+    return v_all, max_used
+
+
+_EXACTNESS_MODELS = {
+    "ex_counter": lambda: fl.preset("ex_counter"),
+    "ex_cubic": lambda: fl.preset("ex_cubic"),
+    "ex_quad_exp": lambda: fl.preset("ex_quad_exp"),
+    "tanh-sigma": lambda: fl.expression_spec(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x",
+                                             h="0.3*z + sin(y)", f=None, T=1.0, X0=0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACTNESS_MODELS))
+def test_sweep_matches_reference_loop_bit_for_bit(monkeypatch, name):
+    # reused coefficients and the solve skipped at an unmoved system change no
+    # value and no iteration count of the loop that re-evaluates and re-solves
+    sweep, compared = fl.pde._backward_sweep, []
+
+    def both(*args):
+        ref, got = _reference_sweep(*args), sweep(*args)
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        compared.append(args[3])
+        return got
+
+    monkeypatch.setattr(fl.pde, "_backward_sweep", both)
+    spec = _EXACTNESS_MODELS[name]()
+    for boundary in ("extrapolation", "dirichlet"):
+        grid = fl.default_grid(spec, nt=41, nx=101, boundary=boundary)
+        for theta in (0.5, 1.0):
+            su = fl.solve_u(spec, grid, theta=theta)
+            sp = fl.solve_u_prime(spec, grid, sol_u=su, theta=theta)
+        if name == "ex_cubic":
+            fl.solve_u_doubleprime(spec, grid, sol_u=su, sol_uprime=sp)
+    assert len(compared) == 8 + 2 * (name == "ex_cubic")
+
+
+def _count_work(monkeypatch):
+    counts = {"solves": 0, "evaluations": 0}
+    solve, sweep = fl.pde._solve_implicit, fl.pde._backward_sweep
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_sweep(grid, terminal, coef, *rest):
+        def counted_coef(*args):
+            counts["evaluations"] += 1
+            return coef(*args)
+        return sweep(grid, terminal, counted_coef, *rest)
+
+    monkeypatch.setattr(fl.pde, "_solve_implicit", counted_solve)
+    monkeypatch.setattr(fl.pde, "_backward_sweep", counted_sweep)
+    return counts
+
+
+def test_sweep_work_counts(monkeypatch, counter, quad_exp):
+    # ex_counter's coefficients do not depend on the iterate: one solve per step,
+    # the explicit half-step reuses the previous step's last evaluation
+    counts = _count_work(monkeypatch)
+    sol = fl.solve_u(counter, fl.default_grid(counter, nt=201, nx=401))
+    assert counts == {"solves": 200, "evaluations": 401} and sol.max_iterations == 2
+    # a driver quadratic in z moves its coefficients at every iterate
+    counts.update(solves=0, evaluations=0)
+    sol = fl.solve_u(quad_exp, fl.default_grid(quad_exp, nt=129, nx=401))
+    assert counts == {"solves": 582, "evaluations": 710} and sol.max_iterations == 5
+
+
+def test_singular_implicit_system_is_a_solver_error():
+    # a2 = a1 = 0 and a0 = 1/w zero every interior row: gbsv stops at the pivot of x_1
+    grid = GridSpec(np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 9))
+    zero, w = np.zeros(9), 0.25
+    for boundary in ("extrapolation", "dirichlet"):
+        g = GridSpec(grid.t_nodes, grid.x_nodes, boundary)
+        with pytest.raises(SolverError, match=r"zero pivot at \(t, x\) = \(0\.5, -0\.75\)"):
+            fl.pde._solve_implicit(zero, zero, np.full(9, 1 / w), np.ones(9), w, g, zero, 0.5)
+    # the fallback retries at theta = 1, where w = dt keeps the diagonal off zero
+    coef = lambda t, v, vx: (zero, zero, np.full(9, 4.0), zero)
+    _, _, theta, fallback = fl.pde._run_with_fallback(grid, np.ones(9), coef, 0.5, 20, 1e-10)
+    assert theta == 1.0 and fallback
