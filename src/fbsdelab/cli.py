@@ -6,9 +6,9 @@ starts with header lines recording the package version, the master seed and the
 config hash (plus a timestamp unless disabled); ``manifest.json`` lists the
 files with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
-rate and warnings of oracle-compare).  Identical (config, seed, thread count)
-reruns produce byte-identical data files.  ``main`` exits with 0 if every task
-succeeded, 1 if one failed and 2 on a bad config, before writing anything.
+rate and warnings of oracle-compare).  Identical (config, seed) reruns produce
+byte-identical data files.  ``main`` exits with 0 if every task succeeded, 1
+if one failed and 2 on a bad config, before writing anything.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .artifacts import write_table
 from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task_closure
-from .criteria import CHECKS, TIMELESS
+from .criteria import CHECKS, TIMELESS, SharedBox
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
 from .errors import EvaluationError, FbsdeLabError, ParseError, PreconditionError
 from .mc import STREAM_FORWARD, BasisSpec, _draw_increments, simulate_forward, solve_bsde_regression
@@ -112,13 +112,14 @@ def _solve(ctx: _Run) -> None:
 
 
 def _criteria(ctx: _Run) -> None:
-    rows = []
-    for i, t in enumerate(ctx.params["criteria_times"]):
+    rows, times = [], ctx.params["criteria_times"]
+    evals = SharedBox(ctx.spec, times)  # each box partial evaluated once for all times
+    for i, t in enumerate(times):
         for chk in ctx.params["criteria_checks"]:
             if i and chk in TIMELESS:
                 continue
             try:
-                rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t).values()]
+                rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t, evals).values()]
             except (PreconditionError, EvaluationError) as exc:
                 kind = "precondition" if isinstance(exc, PreconditionError) else "evaluation"
                 rows.append({"criterion": chk, "t": t, "verdict": f"{kind}-error",
@@ -181,16 +182,14 @@ def _oracle_compare(ctx: _Run) -> None:
 TASKS = dict(zip(TASK_DEPS, (_solve, _criteria, _density, _tails, _oracle_compare)))
 
 
-def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
-        threads: int = 1) -> dict:
+def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None) -> dict:
     """Execute the configured tasks in dependency order; returns the manifest.
 
     Each task is dispatched through ``TASKS``.  A failing task aborts its
     dependents but independent tasks still run; the manifest records per-task
     status and the exit code is nonzero unless everything succeeded.  The
     package starts no threads of its own (numpy's OpenBLAS may run a call such
-    as the Gram product in ``mc._gram`` on its own pool), so the recorded
-    thread count is bookkeeping for the determinism contract.
+    as the Gram product in ``mc._gram`` on its own pool).
     """
     out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,7 +215,6 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None,
     manifest = {
         "version": __version__,
         "seed": seed,
-        "threads": threads,
         "config_hash": cfg_hash,
         "tasks": status,
         "notes": [f"dependency auto-inserted: {d}" for d in config.inserted_dependencies],
@@ -233,9 +231,6 @@ def _add_common(p):
     p.add_argument("--config", required=True, help="path to the experiment config")
     p.add_argument("--seed", default=None, help="override the config seed (an integer >= 0)")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded in the manifest only; the package starts no threads "
-                        "(numpy's BLAS may use its own)")
     p.add_argument("--no-timestamps", action="store_true",
                    help="omit timestamps from file headers")
 
@@ -259,8 +254,7 @@ def main(argv=None) -> int:
         # a single-task invocation still honors the dependency closure
         config.tasks, config.inserted_dependencies = task_closure([args.command])
     manifest = run(config, out_dir=args.out, seed=seed,
-                   timestamps=False if args.no_timestamps else None,
-                   threads=args.threads)
+                   timestamps=False if args.no_timestamps else None)
     for task, st in manifest["tasks"].items():
         print(f"{task}: {st}")
     return 0 if manifest["ok"] else 1

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .artifacts import write_table
+from .artifacts import write_grid
 from .errors import ConfigError, DivergenceError, EvaluationError, SolverError
 from .model import ModelSpec, _on_grid
 
@@ -196,10 +196,13 @@ class GridSolution:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path, header_lines=()):
-        x = self.x_nodes.tolist()  # Python floats: the same "%.17g" text, formatted faster
-        rows = ((t, *v) for t, *time_rows in zip(self.t_nodes.tolist(), self.u, self.u_x, self.u_xx)
-                for v in zip(x, *(a.tolist() for a in time_rows)))
-        write_table(path, header_lines, ("t", "x", "u", "u_x", "u_xx"), rows)
+        """The grid as a table: one ``%.17g`` row (t, x, u, u_x, u_xx) per node, t-major.
+
+        ``artifacts.write_grid`` writes it, with the bytes of one row per node
+        but each t and x formatted once.
+        """
+        write_grid(path, header_lines, ("t", "x", "u", "u_x", "u_xx"), self.t_nodes,
+                   self.x_nodes, (self.u, self.u_x, self.u_xx))
 
     def to_binary(self, path):
         with open(path, "wb") as fh:
@@ -347,26 +350,34 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
     """
     nx, dx = rhs.size, grid.dx
     ab = np.zeros((7, nx), order="F")  # Fortran order: gbsv factors it in place
-    lo = -w * (a2[1:-1] / dx**2 - a1[1:-1] / (2 * dx))
-    di = 1.0 - w * (-2 * a2[1:-1] / dx**2 + a0[1:-1])
-    up = -w * (a2[1:-1] / dx**2 + a1[1:-1] / (2 * dx))
-    ab[4, 1:-1] = di
-    ab[3, 2:] = up
-    ab[5, :-2] = lo
+    lo, di, up = ab[5, :-2], ab[4, 1:-1], ab[3, 2:]
+    # lo = -w (a2/dx^2 - a1/(2dx)), up = -w (a2/dx^2 + a1/(2dx)) and
+    # di = 1 - w (-2 a2/dx^2 + a0), each operation in place on its band row
+    p, q = a2[1:-1] / dx**2, a1[1:-1] / (2 * dx)
+    np.subtract(p, q, out=lo)
+    lo *= -w
+    np.add(p, q, out=up)
+    up *= -w
+    np.multiply(-2, a2[1:-1], out=di)
+    di /= dx**2
+    di += a0[1:-1]
+    di *= w
+    np.subtract(1.0, di, out=di)
     b = rhs.copy()
-    ab[4, [0, -1]] = 1.0
+    ab[4, 0] = ab[4, -1] = 1.0
     if grid.boundary == "extrapolation":  # vanishing second difference at both edges
         ab[3, 1] = ab[5, -2] = -2.0
         ab[2, 2] = ab[6, -3] = 1.0
-        b[[0, -1]] = 0.0
+        b[0] = b[-1] = 0.0
     else:  # dirichlet: hold the terminal values at the edges
-        b[[0, -1]] = terminal[[0, -1]]
-    bad = ~np.isfinite(b)
-    bad[1:-1] |= ~(np.isfinite(lo) & np.isfinite(di) & np.isfinite(up))
-    if bad.any():
-        x = float(grid.x_nodes[int(np.argmax(bad))])
-        raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
-                              witness=(float(t), x))
+        b[0], b[-1] = terminal[0], terminal[-1]
+    if not np.isfinite(ab.sum() + b.sum()):  # a NaN or +-inf, or a sum that overflows
+        bad = ~np.isfinite(b)
+        bad[1:-1] |= ~(np.isfinite(lo) & np.isfinite(di) & np.isfinite(up))
+        if bad.any():
+            x = float(grid.x_nodes[int(np.argmax(bad))])
+            raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
+                                  witness=(float(t), x))
     _, _, v, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         x = float(grid.x_nodes[info - 1])

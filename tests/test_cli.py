@@ -354,6 +354,26 @@ def _criteria_run(tmp_path, model, checks):
     return main(["run", "--config", str(cfg_path), "--out", str(out)]), out
 
 
+def test_criteria_task_errors_stay_per_time(tmp_path):
+    # the task evaluates the box once from t = 0.1 on; only t = 0.1 reads the
+    # rows where h_x = exp(2000 (0.65 - s)) overflows
+    cfg_path = tmp_path / "w.cfg"
+    cfg_path.write_text("[model]\nb = 0\nsigma = 1\ng = x\nh = x*exp(2000*(0.65-t))\n"
+                        "[tasks]\nrun = criteria\ncriteria_checks = first-order, second-order\n"
+                        "criteria_times = 0.1, 0.5, 0.9\n[output]\ntimestamps = false\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = json.loads((out / "criteria.json").read_text())["reports"]
+    node = "at (t, x, y, z) = (0.1, -6, -20, -20)"
+    assert rows[:2] == [
+        {"criterion": "first-order", "t": 0.1, "verdict": "evaluation-error",
+         "error": f"h_x = inf {node}"},
+        {"criterion": "second-order", "t": 0.1, "verdict": "evaluation-error",
+         "error": f"h_xt = -inf {node}"}]
+    assert [(r["criterion"], r["t"]) for r in rows[2:]] == [
+        (c, t) for t in (0.5, 0.9) for c in ("H+", "H-", "Htilde+", "Htilde-")]
+
+
 def test_criteria_z_checks_by_name(tmp_path):
     rc, out = _criteria_run(tmp_path, "preset = ex_cubic",
                             "z-lipschitz, z-quadratic, z-markovian")

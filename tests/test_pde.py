@@ -216,15 +216,24 @@ def test_csv_export(tmp_path, counter_grids):
 def test_csv_export_bytes_match_row_format(tmp_path):
     # one "%.17g" row per node, t-major: the bytes any faster formatter must keep
     spec = fl.preset("ex_cubic")
-    su = fl.solve_u(spec, fl.default_grid(spec, nt=5, nx=7))
-    p = tmp_path / "sol.csv"
-    su.to_csv(p, header_lines=["a", "b"])
-    rows = ["# a", "# b", "t,x,u,u_x,u_xx"]
-    for i, t in enumerate(su.t_nodes):
-        for j, x in enumerate(su.x_nodes):
-            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g"
-                        % (t, x, su.u[i, j], su.u_x[i, j], su.u_xx[i, j]))
-    assert p.read_text() == "\n".join(rows) + "\n"
+    grid = fl.default_grid(spec, nt=5, nx=7)
+    su = fl.solve_u(spec, grid)
+    sp = fl.solve_u_prime(spec, grid, sol_u=su)
+    special = np.array([[-0.0, 5e-324, -5e-324, 1e300],
+                        [-1e300, np.nan, np.inf, -np.inf]])
+    odd = GridSolution(np.array([-0.0, 0.5]), np.array([-0.0, 1.0, 2.0, 3.0]), special,
+                       special[::-1].copy(), -special, "u", 0.5, "extrapolation")
+    one_row = GridSolution(su.t_nodes[:1], su.x_nodes, su.u[:1], su.u_x[:1], su.u_xx[:1],
+                           "u", 0.5, "extrapolation")
+    for k, sol in enumerate((su, sp, odd, one_row)):
+        p = tmp_path / f"sol{k}.csv"
+        sol.to_csv(p, header_lines=["a", "b"])
+        rows = ["# a", "# b", "t,x,u,u_x,u_xx"]
+        for i, t in enumerate(sol.t_nodes):
+            for j, x in enumerate(sol.x_nodes):
+                rows.append("%.17g,%.17g,%.17g,%.17g,%.17g"
+                            % (t, x, sol.u[i, j], sol.u_x[i, j], sol.u_xx[i, j]))
+        assert p.read_text() == "\n".join(rows) + "\n"
 
 
 def _eval_reference(sol, t, x, array=None):
