@@ -6,9 +6,10 @@ starts with header lines recording the package version, the master seed and the
 config hash (plus a timestamp unless disabled); ``manifest.json`` lists the
 files with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
-rate and warnings of oracle-compare).  Identical (config, seed) reruns produce
-byte-identical data files.  ``main`` exits with 0 if every task succeeded, 1
-if one failed and 2 on a bad config, before writing anything.
+rate, warnings and largest and mean per-step residuals of oracle-compare).
+Identical (config, seed) reruns produce byte-identical data files.  ``main``
+exits with 0 if every task succeeded, 1 if one failed and 2 on a bad config,
+before writing anything.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def _oracle_compare(ctx: _Run) -> None:
     sol = solve_bsde_regression(spec, ens, BasisSpec(degree=num["basis_degree"]),
                                 z_cap=num["z_cap"])
     ctx.diagnostics[ctx.task] = {"saturation_rate": sol.saturation_rate,
-                                 "warnings": list(sol.warnings)}
+                                 "warnings": list(sol.warnings),
+                                 "residual_max": float(np.max(sol.residuals)),
+                                 "residual_mean": float(np.mean(sol.residuals))}
     rows = []
     for t in ctx.params["oracle_times"]:
         k = ens.index_of(t, nearest=True)
@@ -188,8 +191,10 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None) -> d
     Each task is dispatched through ``TASKS``.  A failing task aborts its
     dependents but independent tasks still run; the manifest records per-task
     status and the exit code is nonzero unless everything succeeded.  The
-    package starts no threads of its own (numpy's OpenBLAS may run a call such
-    as the Gram product in ``mc._gram`` on its own pool).
+    package starts no threads of its own.  numpy's OpenBLAS may run the BLAS
+    calls of an LSMC step on its own pool: ``mc`` holds each step's design
+    row-major, (p, n), and makes one Gram product ``At @ At.T``, one p x p
+    Cholesky factorization and, per fit, the products ``At @ y`` and ``c @ At``.
     """
     out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,11 @@ later work is cached against them.
 
 The backward pair is solved by least-squares Monte Carlo: per-step
 conditional expectations are projected on a polynomial (or piecewise-linear)
-basis in the Markovian state, with one Gram matrix per step shared by its
-fits.
+basis in the Markovian state.  Each step fills one preallocated row-major
+(p, n) design At, factors its Gram matrix At At^T / n + ridge I once by
+Cholesky, and serves the step's three fits from that factor, each through the
+products At @ y and c @ At.  These products and the Gram product are the BLAS
+calls that OpenBLAS may run on its own thread pool.
 
 Malliavin derivatives of the backward component solve a linear BSDE; its
 closed-form representation discounts the terminal slope by exp(int h_y) under
@@ -46,6 +49,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
@@ -313,14 +317,31 @@ class BasisSpec:
     knots: str = "quantile"  # "quantile" | "uniform"
 
 
-def _design(basis: BasisSpec, x: np.ndarray):
+def _basis_rows(basis: BasisSpec) -> int:
+    """Rows of a design buffer for ``basis``: its p, or the two knots of a one-knot hat basis."""
+    return basis.degree + 1 if basis.kind == "poly" else max(basis.n_knots, 2)
+
+
+def _design(basis: BasisSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The row-major (p, n) design of ``basis`` at the states ``x``, filled into ``out``.
+
+    ``out`` is a (``_basis_rows``, n) buffer; the returned view is its first p
+    rows (a hat basis may have fewer knots than ``n_knots``).  Poly rows are
+    1, x_s = (x - mean) / sd and x_s^j = x_s^{j-1} x_s, each formed in place.
+    """
     x = np.asarray(x, dtype=float)
     if basis.kind == "poly":
         mu, sd = float(np.mean(x)), float(np.std(x))
         sd = sd if sd > 1e-300 else 1.0
-        xs = (x - mu) / sd
-        A = np.vander(xs, basis.degree + 1, increasing=True)
-    elif basis.kind == "pwlinear":
+        At = out[:basis.degree + 1]
+        At[0] = 1.0
+        if basis.degree >= 1:
+            np.subtract(x, mu, out=At[1])
+            At[1] /= sd
+        for j in range(2, basis.degree + 1):
+            np.multiply(At[j - 1], At[1], out=At[j])
+        return At
+    if basis.kind == "pwlinear":
         if basis.knots == "uniform":
             lo, hi = np.quantile(x, [0.001, 0.999])
             knots = np.unique(np.linspace(lo, hi, basis.n_knots))
@@ -328,68 +349,68 @@ def _design(basis: BasisSpec, x: np.ndarray):
             knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, basis.n_knots)))
         if knots.size < 2:
             knots = np.array([knots[0] - 0.5, knots[0] + 0.5])
-        A = _hat_design(x, knots)
-    else:
-        raise BasisError(f"unknown basis kind {basis.kind!r}")
-    return A
+        return _hat_design(x, knots, out[:knots.size])
+    raise BasisError(f"unknown basis kind {basis.kind!r}")
 
 
-def _hat_design(x, knots):
-    # piecewise-linear interpolation basis; columns sum to 1
+def _hat_design(x, knots, At):
+    # piecewise-linear interpolation basis, one row per knot; columns sum to 1
     idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
     lam = (x - knots[idx]) / (knots[idx + 1] - knots[idx])
     lam = np.clip(lam, 0.0, 1.0)
-    A = np.zeros((x.size, knots.size))
-    rows = np.arange(x.size)
-    A[rows, idx] = 1.0 - lam
-    A[rows, idx + 1] = lam
-    return A
+    cols = np.arange(x.size)
+    At.fill(0.0)
+    At[idx, cols] = 1.0 - lam
+    At[idx + 1, cols] = lam
+    return At
 
 
-def _gram(A: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridge-regularized Gram matrix A^T A / n + ridge I of a design."""
-    M = A.T @ A / A.shape[0]
-    M[np.diag_indices_from(M)] += ridge
-    return M
+def _gram_factor(At: np.ndarray, ridge: float) -> np.ndarray:
+    """Upper Cholesky factor of the ridge Gram matrix At At^T / n + ridge I of a (p, n) design."""
+    M = At @ At.T / At.shape[1]
+    M.ravel()[::M.shape[0] + 1] += ridge
+    R, info = dpotrf(M, overwrite_a=True)
+    if info != 0:
+        raise BasisError("regression design is rank deficient")
+    return R
 
 
-def _ridge_solve(M: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the ridge fit of ``y`` on ``A`` whose Gram matrix is ``M``."""
-    try:
-        c = np.linalg.solve(M, A.T @ y / A.shape[0])
-    except np.linalg.LinAlgError as exc:
-        raise BasisError("regression design is rank deficient") from exc
+def _ridge_solve(R: np.ndarray, At: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the ridge fit of ``y`` on ``At`` whose Gram factor is ``R``."""
+    c, _ = dpotrs(R, At @ y / At.shape[1])
     if not np.all(np.isfinite(c)):
         raise BasisError("regression produced non-finite coefficients")
     return c
 
 
-def _ridge_fit(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    return _ridge_solve(_gram(A, ridge), A, y)
+def _ridge_fit(At: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    return _ridge_solve(_gram_factor(At, ridge), At, y)
 
 
 def _regress(basis: BasisSpec, x: np.ndarray, y: np.ndarray):
-    A = _design(basis, x)
-    c = _ridge_fit(A, y, _RIDGE)
-    return A @ c, c
+    At = _design(basis, x, np.empty((_basis_rows(basis), len(x))))
+    c = _ridge_fit(At, y, _RIDGE)
+    return c @ At, c
 
 
 def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
-                   future_sum: np.ndarray, tau: float):
+                   future_sum: np.ndarray, tau: float, out: np.ndarray):
     """Conditional expectation E[y | x] with martingale noise absorption.
 
-    The design is augmented with first/second Wiener-chaos columns built from
+    The design is augmented with first/second Wiener-chaos rows built from
     the future Brownian mass (interacted with the state basis).  They are
     conditionally centered given x, so the x-part of the fit stays unbiased
     while the dominant response noise is projected out; predictions zero the
-    chaos columns.  The remaining time ``tau`` is positive: the caller does k = N.
+    chaos rows.  The remaining time ``tau`` is positive: the caller does k = N.
+    ``out`` is a (3 ``_basis_rows``, n) buffer; the design is its first 3p
+    rows, the state design At over At h1 over At h2.
     """
-    A = _design(basis, x)
-    h1 = (future_sum / math.sqrt(tau))[:, None]
-    h2 = ((future_sum**2 - tau) / (tau * math.sqrt(2.0)))[:, None]
-    D = np.concatenate([A, A * h1, A * h2], axis=1)
-    c = _ridge_fit(D, y, _RIDGE)
-    return A @ c[: A.shape[1]]
+    At = _design(basis, x, out)
+    p = At.shape[0]
+    np.multiply(At, future_sum / math.sqrt(tau), out=out[p:2 * p])
+    np.multiply(At, (future_sum**2 - tau) / (tau * math.sqrt(2.0)), out=out[2 * p:3 * p])
+    c = _ridge_fit(out[:3 * p], y, _RIDGE)
+    return c[:p] @ At
 
 
 @dataclass
@@ -426,16 +447,17 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     residuals = np.zeros(N)
     clipped = 0
     quadratic = spec.regime == "quadratic"
+    At_buf = np.empty((_basis_rows(basis), n))
     for k in range(N - 1, -1, -1):
         xk = X[k]
-        A = _design(basis, xk)
-        M = _gram(A, _RIDGE)
+        At = _design(basis, xk, At_buf)
+        R = _gram_factor(At, _RIDGE)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
-        cond0 = A @ _ridge_solve(M, A, Y[k + 1])
-        zk = A @ _ridge_solve(M, A, (Y[k + 1] - cond0) * dW[k] / dt)
-        cond = A @ _ridge_solve(M, A, Y[k + 1] - zk * dW[k])
+        cond0 = _ridge_solve(R, At, Y[k + 1]) @ At
+        zk = _ridge_solve(R, At, (Y[k + 1] - cond0) * dW[k] / dt) @ At
+        cond = _ridge_solve(R, At, Y[k + 1] - zk * dW[k]) @ At
         Z[k] = zk
         if quadratic:
             z_used = np.clip(zk, -z_cap, z_cap)
@@ -613,12 +635,12 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     ens._malliavin = None  # free the stale context before building its successor
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
     # the variation unless it is fixed at 1, two factor rows per node, the
-    # chaos design (3p columns and their temporaries), a dozen path vectors
+    # chaos design (one (3p, n) buffer), a dozen path vectors
     # and one call's four results
-    p = basis.degree + 1 if basis.kind == "poly" else basis.n_knots
+    p = _basis_rows(basis)
     variation_rows = 0 if _fixed_variations(spec) else N + 1
     _preflight(f"the Malliavin context ({n} paths x {N} steps, {len(nodes)} times)",
-               8 * n * (variation_rows + 6 * len(nodes) + 6 * p + 12))
+               8 * n * (variation_rows + 6 * len(nodes) + 3 * p + 12))
     t = ens.t_grid
     # time-major views: each node reads one contiguous row of X and nablaX
     X, nab = ens.X.T, _variations(spec, ens, order=1)[1]
@@ -626,14 +648,15 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     hy, hz, hx = (spec.d(name) for name in ("h_y", "h_z", "h_x"))
     sol_up = sol[1] if isinstance(sol, tuple) else None
     row = {k: i for i, k in enumerate(nodes)}
-    cond = np.empty((len(nodes), n))
+    cond, design = np.empty((len(nodes), n)), np.empty((3 * p, n))
     dz = np.empty((len(nodes), n)) if sol_up is not None else None
     gprime = spec.d("g1")(X[N])
 
     def fill(k, G, S):
         # E[G_k / nablaX_k | X_k] by the chaos regression; d/dx[u_x sigma] at X_k
         i, xk = row[k], X[k]
-        cond[i] = gprime * 1.0 if k == N else _regress_chaos(basis, xk, G / nab[k], S, t[N] - t[k])
+        cond[i] = gprime * 1.0 if k == N else _regress_chaos(basis, xk, G / nab[k], S, t[N] - t[k],
+                                                               design)
         if dz is not None:
             dz[i] = _z_slope(spec, sol_up, t[k], xk)[2]
 

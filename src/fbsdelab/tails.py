@@ -34,7 +34,7 @@ from .artifacts import write_table
 from .errors import PreconditionError, UndefinedRateError
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution
-from .special import gamma_fn, gauss_hermite_prob, integral_from_zero, norm_pdf
+from .special import gauss_hermite_prob, integral_from_zero, norm_pdf
 
 __all__ = [
     "GrowthRates", "TailConstants", "TailEnvelope", "SandwichReport",
@@ -238,7 +238,7 @@ def delta_const(a: float) -> float:
 
 
 def xi_const(a: float) -> float:
-    return a * gamma_fn((1.0 + a) / 2.0) / (2.0 * math.sqrt(math.pi))
+    return a * math.gamma((1.0 + a) / 2.0) / (2.0 * math.sqrt(math.pi))
 
 
 def big_d_const(a: float) -> float:

@@ -280,7 +280,12 @@ def test_manifest_diagnostics_outside_data_files(tmp_path):
         assert diag["solve"][name]["theta"] == 0.5
         assert diag["solve"][name]["fallback_used"] is False
         assert diag["solve"][name]["max_iterations"] >= 1
-    assert diag["oracle-compare"] == {"saturation_rate": 0.0, "warnings": []}
+    oracle = diag["oracle-compare"]
+    assert set(oracle) == {"saturation_rate", "warnings", "residual_max", "residual_mean"}
+    assert oracle["saturation_rate"] == 0.0 and oracle["warnings"] == []
+    for key in ("residual_max", "residual_mean"):
+        assert math.isfinite(oracle[key]) and oracle[key] >= 0.0
+    assert oracle["residual_mean"] <= oracle["residual_max"]
     on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert on_disk["diagnostics"] == json.loads(json.dumps(diag))
     # the diagnostics stay out of the checksummed data files

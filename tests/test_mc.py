@@ -6,7 +6,7 @@ import pytest
 
 import fbsdelab as fl
 from fbsdelab.errors import BasisError, EvaluationError, PreconditionError
-from fbsdelab.mc import (STREAM_COUPLING, BasisSpec, _euler, _ridge_fit, malliavin_dx,
+from fbsdelab.mc import (STREAM_COUPLING, BasisSpec, _euler, _regress, _ridge_fit, malliavin_dx,
                          rng_stream)
 
 from conftest import make_spec
@@ -142,16 +142,67 @@ def test_lsmc_quadratic_truncation_warns(quad_exp):
 
 
 def test_ridge_fit_nonfinite_raises():
-    A = np.ones((8, 2))
+    A = np.ones((2, 8))
     with pytest.raises(BasisError):
         _ridge_fit(A, np.full(8, np.nan), 1e-8)
+
+
+def _lstsq_lsmc(spec, ens, basis, z_cap=50.0, ridge=1e-8):
+    """LSMC by per-step least squares on the (n, p) design stacked with sqrt(n ridge) I."""
+    n, N, dt = ens.n_paths, ens.n_steps, ens.dt
+    Y, Z, res = np.empty((n, N + 1)), np.empty((n, N)), np.empty(N)
+    Y[:, N] = spec.g(ens.X[:, N])
+    for k in range(N - 1, -1, -1):
+        x, dw = ens.X[:, k], ens.dW[:, k]
+        if basis.kind == "poly":
+            sd = np.std(x) if np.std(x) > 1e-300 else 1.0
+            A = np.vander((x - np.mean(x)) / sd, basis.degree + 1, increasing=True)
+        else:
+            knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, basis.n_knots)))
+            if knots.size < 2:
+                knots = np.array([knots[0] - 0.5, knots[0] + 0.5])
+            A = np.column_stack([np.interp(x, knots, np.eye(knots.size)[j])
+                                 for j in range(knots.size)])
+        S = np.vstack([A, math.sqrt(n * ridge) * np.eye(A.shape[1])])
+
+        def fit(y):
+            return A @ np.linalg.lstsq(S, np.concatenate([y, np.zeros(A.shape[1])]),
+                                       rcond=None)[0]
+
+        cond0 = fit(Y[:, k + 1])
+        Z[:, k] = fit((Y[:, k + 1] - cond0) * dw / dt)
+        cond = fit(Y[:, k + 1] - Z[:, k] * dw)
+        z = np.clip(Z[:, k], -z_cap, z_cap) if spec.regime == "quadratic" else Z[:, k]
+        Y[:, k] = cond + dt * spec.h(ens.t_grid[k], x, cond, z)
+        res[k] = np.mean((Y[:, k + 1] - cond) ** 2)
+    return Y, Z, res
+
+
+@pytest.mark.parametrize("model", ["counter", "quad_exp"])
+@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(kind="pwlinear", n_knots=12)],
+                         ids=["poly", "pwlinear"])
+def test_lsmc_matches_lstsq_reference(model, basis, request):
+    spec = request.getfixturevalue(model)
+    ens = fl.simulate_forward(spec, 2000, 32, seed=12)
+    sol = fl.solve_bsde_regression(spec, ens, basis)
+    # relative to each array's largest magnitude, since Y and Z cross zero
+    for got, want in zip((sol.Y, sol.Z, sol.residuals), _lstsq_lsmc(spec, ens, basis)):
+        assert float(np.max(np.abs(got - want))) <= 1e-9 * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(kind="pwlinear", n_knots=12)],
+                         ids=["poly", "pwlinear"])
+def test_regression_nan_state_or_response_raises(basis):
+    x = np.random.default_rng(3).standard_normal(500)
+    for bad_x, bad_y in ((np.where(np.arange(500) == 7, np.nan, x), x), (x, x * np.nan)):
+        with pytest.raises(BasisError):
+            _regress(basis, bad_x, bad_y)
 
 
 def test_pwlinear_basis_fits_smooth():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(20000)
     y = np.tanh(x) + 0.01 * rng.standard_normal(20000)
-    from fbsdelab.mc import _regress
     fitted, _ = _regress(BasisSpec(kind="pwlinear", n_knots=40), x, y)
     mask = np.abs(x) < 2.5
     assert float(np.max(np.abs(fitted - np.tanh(x))[mask])) < 0.02

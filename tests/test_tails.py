@@ -7,7 +7,6 @@ import scipy.integrate as si
 import fbsdelab as fl
 from fbsdelab.errors import PreconditionError, UndefinedRateError
 from fbsdelab.pde import GridSolution
-from fbsdelab.special import gamma_fn
 from fbsdelab.tails import (GrowthRates, TailEnvelope, compute_constants,
                             delta_const, empirical_density, envelope,
                             growth_rate, inverse_growth_bound, invert_monotone,
@@ -159,18 +158,6 @@ def test_delta_xi_mu_constants():
 def test_xi_against_quadrature_gamma(a):
     gq = si.quad(lambda t, s=(1 + a) / 2: t ** (s - 1) * math.exp(-t), 0, np.inf)[0]
     assert abs(xi_const(a) - a * gq / (2 * math.sqrt(math.pi))) < 1e-10
-
-
-def test_gamma_lanczos_accuracy():
-    # the C library gamma is an independent implementation; quadrature of the
-    # Euler integral is accurate once the endpoint singularity is mild
-    for x in (0.1, 0.5, 1.0, 1.5, 3.7, 10.0, 20.5):
-        assert abs(gamma_fn(x) - math.gamma(x)) / math.gamma(x) < 1e-12
-    for x in (1.5, 3.7, 10.0):
-        gq = si.quad(lambda t: t ** (x - 1) * math.exp(-t), 0, np.inf)[0]
-        assert abs(gamma_fn(x) - gq) / gq < 1e-11
-    with pytest.raises(ValueError):
-        gamma_fn(-1.0)
 
 
 def _linear_grid(x_hi=30.0, nx=4001):
