@@ -7,7 +7,12 @@ config hash (plus a timestamp unless disabled); ``manifest.json`` lists the
 files with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
 rate, warnings and largest and mean per-step residuals of oracle-compare).
-Identical (config, seed) reruns produce byte-identical data files.  ``main``
+Identical (config, seed) reruns produce byte-identical data files.  The
+Monte Carlo tasks share one stream as common random numbers, not independent
+substreams: the first Brownian copy of ``density`` and the ``tails`` task
+evaluate the same (seed, STREAM_FORWARD, n_mc, n_steps/2) increments
+(``_snapshot_sampler``'s step count), and ``oracle-compare`` reads the same
+stream laid out as n_paths paths of n_steps steps.  ``main``
 exits with 0 if every task succeeded, 1 if one failed and 2 on a bad config,
 before writing anything.
 """

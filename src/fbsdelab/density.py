@@ -17,12 +17,17 @@ antithetic), takes the inner product in r by the trapezoid rule on the
 sampler's nodes, and replaces the conditioning on the null event
 {F - E F = x} by Gaussian-kernel local linear regression on F - E F, cut at
 six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
-asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws;
-each rotated path reaches it as a stream of time-major increment rows, and
-it returns only the weighted inner product with Phi (``FunctionalSampler.
-project``).  The PDE samplers step the kernel's ``mc._flow`` over those rows
-and accumulate the product node by node, so no rotated increment, path or
-Phi array is formed.
+asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws.
+The projection has two stages: ``FunctionalSampler.projector`` takes the
+weighted Phi once per call and returns a projection, to which each rotated
+path comes as a stream of time-major increment rows and which returns only
+the weighted inner product with Phi.  The PDE samplers step the kernel's
+``mc._flow`` over those rows and accumulate the product node by node, so no
+rotated increment, path or Phi array is formed.  When sigma is a constant
+expression and nablaX is fixed at 1 (b = 0, sigma = 1 in every preset), the
+accumulated sum does not depend on the rotation: the projector forms it
+once, and each rotation only steps X to t and multiplies the sum by the
+slope there.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -41,7 +46,7 @@ import numpy as np
 from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler,
-                 _flow)
+                 _fixed_variations, _flow)
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
@@ -126,12 +131,15 @@ class FunctionalSampler:
     (F values, derivative paths on ``r_nodes``, shape (n, len(r_nodes))); it
     must be a deterministic, reentrant function of the increments.  It reads
     only increment columns 0..len(r_nodes)-2, all that ``estimate_gF`` hands
-    it (time-major).  ``project`` maps those increments, given as an iterable
-    of time-major (n,) rows, and weights ``phiw`` of shape (len(r_nodes), n)
-    to sum_r phiw[r] Phi(r) per draw: the inner product that ``estimate_gF``
-    takes on each rotated path with common random numbers.  By default it
-    stacks the rows and calls ``evaluate``; a sampler with a ``streamed``
-    route computes it row by row instead, holding no (n, len(r_nodes)) block.
+    it (time-major).  The projection has two stages: ``projector(phiw)``
+    takes weights of shape (len(r_nodes), n), does the work that does not
+    depend on the increments once, and returns ``project``, which maps those
+    increments, given as an iterable of time-major (n,) rows, to
+    sum_r phiw[r] Phi(r) per draw: the inner product that ``estimate_gF``
+    takes on each rotated path with common random numbers.  By default
+    ``project`` stacks the rows and calls ``evaluate``; a sampler with a
+    ``streamed`` route computes it row by row instead, holding no
+    (n, len(r_nodes)) block.
     """
 
     T: float
@@ -139,13 +147,17 @@ class FunctionalSampler:
     r_nodes: np.ndarray
     evaluate: Callable
     description: str = ""
-    streamed: Optional[Callable] = None  # (rows, phiw) -> sum_r phiw[r] Phi(r)
+    streamed: Optional[Callable] = None  # phiw -> (rows -> sum_r phiw[r] Phi(r))
 
-    def project(self, rows: Iterable[np.ndarray], phiw: np.ndarray) -> np.ndarray:
+    def projector(self, phiw: np.ndarray) -> Callable[[Iterable[np.ndarray]], np.ndarray]:
         if self.streamed is not None:
-            return self.streamed(rows, phiw)
-        _, Phi = self.evaluate(np.stack(tuple(rows)).T)
-        return np.einsum("ij,ji->i", Phi, phiw)
+            return self.streamed(phiw)
+
+        def project(rows):
+            _, Phi = self.evaluate(np.stack(tuple(rows)).T)
+            return np.einsum("ij,ji->i", Phi, phiw)
+
+        return project
 
 
 def brownian_terminal_sampler(T: float = 1.0, n_steps: int = 64) -> FunctionalSampler:
@@ -206,23 +218,43 @@ def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope
     nothing past it.  Its ``streamed`` route runs the kernel's ``_flow`` over
     the first k_t rows it is given, accumulating phiw[k] sigma(r_k, X_k) /
     nablaX_k node by node, and multiplies the sum by slope(X_t) nablaX_t; it
-    does not evaluate F.
+    does not evaluate F.  When sigma is a constant expression and nablaX is
+    fixed at 1 (``mc._fixed_variations``), that sum A does not depend on the
+    increments: the projector forms it once, with the same operations in the
+    same order, and each projection steps X alone and returns A slope(X_t).
     """
     dt, k_t, r = _snapshot_grid(spec, t, n_steps)
+    sigma = spec.constant("sigma") if _fixed_variations(spec) else None
 
     def evaluate(dW):
         X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
         xt = X[k_t]
         return value(xt), _flow_phi(spec, r, X, nabla, slope(xt))
 
-    def streamed(rows, phiw):
+    def streamed(phiw):
         n = phiw.shape[1]
+        if sigma is None:
+            def project(rows):
+                acc = np.zeros(n)
+                nodes = _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt,
+                              order=1)
+                for rk, w, (x, nabla) in zip(r, phiw, nodes):
+                    acc += w * spec.sigma(rk, x) / nabla
+                return acc * (slope(x) * nabla)
+
+            return project
+
+        # the sum above with nablaX = 1: dividing and multiplying by 1.0 is exact
         acc = np.zeros(n)
-        nodes = _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt,
-                      order=1)
-        for rk, w, (x, nabla) in zip(r, phiw, nodes):
-            acc += w * spec.sigma(rk, x) / nabla
-        return acc * (slope(x) * nabla)
+        for w in phiw:
+            acc += w * sigma
+
+        def project(rows):
+            for x, in _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt):
+                pass
+            return acc * slope(x)
+
+        return project
 
     return FunctionalSampler(spec.T, n_steps, r, evaluate, description, streamed)
 
@@ -337,9 +369,10 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     ``sampler.evaluate`` runs once, on the unrotated draws.  Its Phi is
     multiplied once by the trapezoid weights of ``sampler.r_nodes`` (general
     weights: the nodes may be non-uniform) and held time-major as ``phiw``.
-    Each (u, sign) rotation is handed to ``sampler.project`` as a lazy
-    sequence of rows c dW_k + sign s dW*_k, formed as the sampler reads
-    them, and comes back as the weighted inner product per draw.  The
+    ``sampler.projector(phiw)`` is called once; each (u, sign) rotation is
+    handed to the projection it returns as a lazy sequence of rows
+    c dW_k + sign s dW*_k, formed as the sampler reads them, and comes back
+    as the weighted inner product per draw.  The
     conditioning sums over the draws within six bandwidths of each node only
     (see ``_loclin``).
     """
@@ -355,6 +388,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     # time-major and out of place: Phi may be shared
     phiw = np.multiply(Phi.T, w[:, None], out=np.empty((w.size, n_mc)))
     del Phi
+    project = sampler.projector(phiw)
     signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)
     for u, wu in zip(u_nodes, u_weights):
@@ -362,8 +396,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
         s = math.sqrt(max(1.0 - c * c, 0.0))
         # c dW + (-s) dWs is bit-equal to c dW - s dWs; each rotated row is
         # formed as the sampler reads it
-        inner = sum(sampler.project((c * a + (sg * s) * b for a, b in zip(dW.T, dWs.T)), phiw)
-                    for sg in signs)
+        inner = sum(project(c * a + (sg * s) * b for a, b in zip(dW.T, dWs.T)) for sg in signs)
         R += wu * (inner / len(signs))
 
     mean_F = float(np.mean(F))

@@ -8,10 +8,12 @@ path i depends on every earlier path (see ROADMAP.md, item "Draw blocks as the
 unit of work").  One recursion, ``_flow``, steps X and its first and
 second variations for every caller, one increment row at a time; ``_euler``
 collects it into time-major arrays, and the g_F samplers of ``density``
-consume it node by node.  A variation that the model's expressions fix at 1
-or 0 (b_x, sigma_x, b_xx, sigma_xx the constant 0) is not stepped: ``_euler``
-returns it as a read-only broadcast view.  The Malliavin routines hand it an
-ensemble's held paths and step only the variations along them.
+consume it node by node.  The kernel reads a constant b and sigma once
+(``ModelSpec.constant``): with b = 0 and sigma = 1 a step is one addition.  A
+variation that the model's expressions fix at 1 or 0 (b_x, sigma_x, b_xx,
+sigma_xx the constant 0) is not stepped: ``_euler`` returns it as a read-only
+broadcast view.  The Malliavin routines hand it an ensemble's held paths and
+step only the variations along them.
 ``simulate_forward`` hands out the time grid, ``dW`` and ``X`` read-only:
 later work is cached against them.
 
@@ -49,7 +51,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
@@ -175,7 +176,12 @@ def _flow(spec: ModelSpec, rows: Iterable[np.ndarray], x0, t0: float, dt: float,
         nablaX_{k+1}  = nablaX_k g_k,   g_k = 1 + b_x dt + sigma_x dW_k
         nabla2X_{k+1} = nabla2X_k g_k + nablaX_k^2 (b_xx dt + sigma_xx dW_k)
 
-    with coefficients at (t0 + k dt, X_k).  Yields (X_k, nablaX_k,
+    with coefficients at (t0 + k dt, X_k).  A b or sigma that is a constant
+    expression (``ModelSpec.constant``) is read once, not evaluated per step:
+    a zero b dt adds no drift, sigma = 1 multiplies nothing, and any other
+    constant is a float in the same (X_k + b dt) + sigma dW_k order, so the
+    states are those of the evaluated recursion bit for bit (the sign of a
+    zero state aside, only when X0 is -0.0).  Yields (X_k, nablaX_k,
     nabla2X_k)[:order + 1] for k = 0, 1, ..., one node per row plus the start,
     and holds only the node it steps from.  Given ``X``, an iterable of the
     state rows already stepped on these increments, only the variations are
@@ -194,13 +200,19 @@ def _flow(spec: ModelSpec, rows: Iterable[np.ndarray], x0, t0: float, dt: float,
     names = ("state", "variational state", "second variational state")
     stepped = ([] if held else [0]) + list(range(fixed + 1, order + 1))
     bx, sx, bxx, sxx = (spec.d(name) for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"))
+    b, sig = spec.constant("b"), spec.constant("sigma")
+    bdt = None if b is None else b * dt
     growth = 1.0
     yield tuple(node)
     for k, dw in enumerate(rows):
         t, xk = t0 + k * dt, node[0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = [next(states) if held else xk + spec.b(t, xk) * dt + spec.sigma(t, xk) * dw,
-                   *node[1:]]
+            if held:
+                x = next(states)
+            else:
+                x = xk + spec.b(t, xk) * dt if bdt is None else xk + bdt if bdt != 0.0 else xk
+                x = x + (spec.sigma(t, xk) * dw if sig is None else dw if sig == 1.0 else sig * dw)
+            new = [x, *node[1:]]
             if fixed < 1 <= order:
                 growth = 1.0 + bx(t, xk) * dt + sx(t, xk) * dw
                 new[1] = node[1] * growth
@@ -367,6 +379,8 @@ def _hat_design(x, knots, At):
 
 def _gram_factor(At: np.ndarray, ridge: float) -> np.ndarray:
     """Upper Cholesky factor of the ridge Gram matrix At At^T / n + ridge I of a (p, n) design."""
+    from scipy.linalg.lapack import dpotrf  # imported here: scipy.linalg slows package import
+
     M = At @ At.T / At.shape[1]
     M.ravel()[::M.shape[0] + 1] += ridge
     R, info = dpotrf(M, overwrite_a=True)
@@ -377,6 +391,8 @@ def _gram_factor(At: np.ndarray, ridge: float) -> np.ndarray:
 
 def _ridge_solve(R: np.ndarray, At: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients of the ridge fit of ``y`` on ``At`` whose Gram factor is ``R``."""
+    from scipy.linalg.lapack import dpotrs  # imported here, as in ``_gram_factor``
+
     c, _ = dpotrs(R, At @ y / At.shape[1])
     if not np.all(np.isfinite(c)):
         raise BasisError("regression produced non-finite coefficients")

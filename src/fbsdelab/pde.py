@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .artifacts import write_grid
 from .errors import ConfigError, DivergenceError, EvaluationError, SolverError
@@ -378,6 +377,8 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
             x = float(grid.x_nodes[int(np.argmax(bad))])
             raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
                                   witness=(float(t), x))
+    from scipy.linalg.lapack import dgbsv  # imported here: scipy.linalg slows package import
+
     _, _, v, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         x = float(grid.x_nodes[info - 1])

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +420,29 @@ def test_cli_main_exit_codes(tmp_path):
                 "--no-timestamps"])
     assert rc2 == 0
     assert (tmp_path / "o2" / "criteria_table.txt").exists()
+
+
+def test_cli_criteria_and_config_errors_do_not_load_lapack(tmp_path):
+    # LAPACK (scipy.linalg) is imported on the first solve: importing the CLI,
+    # a criteria-only run and a config error that exits 2 never load it
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SINGLE_TASK)
+    script = (
+        "import sys\n"
+        "from fbsdelab.cli import main\n"
+        "loaded = ['scipy.linalg' in sys.modules]\n"
+        f"rc = main(['criteria', '--config', {str(cfg_path)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--no-timestamps'])\n"
+        f"rc2 = main(['run', '--config', {str(tmp_path / 'missing.cfg')!r}])\n"
+        "loaded.append('scipy.linalg' in sys.modules)\n"
+        "print(rc, rc2, *loaded)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 2 False False"
 
 
 def test_cli_seed_override(tmp_path):

@@ -248,11 +248,11 @@ def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
 def test_gF_rotates_only_the_increments_the_sampler_reads(cubic):
     # Y_1/2 on 64 steps reads k_t = 32 increments: the unrotated draws are
     # evaluated once, and each of the 2 x 4 antithetic rotations reaches
-    # project as 32 contiguous rows, all of them read
+    # the projection as 32 contiguous rows, all of them read
     grid = fl.default_grid(cubic, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
     su = fl.solve_u(cubic, grid)
     sam = pde_y_sampler(cubic, su, 0.5, 64)
-    evaluate, project, shapes, reads = sam.evaluate, sam.project, [], []
+    evaluate, projector, shapes, reads = sam.evaluate, sam.projector, [], []
 
     def counted(dW):
         shapes.append(dW.shape)
@@ -266,8 +266,12 @@ def test_gF_rotates_only_the_increments_the_sampler_reads(cubic):
             reads[-1] += 1
             yield row
 
+    def counted_projector(phiw):
+        project = projector(phiw)
+        return lambda rows: project(rows_read(rows))
+
     sam.evaluate = counted
-    sam.project = lambda rows, phiw: project(rows_read(rows), phiw)
+    sam.projector = counted_projector
     estimate_gF(sam, n_mc=500, n_u_nodes=4, seed=3)
     assert shapes == [(500, 32)]
     assert reads == [32] * 8
@@ -384,7 +388,7 @@ def test_gF_uses_trapezoid_weights_of_nonuniform_nodes():
 
 
 def test_gF_holds_one_rotated_phi_at_a_time(cubic):
-    # a PDE sampler streams each rotation: no call of project allocates more
+    # a PDE sampler streams each rotation: no call of the projection allocates more
     # than a few (draws,) vectors (about 8: the rotated row, the flow's step
     # temporaries and the sum), against 33 for one (draws, nodes) block
     import tracemalloc
@@ -392,16 +396,21 @@ def test_gF_holds_one_rotated_phi_at_a_time(cubic):
 
     grid = fl.default_grid(cubic, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
     sam = pde_y_sampler(cubic, fl.solve_u(cubic, grid), 0.5, 64)
-    n, project, peaks = 4000, sam.project, []
+    n, projector, peaks = 4000, sam.projector, []
 
-    def traced(rows, phiw):
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        out = project(rows, phiw)
-        peaks.append(tracemalloc.get_traced_memory()[1] - held)
-        return out
+    def traced_projector(phiw):
+        project = projector(phiw)
 
-    sam.project = traced
+        def traced(rows):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = project(rows)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        return traced
+
+    sam.projector = traced_projector
     tracemalloc.start()
     try:
         estimate_gF(sam, n_mc=n, n_u_nodes=4, seed=3)
@@ -453,6 +462,100 @@ def test_streamed_projection_matches_the_materialised_one(model, cubic, cubic_gr
         for sg in (1.0, -1.0):
             rot = c * dW[:, :k - 1] + (sg * s) * dWs[:, :k - 1]
             want = np.einsum("ij,ji->i", sam.evaluate(rot)[1], phiw)
-            got = sam.project(iter(rot.T), phiw)
+            got = sam.projector(phiw)(iter(rot.T))
             assert np.all(want != 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _rotation_reference(spec, sam, slope):
+    """The per-rotation streamed projection, b and sigma evaluated at every step and node.
+
+    It steps X and, unless b_x = sigma_x = 0 fix it at 1, nablaX over the
+    rows, accumulates phiw[k] sigma(r_k, X_k) / nablaX_k from zero, and
+    multiplies the sum by slope(X_t) nablaX_t.
+    """
+    from itertools import islice
+
+    from fbsdelab import mc
+
+    dt, r = spec.T / sam.n_steps, sam.r_nodes
+    stepped = mc._fixed_variations(spec) == 0
+    bx, sx = spec.d("b_x"), spec.d("sigma_x")
+
+    def projector(phiw):
+        def project(rows):
+            n = phiw.shape[1]
+            x, nabla, acc = np.full(n, spec.X0, dtype=float), 1.0, np.zeros(n)
+            for k, dw in enumerate(islice(rows, r.size - 1)):
+                acc += phiw[k] * spec.sigma(r[k], x) / nabla
+                t = 0.0 + k * dt
+                if stepped:
+                    nabla = nabla * (1.0 + bx(t, x) * dt + sx(t, x) * dw)
+                x = x + spec.b(t, x) * dt + spec.sigma(t, x) * dw
+            acc += phiw[-1] * spec.sigma(r[-1], x) / nabla
+            return acc * (slope(x) * nabla)
+
+        return project
+
+    return projector
+
+
+@pytest.fixture(scope="module")
+def rotation_cases(cubic, cubic_grids, counter, counter_grids, quad_exp, quad_grids):
+    """name -> (spec, sampler, slope of F in X_t or None, whether the Phi-weight sum is hoisted)."""
+    def solved(spec):
+        grid = fl.default_grid(spec, nt=41, nx=201)
+        su = fl.solve_u(spec, grid)
+        return su, fl.solve_u_prime(spec, grid, sol_u=su)
+
+    def y_case(spec, grids, t, hoisted):
+        su, sp = grids
+        return spec, pde_y_sampler(spec, su, t, 24, sol_uprime=sp), sp.row_spline(t), hoisted
+
+    def z_case(spec, grids, t, hoisted):
+        _, sp = grids
+        ux, uxx, sx = sp.row_spline(t), sp.row_spline(t, sp.u_x), spec.d("sigma_x")
+        return (spec, pde_z_sampler(spec, sp, t, 24),
+                lambda x: ux(x) * sx(t, x) + uxx(x) * spec.sigma(t, x), hoisted)
+
+    folded = fl.expression_spec(b="0.3", sigma="2", g="sin(x)", h="0", f=None, T=1.0, X0=0.1)
+    tanh = fl.expression_spec(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x", h="0", f=None,
+                              T=1.0, X0=0.3)
+    folded_grids, tanh_grids = solved(folded), solved(tanh)
+    return {
+        "cubic-Z1": z_case(cubic, cubic_grids[1:], 1.0, True),
+        "cubic-Y0.5": y_case(cubic, cubic_grids[1:], 0.5, True),
+        "counter-Y0.5": y_case(counter, counter_grids[1:], 0.5, True),
+        "quad-Y0.5": y_case(quad_exp, quad_grids[1:], 0.5, True),
+        "folded-Y0.5": y_case(folded, folded_grids, 0.5, True),
+        "folded-Z1": z_case(folded, folded_grids, 1.0, True),
+        "tanh-Y0.5": y_case(tanh, tanh_grids, 0.5, False),
+        "brownian": (None, brownian_terminal_sampler(1.0, 24), None, False),
+    }
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("case", ["cubic-Z1", "cubic-Y0.5", "counter-Y0.5", "quad-Y0.5",
+                                  "folded-Y0.5", "folded-Z1", "tanh-Y0.5", "brownian"])
+def test_gF_matches_the_per_rotation_projection_bit_for_bit(rotation_cases, case, antithetic):
+    # b = 0.3, sigma = 2 folds the kernel's step and hoists the Phi-weight
+    # sum; b = -0.2 x, sigma = 1 + 0.2 tanh x steps nablaX and hoists nothing;
+    # the Brownian sampler has no streamed route and stacks the rows
+    import dataclasses
+
+    from fbsdelab import mc
+
+    spec, sam, slope, hoisted = rotation_cases[case]
+    if spec is not None:
+        assert (spec.constant("sigma") is not None and mc._fixed_variations(spec) >= 1) == hoisted
+        reference = _rotation_reference(spec, sam, slope)
+    else:
+        def reference(phiw):
+            return lambda rows: np.einsum("ij,ji->i", sam.evaluate(np.stack(tuple(rows)).T)[1],
+                                          phiw)
+    got = estimate_gF(sam, n_mc=2000, n_u_nodes=4, seed=5, antithetic=antithetic)
+    want = estimate_gF(dataclasses.replace(sam, streamed=reference), n_mc=2000, n_u_nodes=4,
+                       seed=5, antithetic=antithetic)
+    for field in dataclasses.fields(GFunction):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b), field.name

@@ -559,3 +559,47 @@ def test_index_of_rejects_times_outside_horizon(counter, t):
         with pytest.raises(PreconditionError, match=rf"t={t:g} lies outside \[0, T\] = \[0, 1\]"):
             ens.index_of(t, nearest=nearest)
     assert ens.index_of(1.0 + 5e-10, nearest=True) == 8
+
+
+def _stepped_states(spec, dW, dt):
+    """Time-major Euler states from X0, b and sigma evaluated at every step."""
+    X = [np.full(dW.shape[0], spec.X0, dtype=float)]
+    for k in range(dW.shape[1]):
+        x, t = X[-1], 0.0 + k * dt
+        X.append(x + spec.b(t, x) * dt + spec.sigma(t, x) * dW[:, k])
+    return np.stack(X)
+
+
+_KERNEL_MODELS = {
+    "b0-sigma1": dict(b="0", sigma="1", g="x", h="0", f="w", T=1.0, X0=0.0),
+    "b0.3-sigma2": dict(b="0.3", sigma="2", g="sin(x)", h="0", f=None, T=1.0, X0=0.1),
+    "stepped": dict(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x", h="0", f=None, T=1.0, X0=0.3),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_KERNEL_MODELS))
+def test_kernel_reads_constant_coefficients_once_with_the_stepped_bits(model):
+    # a constant b and sigma are read once: b dt = 0 adds nothing and sigma = 1
+    # multiplies nothing, with the bits of the recursion that evaluates both
+    from fbsdelab import mc
+
+    spec = fl.expression_spec(**_KERNEL_MODELS[model])
+    constant = model != "stepped"
+    assert (spec.constant("b") is not None and spec.constant("sigma") is not None) == constant
+    ens = fl.simulate_forward(spec, 300, 32, seed=6)
+    want = _stepped_states(spec, ens.dW, ens.dt)
+    assert np.array_equal(ens.X.T, want)
+    X, = _euler(spec, ens.dW, spec.X0, 0.0, ens.dt)
+    assert np.array_equal(X, want)
+    X1, _ = _euler(spec, ens.dW, spec.X0, 0.0, ens.dt, order=1)
+    assert np.array_equal(X1, want)
+    if not constant:
+        return
+    # path 3 reaches 1e308 at step 5; sigma = 2 overflows there, sigma = 1 one step later
+    dW = np.full((6, 8), 0.01)
+    dW[3, 4] = dW[3, 5] = 1e308
+    step = 5 if model == "b0.3-sigma2" else 6
+    with pytest.raises(EvaluationError) as err:
+        mc._euler(spec, dW, spec.X0, 0.0, 1.0 / 8)
+    assert str(err.value) == f"non-finite state at path 3, step {step}"
+    assert err.value.witness == (3, step)
