@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .artifacts import write_table
 from .config import TASK_DEPS, ExperimentConfig, parse_config, parse_value, task_closure
-from .criteria import CHECKS, TIMELESS, SharedBox
+from .criteria import CHECKS, TIMELESS
 from .density import density_from_gF, estimate_gF, pde_y_sampler, pde_z_sampler
 from .errors import EvaluationError, FbsdeLabError, ParseError, PreconditionError
 from .mc import STREAM_FORWARD, BasisSpec, _draw_increments, simulate_forward, solve_bsde_regression
@@ -119,13 +119,12 @@ def _solve(ctx: _Run) -> None:
 
 def _criteria(ctx: _Run) -> None:
     rows, times = [], ctx.params["criteria_times"]
-    evals = SharedBox(ctx.spec, times)  # each box partial evaluated once for all times
     for i, t in enumerate(times):
         for chk in ctx.params["criteria_checks"]:
             if i and chk in TIMELESS:
                 continue
             try:
-                rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t, evals).values()]
+                rows += [r.to_dict() for r in CHECKS[chk](ctx.spec, t).values()]
             except (PreconditionError, EvaluationError) as exc:
                 kind = "precondition" if isinstance(exc, PreconditionError) else "evaluation"
                 rows.append({"criterion": chk, "t": t, "verdict": f"{kind}-error",

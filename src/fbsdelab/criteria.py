@@ -29,13 +29,10 @@ failed structural gate.  Each ± pair runs over ``model.SIGNS``.  Every grid
 value comes from ``model.evaluate``, so a NaN or ±inf partial raises
 EvaluationError naming it and its node.
 
-The first-order, second-order and quadratic checks read the partials they
-extremize over [t, T] x box through a ``SharedBox``.  A criteria task builds
-one over all its times, so each of those partials and h̃ is evaluated once per
-task, on the union of the times' meshes, and kept as per-time-row minima and
-maxima; every check at t reads its own rows of them, and a NaN or ±inf in
-those rows raises t's own EvaluationError.  A check called alone builds one
-over its one time: the same code, and the same reports.
+The first-order, second-order and quadratic checks reduce each partial they
+extremize over [t, T] x box, and h̃, to per-time-row minima and maxima of the
+callable's own output: one finite-checked evaluation on the check's own mesh,
+never broadcast to the 4-D box.
 """
 
 from __future__ import annotations
@@ -48,10 +45,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, box_mesh, check_horizon,
-                    default_box, evaluate, evaluate_unchecked, sign_package)
+                    default_box, evaluate, sign_package)
 
 __all__ = [
-    "IntervalUnion", "CriterionReport", "VariationBounds", "SharedBox",
+    "IntervalUnion", "CriterionReport", "VariationBounds",
     "first_order_check", "second_order_check", "quadratic_check",
     "z_lipschitz_check", "z_quadratic_check", "z_markovian_check",
     "x_sign_check", "CHECKS", "TIMELESS",
@@ -184,96 +181,35 @@ def _running_inf(per_s: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(per_s[::-1])[::-1]
 
 
-def _row_extrema(vals: np.ndarray, mesh: tuple) -> tuple:
-    """(min, max) of each time row of ``vals``, a callable's own output on the open ``mesh``.
+def _own(vals: np.ndarray) -> np.ndarray:
+    """The callable's own output inside ``evaluate``'s result, with the mesh's dimensions.
 
-    A row's min or max is NaN or +-inf exactly when the row holds a NaN or +-inf.
+    ``evaluate`` broadcasts that output as a read-only view, which repeats it
+    along stride-0 axes; one entry of each such axis holds every value.
     """
-    n, dims = mesh[0].shape[0], mesh[0].ndim
-    if vals.ndim < dims or vals.shape[0] == 1:  # constant along s
-        return np.full(n, vals.min()), np.full(n, vals.max())
-    rows = vals.reshape(n, -1)
+    return vals[tuple(slice(None) if st else slice(0, 1) for st in vals.strides)]
+
+
+def _row_extrema(vals: np.ndarray) -> tuple:
+    """(min, max) of each time row (axis 0) of ``vals``, reduced over its own output only."""
+    own, n = _own(vals), vals.shape[0]
+    if own.shape[0] == 1:  # constant along s
+        return np.full(n, own.min()), np.full(n, own.max())
+    rows = own.reshape(n, -1)
     return rows.min(axis=1), rows.max(axis=1)
-
-
-class SharedBox:
-    """The box evaluations that the checks of one criteria task share over its times.
-
-    The time axis is the union of ``box_mesh(box, t)``'s over ``times``: the
-    box's nodes from the earliest t on, with each t that is not a node.  A
-    partial, or ``"htilde"``, is evaluated once on that mesh, unchecked, and
-    kept as each row's (min, max), plus, for each partial it reads, the rows
-    that hold a NaN or +-inf.  ``extrema`` hands a check at t its own rows.
-    When a partial is not finite on one of them, it is evaluated on t's own
-    mesh by ``evaluate``, which raises the EvaluationError of a per-t
-    evaluation (partials are pointwise), so errors stay per time.
-    """
-
-    def __init__(self, spec: ModelSpec, times: Sequence[float], box: Optional[GridBox] = None):
-        self.spec, self.box, self.times = spec, box or default_box(spec), list(times)
-        self.s = box_mesh(self.box, self.times, 1)[0]
-        self._rows = {t: np.searchsorted(self.s, box_mesh(self.box, t, 1)[0]) for t in self.times}
-        self._memo: dict = {}
-
-    def rows(self, t: float) -> np.ndarray:
-        """Indices of t's time rows, ``box_mesh(box, t)``'s s, in the shared axis."""
-        if t not in self._rows:
-            raise ValueError(f"t={t:g} is not one of the shared times {self.times}")
-        return self._rows[t]
-
-    def sigma_range(self) -> tuple:
-        """(inf, sup) of sigma on the box's (s, x) mesh over all its time nodes."""
-        if "sigma" not in self._memo:
-            sig = evaluate(self.spec, "sigma", *box_mesh(self.box, self.box.t_lo, 2))
-            self._memo["sigma"] = float(np.min(sig)), float(np.max(sig))
-        return self._memo["sigma"]
-
-    def _evaluate(self, name: str, dims: int) -> tuple:
-        read = []  # (partial, its dims, its non-finite rows, row min, row max), in read order
-
-        def unchecked(spec, partial, *args):
-            vals = evaluate_unchecked(spec, partial, *args)
-            lo, hi = _row_extrema(vals, args)
-            read.append((partial, len(args), ~(np.isfinite(lo) & np.isfinite(hi)), lo, hi))
-            return vals
-
-        mesh = box_mesh(self.box, self.times, dims)
-        if name != "htilde":
-            unchecked(self.spec, name, *mesh)
-            return read, read[0][3], read[0][4]
-        with np.errstate(all="ignore"):  # rows that no time reads may overflow
-            ht = _htilde_grid(self.spec, self.box, self.times, unchecked)[1]
-        return read, *_row_extrema(ht, mesh)
-
-    def extrema(self, name: str, t: float, dims: int = 4) -> tuple:
-        """(s, row minima, row maxima) of ``name`` over t's rows of the shared mesh."""
-        if (name, dims) not in self._memo:
-            self._memo[name, dims] = self._evaluate(name, dims)
-        read, lo, hi = self._memo[name, dims]
-        r = self.rows(t)
-        for partial, d, bad, *_ in read:
-            if bad[r].any():
-                evaluate(self.spec, partial, *box_mesh(self.box, t, d))  # raises t's error
-        return self.s[r], lo[r], hi[r]
-
-    def sup_abs(self, declared: Optional[float], name: str, t: float, dims: int = 4) -> float:
-        """A declared bound, else sup |name| over t's rows."""
-        if declared is not None:
-            return declared
-        _, lo, hi = self.extrema(name, t, dims)
-        return float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
 
 
 @dataclass
 class _Frame:
-    """What every check shares: the box evaluations (and their box), resolution, x-nodes,
-    g', the A-mask, the (inf, sup) of sigma on the box and the note that voids every
-    package, if any."""
+    """What every check shares: the box and its [t, T] meshes by dimension count,
+    resolution, x-nodes, g', the A-mask, the (inf, sup) of sigma on the box and
+    the note that voids every package, if any."""
 
     spec: ModelSpec
     t: float
     A: Optional[IntervalUnion]
-    ev: SharedBox
+    box: GridBox
+    meshes: dict
     res: float
     xg: np.ndarray
     g1: np.ndarray
@@ -281,9 +217,17 @@ class _Frame:
     sigma: tuple
     void: Optional[str]
 
-    @property
-    def box(self) -> GridBox:
-        return self.ev.box
+    def extrema(self, name: str, dims: int = 4) -> tuple:
+        """(s, row minima, row maxima) of ``name`` over [t, T] x box."""
+        mesh = self.meshes[dims]
+        return (mesh[0].ravel(), *_row_extrema(evaluate(self.spec, name, *mesh)))
+
+    def sup_abs(self, declared: Optional[float], name: str, dims: int = 4) -> float:
+        """A declared bound, else sup |name| over [t, T] x box."""
+        if declared is not None:
+            return declared
+        _, lo, hi = self.extrema(name, dims)
+        return float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
 
     def report(self, tag, verdict, margin, scalars, notes) -> CriterionReport:
         return CriterionReport(tag, self.t, repr(self.A) if self.A else None, verdict, margin,
@@ -319,30 +263,31 @@ class _Frame:
         return self.report(tag, verdict, sgn * margin, scalars, notes)
 
 
-def _frame(spec, t, A, box, resolution, partials, a_on=None, evals=None) -> _Frame:
+def _frame(spec, t, A, box, resolution, partials, a_on=None) -> _Frame:
     """Preamble of every check.  The resolution is fine only when each partial
     the check reads is exact; A is tested on ``a_on`` (the x-nodes by default)
     and a PreconditionError is raised when it misses them all or t is not in [0, T].
-    The box is that of ``evals``, a task's SharedBox, when one is given.
 
     Every package is void when sigma takes both signs or the value 0 on the
     box's (s, x) mesh over all its time nodes, since D_r Y_t reads sigma at
     r <= t, or, under (X), when no interval of A has positive length."""
     check_horizon(t, spec.T)
-    ev = evals or SharedBox(spec, [t], box)
+    box = box or default_box(spec)
     if resolution is None:
         resolution = 1e-8 if all(n in spec.partials for n in partials) else 1e-3
-    xg = ev.box.x_nodes()
+    xg = box.x_nodes()
     on = xg if a_on is None else a_on
     mask = A.contains(on) if A is not None else np.ones_like(on, dtype=bool)
     if not np.any(mask):
         raise PreconditionError("A does not intersect "
                                 + ("the declared box" if a_on is None else "f(T, w-box)"))
-    lo, hi = ev.sigma_range()
+    sig = evaluate(spec, "sigma", *box_mesh(box, box.t_lo, 2))
+    lo, hi = float(np.min(sig)), float(np.max(sig))
     void = (f"(X) fails: sigma takes values in [{lo:.3g}, {hi:.3g}] on the box" if lo <= 0.0 <= hi
             else "no interval of A has positive length: P(X_T in A | F_t) = 0"
             if A is not None and all(a == b for a, b in A.intervals) else None)
-    return _Frame(spec, t, A, ev, resolution, xg, evaluate(spec, "g1", xg), mask, (lo, hi), void)
+    return _Frame(spec, t, A, box, {d: box_mesh(box, t, d) for d in (2, 4)}, resolution, xg,
+                  evaluate(spec, "g1", xg), mask, (lo, hi), void)
 
 
 def _box_repr(box: GridBox) -> str:
@@ -354,8 +299,7 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
             gv: np.ndarray, h_rows: tuple, K: float, weighted: bool) -> dict:
     """The '+' and '-' packages of a first- or second-order condition.
 
-    ``h_rows`` is (s, row minima, row maxima) of h over [t, T] x box, as
-    ``SharedBox.extrema`` gives it.
+    ``h_rows`` is (s, row minima, row maxima) of h over [t, T] x box.
 
     '+' asks  e^{-KT} [G e^{-sgn(G) K T} + H(t) int_t^T e^{-sgn(H(s)) K s} [(T-s)] ds]
     >= 0 with G = inf g and H(s) = inf h over [s, T] x box, and > 0 with G over A
@@ -384,8 +328,7 @@ def _h_pair(fr: _Frame, stem: str, g_key: str, h_key: str, g_label: str,
 
 
 def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                      box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                      evals: Optional[SharedBox] = None) -> dict:
+                      box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """First-order conditions for a density of Y_t (Lipschitz regime).
 
     With K = k_b + k_y + k_sigma k_z, the '+' package asks
@@ -396,23 +339,21 @@ def first_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = No
     package is the '+' package of the negated model (g -> -g, h -> -h(t, x, -y, -z)).
     Margins are the left-hand sides times e^{-KT} (equal at K = 0), judged
     against the resolution times e^{-KT}, so the verdict is the left-hand side's.
-    ``evals`` is the SharedBox of a criteria task over its times (its box replaces ``box``).
     """
-    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"),
-                evals=evals)
-    c, ev = spec.constants, fr.ev
-    k_b = ev.sup_abs(c.k_b, "b_x", t, 2)
-    k_sigma = ev.sup_abs(c.k_sigma, "sigma_x", t, 2)
-    k_y = ev.sup_abs(c.k_y, "h_y", t)
-    k_z = ev.sup_abs(c.k_z, "h_z", t)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "b_x", "sigma_x", "h_y", "h_z"))
+    c = spec.constants
+    k_b = fr.sup_abs(c.k_b, "b_x", 2)
+    k_sigma = fr.sup_abs(c.k_sigma, "sigma_x", 2)
+    k_y = fr.sup_abs(c.k_y, "h_y")
+    k_z = fr.sup_abs(c.k_z, "h_z")
     K = k_b + k_y + k_sigma * k_z
-    return _h_pair(fr, "H", "g", "h", "g'", fr.g1, ev.extrema("h_x", t), K, weighted=False)
+    return _h_pair(fr, "H", "g", "h", "g'", fr.g1, fr.extrema("h_x"), K, weighted=False)
 
 
 # -- corrected second-order conditions ----------------------------------------
 
 
-def _htilde_grid(spec: ModelSpec, box: GridBox, t, read=evaluate):
+def _htilde_grid(spec: ModelSpec, box: GridBox, t: float):
     """Evaluate the second-order correction term on the (s,x,y,z) grid ``box_mesh(box, t)``.
 
     htilde = -(h_xt + b h_xx - h h_xy + (sigma^2 h_xxx + 2 z sigma h_xxy
@@ -420,31 +361,31 @@ def _htilde_grid(spec: ModelSpec, box: GridBox, t, read=evaluate):
               + z sigma_x h_xy),  all driver partials at (s, x, y).
 
     The bracket is the Ito generator of h_x(s, X_s, Y_s) with dY = -h ds + z dW.
-    ``read(spec, name, *args)``, ``evaluate`` by default, reads each partial, in this order.
+    Each partial is read by ``evaluate``, in this order, and the arithmetic runs on
+    the callables' own outputs; htilde comes back broadcast to the mesh as a view.
     """
     mesh = box_mesh(box, t)
     t4, x4, _, z4 = mesh
 
-    def E(name):
-        return read(spec, name, *mesh)
+    def E(name, *args):
+        return _own(evaluate(spec, name, *(args or mesh)))
 
-    bval, bx, sig, sigx = (read(spec, n, t4, x4) for n in ("b", "b_x", "sigma", "sigma_x"))
-    ht = -(E("h_xt") + bval * E("h_xx") - E("h") * E("h_xy")
-           + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z4 * sig * E("h_xxy") + z4**2 * E("h_xyy"))) \
-        - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z4 * sigx * E("h_xy"))
-    return mesh[0].ravel(), ht
+    bval, bx, sig, sigx = (E(n, t4, x4) for n in ("b", "b_x", "sigma", "sigma_x"))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as +-inf or NaN
+        ht = -(E("h_xt") + bval * E("h_xx") - E("h") * E("h_xy")
+               + 0.5 * (sig**2 * E("h_xxx") + 2.0 * z4 * sig * E("h_xxy") + z4**2 * E("h_xyy"))) \
+            - ((E("h_y") + bx) * E("h_x") + sig * sigx * E("h_xx") + z4 * sigx * E("h_xy"))
+    return mesh[0].ravel(), np.broadcast_to(ht, np.broadcast(*mesh).shape)
 
 
 def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                       box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                       evals: Optional[SharedBox] = None) -> dict:
+                       box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """Corrected second-order conditions (driver independent of z).
 
     Uses gtilde(x) = g'(x) + (T-t) h_x(T, x, g(x)), the correction term
     htilde above, K = k_y + k_b and the (T-s)-weighted sign-branch integral.
-    ``evals`` is the SharedBox of a criteria task over its times (its box replaces ``box``).
     """
-    box = evals.box if evals else box or default_box(spec)
+    box = box or default_box(spec)
     # precondition: h must not depend on z
     probe_t = np.linspace(t, spec.T, 5)[:, None]
     probe_x = np.linspace(box.x_lo, box.x_hi, 7)[None, :]
@@ -456,16 +397,16 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
             f"h_z != 0 near (t={float(probe_t[idx[0], 0]):g}, x={float(probe_x[0, idx[1]]):g})")
 
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx",
-                                               "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"),
-                evals=evals)
-    c, ev = spec.constants, fr.ev
+                                               "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"))
+    c = spec.constants
     k_b = c.k_b if c.k_b is not None else float(np.max(np.abs(
         evaluate(spec, "b_x", *np.ix_(np.linspace(0, spec.T, 9), fr.xg)))))
-    k_y = ev.sup_abs(c.k_y, "h_y", t)
+    k_y = fr.sup_abs(c.k_y, "h_y")
     K = k_y + k_b
 
     gt = fr.g1 + (spec.T - t) * evaluate(spec, "h_x", spec.T, fr.xg, evaluate(spec, "g", fr.xg), 0.0)
-    return _h_pair(fr, "Htilde", "gtilde", "htilde", "gtilde", gt, ev.extrema("htilde", t), K,
+    s, ht = _htilde_grid(spec, box, t)
+    return _h_pair(fr, "Htilde", "gtilde", "htilde", "gtilde", gt, (s, *_row_extrema(ht)), K,
                    weighted=True)
 
 
@@ -473,15 +414,14 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
 
 
 def quadratic_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = None,
-                    box: Optional[GridBox] = None, resolution: Optional[float] = None,
-                    evals: Optional[SharedBox] = None) -> dict:
+                    box: Optional[GridBox] = None, resolution: Optional[float] = None) -> dict:
     """Sign conditions for a density of Y_t under a quadratic-growth driver.
 
     '+': g' >= 0 everywhere, g' > 0 on A, and inf h_x over [t,T] >= 0;
-    '-' mirrors the signs.  ``evals`` is as in ``first_order_check``.
+    '-' mirrors the signs.
     """
-    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"), evals=evals)
-    _, hx_lo, hx_hi = fr.ev.extrema("h_x", t)
+    fr = _frame(spec, t, A, box, resolution, ("g1", "h_x"))
+    _, hx_lo, hx_hi = fr.extrema("h_x")
     out = {}
     for sgn, sign in SIGNS:
         m1 = float(np.min(sgn * fr.g1))
@@ -683,18 +623,17 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
     return out
 
 
-# The checks a config's criteria_checks may name, each called as check(spec, t, evals),
-# with evals a task's SharedBox over its times or None; the checks that extremize
-# over [t, T] read it.  Names resolve at call time, so wrappers installed on this
-# module are used.
+# The checks a config's criteria_checks may name, each called as check(spec, t).  Each
+# entry looks its check up on this module at call time, so wrappers installed here
+# (the benchmark's tracer) are used.
 CHECKS = {
-    "first-order": lambda spec, t, evals=None: first_order_check(spec, t, evals=evals),
-    "second-order": lambda spec, t, evals=None: second_order_check(spec, t, evals=evals),
-    "quadratic": lambda spec, t, evals=None: quadratic_check(spec, t, evals=evals),
-    "z-lipschitz": lambda spec, t, evals=None: z_lipschitz_check(spec, t),
-    "z-quadratic": lambda spec, t, evals=None: z_quadratic_check(spec, t),
-    "z-markovian": lambda spec, t, evals=None: z_markovian_check(spec, t),
-    "x-sign": lambda spec, t, evals=None: x_sign_check(spec),
+    "first-order": lambda spec, t: first_order_check(spec, t),
+    "second-order": lambda spec, t: second_order_check(spec, t),
+    "quadratic": lambda spec, t: quadratic_check(spec, t),
+    "z-lipschitz": lambda spec, t: z_lipschitz_check(spec, t),
+    "z-quadratic": lambda spec, t: z_quadratic_check(spec, t),
+    "z-markovian": lambda spec, t: z_markovian_check(spec, t),
+    "x-sign": lambda spec, t: x_sign_check(spec),
 }
 # The checks that read no t: a run over several times reports them once, at the first.
 TIMELESS = frozenset({"x-sign"})

@@ -275,8 +275,14 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
 
 def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
                   n_steps: int = 64) -> FunctionalSampler:
-    """F = Z_t = u_x(t, X_t) sigma(t, X_t); Phi(r) = D_r Z_t by the chain rule."""
-    sx = spec.d("sigma_x")
+    """F = Z_t = u_x(t, X_t) sigma(t, X_t); Phi(r) = D_r Z_t by the chain rule.
+
+    The slope in X_t is u_x sigma_x + u_xx sigma.  When sigma_x is the constant
+    0 (every preset), the first term is not evaluated: it is a signed zero
+    there, so the slope keeps its bits except where a -0.0 or a non-finite u_x
+    would have entered.
+    """
+    sx = None if spec.constant("sigma_x") == 0.0 else spec.d("sigma_x")
     ux_s = sol_uprime.row_spline(t)
     uxx_s = sol_uprime.row_spline(t, sol_uprime.u_x)
 
@@ -284,6 +290,8 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
         return ux_s(xt) * spec.sigma(t, xt)
 
     def slope(xt):
+        if sx is None:
+            return uxx_s(xt) * spec.sigma(t, xt)
         return ux_s(xt) * sx(t, xt) + uxx_s(xt) * spec.sigma(t, xt)
 
     return _pde_sampler(spec, t, n_steps, value, slope, f"Z_{t} via gradient grid")
@@ -334,7 +342,7 @@ def _dot(a, b):
     return np.einsum("i,i", a, b)
 
 
-def _bin_means(xdata, ydata, nodes, n_bins, min_count):
+def _bin_means(xdata, ydata, nodes, n_bins):
     order = np.argsort(xdata)
     xs, ys = xdata[order], ydata[order]
     edges = np.linspace(0, xs.size, n_bins + 1).astype(int)
@@ -379,15 +387,18 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
     dt = sampler.T / sampler.n_steps
-    dW, dWs = (_draw_increments(seed, s, n_mc, sampler.n_steps, dt)[:, :sampler.r_nodes.size - 1]
-               for s in (STREAM_FORWARD, STREAM_COUPLING))
 
+    def draw(stream):
+        return _draw_increments(seed, stream, n_mc, sampler.n_steps, dt)[:, :sampler.r_nodes.size - 1]
+
+    dW = draw(STREAM_FORWARD)
     F, Phi = sampler.evaluate(dW)
     h = np.diff(sampler.r_nodes)
     w = 0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0)))
     # time-major and out of place: Phi may be shared
     phiw = np.multiply(Phi.T, w[:, None], out=np.empty((w.size, n_mc)))
     del Phi
+    dWs = draw(STREAM_COUPLING)  # an independent stream, drawn once Phi is gone
     project = sampler.projector(phiw)
     signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)
@@ -410,7 +421,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
         est, se, neff = _loclin(x, R, nodes, bw)
     elif cond.kind == "bins":
         bw = float("nan")
-        est, se, neff = _bin_means(x, R, nodes, cond.n_bins, cond.min_count)
+        est, se, neff = _bin_means(x, R, nodes, cond.n_bins)
     else:
         raise PreconditionError(f"unknown conditional estimator {cond.kind!r}")
     clipped = est < 0

@@ -606,7 +606,7 @@ def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
         return lambda k, t, x: (sol.Y[:, k], sol.Z[:, min(k, last)])
     sol_u, sol_up = sol if isinstance(sol, tuple) else (sol, None)
 
-    def at(k, t, x):
+    def at(_k, t, x):
         ux = sol_up.eval(t, x) if sol_up is not None else sol_u.eval(t, x, array=sol_u.u_x)
         return sol_u.eval(t, x), ux * spec.sigma(t, x)
 
@@ -803,8 +803,7 @@ def _z_slope(spec: ModelSpec, sol_uprime: GridSolution, tk: float, xk: np.ndarra
     return ux, uxx, ux * spec.d("sigma_x")(tk, xk) + uxx * spec.sigma(tk, xk)
 
 
-def second_malliavin(spec: ModelSpec, sol_u: GridSolution,
-                     sol_uprime: Optional[GridSolution], ens: PathEnsemble,
+def second_malliavin(spec: ModelSpec, sol_uprime: Optional[GridSolution], ens: PathEnsemble,
                      r: float, s: float) -> SecondMalliavinResult:
     """Second Malliavin derivative D^2_{r,s} Y and the D_r Z limit.
 

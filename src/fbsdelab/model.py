@@ -278,18 +278,16 @@ def check_horizon(t: float, T: float) -> None:
         raise PreconditionError(f"t={t:g} lies outside [0, T] = [0, {T:g}]")
 
 
-def box_mesh(box: GridBox, t, dims: int = 4) -> tuple:
+def box_mesh(box: GridBox, t: float, dims: int = 4) -> tuple:
     """Open (s, x, y, z) mesh of the box, cut to its first ``dims`` axes.
 
     The time axis s is the box's nodes in [t, t_hi], with t prepended when it
-    is not a node, so ``t = box.t_lo`` gives every time node.  For a sequence
-    of times s is the sorted union of their axes; one time alone gives its own.
+    is not a node, so ``t = box.t_lo`` gives every time node.
     """
-    nodes, axes = box.t_nodes(), []
-    for ti in np.atleast_1d(t).tolist():
-        s = nodes[nodes >= ti - 1e-12]
-        axes.append(s if s.size and s[0] <= ti + 1e-12 else np.concatenate([[ti], s]))
-    s = np.unique(np.concatenate(axes))
+    s = box.t_nodes()
+    s = s[s >= t - 1e-12]
+    if s.size == 0 or s[0] > t + 1e-12:
+        s = np.concatenate([[t], s])
     return np.ix_(*(s, box.x_nodes(), box.y_nodes(), box.z_nodes())[:dims])
 
 
@@ -298,16 +296,6 @@ def _node(args, score) -> tuple:
     shape = np.broadcast(*args).shape
     i = np.unravel_index(int(np.argmax(np.broadcast_to(score, shape))), shape)
     return tuple(float(np.broadcast_to(a, shape)[i]) for a in args)
-
-
-def evaluate_unchecked(spec: "ModelSpec", name: str, *args) -> np.ndarray:
-    """The callable's own output for ``name`` at ``args`` as floats, unbroadcast and unchecked.
-
-    This is what ``evaluate`` tests; numpy's floating-point warnings are off.
-    """
-    fn = spec.d(name) if name in _PARTIALS else spec.markovian_f if name == "f" else getattr(spec, name)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.asarray(fn(*args), dtype=float)
 
 
 def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
@@ -320,7 +308,9 @@ def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
     witness: the arguments at the first such value.  Numpy's floating-point
     warnings are off for the call, since the error reports the value.
     """
-    vals = evaluate_unchecked(spec, name, *args)
+    fn = spec.d(name) if name in _PARTIALS else spec.markovian_f if name == "f" else getattr(spec, name)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(fn(*args), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
         coeff = _PARTIALS[name][0] if name in _PARTIALS else name

@@ -457,7 +457,7 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
         sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
     terminal = _on_grid(spec.d("g1"), xn)
 
-    def coef(t, v, vx):
+    def coef(t, v, _vx):
         sig, bb, sig_x, bx = _forward_at(spec, t, xn, "sigma_x", "b_x")
         hz, hy, hx = _driver_at(spec, t, xn, sol_u, sig * v, "h_z", "h_y", "h_x")
         a2 = 0.5 * sig**2
@@ -488,7 +488,7 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
     terminal = _on_grid(spec.d("g2"), xn)
     cap = 4.0 * max(float(np.max(np.abs(terminal))), 1e-12) + 1e6 * np.finfo(float).eps
 
-    def coef(t, w, wx):
+    def coef(t, w, _wx):
         v = sol_uprime.row(t)
         sig, bb, sig_x, sig_xx, bx, bxx = _forward_at(spec, t, xn,
                                                       "sigma_x", "sigma_xx", "b_x", "b_xx")

@@ -624,53 +624,58 @@ def test_non_finite_partial_raises_with_finite_witness(check):
 
 WITNESS_MODEL = "[model]\nb = 0\nsigma = 1\ng = x\nh = x*exp(2000*(0.65-t))\n"
 SPIKE_MODEL = "[model]\nb = 0\nsigma = 1\ng = x\nh = 0.5*x - x*exp(-(1000*(t-0.7771))^2)\n"
-
-
-def _outcome(name, spec, t, evals=None):
-    """The reports of check ``name`` at t, or the type, message and witness of its error."""
-    from fbsdelab.errors import EvaluationError
-
-    try:
-        return criteria.CHECKS[name](spec, t, evals)
-    except (PreconditionError, EvaluationError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+MIXED_MODEL = "[model]\nb = 0\nsigma = 1\ng = x\nh = x*sin(y) + 0.01*x^2*z + t*x\n"
 
 
 @pytest.mark.parametrize("times", [[0.1, 0.25, 0.5],            # box nodes
                                    [0.9, 0.3, 0.3, 0.0123, 1.0, 0.7771]])  # unsorted, repeat, off-node, T
-@pytest.mark.parametrize("model", ["counter", "cubic", "quad_exp", "spike"])
-def test_shared_box_reports_equal_lone_checks(request, model, times):
-    # a task evaluates each box partial once over all its times; every time
-    # must still get exactly the reports (or the error) of a lone call.  The
-    # spike model's h_x has its minimum on the off-node row s = 0.7771, which
-    # only the times whose own mesh holds that row may read
-    spec = (parse_config(SPIKE_MODEL).build_spec() if model == "spike"
-            else request.getfixturevalue(model))
-    evals = criteria.SharedBox(spec, times)
-    for name in ("first-order", "second-order", "quadratic"):
-        for t in times:
-            assert _outcome(name, spec, t, evals) == _outcome(name, spec, t)
+@pytest.mark.parametrize("model", ["counter", "cubic", "quad_exp", "spike", "mixed"])
+def test_row_extrema_equal_full_box_reduction(request, model, times):
+    # a check reduces the callable's own output per time row; its extrema of
+    # h_x must be those of the broadcast 4-D box.  The spike model's h_x has
+    # its minimum -0.5 on the off-node row s = 0.7771, which only t = 0.7771's
+    # own mesh holds; the mixed model's h_x varies along every axis
+    from fbsdelab.model import box_mesh, default_box, evaluate
+
+    text = {"spike": SPIKE_MODEL, "mixed": MIXED_MODEL}.get(model)
+    spec = parse_config(text).build_spec() if text else request.getfixturevalue(model)
+    box = default_box(spec)
+    for t in times:
+        hx = evaluate(spec, "h_x", *box_mesh(box, t))
+        for rep in (first_order_check(spec, t), quadratic_check(spec, t)):
+            lo, hi = (r.scalars["h_extremum_t"] for r in rep.values())  # '+', then '-'
+            assert (lo, hi) == (np.min(hx), np.max(hx))
+    if model == "spike" and 0.7771 in times:
+        assert first_order_check(spec, 0.7771)["H+"].scalars["h_extremum_t"] == -0.5
+        assert first_order_check(spec, 0.3)["H+"].scalars["h_extremum_t"] > 0.48
 
 
-def test_shared_box_keeps_errors_per_time():
-    # h_x = exp(2000 (0.65 - t)) overflows on s < 0.3: t = 0.1 reads those rows
-    # and fails, 0.5 and 0.9 do not, although the shared mesh holds them all
+def _outcome(name, spec, t):
+    """The reports of check ``name`` at t, or the type, message and witness of its error."""
+    from fbsdelab.errors import EvaluationError
+
+    try:
+        return criteria.CHECKS[name](spec, t)
+    except (PreconditionError, EvaluationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def test_box_errors_stay_per_time():
+    # h_x = x exp(2000 (0.65 - t)) overflows on s < 0.3: t = 0.1 reads those
+    # rows and fails, 0.5 and 0.9 do not
     spec = parse_config(WITNESS_MODEL).build_spec()
-    times = [0.1, 0.5, 0.9]
-    evals = criteria.SharedBox(spec, times)
     for name, partial in (("first-order", "h_x = inf"), ("second-order", "h_xt = -inf")):
-        got = [_outcome(name, spec, t, evals) for t in times]
-        assert got == [_outcome(name, spec, t) for t in times]
+        got = [_outcome(name, spec, t) for t in (0.1, 0.5, 0.9)]
         assert got[0][:2] == ("EvaluationError", f"{partial} at (t, x, y, z) = (0.1, -6, -20, -20)")
         assert all(isinstance(g, dict) for g in got[1:])
 
 
-def test_shared_box_evaluates_each_partial_once():
+def test_box_partial_evaluated_once_unbroadcast():
     calls = []
 
     def h_x(t, x, y, z):
         calls.append(np.shape(t))
-        return 1.0 + 0.0 * (t + x)
+        return 1.0 + 0.0 * t
 
     one = lambda t, x: 1.0 + 0.0 * x
     zero4 = lambda t, x, y, z: 0.0 * x
@@ -679,10 +684,11 @@ def test_shared_box_evaluates_each_partial_once():
                                                  "h_y": zero4, "h_z": zero4,
                                                  "b_x": lambda t, x: 0.0 * x,
                                                  "sigma_x": lambda t, x: 0.0 * x})
-    times = [0.1, 0.5, 0.9, 0.5]
-    evals = criteria.SharedBox(spec, times)
-    reports = [first_order_check(spec, t, evals=evals) for t in times]
+    rep = first_order_check(spec, 0.1)
     assert calls == [(37, 1, 1, 1)]  # the box's time nodes from 0.1 on
-    assert reports == [first_order_check(spec, t) for t in times]
-    with pytest.raises(ValueError, match="not one of the shared times"):
-        first_order_check(spec, 0.7, evals=evals)
+    assert rep["H+"].scalars["h_extremum_t"] == 1.0
+    # the rows are reduced over that (37, 1, 1, 1) output, not its 4-D broadcast
+    from fbsdelab.model import box_mesh, default_box, evaluate
+
+    mesh = box_mesh(default_box(spec), 0.1)
+    assert criteria._own(evaluate(spec, "h_x", *mesh)).shape == (37, 1, 1, 1)

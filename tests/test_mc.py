@@ -341,9 +341,9 @@ def test_z_from_malliavin_quad_exp(quad_exp, quad_grids):
 
 
 def test_second_malliavin_cubic(cubic, cubic_grids):
-    _, su, sp = cubic_grids
+    _, _, sp = cubic_grids
     ens = fl.simulate_forward(cubic, 2000, 32, seed=23)
-    res = fl.second_malliavin(cubic, su, sp, ens, r=0.25, s=0.5)
+    res = fl.second_malliavin(cubic, sp, ens, r=0.25, s=0.5)
     np.testing.assert_allclose(res.D2X[:, ens.index_of(0.5):], 0.0, atol=0)
     k = ens.index_of(0.75)
     w = ens.X[:, k]
@@ -353,18 +353,17 @@ def test_second_malliavin_cubic(cubic, cubic_grids):
 
 
 def test_second_malliavin_counter_zero(counter, counter_grids):
-    _, su, sp = counter_grids
+    _, _, sp = counter_grids
     ens = fl.simulate_forward(counter, 500, 32, seed=24)
-    res = fl.second_malliavin(counter, su, sp, ens, r=0.25, s=0.5)
+    res = fl.second_malliavin(counter, sp, ens, r=0.25, s=0.5)
     k = ens.index_of(0.75)
     np.testing.assert_allclose(res.D2Y[:, k], 0.0, atol=1e-8)
 
 
-def test_second_malliavin_needs_uprime(counter, counter_grids):
-    _, su, _ = counter_grids
+def test_second_malliavin_needs_uprime(counter):
     ens = fl.simulate_forward(counter, 100, 16, seed=25)
     with pytest.raises(PreconditionError):
-        fl.second_malliavin(counter, su, None, ens, r=0.25, s=0.5)
+        fl.second_malliavin(counter, None, ens, r=0.25, s=0.5)
 
 
 def test_euler_variations_match_central_differences():
@@ -427,9 +426,9 @@ def test_second_malliavin_geometric(counter_grids):
         g=lambda x: x, h=lambda t, x, y, z: 0.0 * x, T=1.0, X0=1.0,
         partials={"b_x": lambda t, x: 0.0 * x, "b_xx": lambda t, x: 0.0 * x,
                   "sigma_x": lambda t, x: a + 0.0 * x, "sigma_xx": lambda t, x: 0.0 * x})
-    _, su, sp = counter_grids  # D2X does not read the grids
+    _, _, sp = counter_grids  # D2X does not read the grids
     ens = fl.simulate_forward(spec, 500, 32, seed=28)
-    res = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    res = fl.second_malliavin(spec, sp, ens, r=0.25, s=0.5)
     k = ens.index_of(0.5)
     np.testing.assert_allclose(res.D2X[:, k:], a * a * ens.X[:, k:], rtol=1e-8)
     assert np.all(np.isnan(res.D2X[:, :k]))
@@ -501,17 +500,17 @@ def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monk
 
     spec = cubic if model == "cubic" else fl.expression_spec(
         b="sin(x)", sigma="1 + 0.3*tanh(x)", g="x", h="0", f=None, T=1.0, X0=0.4)
-    _, su, sp = cubic_grids
+    _, _, sp = cubic_grids
     ens = fl.simulate_forward(spec, 600, 32, seed=41)
     held = mc._variations(spec, ens, order=2)
     assert np.shares_memory(held[0], ens.X)
     nabla = fl.variational_processes(spec, ens)
-    second = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    second = fl.second_malliavin(spec, sp, ens, r=0.25, s=0.5)
     monkeypatch.setattr(mc, "_variations", _restep)
     for a, b in zip(held, _restep(spec, ens, order=2)):
         assert np.array_equal(a, b)
     assert np.array_equal(nabla, fl.variational_processes(spec, ens))
-    again = fl.second_malliavin(spec, su, sp, ens, r=0.25, s=0.5)
+    again = fl.second_malliavin(spec, sp, ens, r=0.25, s=0.5)
     assert np.array_equal(second.D2X, again.D2X, equal_nan=True)
     assert np.array_equal(second.D2Y, again.D2Y, equal_nan=True)
 

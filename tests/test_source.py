@@ -1,0 +1,40 @@
+"""Source checks over ``src/fbsdelab``: every named parameter is read by its function.
+
+A parameter that its body never reads is an option no value can change.  Names
+that start with ``_`` are exempt (a signature that must take an argument it does
+not use says so), and so are lambdas and ``*args``/``**kwargs``.  Nested
+functions count as part of the body that defines them, so a closure reading an
+outer parameter reads it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fbsdelab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _unread_parameters(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{fn.lineno} {fn.name}({p})" for p in params
+                   if not p.startswith("_") and p not in read]
+    return unread
+
+
+def test_source_modules_found():
+    assert {p.name for p in MODULES} >= {"criteria.py", "density.py", "mc.py", "model.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == []
