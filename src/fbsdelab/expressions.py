@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["compile_expression", "parse_expression", "differentiate", "constant_value",
-           "ALLOWED_FUNCTIONS", "ALLOWED_VARIABLES"]
+__all__ = ["compile_expression", "parse_expression", "differentiate", "variables_read",
+           "constant_value", "ALLOWED_FUNCTIONS", "ALLOWED_VARIABLES"]
 
 ALLOWED_FUNCTIONS = {
     "exp": np.exp,
@@ -236,13 +236,17 @@ def _variables(tree: tuple) -> set:
     return set().union(*(_variables(a) for a in tree[1:] if isinstance(a, tuple)))
 
 
-def constant_value(source) -> Optional[float]:
-    """The value of an expression string or tree that reads no variable, else None.
+def variables_read(source) -> frozenset:
+    """The variable names an expression string or tree reads (``w`` is read as x)."""
+    return frozenset(_variables(parse_expression(source) if isinstance(source, str) else source))
+
+
+def constant_value(source) -> float:
+    """The value of an expression string or tree that reads no variable (see ``variables_read``).
 
     It is the value the compiled callable returns, bit for bit.
     """
-    tree = parse_expression(source) if isinstance(source, str) else source
-    return None if _variables(tree) else float(_eval(tree, {}))
+    return float(_eval(parse_expression(source) if isinstance(source, str) else source, {}))
 
 
 def parse_expression(text: str) -> tuple:

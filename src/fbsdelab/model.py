@@ -35,7 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, PreconditionError, UnknownPresetError
-from .expressions import compile_expression, constant_value, differentiate, parse_expression
+from .expressions import (compile_expression, constant_value, differentiate, parse_expression,
+                          variables_read)
 
 __all__ = [
     "Constants",
@@ -68,6 +69,12 @@ _PARTIALS = {
 # computed by central differences (ModelSpec.d).
 PARTIAL_NAMES = tuple(_PARTIALS)
 _BY_VARIABLES = {v: k for k, v in _PARTIALS.items()}
+
+
+def coefficient_of(name: str) -> str:
+    """The coefficient that a coefficient or ``PARTIAL_NAMES`` entry belongs to."""
+    return _PARTIALS[name][0] if name in _PARTIALS else name
+
 
 # Relative finite-difference steps per derivative order; chosen near the
 # usual truncation/roundoff optimum for central differences in float64.
@@ -207,23 +214,41 @@ class ModelSpec:
             raise KeyError(name)
         return self._fd(name)
 
-    def constant(self, name: str) -> Optional[float]:
-        """The value of a coefficient or partial that is a constant expression, else None.
-
-        ``name`` is a coefficient (b, sigma, g, h, f) or one of ``PARTIAL_NAMES``.
-        The value is read from the expression tree a compiled callable carries:
-        a coefficient's parsed tree, or the folded symbolic derivative
-        ``expression_spec`` builds.  An opaque callable, a partial supplied as
-        one through ``partials`` and a differenced partial give None.
-        """
+    def _expression(self, name: str):
+        """The expression string or tree the compiled callable of ``name`` carries, else None."""
         if name in COEFFICIENT_ARGS:
             fn = self.markovian_f if name == "f" else getattr(self, name)
         elif name in PARTIAL_NAMES:
             fn = self.partials.get(name)
         else:
             raise KeyError(name)
-        source = getattr(fn, "expression", None)
-        return None if source is None else constant_value(source)
+        return getattr(fn, "expression", None)
+
+    def reads(self, name: str) -> Optional[frozenset]:
+        """The arguments the expression tree of a coefficient or partial reads, else None.
+
+        ``name`` is a coefficient (b, sigma, g, h, f) or one of ``PARTIAL_NAMES``;
+        the set holds names from its ``COEFFICIENT_ARGS`` (``w`` for f's
+        space argument).  The tree is the one a compiled callable carries: a
+        coefficient's parsed tree, or the folded symbolic derivative
+        ``expression_spec`` builds.  An opaque callable, a partial supplied as
+        one through ``partials`` and a differenced partial give None, so None
+        means "may read any argument".
+        """
+        source = self._expression(name)
+        if source is None:
+            return None
+        found = variables_read(source)
+        return frozenset(a for a in COEFFICIENT_ARGS[coefficient_of(name)]
+                         if ("x" if a == "w" else a) in found)
+
+    def constant(self, name: str) -> Optional[float]:
+        """The value of a coefficient or partial whose tree reads no argument, else None.
+
+        The value is the one its compiled callable returns, bit for bit; see
+        ``reads`` for which callables carry a tree.
+        """
+        return constant_value(self._expression(name)) if self.reads(name) == frozenset() else None
 
     def _step(self, v, order):
         base = self.fd_step if order == 1 else _FD_STEP[order]
@@ -313,10 +338,9 @@ def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
         vals = np.asarray(fn(*args), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
-        coeff = _PARTIALS[name][0] if name in _PARTIALS else name
         node = _node(args, bad)
         raise EvaluationError(f"{name} = {vals.flat[int(np.argmax(bad))]:g} at "
-                              f"({', '.join(COEFFICIENT_ARGS[coeff])}) = "
+                              f"({', '.join(COEFFICIENT_ARGS[coefficient_of(name)])}) = "
                               f"({', '.join(f'{v:g}' for v in node)})", witness=node)
     shape = np.broadcast(*args).shape
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)

@@ -20,11 +20,21 @@ frozen-coefficient Picard sweeps within each time step.  A step's sweeps
 stop when the relative change of the iterate falls below the tolerance, or,
 without a further solve, when the coefficients at the new iterate are bitwise
 those of the step's last solve: that solve would return the same iterate, and
-the iteration is counted as if it ran.  The coefficients of the last
-evaluation are reused when (t, iterate) repeat bit for bit, so the explicit
-half-step reads those at which the step before stopped.  The artificial
-boundary imposes a vanishing second difference (linear extrapolation) by
-default, matching the polynomial growth of the solutions of interest.
+the iteration is counted as if it ran.  The artificial boundary imposes a
+vanishing second difference (linear extrapolation) by default, matching the
+polynomial growth of the solutions of interest.
+
+Each sweep computes only what its inputs move, and every value keeps the bits
+of a loop that recomputes everything:
+
+* a coefficient or partial whose expression reads neither t nor y/z
+  (``ModelSpec.reads``) is evaluated once per solve, at the x nodes;
+* the coefficients of the last evaluation are reused when (t, iterate) repeat
+  bit for bit, or when t repeats and no coefficient reads the iterate, so
+  the explicit half-step reads those at which the step before stopped;
+* the implicit matrix is LU-factored by LAPACK's gbtrf only when theta dt or
+  the bits of its coefficients differ from the last solve's; each solve is
+  one gbtrs.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import numpy as np
 
 from .artifacts import write_grid
 from .errors import ConfigError, DivergenceError, EvaluationError, SolverError
-from .model import ModelSpec, _on_grid
+from .model import COEFFICIENT_ARGS, ModelSpec, _on_grid, coefficient_of
 
 __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
            "solve_u_doubleprime", "eval_yz", "default_grid"]
@@ -264,26 +274,32 @@ def _apply_operator(a2, a1, a0, v, dx):
 
 def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                     theta: float, max_iter: int, tol: float,
-                    blowup_cap: Optional[float] = None):
+                    blowup_cap: Optional[float] = None, reads_v: bool = True):
     """Generic theta-scheme backward solver for v_t = -[a2 v_xx + a1 v_x + a0 v + s].
 
-    coef_fn(t, v_frozen, v_frozen_x) must be a pure function returning arrays
+    coef_fn(t, v_frozen) must be a pure function returning arrays
     (a2, a1, a0, s) over x_nodes, with any nonlinear dependence evaluated at
-    the frozen iterate.  Its last evaluation is reused when (t, v) repeat bit
-    for bit, as when the explicit half-step at t_{n+1} reads the iterate on
-    which step n+1 stopped.  A Picard iteration whose coefficients are bitwise
-    those of the step's last solve would solve the same system again and
-    return the same iterate (delta = 0): it stops the step without the solve
-    and is counted as run.  Returns (values, max Picard iterations used).
+    the frozen iterate; ``reads_v`` False says that none of them depends on
+    it.  The last evaluation is reused when its key repeats bit for bit: (t, v),
+    or t alone without ``reads_v``.  So the explicit half-step at t_{n+1} reads
+    the evaluation on which step n+1 stopped, and without ``reads_v`` a step
+    evaluates once.  A Picard iteration whose coefficients are bitwise those
+    of the step's last solve would solve the same system again and return the
+    same iterate (delta = 0): it stops the step without the solve and is
+    counted as run.  The sweep keeps the LU factor of the last matrix it
+    solved with (``_solve_implicit``), so a matrix is factored again only when
+    w = theta dt or the bits of (a2, a1, a0) change.  Returns (values, max
+    Picard iterations used).
     """
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
     nt, nx = tn.size, xn.size
-    last = [None, None]  # (t, bytes of v) of the last evaluation, its coefficients
+    last = [None, None]  # key of the last evaluation, its coefficients
+    factor = [None, None, None]  # key, LU factor and pivots of the last matrix factored
 
     def coefs(t, v):
-        key = (t, v.tobytes())
+        key = (t, v.tobytes()) if reads_v else t
         if key != last[0]:
-            last[:] = key, coef_fn(t, v, _centered_dx(v, dx))
+            last[:] = key, coef_fn(t, v)
         return last[1]
 
     v_all = np.empty((nt, nx))
@@ -311,7 +327,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
             else:
                 a2, a1, a0, s = c
                 rhs = explicit + dt * theta * _src_pad(s)
-                v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new)
+                v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new, factor)
                 if not np.all(np.isfinite(v_new)):
                     raise SolverError(f"non-finite iterate at t={t_new:.6g}", residual=float("inf"))
                 delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
@@ -339,16 +355,14 @@ def _src_pad(s):
     return out
 
 
-def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
-    """Solve (I - w L) v = rhs with boundary closure rows; banded (2,2) system.
+def _band(a2, a1, a0, w, grid):
+    """The (2,2) band of I - w L with its boundary closure rows, laid out for gbtrf.
 
-    The band goes straight to LAPACK's gbsv: rows 0-1 of ``ab`` are its LU
-    fill, rows 2-6 the diagonals +2, +1, 0, -1, -2.  A NaN or +-inf in a row
-    of the system raises EvaluationError with witness (t, x); a zero pivot
-    raises SolverError naming (t, x) of its node.
+    Rows 0-1 of the Fortran-ordered array are gbtrf's LU fill, rows 2-6 the
+    diagonals +2, +1, 0, -1, -2.
     """
-    nx, dx = rhs.size, grid.dx
-    ab = np.zeros((7, nx), order="F")  # Fortran order: gbsv factors it in place
+    dx = grid.dx
+    ab = np.zeros((7, grid.nx), order="F")  # Fortran order: gbtrf factors it in place
     lo, di, up = ab[5, :-2], ab[4, 1:-1], ab[3, 2:]
     # lo = -w (a2/dx^2 - a1/(2dx)), up = -w (a2/dx^2 + a1/(2dx)) and
     # di = 1 - w (-2 a2/dx^2 + a0), each operation in place on its band row
@@ -362,55 +376,151 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t):
     di += a0[1:-1]
     di *= w
     np.subtract(1.0, di, out=di)
-    b = rhs.copy()
     ab[4, 0] = ab[4, -1] = 1.0
     if grid.boundary == "extrapolation":  # vanishing second difference at both edges
         ab[3, 1] = ab[5, -2] = -2.0
         ab[2, 2] = ab[6, -3] = 1.0
+    return ab
+
+
+def _check_finite(b, grid, t, ab=None):
+    """EvaluationError, witness (t, x), at the first row of the system with a NaN or +-inf.
+
+    A row is read from the right-hand side b and, when given, the band ab.
+    """
+    if np.isfinite((0.0 if ab is None else ab.sum()) + b.sum()):  # else a NaN, +-inf or overflow
+        return
+    bad = ~np.isfinite(b)
+    if ab is not None:  # interior row i holds ab[5, i-1], ab[4, i] and ab[3, i+1]
+        bad[1:-1] |= ~(np.isfinite(ab[5, :-2]) & np.isfinite(ab[4, 1:-1])
+                       & np.isfinite(ab[3, 2:]))
+    if bad.any():
+        x = float(grid.x_nodes[int(np.argmax(bad))])
+        raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
+                              witness=(float(t), x))
+
+
+def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factor=None):
+    """Solve (I - w L) v = rhs with boundary closure rows; banded (2,2) system.
+
+    LAPACK's gbtrf factors the band (``_band``) in place and gbtrs solves
+    with the factor.  ``factor`` is the caller's list [key, LU, pivots] of the
+    last matrix factored, key = (w, bits of a2, a1, a0): while the key
+    matches, the band is neither assembled nor factored again, and the call
+    is one gbtrs.  A NaN or +-inf in a row of the system raises
+    EvaluationError with witness (t, x); a kept band was checked when it was
+    factored, so then only the right-hand side is.  A zero pivot raises
+    SolverError naming (t, x) of its node, and its matrix is not kept.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs  # here: scipy.linalg slows package import
+
+    factor = [None, None, None] if factor is None else factor
+    key = (w, a2.tobytes(), a1.tobytes(), a0.tobytes())
+    b = rhs.copy()
+    if grid.boundary == "extrapolation":
         b[0] = b[-1] = 0.0
     else:  # dirichlet: hold the terminal values at the edges
         b[0], b[-1] = terminal[0], terminal[-1]
-    if not np.isfinite(ab.sum() + b.sum()):  # a NaN or +-inf, or a sum that overflows
-        bad = ~np.isfinite(b)
-        bad[1:-1] |= ~(np.isfinite(lo) & np.isfinite(di) & np.isfinite(up))
-        if bad.any():
-            x = float(grid.x_nodes[int(np.argmax(bad))])
-            raise EvaluationError(f"non-finite PDE coefficient or source at (t, x) = ({t:g}, {x:g})",
-                                  witness=(float(t), x))
-    from scipy.linalg.lapack import dgbsv  # imported here: scipy.linalg slows package import
-
-    _, _, v, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        x = float(grid.x_nodes[info - 1])
-        raise SolverError(f"singular implicit system: zero pivot at (t, x) = ({t:g}, {x:g})")
+    if key == factor[0]:
+        _check_finite(b, grid, t)
+    else:
+        ab = _band(a2, a1, a0, w, grid)
+        _check_finite(b, grid, t, ab)
+        lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        if info > 0:
+            x = float(grid.x_nodes[info - 1])
+            raise SolverError(f"singular implicit system: zero pivot at (t, x) = ({t:g}, {x:g})")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbtrf")
+        factor[:] = key, lu, piv
+    v, info = dgbtrs(factor[1], 2, 2, b, factor[2], overwrite_b=1)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gbsv")
+        raise ValueError(f"illegal value in argument {-info} of gbtrs")
     return v
 
 
-def _run_with_fallback(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None):
+def _run_with_fallback(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None,
+                       reads_v=True):
     """The sweep at theta, retried at theta = 1 on a SolverError; no numpy float warnings."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            vals, iters = _backward_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap)
+            vals, iters = _backward_sweep(grid, terminal, coef_fn, theta, max_iter, tol,
+                                          blowup_cap, reads_v)
             return vals, iters, theta, False
         except SolverError:
             if theta >= 1.0:
                 raise
-            vals, iters = _backward_sweep(grid, terminal, coef_fn, 1.0, max_iter, tol, blowup_cap)
+            vals, iters = _backward_sweep(grid, terminal, coef_fn, 1.0, max_iter, tol,
+                                          blowup_cap, reads_v)
             return vals, iters, 1.0, True
 
 
-def _forward_at(spec, t, xn, *names):
-    """sigma, b and the named forward-coefficient partials at (t, x_n)."""
-    return (_on_grid(spec.sigma, t, xn), _on_grid(spec.b, t, xn),
-            *(_on_grid(spec.d(n), t, xn) for n in names))
+class _Leaves:
+    """The coefficients and partials of one solve, at its x nodes.
+
+    ``at(t, names, y, z)`` is ``_on_grid(fn, t, x_nodes)`` for b, sigma and
+    their partials and ``_on_grid(fn, t, x_nodes, y(), z())`` for h and its
+    partials.  ``y`` and ``z`` are called only when a leaf evaluated in the
+    call may read them (``reads``); a leaf that does not read one gets 0.0
+    in its place, which keeps its bits and broadcast shape.  A leaf that reads
+    at most x is evaluated on its first call only, and those values are
+    returned at every later (t, y, z).  Nothing outlives the object, which
+    belongs to one solve.
+    """
+
+    def __init__(self, spec: ModelSpec, xn: np.ndarray):
+        self.spec, self.xn = spec, xn
+        self.fixed = {}  # name -> values of a leaf that reads at most x
+        self._reads = {}
+
+    def reads(self, name: str) -> frozenset:
+        """The arguments leaf ``name`` may read: ``ModelSpec.reads``, or all when that is None."""
+        if name not in self._reads:
+            found = self.spec.reads(name)
+            self._reads[name] = (frozenset(COEFFICIENT_ARGS[coefficient_of(name)])
+                                 if found is None else found)
+        return self._reads[name]
+
+    def reads_any(self, names, args) -> bool:
+        """Whether any of the named leaves may read any of ``args``."""
+        return any(not self.reads(n).isdisjoint(args) for n in names)
+
+    def at(self, t, names, y=None, z=None) -> tuple:
+        todo = [n for n in names if n not in self.fixed]
+        need = frozenset().union(*map(self.reads, todo))
+        yz = (y() if "y" in need else 0.0, z() if "z" in need else 0.0)
+        new = {}
+        for n in todo:
+            fn = getattr(self.spec, n) if n in COEFFICIENT_ARGS else self.spec.d(n)
+            new[n] = _on_grid(fn, t, self.xn, *(yz if coefficient_of(n) == "h" else ()))
+            if self.reads(n) <= {"x"}:
+                self.fixed[n] = new[n]
+        return tuple(new[n] if n in new else self.fixed[n] for n in names)
 
 
-def _driver_at(spec, t, xn, sol_u, z, *names):
-    """The named driver partials at (t, x_n, u(t, x_n), z); u = 0 without a u solve."""
-    y = sol_u.row(t) if sol_u is not None else np.zeros_like(xn)
-    return tuple(_on_grid(spec.d(n), t, xn, y, z) for n in names)
+def _needs_u(spec: ModelSpec, grid: GridSpec, names) -> bool:
+    """Whether a named driver partial reads y, so that u is solved before the coefficients.
+
+    A partial with an expression tree reads y when its tree does
+    (``ModelSpec.reads``).  An opaque one is probed: it reads y when its
+    values at z = 0.7, on 5 times in [0, T], every (nx // 16)-th x node and
+    y = -3, 0, 3, move with y by more than 1e-12.
+    """
+    reads = {n: spec.reads(n) for n in names}
+    if any(r is not None and "y" in r for r in reads.values()):
+        return True
+    opaque = [n for n, r in reads.items() if r is None]
+    t = np.linspace(0.0, spec.T, 5)[:, None]
+    x = grid.x_nodes[::max(grid.nx // 16, 1)][None, :]
+    y = np.linspace(-3.0, 3.0, 3)[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        moves = (_on_grid(spec.d(n), t, x, y, 0.7) for n in opaque)
+        return any(np.max(np.abs(p - p[:1])) > 1e-12 for p in moves)
+
+
+def _u_row(sol_u: Optional[GridSolution], t: float, xn: np.ndarray) -> np.ndarray:
+    """u(t, x_n) from the u solve, or 0 where none was needed (see ``_needs_u``)."""
+    return sol_u.row(t) if sol_u is not None else np.zeros_like(xn)
 
 
 def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
@@ -420,28 +530,20 @@ def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
     The nonlinear driver is treated by frozen-coefficient Picard sweeps per
     time step until the iterate is stationary to ``tol``.
     """
-    xn = grid.x_nodes
+    xn, dx = grid.x_nodes, grid.dx
     terminal = _on_grid(spec.g, xn)
     a0 = np.zeros_like(xn)
+    leaves = _Leaves(spec, xn)
 
-    def coef(t, v, vx):
-        sig, bb = _forward_at(spec, t, xn)
-        return 0.5 * sig**2, bb, a0, _on_grid(spec.h, t, xn, v, sig * vx)
+    def coef(t, v):
+        sig, bb = leaves.at(t, ("sigma", "b"))
+        h = leaves.at(t, ("h",), lambda: v, lambda: sig * _centered_dx(v, dx))[0]
+        return 0.5 * sig**2, bb, a0, h
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol)
+    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol,
+                                             reads_v=leaves.reads_any(("h",), {"y", "z"}))
     ux, uxx = _space_derivatives(vals, grid.dx)
     return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u", th, grid.boundary, iters, fb)
-
-
-def _needs_u(spec: ModelSpec, grid: GridSpec) -> bool:
-    """Whether the gradient equation needs the solved u in its coefficients."""
-    t = np.linspace(0.0, spec.T, 5)[:, None]
-    x = grid.x_nodes[::max(grid.nx // 16, 1)][None, :]
-    y = np.linspace(-3.0, 3.0, 3)[:, None, None]
-    hy = spec.d("h_y")(t, x, y, 0.0)
-    hz = spec.d("h_z")
-    probe = np.max(np.abs(hz(t, x, 1.0, 0.7) - hz(t, x, -1.0, 0.7)))
-    return bool(np.max(np.abs(hy)) > 1e-12 or probe > 1e-12)
 
 
 def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution] = None,
@@ -450,22 +552,25 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
 
     In the classical setting (h depending on z only, b = 0, sigma = 1) the
     equation is autonomous in v.  In the generalized setting the coefficients
-    involve u itself, which is solved first when not supplied.
+    involve u itself through y: u is solved first, when not supplied, exactly
+    when h_z, h_y or h_x reads y (``_needs_u``).
     """
     xn = grid.x_nodes
-    if sol_u is None and (_needs_u(spec, grid)):
+    leaves, driver = _Leaves(spec, xn), ("h_z", "h_y", "h_x")
+    if sol_u is None and _needs_u(spec, grid, driver):
         sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
     terminal = _on_grid(spec.d("g1"), xn)
 
-    def coef(t, v, _vx):
-        sig, bb, sig_x, bx = _forward_at(spec, t, xn, "sigma_x", "b_x")
-        hz, hy, hx = _driver_at(spec, t, xn, sol_u, sig * v, "h_z", "h_y", "h_x")
+    def coef(t, v):
+        sig, bb, sig_x, bx = leaves.at(t, ("sigma", "b", "sigma_x", "b_x"))
+        hz, hy, hx = leaves.at(t, driver, lambda: _u_row(sol_u, t, xn), lambda: sig * v)
         a2 = 0.5 * sig**2
         a1 = bb + sig * sig_x + sig * hz
         a0 = bx + hy + sig_x * hz
         return a2, a1, a0, hx
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol)
+    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol,
+                                             reads_v=leaves.reads_any(driver, {"z"}))
     ux, uxx = _space_derivatives(vals, grid.dx)
     return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u_prime", th, grid.boundary, iters, fb)
 
@@ -478,23 +583,25 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
     The quadratic self-interaction h_zz w^2 is resolved by the Picard freeze;
     a magnitude gate at ``4 sup|g''|`` raises a divergence error
     early, mirroring the smallness condition h_zz < 1/(4 sup|g''| T) under
-    which the equation stays bounded.
+    which the equation stays bounded.  u is solved first, when not supplied,
+    exactly when a driver partial of the coefficients reads y (``_needs_u``).
     """
     xn = grid.x_nodes
-    if sol_u is None and _needs_u(spec, grid):
+    leaves = _Leaves(spec, xn)
+    driver = ("h_z", "h_y", "h_x", "h_xz", "h_yz", "h_zz", "h_xy", "h_yy", "h_xx")
+    if sol_u is None and _needs_u(spec, grid, driver):
         sol_u = solve_u(spec, grid, max_iter=30)
     if sol_uprime is None:
         sol_uprime = solve_u_prime(spec, grid, sol_u=sol_u, max_iter=30)
     terminal = _on_grid(spec.d("g2"), xn)
     cap = 4.0 * max(float(np.max(np.abs(terminal))), 1e-12) + 1e6 * np.finfo(float).eps
 
-    def coef(t, w, _wx):
+    def coef(t, w):
         v = sol_uprime.row(t)
-        sig, bb, sig_x, sig_xx, bx, bxx = _forward_at(spec, t, xn,
-                                                      "sigma_x", "sigma_xx", "b_x", "b_xx")
-        hz, hy, hx, hzx, hzy, hzz, hyx, hyy, hxx = _driver_at(
-            spec, t, xn, sol_u, sig * v,
-            "h_z", "h_y", "h_x", "h_xz", "h_yz", "h_zz", "h_xy", "h_yy", "h_xx")
+        sig, bb, sig_x, sig_xx, bx, bxx = leaves.at(
+            t, ("sigma", "b", "sigma_x", "sigma_xx", "b_x", "b_xx"))
+        hz, hy, hx, hzx, hzy, hzz, hyx, hyy, hxx = leaves.at(
+            t, driver, lambda: _u_row(sol_u, t, xn), lambda: sig * v)
         # total x-derivatives of h_q along (t, x, u, sigma u_x), w frozen
         zx = sig_x * v + sig * w
         Dhz = hzx + hzy * v + hzz * zx

@@ -183,6 +183,24 @@ def test_constant_reads_the_expression_tree(counter, cubic):
         cubic.constant("b_y")
 
 
+def test_reads_names_the_arguments_of_the_tree(counter, cubic):
+    assert counter.reads("h") == {"t", "x"} and counter.reads("h_x") == {"t"}
+    assert counter.reads("h_y") == frozenset() and counter.reads("f") == {"w"}
+    assert cubic.reads("h") == {"x"} and cubic.reads("g1") == {"x"}
+    assert cubic.reads("sigma") == frozenset() and cubic.constant("sigma") == 1.0
+    spec = expression_spec(b="-0.2*x", sigma="1 + 0.5*t", g="x", h="0.3*z + sin(y)",
+                           f=None, T=1.0, X0=0.0)
+    assert spec.reads("h") == {"y", "z"} and spec.reads("h_y") == {"y"}
+    assert spec.reads("h_z") == frozenset() and spec.reads("sigma") == {"t"}
+    opaque = expression_spec(b=lambda t, x: 0.0 * x, sigma="1", g="x", h="0", f=None,
+                             T=1.0, X0=0.0, partials={"h_x": lambda t, x, y, z: 0.0 * x})
+    assert opaque.reads("b") is None and opaque.reads("b_x") is None  # differenced
+    assert opaque.reads("h_x") is None and opaque.reads("f") is None
+    assert opaque.reads("h_y") == frozenset()
+    with pytest.raises(KeyError):
+        cubic.reads("b_y")
+
+
 def test_validate_assumptions_counter(counter):
     rep = fl.validate_assumptions(counter)
     assert rep.holds("X") and rep.holds("L") and rep.holds("D1") and rep.holds("D2")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -327,12 +328,13 @@ def test_non_finite_system_raises_evaluation_error_at_its_node(monkeypatch):
     assert "(t, x) = (0.875, 0)" in str(exc.value)
 
 
-def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None):
+def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None,
+                     _reads_v=True):
     # the Picard loop as first written: the coefficients recomputed at t_old and
     # one scipy.linalg.solve_banded per iteration, delta = 0 confirmed by a solve;
     # the models compared below never reach its failure exits, so it has none
     from scipy.linalg import solve_banded
-    from fbsdelab.pde import _apply_operator, _centered_dx, _src_pad
+    from fbsdelab.pde import _apply_operator, _src_pad
 
     tn, dx = grid.t_nodes, grid.dx
     v_all = np.empty((tn.size, grid.nx))
@@ -340,11 +342,11 @@ def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=N
     max_used, w = 0, terminal.copy()
     for n in range(tn.size - 2, -1, -1):
         dt, t_new, t_old = tn[n + 1] - tn[n], tn[n], tn[n + 1]
-        a2, a1, a0, s = coef_fn(t_old, w, _centered_dx(w, dx))
+        a2, a1, a0, s = coef_fn(t_old, w)
         explicit = w + dt * (1 - theta) * (_apply_operator(a2, a1, a0, w, dx) + _src_pad(s))
         v = w.copy()
         for m in range(max_iter):
-            a2, a1, a0, s = coef_fn(t_new, v, _centered_dx(v, dx))
+            a2, a1, a0, s = coef_fn(t_new, v)
             rhs = explicit + dt * theta * _src_pad(s)
             ab = np.zeros((5, grid.nx))
             ww = dt * theta
@@ -375,7 +377,20 @@ _EXACTNESS_MODELS = {
     "ex_quad_exp": lambda: fl.preset("ex_quad_exp"),
     "tanh-sigma": lambda: fl.expression_spec(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x",
                                              h="0.3*z + sin(y)", f=None, T=1.0, X0=0.0),
+    # sigma reads t: the implicit matrix moves at every step and is factored anew
+    "moving": lambda: fl.expression_spec(b="-0.2*x", sigma="1 + 0.5*t", g="x",
+                                         h="0.3*z + sin(y)", f=None, T=1.0, X0=0.0),
+    # no callable carries a tree: reads is None, nothing is evaluated once per solve
+    "opaque-counter": lambda: _opaque(fl.preset("ex_counter")),
 }
+
+
+def _opaque(spec):
+    # the same callables and partials, each behind a lambda that carries no tree
+    hide = lambda f: lambda *a: f(*a)
+    return dataclasses.replace(spec, b=hide(spec.b), sigma=hide(spec.sigma), g=hide(spec.g),
+                               h=hide(spec.h), markovian_f=hide(spec.markovian_f),
+                               partials={n: hide(f) for n, f in spec.partials.items()})
 
 
 @pytest.mark.parametrize("name", list(_EXACTNESS_MODELS))
@@ -403,12 +418,18 @@ def test_sweep_matches_reference_loop_bit_for_bit(monkeypatch, name):
 
 
 def _count_work(monkeypatch):
-    counts = {"solves": 0, "evaluations": 0}
-    solve, sweep = fl.pde._solve_implicit, fl.pde._backward_sweep
+    from scipy.linalg import lapack
+
+    counts = {"solves": 0, "evaluations": 0, "factorizations": 0}
+    solve, sweep, dgbtrf = fl.pde._solve_implicit, fl.pde._backward_sweep, lapack.dgbtrf
 
     def counted_solve(*args):
         counts["solves"] += 1
         return solve(*args)
+
+    def counted_dgbtrf(*args, **kwargs):
+        counts["factorizations"] += 1
+        return dgbtrf(*args, **kwargs)
 
     def counted_sweep(grid, terminal, coef, *rest):
         def counted_coef(*args):
@@ -418,19 +439,28 @@ def _count_work(monkeypatch):
 
     monkeypatch.setattr(fl.pde, "_solve_implicit", counted_solve)
     monkeypatch.setattr(fl.pde, "_backward_sweep", counted_sweep)
+    monkeypatch.setattr(lapack, "dgbtrf", counted_dgbtrf)
     return counts
 
 
 def test_sweep_work_counts(monkeypatch, counter, quad_exp):
-    # ex_counter's coefficients do not depend on the iterate: one solve per step,
-    # the explicit half-step reuses the previous step's last evaluation
+    # ex_counter's h = (t-2)x reads neither y nor z: one evaluation and one solve
+    # per step, keyed by t alone, so the confirming iteration reuses it and the
+    # explicit half-step reuses the step before's.  sigma = 1 and b = 0 fix the
+    # matrix up to w = dt/2: linspace(0, 1, 201) has 9 step widths in bits,
+    # which change 40 times along the sweep; those of linspace(0, 1, 129) are equal
     counts = _count_work(monkeypatch)
     sol = fl.solve_u(counter, fl.default_grid(counter, nt=201, nx=401))
-    assert counts == {"solves": 200, "evaluations": 401} and sol.max_iterations == 2
-    # a driver quadratic in z moves its coefficients at every iterate
-    counts.update(solves=0, evaluations=0)
+    assert counts == {"solves": 200, "evaluations": 201, "factorizations": 41}
+    assert sol.max_iterations == 2
+    counts.update(solves=0, evaluations=0, factorizations=0)
+    sol = fl.solve_u(counter, fl.default_grid(counter, nt=129, nx=401))
+    assert counts == {"solves": 128, "evaluations": 129, "factorizations": 1}
+    # a driver quadratic in z moves the source at every iterate, not the matrix
+    counts.update(solves=0, evaluations=0, factorizations=0)
     sol = fl.solve_u(quad_exp, fl.default_grid(quad_exp, nt=129, nx=401))
-    assert counts == {"solves": 582, "evaluations": 710} and sol.max_iterations == 5
+    assert counts == {"solves": 582, "evaluations": 710, "factorizations": 1}
+    assert sol.max_iterations == 5
 
 
 def test_singular_implicit_system_is_a_solver_error():
@@ -442,6 +472,81 @@ def test_singular_implicit_system_is_a_solver_error():
         with pytest.raises(SolverError, match=r"zero pivot at \(t, x\) = \(0\.5, -0\.75\)"):
             fl.pde._solve_implicit(zero, zero, np.full(9, 1 / w), np.ones(9), w, g, zero, 0.5)
     # the fallback retries at theta = 1, where w = dt keeps the diagonal off zero
-    coef = lambda t, v, vx: (zero, zero, np.full(9, 4.0), zero)
+    coef = lambda t, v: (zero, zero, np.full(9, 4.0), zero)
     _, _, theta, fallback = fl.pde._run_with_fallback(grid, np.ones(9), coef, 0.5, 20, 1e-10)
     assert theta == 1.0 and fallback
+
+
+# five time nodes, dt = 0.25 in every step, w = dt/2 = 0.125 at theta = 1/2
+_KEPT = GridSpec(np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 9))
+
+
+@pytest.mark.parametrize("reads_v", (True, False))
+def test_non_finite_source_on_a_kept_factor(monkeypatch, reads_v):
+    # the matrix is fixed, so t = 0.75 factors it and t = 0.5, 0.25 keep the
+    # factor; at t = 0.25 the source turns NaN on x = -0.25 and only the
+    # right-hand side is checked: the message and witness are those of a
+    # solve that checks the band too, and theta = 1 is not tried
+    counts = _count_work(monkeypatch)
+    a2, zero = np.full(9, 0.5), np.zeros(9)
+
+    def coef(t, v):
+        s = np.zeros(9)
+        s[3] = np.nan if t < 0.4 else 0.0
+        return a2, zero, zero, s
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(fl.errors.EvaluationError) as exc:
+            fl.pde._run_with_fallback(_KEPT, np.ones(9), coef, 0.5, 20, 1e-10, reads_v=reads_v)
+    assert str(exc.value) == "non-finite PDE coefficient or source at (t, x) = (0.25, -0.25)"
+    assert exc.value.witness == (0.25, -0.25)
+    assert counts["factorizations"] == 1 and counts["solves"] == 3
+
+
+@pytest.mark.parametrize("reads_v", (True, False))
+def test_singular_matrix_after_a_kept_factor(reads_v):
+    # a0 = 8 = 1/w from t = 0.25 on: the factor kept since t = 0.75 is replaced
+    # by one with a zero pivot at x_1, which is a SolverError there, and the
+    # fallback at theta = 1 (w = 0.25, diagonal -1) solves every step
+    zero = np.zeros(9)
+    coef = lambda t, v: (zero, zero, np.full(9, 8.0 if t < 0.4 else 0.0), zero)
+    with pytest.raises(SolverError, match=r"zero pivot at \(t, x\) = \(0\.25, -0\.75\)"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fl.pde._backward_sweep(_KEPT, np.ones(9), coef, 0.5, 20, 1e-10, None, reads_v)
+    vals, _, theta, fallback = fl.pde._run_with_fallback(_KEPT, np.ones(9), coef, 0.5, 20,
+                                                         1e-10, reads_v=reads_v)
+    assert theta == 1.0 and fallback and np.all(np.isfinite(vals))
+
+
+def _count_u_solves(monkeypatch):
+    calls, solve_u = [], fl.pde.solve_u
+    monkeypatch.setattr(fl.pde, "solve_u", lambda *a, **k: calls.append(1) or solve_u(*a, **k))
+    return calls
+
+
+def test_uprime_solves_u_only_when_a_partial_reads_y(monkeypatch):
+    # h = 2y + 0.3z: h_y = 2 and h_z = 0.3 read no y, so u is not solved, and
+    # u' has the bits of the solve that is given u
+    spec = fl.expression_spec(b="0", sigma="1", g="tanh(x)", h="2*y + 0.3*z", f=None,
+                              T=1.0, X0=0.0)
+    grid = fl.default_grid(spec, nt=41, nx=101)
+    given = fl.solve_u_prime(spec, grid, sol_u=fl.solve_u(spec, grid))
+    calls = _count_u_solves(monkeypatch)
+    sp = fl.solve_u_prime(spec, grid)
+    assert calls == [] and np.array_equal(sp.u, given.u)
+    assert sp.max_iterations == given.max_iterations
+
+
+def test_uprime_solves_u_for_an_opaque_h_x_that_reads_y(monkeypatch):
+    # opaque partials with h_y = 0 and h_z = 0: only h_x = 0.1 y reads y
+    zero = lambda t, x, y, z: 0.0 * np.asarray(x, dtype=float)
+    spec = make_spec(g=lambda x: np.tanh(np.asarray(x, dtype=float)),
+                     h=lambda t, x, y, z: 0.1 * np.asarray(x, dtype=float) * y,
+                     h_partials={"h_x": lambda t, x, y, z: 0.1 * (y + 0.0 * np.asarray(x)),
+                                 "h_y": zero, "h_z": zero})
+    grid = fl.default_grid(spec, nt=41, nx=101)
+    calls = _count_u_solves(monkeypatch)
+    sp = fl.solve_u_prime(spec, grid)
+    assert calls == [1]
+    assert np.array_equal(sp.u, fl.solve_u_prime(spec, grid, sol_u=fl.solve_u(spec, grid)).u)
