@@ -3,7 +3,7 @@
 A table is ``# `` comment lines, one line of column names and one row of
 ``%.17g`` values per tuple, so that every float reads back to its bits.
 ``write_table`` writes any sequence of rows; ``write_grid`` writes the rows of
-a space-time grid, (t_i, x_j, a[i, j] for each array a) in t-major order, with
+one array on a space-time grid, (t_i, x_j, a[i, j]) in t-major order, with
 the same bytes and without formatting t or x more than once.
 """
 
@@ -34,17 +34,15 @@ def write_table(path, comments, columns, rows) -> None:
         fh.writelines(fmt % row for row in rows)
 
 
-def write_grid(path, comments, columns, t, x, arrays) -> None:
-    """``write_table`` of the rows (t_i, x_j, *(a[i, j] for a in arrays)), t-major.
+def write_grid(path, comments, columns, t, x, a) -> None:
+    """``write_table`` of the rows (t_i, x_j, a[i, j]), t-major.
 
-    Each x is formatted once per grid and each t once per time row.  A time
+    Each x is formatted once per grid and each t once per time row: a time
     row's line template is the x texts joined by its t text, and one ``%``
-    fills in that row's values of every array, x by x; the value tuple is
-    built one time row at a time.
+    fills in that row's values.
     """
-    cells = ",".join([_CELL] * len(arrays))
-    parts = [""] + [f",{_CELL % v},{cells}\n" for v in np.asarray(x, dtype=float).tolist()]
+    parts = [""] + [f",{_CELL % v},{_CELL}\n" for v in np.asarray(x, dtype=float).tolist()]
     with _table(path, comments, columns) as fh:
-        for i, ti in enumerate(np.asarray(t, dtype=float).tolist()):
-            values = np.stack([a[i] for a in arrays], axis=1).ravel().tolist()
-            fh.write((_CELL % ti).join(parts) % tuple(values))
+        for ti, row in zip(np.asarray(t, dtype=float).tolist(),
+                           np.asarray(a, dtype=float)):
+            fh.write((_CELL % ti).join(parts) % tuple(row.tolist()))

@@ -1,10 +1,13 @@
 """Batch experiment runner: parse a config, execute tasks, emit artifacts.
 
 ``TASKS`` maps each task of ``config.TASK_DEPS`` to a function of the run
-context that writes its files, each opened through ``_Run.file``.  Every file
-starts with header lines recording the package version, the master seed and the
-config hash (plus a timestamp unless disabled); ``manifest.json`` lists the
-files with SHA-256 checksums and, outside them, the solver diagnostics (theta,
+context that writes its files, each opened through ``_Run.file``.  The solve
+task writes u as text (``grid_u.csv``: t, x, u) and the u and u' solutions
+exactly, every array and solver field, as ``grid_u.bin`` and
+``grid_uprime.bin`` (``GridSolution.to_binary``).  Every text file starts with
+header lines recording the package version, the master seed and the config
+hash (plus a timestamp unless disabled); ``manifest.json`` lists the files
+with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
 rate, warnings and largest and mean per-step residuals of oracle-compare).
 Identical (config, seed) reruns produce byte-identical data files.  The
@@ -113,8 +116,8 @@ def _solve(ctx: _Run) -> None:
                "max_iterations": gs.max_iterations}
         for name, gs in (("u", su), ("u_prime", sp))}
     su.to_csv(ctx.file("grid_u.csv"), ctx.header)
-    sp.to_csv(ctx.file("grid_uprime.csv"), ctx.header)
     su.to_binary(ctx.file("grid_u.bin"))
+    sp.to_binary(ctx.file("grid_uprime.bin"))
 
 
 def _criteria(ctx: _Run) -> None:

@@ -55,7 +55,10 @@ __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
            "solve_u_doubleprime", "eval_yz", "default_grid"]
 
 _BIN_MAGIC = b"FBLGRID1"
-_BIN_VERSION = 1
+_BIN_VERSION = 2
+# magic, version, nt, nx, theta, max_iterations, fallback_used, which, boundary
+# (the two names ASCII, NUL-padded); t, x, u, u_x, u_xx follow as "<f8"
+_BIN_HEADER = struct.Struct("<8sIQQdQI16s16s")
 
 
 def _require_uniform(x: np.ndarray) -> None:
@@ -205,38 +208,49 @@ class GridSolution:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path, header_lines=()):
-        """The grid as a table: one ``%.17g`` row (t, x, u, u_x, u_xx) per node, t-major.
+        """The solved values as a table: one ``%.17g`` row (t, x, u) per node, t-major.
 
         ``artifacts.write_grid`` writes it, with the bytes of one row per node
-        but each t and x formatted once.
+        but each t and x formatted once.  u_x and u_xx are in ``to_binary``'s
+        file only.
         """
-        write_grid(path, header_lines, ("t", "x", "u", "u_x", "u_xx"), self.t_nodes,
-                   self.x_nodes, (self.u, self.u_x, self.u_xx))
+        write_grid(path, header_lines, ("t", "x", "u"), self.t_nodes, self.x_nodes, self.u)
 
     def to_binary(self, path):
+        """Every number and field of the solution, exactly: ``_BIN_HEADER``, then the arrays."""
+        names = [s.encode("ascii") for s in (self.which, self.boundary)]
+        if max(map(len, names)) > 16:
+            raise ConfigError(f"names {self.which!r}, {self.boundary!r} exceed 16 bytes")
         with open(path, "wb") as fh:
-            fh.write(_BIN_MAGIC)
-            fh.write(struct.pack("<IQQ", _BIN_VERSION, self.t_nodes.size, self.x_nodes.size))
+            fh.write(_BIN_HEADER.pack(_BIN_MAGIC, _BIN_VERSION, self.t_nodes.size,
+                                      self.x_nodes.size, self.theta, int(self.max_iterations),
+                                      int(self.fallback_used), *names))
             for a in (self.t_nodes, self.x_nodes, self.u, self.u_x, self.u_xx):
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
     @classmethod
     def from_binary(cls, path):
+        """The solution ``to_binary`` wrote; a damaged or other file raises ``ConfigError``."""
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _BIN_MAGIC:
-                raise ConfigError("not a grid-solution binary file")
-            version, nt, nx = struct.unpack("<IQQ", fh.read(20))
-            if version != _BIN_VERSION:
-                raise ConfigError(f"unsupported binary version {version}")
-            def arr(n):
-                return np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-            t = arr(nt)
-            x = arr(nx)
-            u = arr(nt * nx).reshape(nt, nx)
-            ux = arr(nt * nx).reshape(nt, nx)
-            uxx = arr(nt * nx).reshape(nt, nx)
-        return cls(t, x, u, ux, uxx, which="u", theta=float("nan"), boundary="unknown")
+            data = fh.read()
+        if data[:8] != _BIN_MAGIC:
+            raise ConfigError("not a grid-solution binary file")
+        if len(data) < _BIN_HEADER.size:
+            raise ConfigError(f"grid binary {path} holds {len(data)} bytes, "
+                              f"less than its {_BIN_HEADER.size}-byte header")
+        _, version, nt, nx, theta, iters, fallback, which, boundary = _BIN_HEADER.unpack_from(data)
+        if version != _BIN_VERSION:
+            raise ConfigError(f"unsupported binary version {version}")
+        expected = _BIN_HEADER.size + 8 * (nt + nx + 3 * nt * nx)
+        if len(data) != expected:
+            raise ConfigError(f"grid binary {path} holds {len(data)} bytes; "
+                              f"its header (nt={nt}, nx={nx}) gives {expected}")
+        a = np.frombuffer(data, dtype="<f8", offset=_BIN_HEADER.size).copy()
+        t, x, u, ux, uxx = np.split(a, np.cumsum([nt, nx, nt * nx, nt * nx]))
+        return cls(t, x, *(v.reshape(nt, nx) for v in (u, ux, uxx)),
+                   which=which.rstrip(b"\0").decode("ascii"), theta=theta,
+                   boundary=boundary.rstrip(b"\0").decode("ascii"),
+                   max_iterations=iters, fallback_used=bool(fallback))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,13 @@ def make_spec(b="zero", sigma="one", g=None, g1=None, g2=None, h=None,
         T=T, X0=X0, regime=regime, partials=partials, markovian_f=f,
         constants=constants or fl.Constants(),
     )
+
+
+def assert_same_solution(a, b):
+    """Every array of two grid solutions equal bit for bit, and every other field equal."""
+    for f in dataclasses.fields(fl.GridSolution):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb, equal_nan=True), f.name
+        else:
+            assert va == vb and type(va) is type(vb), f.name

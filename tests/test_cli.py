@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbsdelab import default_grid, preset, solve_u
+from fbsdelab import default_grid, preset, solve_u, solve_u_prime
 from fbsdelab.cli import main, run
 from fbsdelab.config import parse_config
 from fbsdelab.errors import ParseError
 from fbsdelab.expressions import compile_expression, differentiate, parse_expression
+from fbsdelab.pde import GridSolution
 from fbsdelab.tails import compute_constants
+
+from conftest import assert_same_solution
 
 
 # -- expression grammar -------------------------------------------------------
@@ -502,7 +505,7 @@ timestamps = false
     status = manifest["tasks"][task]
     assert status.startswith("failed") and "t=1.5 lies outside [0, T] = [0, 1]" in status
     assert {f["path"] for f in manifest["files"]} == {
-        "grid_u.csv", "grid_uprime.csv", "grid_u.bin", "criteria.json", "criteria_table.txt"}
+        "grid_u.csv", "grid_u.bin", "grid_uprime.bin", "criteria.json", "criteria_table.txt"}
     rows = json.loads((out / "criteria.json").read_text())["reports"]
     assert {r["verdict"] for r in rows} == {"precondition-error"}
     assert all("t=1.5 lies outside" in r["error"] for r in rows)
@@ -631,7 +634,7 @@ tails_target = Y
 [output]
 timestamps = false
 """
-SOLVE_FILES = {"grid_u.csv", "grid_uprime.csv", "grid_u.bin"}
+SOLVE_FILES = {"grid_u.csv", "grid_u.bin", "grid_uprime.bin"}
 
 
 @pytest.mark.parametrize("task, files", [
@@ -653,6 +656,29 @@ def test_cli_single_task_subcommands(tmp_path, task, files):
                             for _ in deps]
     assert {f["path"] for f in man["files"]} == files
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+
+
+def test_solve_text_and_binaries_agree_bit_for_bit(tmp_path):
+    # grid_u.csv's u column is grid_u.bin's u, and grid_uprime.bin is the u' solve
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SINGLE_TASK.replace("nx = 121", "nx = 121\ntheta = 0.75"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--no-timestamps"]) == 0
+    lines = [ln for ln in (out / "grid_u.csv").read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "t,x,u"
+    text = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+    su = GridSolution.from_binary(out / "grid_u.bin")
+    assert np.array_equal(text[:, 2], su.u.ravel())
+    assert np.array_equal(text[:, :2], np.stack(np.meshgrid(su.t_nodes, su.x_nodes,
+                                                            indexing="ij"), -1).reshape(-1, 2))
+    cfg = parse_config(cfg_path.read_text())
+    num, spec = cfg.numerics, cfg.build_spec()
+    grid = default_grid(spec, nt=num["nt"], nx=num["nx"], width=num["grid_width"],
+                        x_lo=num["x_lo"], x_hi=num["x_hi"])
+    direct = solve_u_prime(spec, grid, theta=0.75)
+    back = GridSolution.from_binary(out / "grid_uprime.bin")
+    assert_same_solution(back, direct)
+    assert (back.which, back.theta, back.boundary) == ("u_prime", 0.75, "extrapolation")
 
 
 def test_criteria_non_finite_partial_is_an_evaluation_error_row(tmp_path):

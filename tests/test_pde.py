@@ -9,7 +9,7 @@ import fbsdelab as fl
 from fbsdelab.errors import ConfigError, DivergenceError, SolverError
 from fbsdelab.pde import GridSpec, GridSolution
 
-from conftest import make_spec
+from conftest import assert_same_solution, make_spec
 
 
 def _mesh(grid):
@@ -196,12 +196,51 @@ def test_explicit_scheme_cfl_guard(counter):
 
 
 def test_binary_roundtrip(tmp_path, counter_grids):
+    # the header carries which, theta, boundary, max_iterations and fallback_used
+    _, su, sp = counter_grids
+    assert (sp.which, sp.theta, sp.boundary) == ("u_prime", 0.5, "extrapolation")
+    spec = fl.preset("ex_counter")
+    sd = fl.solve_u(spec, fl.default_grid(spec, nt=21, nx=41, boundary="dirichlet"), theta=1.0)
+    special = np.array([[-0.0, 5e-324, np.nan], [np.inf, -np.inf, 1e300]])
+    odd = GridSolution(np.array([0.0, 0.5]), np.array([-1.0, 0.0, 1.0]), special, -special,
+                       special[::-1].copy(), "u_doubleprime", 0.75, "dirichlet",
+                       max_iterations=7, fallback_used=True)
+    for k, sol in enumerate((su, sp, sd, odd)):
+        p = tmp_path / f"sol{k}.bin"
+        sol.to_binary(p)
+        assert_same_solution(GridSolution.from_binary(p), sol)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", "holds {n} bytes; its header .* gives {size}"),
+    ("trailing", "holds {n} bytes; its header .* gives {size}"),
+    ("header", "holds {n} bytes, less than its 80-byte header"),
+])
+def test_damaged_binary_raises_config_error(tmp_path, counter_grids, damage, message):
     _, su, _ = counter_grids
     p = tmp_path / "sol.bin"
     su.to_binary(p)
-    back = GridSolution.from_binary(p)
-    np.testing.assert_array_equal(back.u, su.u)
-    np.testing.assert_array_equal(back.x_nodes, su.x_nodes)
+    raw = p.read_bytes()
+    size = 80 + 8 * (su.t_nodes.size + su.x_nodes.size + 3 * su.u.size)
+    assert len(raw) == size
+    data = {"truncated": raw[:-4], "trailing": raw + bytes(8), "header": raw[:40]}[damage]
+    p.write_bytes(data)
+    with pytest.raises(ConfigError, match=message.format(n=len(data), size=size)):
+        GridSolution.from_binary(p)
+
+
+def test_binary_version_1_and_foreign_files_are_refused(tmp_path, counter_grids):
+    _, su, _ = counter_grids
+    p = tmp_path / "sol.bin"
+    su.to_binary(p)
+    raw = p.read_bytes()
+    # version 1: a 28-byte header (magic, version, nt, nx) and no recorded fields
+    p.write_bytes(raw[:8] + (1).to_bytes(4, "little") + raw[12:28] + raw[80:])
+    with pytest.raises(ConfigError, match="unsupported binary version 1"):
+        GridSolution.from_binary(p)
+    p.write_bytes(b"FBLGRID0" + raw[8:])
+    with pytest.raises(ConfigError, match="not a grid-solution binary file"):
+        GridSolution.from_binary(p)
 
 
 def test_csv_export(tmp_path, counter_grids):
@@ -210,7 +249,7 @@ def test_csv_export(tmp_path, counter_grids):
     su.to_csv(p, header_lines=["seed=0"])
     lines = p.read_text().splitlines()
     assert lines[0] == "# seed=0"
-    assert lines[1] == "t,x,u,u_x,u_xx"
+    assert lines[1] == "t,x,u"
     assert len(lines) == 2 + su.u.size
 
 
@@ -229,11 +268,10 @@ def test_csv_export_bytes_match_row_format(tmp_path):
     for k, sol in enumerate((su, sp, odd, one_row)):
         p = tmp_path / f"sol{k}.csv"
         sol.to_csv(p, header_lines=["a", "b"])
-        rows = ["# a", "# b", "t,x,u,u_x,u_xx"]
+        rows = ["# a", "# b", "t,x,u"]
         for i, t in enumerate(sol.t_nodes):
             for j, x in enumerate(sol.x_nodes):
-                rows.append("%.17g,%.17g,%.17g,%.17g,%.17g"
-                            % (t, x, sol.u[i, j], sol.u_x[i, j], sol.u_xx[i, j]))
+                rows.append("%.17g,%.17g,%.17g" % (t, x, sol.u[i, j]))
         assert p.read_text() == "\n".join(rows) + "\n"
 
 
@@ -305,7 +343,7 @@ def test_grid_solution_requires_uniform_x(tmp_path, counter_grids):
     p = tmp_path / "sol.bin"
     su.to_binary(p)
     raw = bytearray(p.read_bytes())
-    at = 8 + 20 + 8 * (su.t_nodes.size + 5)
+    at = 80 + 8 * (su.t_nodes.size + 5)
     raw[at:at + 8] = np.array([su.x_nodes[5] + 0.01], dtype="<f8").tobytes()
     p.write_bytes(bytes(raw))
     with pytest.raises(ConfigError):
