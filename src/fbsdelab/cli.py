@@ -10,14 +10,15 @@ hash (plus a timestamp unless disabled); ``manifest.json`` lists the files
 with SHA-256 checksums and, outside them, the solver diagnostics (theta,
 fallback and Picard iterations of the u and u' solves; the LSMC saturation
 rate, warnings and largest and mean per-step residuals of oracle-compare).
-Identical (config, seed) reruns produce byte-identical data files.  The
-Monte Carlo tasks share one stream as common random numbers, not independent
-substreams: the first Brownian copy of ``density`` and the ``tails`` task
-evaluate the same (seed, STREAM_FORWARD, n_mc, n_steps/2) increments
-(``_snapshot_sampler``'s step count), and ``oracle-compare`` reads the same
-stream laid out as n_paths paths of n_steps steps.  ``main``
-exits with 0 if every task succeeded, 1 if one failed and 2 on a bad config,
-before writing anything.
+Its ``notes`` name every other entry of a reused output directory, left by an
+earlier run or a failed task; nothing there is deleted.  Identical (config,
+seed) reruns produce byte-identical data files.  The Monte Carlo tasks share
+one stream as common random numbers, not independent substreams: the first
+Brownian copy of ``density`` and the ``tails`` task evaluate the same (seed,
+STREAM_FORWARD, n_mc, n_steps/2) increments (``_snapshot_sampler``'s step
+count), and ``oracle-compare`` reads the same stream laid out as n_paths paths
+of n_steps steps.  ``main`` exits with 0 if every task succeeded, 1 if one
+failed and 2 on a bad config, before writing anything.
 """
 
 from __future__ import annotations
@@ -224,12 +225,15 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None) -> d
             del ctx.files[n_listed:]
             status[task] = f"failed: {exc}"
 
+    listed = {p.name for p in ctx.files} | {"manifest.json"}
     manifest = {
         "version": __version__,
         "seed": seed,
         "config_hash": cfg_hash,
         "tasks": status,
-        "notes": [f"dependency auto-inserted: {d}" for d in config.inserted_dependencies],
+        "notes": [f"dependency auto-inserted: {d}" for d in config.inserted_dependencies]
+        + [f"unlisted, from an earlier run or a failed task: {name}"
+           for name in sorted(p.name for p in out.iterdir()) if name not in listed],
         "files": [{"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
                   for p in ctx.files],
         "ok": all(v == "ok" for v in status.values()),

@@ -55,7 +55,7 @@ from numpy.random import Generator, Philox
 from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
 from .model import ModelSpec, check_horizon
-from .pde import GridSolution
+from .pde import GridSolution, yz
 
 __all__ = [
     "STREAM_FORWARD", "STREAM_COUPLING",
@@ -605,12 +605,7 @@ def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
         last = sol.Z.shape[1] - 1
         return lambda k, t, x: (sol.Y[:, k], sol.Z[:, min(k, last)])
     sol_u, sol_up = sol if isinstance(sol, tuple) else (sol, None)
-
-    def at(_k, t, x):
-        ux = sol_up.eval(t, x) if sol_up is not None else sol_u.eval(t, x, array=sol_u.u_x)
-        return sol_u.eval(t, x), ux * spec.sigma(t, x)
-
-    return at
+    return lambda _k, t, x: yz(sol_u, sol_up, spec, t, x)
 
 
 @dataclass

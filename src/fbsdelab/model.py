@@ -224,23 +224,23 @@ class ModelSpec:
             raise KeyError(name)
         return getattr(fn, "expression", None)
 
-    def reads(self, name: str) -> Optional[frozenset]:
-        """The arguments the expression tree of a coefficient or partial reads, else None.
+    def reads(self, name: str) -> frozenset:
+        """The arguments a coefficient or partial may read.
 
         ``name`` is a coefficient (b, sigma, g, h, f) or one of ``PARTIAL_NAMES``;
         the set holds names from its ``COEFFICIENT_ARGS`` (``w`` for f's
-        space argument).  The tree is the one a compiled callable carries: a
+        space argument).  A callable that carries an expression tree (a
         coefficient's parsed tree, or the folded symbolic derivative
-        ``expression_spec`` builds.  An opaque callable, a partial supplied as
-        one through ``partials`` and a differenced partial give None, so None
-        means "may read any argument".
+        ``expression_spec`` builds) reads what its tree reads.  Any other
+        callable (an opaque one, a partial supplied as one through
+        ``partials`` and a differenced partial) may read every argument.
         """
+        args = COEFFICIENT_ARGS[coefficient_of(name)]
         source = self._expression(name)
         if source is None:
-            return None
+            return frozenset(args)
         found = variables_read(source)
-        return frozenset(a for a in COEFFICIENT_ARGS[coefficient_of(name)]
-                         if ("x" if a == "w" else a) in found)
+        return frozenset(a for a in args if ("x" if a == "w" else a) in found)
 
     def constant(self, name: str) -> Optional[float]:
         """The value of a coefficient or partial whose tree reads no argument, else None.

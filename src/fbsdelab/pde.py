@@ -39,6 +39,7 @@ of a loop that recomputes everything:
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from bisect import bisect_left
@@ -199,11 +200,13 @@ class GridSolution:
         out *= xf - xn[j]
         out += r[j]
         out = out.reshape(x.shape) if x.ndim else out[0]
-        if return_flag:
-            extrapolated = bool(np.any(x < xn[0]) or np.any(x > xn[-1])
-                                or t < self._t_list[0] - 1e-12 or t > self._t_list[-1] + 1e-12)
-            return out, extrapolated
-        return out
+        return (out, self.outside(t, x)) if return_flag else out
+
+    def outside(self, t: float, x) -> bool:
+        """Whether any x lies outside the x box or t outside the time grid (``eval``'s flag)."""
+        x, xn, tn = np.asarray(x, dtype=float), self.x_nodes, self._t_list
+        return bool(np.any(x < xn[0]) or np.any(x > xn[-1])
+                    or t < tn[0] - 1e-12 or t > tn[-1] + 1e-12)
 
     # -- serialization -------------------------------------------------------
 
@@ -302,8 +305,13 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     same iterate (delta = 0): it stops the step without the solve and is
     counted as run.  The sweep keeps the LU factor of the last matrix it
     solved with (``_solve_implicit``), so a matrix is factored again only when
-    w = theta dt or the bits of (a2, a1, a0) change.  Returns (values, max
-    Picard iterations used).
+    w = theta dt or the bits of (a2, a1, a0) change.  A system with a NaN or
+    +-inf is the coefficients' fault at a step's first iteration, which reads
+    the accepted iterate: ``_solve_implicit``'s EvaluationError, with its
+    witness.  At a later iteration, which reads an iterate not yet accepted,
+    it is the scheme's: a SolverError naming t and that iterate's max |v|,
+    like a non-finite or non-converged iterate.  Returns (values, max Picard
+    iterations used).
     """
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
     nt, nx = tn.size, xn.size
@@ -341,7 +349,15 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
             else:
                 a2, a1, a0, s = c
                 rhs = explicit + dt * theta * _src_pad(s)
-                v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new, factor)
+                try:
+                    v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new,
+                                            factor)
+                except EvaluationError:
+                    if m == 0:  # the system at the accepted iterate w
+                        raise
+                    raise SolverError(f"non-finite system at t={t_new:.6g} from a Picard "
+                                      f"iterate of max |v| = {np.max(np.abs(v)):.3g}",
+                                      residual=float("inf")) from None
                 if not np.all(np.isfinite(v_new)):
                     raise SolverError(f"non-finite iterate at t={t_new:.6g}", residual=float("inf"))
                 delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
@@ -475,25 +491,17 @@ class _Leaves:
     ``at(t, names, y, z)`` is ``_on_grid(fn, t, x_nodes)`` for b, sigma and
     their partials and ``_on_grid(fn, t, x_nodes, y(), z())`` for h and its
     partials.  ``y`` and ``z`` are called only when a leaf evaluated in the
-    call may read them (``reads``); a leaf that does not read one gets 0.0
-    in its place, which keeps its bits and broadcast shape.  A leaf that reads
-    at most x is evaluated on its first call only, and those values are
-    returned at every later (t, y, z).  Nothing outlives the object, which
+    call may read them (``ModelSpec.reads``); a leaf that does not read one
+    gets 0.0 in its place, which keeps its bits and broadcast shape.  A leaf
+    that reads at most x is evaluated on its first call only, and those values
+    are returned at every later (t, y, z).  Nothing outlives the object, which
     belongs to one solve.
     """
 
     def __init__(self, spec: ModelSpec, xn: np.ndarray):
         self.spec, self.xn = spec, xn
         self.fixed = {}  # name -> values of a leaf that reads at most x
-        self._reads = {}
-
-    def reads(self, name: str) -> frozenset:
-        """The arguments leaf ``name`` may read: ``ModelSpec.reads``, or all when that is None."""
-        if name not in self._reads:
-            found = self.spec.reads(name)
-            self._reads[name] = (frozenset(COEFFICIENT_ARGS[coefficient_of(name)])
-                                 if found is None else found)
-        return self._reads[name]
+        self.reads = functools.cache(spec.reads)  # ModelSpec.reads, once per name
 
     def reads_any(self, names, args) -> bool:
         """Whether any of the named leaves may read any of ``args``."""
@@ -512,37 +520,13 @@ class _Leaves:
         return tuple(new[n] if n in new else self.fixed[n] for n in names)
 
 
-def _needs_u(spec: ModelSpec, grid: GridSpec, names) -> bool:
-    """Whether a named driver partial reads y, so that u is solved before the coefficients.
-
-    A partial with an expression tree reads y when its tree does
-    (``ModelSpec.reads``).  An opaque one is probed: it reads y when its
-    values at z = 0.7, on 5 times in [0, T], every (nx // 16)-th x node and
-    y = -3, 0, 3, move with y by more than 1e-12.
-    """
-    reads = {n: spec.reads(n) for n in names}
-    if any(r is not None and "y" in r for r in reads.values()):
-        return True
-    opaque = [n for n, r in reads.items() if r is None]
-    t = np.linspace(0.0, spec.T, 5)[:, None]
-    x = grid.x_nodes[::max(grid.nx // 16, 1)][None, :]
-    y = np.linspace(-3.0, 3.0, 3)[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        moves = (_on_grid(spec.d(n), t, x, y, 0.7) for n in opaque)
-        return any(np.max(np.abs(p - p[:1])) > 1e-12 for p in moves)
-
-
-def _u_row(sol_u: Optional[GridSolution], t: float, xn: np.ndarray) -> np.ndarray:
-    """u(t, x_n) from the u solve, or 0 where none was needed (see ``_needs_u``)."""
-    return sol_u.row(t) if sol_u is not None else np.zeros_like(xn)
-
-
 def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
             max_iter: int = 20, tol: float = 1e-10) -> GridSolution:
     """Backward theta-scheme solve of the value-function equation.
 
     The nonlinear driver is treated by frozen-coefficient Picard sweeps per
-    time step until the iterate is stationary to ``tol``.
+    time step until the iterate is stationary to ``tol``; a sweep that fails
+    (``_backward_sweep``'s SolverError) is retried at theta = 1.
     """
     xn, dx = grid.x_nodes, grid.dx
     terminal = _on_grid(spec.g, xn)
@@ -567,17 +551,18 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
     In the classical setting (h depending on z only, b = 0, sigma = 1) the
     equation is autonomous in v.  In the generalized setting the coefficients
     involve u itself through y: u is solved first, when not supplied, exactly
-    when h_z, h_y or h_x reads y (``_needs_u``).
+    when h_z, h_y or h_x may read y (``ModelSpec.reads``; an opaque or
+    differenced partial may read every argument).
     """
     xn = grid.x_nodes
     leaves, driver = _Leaves(spec, xn), ("h_z", "h_y", "h_x")
-    if sol_u is None and _needs_u(spec, grid, driver):
+    if sol_u is None and leaves.reads_any(driver, {"y"}):
         sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
     terminal = _on_grid(spec.d("g1"), xn)
 
     def coef(t, v):
         sig, bb, sig_x, bx = leaves.at(t, ("sigma", "b", "sigma_x", "b_x"))
-        hz, hy, hx = leaves.at(t, driver, lambda: _u_row(sol_u, t, xn), lambda: sig * v)
+        hz, hy, hx = leaves.at(t, driver, lambda: sol_u.row(t), lambda: sig * v)
         a2 = 0.5 * sig**2
         a1 = bb + sig * sig_x + sig * hz
         a0 = bx + hy + sig_x * hz
@@ -598,12 +583,13 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
     a magnitude gate at ``4 sup|g''|`` raises a divergence error
     early, mirroring the smallness condition h_zz < 1/(4 sup|g''| T) under
     which the equation stays bounded.  u is solved first, when not supplied,
-    exactly when a driver partial of the coefficients reads y (``_needs_u``).
+    exactly when a driver partial of the coefficients may read y
+    (``ModelSpec.reads``, as in ``solve_u_prime``).
     """
     xn = grid.x_nodes
     leaves = _Leaves(spec, xn)
     driver = ("h_z", "h_y", "h_x", "h_xz", "h_yz", "h_zz", "h_xy", "h_yy", "h_xx")
-    if sol_u is None and _needs_u(spec, grid, driver):
+    if sol_u is None and leaves.reads_any(driver, {"y"}):
         sol_u = solve_u(spec, grid, max_iter=30)
     if sol_uprime is None:
         sol_uprime = solve_u_prime(spec, grid, sol_u=sol_u, max_iter=30)
@@ -615,7 +601,7 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
         sig, bb, sig_x, sig_xx, bx, bxx = leaves.at(
             t, ("sigma", "b", "sigma_x", "sigma_xx", "b_x", "b_xx"))
         hz, hy, hx, hzx, hzy, hzz, hyx, hyy, hxx = leaves.at(
-            t, driver, lambda: _u_row(sol_u, t, xn), lambda: sig * v)
+            t, driver, lambda: sol_u.row(t), lambda: sig * v)
         # total x-derivatives of h_q along (t, x, u, sigma u_x), w frozen
         zx = sig_x * v + sig * w
         Dhz = hzx + hzy * v + hzz * zx
@@ -637,18 +623,19 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
                         grid.boundary, iters, fb)
 
 
+def yz(sol_u: GridSolution, sol_uprime: Optional[GridSolution], spec: ModelSpec, t: float, x):
+    """(Y, Z) = (u, u_x sigma) at time t and states x, by ``GridSolution.eval``.
+
+    u_x is read from the u' solve when it is given, else from the differenced
+    u grid; out-of-box states are linearly extended.
+    """
+    ux = sol_u.eval(t, x, sol_u.u_x) if sol_uprime is None else sol_uprime.eval(t, x)
+    return sol_u.eval(t, x), ux * spec.sigma(t, x)
+
+
 def eval_yz(sol_u: GridSolution, sol_uprime: Optional[GridSolution],
             spec: ModelSpec, t: float, x: float) -> YZResult:
-    """Point evaluation (Y, Z) = (u, u_x sigma) at (t, x) by bilinear interpolation.
-
-    The gradient comes from the dedicated u' solve when available, otherwise
-    from the differenced u grid; out-of-box queries are linearly extended and
-    flagged.
-    """
-    y, flag1 = sol_u.eval(t, x, return_flag=True)
-    if sol_uprime is not None:
-        ux, flag2 = sol_uprime.eval(t, x, return_flag=True)
-    else:
-        ux, flag2 = sol_u.eval(t, x, array=sol_u.u_x, return_flag=True)
-    sig = float(spec.sigma(t, x))
-    return YZResult(float(y), float(ux) * sig, flag1 or flag2)
+    """``yz`` at one point, flagged when it lies outside a grid it reads."""
+    y, z = yz(sol_u, sol_uprime, spec, t, x)
+    flag = any(s.outside(t, x) for s in (sol_u, sol_uprime) if s is not None)
+    return YZResult(float(y), float(z), flag)

@@ -658,6 +658,28 @@ def test_cli_single_task_subcommands(tmp_path, task, files):
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
 
 
+def test_reused_out_names_the_files_the_run_did_not_write(tmp_path):
+    # a stray file and the criteria files of an earlier run stay, unlisted,
+    # and the manifest notes each of them; nothing is deleted
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SINGLE_TASK)
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out), "--no-timestamps"]
+    assert main(["criteria", *args]) == 0
+    (out / "grid_uprime.csv").write_text("stale\n")
+    assert main(["solve", *args]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["notes"] == [f"unlisted, from an earlier run or a failed task: {name}"
+                            for name in ("criteria.json", "criteria_table.txt",
+                                         "grid_uprime.csv")]
+    assert {f["path"] for f in man["files"]} == SOLVE_FILES
+    assert (out / "grid_uprime.csv").read_text() == "stale\n"
+    # a second run into the same directory notes the same files, byte for byte
+    before = (out / "manifest.json").read_bytes()
+    assert main(["solve", *args]) == 0
+    assert (out / "manifest.json").read_bytes() == before
+
+
 def test_solve_text_and_binaries_agree_bit_for_bit(tmp_path):
     # grid_u.csv's u column is grid_u.bin's u, and grid_uprime.bin is the u' solve
     cfg_path = tmp_path / "exp.cfg"

@@ -194,9 +194,10 @@ def test_reads_names_the_arguments_of_the_tree(counter, cubic):
     assert spec.reads("h_z") == frozenset() and spec.reads("sigma") == {"t"}
     opaque = expression_spec(b=lambda t, x: 0.0 * x, sigma="1", g="x", h="0", f=None,
                              T=1.0, X0=0.0, partials={"h_x": lambda t, x, y, z: 0.0 * x})
-    assert opaque.reads("b") is None and opaque.reads("b_x") is None  # differenced
-    assert opaque.reads("h_x") is None and opaque.reads("f") is None
-    assert opaque.reads("h_y") == frozenset()
+    # a callable without a tree may read every argument of its coefficient
+    assert opaque.reads("b") == {"t", "x"} and opaque.reads("b_x") == {"t", "x"}  # differenced
+    assert opaque.reads("h_x") == {"t", "x", "y", "z"} and opaque.reads("f") == {"t", "w"}
+    assert opaque.reads("h_y") == frozenset() and opaque.constant("b") is None
     with pytest.raises(KeyError):
         cubic.reads("b_y")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -114,15 +115,36 @@ def test_udoubleprime_quad_exp_vs_quadrature(quad_exp, quad_grids):
         assert np.max(np.abs(got - uxx)) < 5e-3
 
 
-def test_udoubleprime_blowup_gate():
-    # h_zz far above the smallness window must trigger the divergence gate
-    spec = make_spec(
+def _blowup_spec():
+    return make_spec(
         g=lambda x: np.tanh(np.asarray(x, dtype=float)) + 0.2 * np.asarray(x, dtype=float) ** 2 / (1 + np.asarray(x, dtype=float) ** 2),
         h=lambda t, x, y, z: 40.0 * np.asarray(z, dtype=float) ** 2,
         regime="quadratic")
+
+
+def test_udoubleprime_blowup_gate():
+    # h_zz far above the smallness window must trigger the divergence gate
+    spec = _blowup_spec()
     grid = fl.default_grid(spec, nt=201, nx=201)
     with pytest.raises((DivergenceError, SolverError)):
         fl.solve_u_doubleprime(spec, grid)
+
+
+def test_picard_blowup_is_a_solver_error_retried_at_theta_one(monkeypatch):
+    # h = 40z^2 is finite at every finite argument: the source overflows only
+    # because the unconverged Picard iterates of the step at t = 0.995 grow
+    # without bound, so the solve fails as the scheme's, retried at theta = 1
+    spec = _blowup_spec()
+    grid = fl.default_grid(spec, nt=201, nx=201)
+    thetas, sweep = [], fl.pde._backward_sweep
+    monkeypatch.setattr(fl.pde, "_backward_sweep", lambda g, term, coef, theta, *rest:
+                        thetas.append(theta) or sweep(g, term, coef, theta, *rest))
+    with pytest.raises(SolverError) as exc:
+        fl.solve_u(spec, grid)
+    assert thetas == [0.5, 1.0]
+    found = re.fullmatch(r"non-finite system at t=0\.995 from a Picard iterate "
+                         r"of max \|v\| = (\S+)", str(exc.value))
+    assert found and 1e200 < float(found[1]) < np.inf
 
 
 def test_eval_yz_examples(cubic, cubic_grids, counter, counter_grids):
@@ -577,14 +599,28 @@ def test_uprime_solves_u_only_when_a_partial_reads_y(monkeypatch):
 
 
 def test_uprime_solves_u_for_an_opaque_h_x_that_reads_y(monkeypatch):
-    # opaque partials with h_y = 0 and h_z = 0: only h_x = 0.1 y reads y
-    zero = lambda t, x, y, z: 0.0 * np.asarray(x, dtype=float)
-    spec = make_spec(g=lambda x: np.tanh(np.asarray(x, dtype=float)),
-                     h=lambda t, x, y, z: 0.1 * np.asarray(x, dtype=float) * y,
-                     h_partials={"h_x": lambda t, x, y, z: 0.1 * (y + 0.0 * np.asarray(x)),
-                                 "h_y": zero, "h_z": zero})
-    grid = fl.default_grid(spec, nt=41, nx=101)
+    # an opaque driver partial may read y (ModelSpec.reads), so u is solved
+    # first whether it reads y (h_x = 0.1 y) or not (h_z = 0.3, h = 0.3z), and
+    # u' has the bits of the solve given u.  No partial is probed for y: on
+    # h = x y (z - 0.7)^2 / 2 each partial is flat in y at z = 0.7, and a
+    # probe there alone solved u' with y = 0, 0.325 off (max |u'| = 1)
+    x_ = lambda x: np.asarray(x, dtype=float)
+    zero = lambda t, x, y, z: 0.0 * x_(x)
+    reads_y = make_spec(g=lambda x: np.tanh(x_(x)), h=lambda t, x, y, z: 0.1 * x_(x) * y,
+                        h_partials={"h_x": lambda t, x, y, z: 0.1 * (y + 0.0 * x_(x)),
+                                    "h_y": zero, "h_z": zero})
+    no_y = make_spec(g=lambda x: np.tanh(x_(x)), h=lambda t, x, y, z: 0.3 * z,
+                     h_partials={"h_x": zero, "h_y": zero,
+                                 "h_z": lambda t, x, y, z: 0.3 + 0.0 * x_(x)})
+    flat_at_probe = make_spec(
+        g=lambda x: np.tanh(x_(x)), h=lambda t, x, y, z: x_(x) * y * (z - 0.7) ** 2 / 2,
+        h_partials={"h_x": lambda t, x, y, z: y * (z - 0.7) ** 2 / 2 + 0.0 * x_(x),
+                    "h_y": lambda t, x, y, z: x_(x) * (z - 0.7) ** 2 / 2,
+                    "h_z": lambda t, x, y, z: x_(x) * y * (z - 0.7)})
     calls = _count_u_solves(monkeypatch)
-    sp = fl.solve_u_prime(spec, grid)
-    assert calls == [1]
-    assert np.array_equal(sp.u, fl.solve_u_prime(spec, grid, sol_u=fl.solve_u(spec, grid)).u)
+    for spec in (reads_y, no_y, flat_at_probe):
+        grid = fl.default_grid(spec, nt=41, nx=101)
+        calls.clear()
+        sp = fl.solve_u_prime(spec, grid)
+        assert calls == [1]
+        assert_same_solution(sp, fl.solve_u_prime(spec, grid, sol_u=fl.solve_u(spec, grid)))
