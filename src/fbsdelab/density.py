@@ -19,15 +19,18 @@ sampler's nodes, and replaces the conditioning on the null event
 six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
 asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws.
 The projection has two stages: ``FunctionalSampler.projector`` takes the
-weighted Phi once per call and returns a projection, to which each rotated
-path comes as a stream of time-major increment rows and which returns only
-the weighted inner product with Phi.  The PDE samplers step the kernel's
-``mc._flow`` over those rows and accumulate the product node by node, so no
-rotated increment, path or Phi array is formed.  When sigma is a constant
-expression and nablaX is fixed at 1 (b = 0, sigma = 1 in every preset), the
-accumulated sum does not depend on the rotation: the projector forms it
-once, and each rotation only steps X to t and multiplies the sum by the
-slope there.
+weighted Phi and both increment blocks once per call and returns a
+projection, which maps a rotation (c, +-s) to the weighted inner product
+with Phi on the path of c dW +- s dW*.  When b and sigma read no x
+(``ModelSpec.reads``; b = 0, sigma = 1 in every preset), the PDE samplers
+need no rotated path: the Euler recursion is linear in the increments, so
+X_t = D + c S + (+-s) S* from the drift sum D and the sigma-weighted row
+sums S, S* of dW and dW*, formed once (``mc._rotated_end``), and the
+Phi-weight sum A = sum_k phiw[k] sigma(r_k) does not depend on the
+rotation either; a rotation then costs one O(n) combination and the slope
+of F at X_t.  Otherwise they step the kernel's ``mc._flow`` over the
+rotated rows, formed one at a time, and accumulate the product node by
+node, so no rotated increment, path or Phi array is formed.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -38,15 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler,
-                 _fixed_variations, _flow)
+                 _flow, _reads_no_x, _rotated_end)
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
@@ -131,15 +133,16 @@ class FunctionalSampler:
     (F values, derivative paths on ``r_nodes``, shape (n, len(r_nodes))); it
     must be a deterministic, reentrant function of the increments.  It reads
     only increment columns 0..len(r_nodes)-2, all that ``estimate_gF`` hands
-    it (time-major).  The projection has two stages: ``projector(phiw)``
-    takes weights of shape (len(r_nodes), n), does the work that does not
-    depend on the increments once, and returns ``project``, which maps those
-    increments, given as an iterable of time-major (n,) rows, to
-    sum_r phiw[r] Phi(r) per draw: the inner product that ``estimate_gF``
-    takes on each rotated path with common random numbers.  By default
-    ``project`` stacks the rows and calls ``evaluate``; a sampler with a
-    ``streamed`` route computes it row by row instead, holding no
-    (n, len(r_nodes)) block.
+    it (time-major).  The projection has two stages:
+    ``projector(phiw, dW, dWs)`` takes weights of shape (len(r_nodes), n)
+    and the two (n, len(r_nodes)-1) increment blocks, does the work that
+    does not depend on the rotation once, and returns ``project``, which
+    maps a rotation (c, s) to sum_r phiw[r] Phi(r) per draw on the
+    increments c dW + s dWs: the inner product that ``estimate_gF`` takes on
+    each rotated path with common random numbers.  By default ``project``
+    forms the rotated block and calls ``evaluate``; a sampler with a
+    ``streamed`` route computes it without that block: the PDE samplers in
+    closed form when b and sigma read no x, else row by row.
     """
 
     T: float
@@ -147,14 +150,15 @@ class FunctionalSampler:
     r_nodes: np.ndarray
     evaluate: Callable
     description: str = ""
-    streamed: Optional[Callable] = None  # phiw -> (rows -> sum_r phiw[r] Phi(r))
+    streamed: Optional[Callable] = None  # (phiw, dW, dWs) -> ((c, s) -> sum_r phiw[r] Phi(r))
 
-    def projector(self, phiw: np.ndarray) -> Callable[[Iterable[np.ndarray]], np.ndarray]:
+    def projector(self, phiw: np.ndarray, dW: np.ndarray,
+                  dWs: np.ndarray) -> Callable[[float, float], np.ndarray]:
         if self.streamed is not None:
-            return self.streamed(phiw)
+            return self.streamed(phiw, dW, dWs)
 
-        def project(rows):
-            _, Phi = self.evaluate(np.stack(tuple(rows)).T)
+        def project(c, s):
+            _, Phi = self.evaluate(c * dW + s * dWs)
             return np.einsum("ij,ji->i", Phi, phiw)
 
         return project
@@ -214,45 +218,43 @@ def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope
                  description: str) -> FunctionalSampler:
     """The sampler of F = value(X_t), whose derivative in X_t is slope(X_t).
 
-    It steps the flow over the increments up to t only: F and Phi read
-    nothing past it.  Its ``streamed`` route runs the kernel's ``_flow`` over
-    the first k_t rows it is given, accumulating phiw[k] sigma(r_k, X_k) /
-    nablaX_k node by node, and multiplies the sum by slope(X_t) nablaX_t; it
-    does not evaluate F.  When sigma is a constant expression and nablaX is
-    fixed at 1 (``mc._fixed_variations``), that sum A does not depend on the
-    increments: the projector forms it once, with the same operations in the
-    same order, and each projection steps X alone and returns A slope(X_t).
+    ``evaluate`` steps the flow over the increments up to t only: F and Phi
+    read nothing past it.  The ``streamed`` route does not evaluate F and
+    has two bodies.  When b and sigma read no x (``mc._reads_no_x``), nablaX
+    is 1 and the Phi-weight sum A = sum_k phiw[k] sigma(r_k) does not depend
+    on the increments: the projector forms it once, and the X_t of each
+    rotation comes from ``mc._rotated_end`` in O(n), so a projection returns
+    A slope(X_t).  Otherwise each projection runs the kernel's ``_flow``
+    over the first k_t rotated rows, formed one at a time, accumulating
+    phiw[k] sigma(r_k, X_k) / nablaX_k node by node, and multiplies the sum
+    by slope(X_t) nablaX_t.
     """
     dt, k_t, r = _snapshot_grid(spec, t, n_steps)
-    sigma = spec.constant("sigma") if _fixed_variations(spec) else None
+    closed = _reads_no_x(spec)
 
     def evaluate(dW):
         X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
         xt = X[k_t]
         return value(xt), _flow_phi(spec, r, X, nabla, slope(xt))
 
-    def streamed(phiw):
+    def streamed(phiw, dW, dWs):
         n = phiw.shape[1]
-        if sigma is None:
-            def project(rows):
-                acc = np.zeros(n)
-                nodes = _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt,
-                              order=1)
-                for rk, w, (x, nabla) in zip(r, phiw, nodes):
-                    acc += w * spec.sigma(rk, x) / nabla
-                return acc * (slope(x) * nabla)
+        dW, dWs = dW[:, :k_t], dWs[:, :k_t]
+        if closed:
+            # the sum below with nablaX = 1: dividing and multiplying by 1.0 is exact
+            acc = np.zeros(n)
+            for rk, w in zip(r, phiw):
+                acc += w * spec.sigma(rk, spec.X0)
+            end = _rotated_end(spec, dW, dWs, spec.X0, 0.0, dt)
+            return lambda c, s: acc * slope(end(c, s))
 
-            return project
-
-        # the sum above with nablaX = 1: dividing and multiplying by 1.0 is exact
-        acc = np.zeros(n)
-        for w in phiw:
-            acc += w * sigma
-
-        def project(rows):
-            for x, in _flow(spec, islice(rows, k_t), np.full(n, spec.X0, dtype=float), 0.0, dt):
-                pass
-            return acc * slope(x)
+        def project(c, s):
+            acc = np.zeros(n)
+            rows = (c * a + s * b for a, b in zip(dW.T, dWs.T))
+            nodes = _flow(spec, rows, np.full(n, spec.X0, dtype=float), 0.0, dt, order=1)
+            for rk, w, (x, nabla) in zip(r, phiw, nodes):
+                acc += w * spec.sigma(rk, x) / nabla
+            return acc * (slope(x) * nabla)
 
         return project
 
@@ -377,12 +379,11 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     ``sampler.evaluate`` runs once, on the unrotated draws.  Its Phi is
     multiplied once by the trapezoid weights of ``sampler.r_nodes`` (general
     weights: the nodes may be non-uniform) and held time-major as ``phiw``.
-    ``sampler.projector(phiw)`` is called once; each (u, sign) rotation is
-    handed to the projection it returns as a lazy sequence of rows
-    c dW_k + sign s dW*_k, formed as the sampler reads them, and comes back
-    as the weighted inner product per draw.  The
-    conditioning sums over the draws within six bandwidths of each node only
-    (see ``_loclin``).
+    ``sampler.projector(phiw, dW, dWs)`` is called once; each (u, sign)
+    rotation is handed to the projection it returns as the pair
+    (c, sign s), c = e^{-u}, s = sqrt(1 - c^2), and comes back as the
+    weighted inner product per draw.  The conditioning sums over the draws
+    within six bandwidths of each node only (see ``_loclin``).
     """
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
@@ -399,15 +400,14 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     phiw = np.multiply(Phi.T, w[:, None], out=np.empty((w.size, n_mc)))
     del Phi
     dWs = draw(STREAM_COUPLING)  # an independent stream, drawn once Phi is gone
-    project = sampler.projector(phiw)
+    project = sampler.projector(phiw, dW, dWs)
     signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)
     for u, wu in zip(u_nodes, u_weights):
         c = math.exp(-u)
         s = math.sqrt(max(1.0 - c * c, 0.0))
-        # c dW + (-s) dWs is bit-equal to c dW - s dWs; each rotated row is
-        # formed as the sampler reads it
-        inner = sum(project(c * a + (sg * s) * b for a, b in zip(dW.T, dWs.T)) for sg in signs)
+        # c dW + (-s) dWs is bit-equal to c dW - s dWs
+        inner = sum(project(c, sg * s) for sg in signs)
         R += wu * (inner / len(signs))
 
     mean_F = float(np.mean(F))

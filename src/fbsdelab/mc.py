@@ -8,7 +8,9 @@ path i depends on every earlier path (see ROADMAP.md, item "Draw blocks as the
 unit of work").  One recursion, ``_flow``, steps X and its first and
 second variations for every caller, one increment row at a time; ``_euler``
 collects it into time-major arrays, and the g_F samplers of ``density``
-consume it node by node.  The kernel reads a constant b and sigma once
+consume it node by node.  Where b and sigma read no x, the samplers' rotated
+paths need only their last state, which ``_rotated_end`` gives in closed
+form from two row sums.  The kernel reads a constant b and sigma once
 (``ModelSpec.constant``): with b = 0 and sigma = 1 a step is one addition.  A
 variation that the model's expressions fix at 1 or 0 (b_x, sigma_x, b_xx,
 sigma_xx the constant 0) is not stepped: ``_euler`` returns it as a read-only
@@ -47,7 +49,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -220,14 +222,70 @@ def _flow(spec: ModelSpec, rows: Iterable[np.ndarray], x0, t0: float, dt: float,
                 new[2] = node[2] * growth \
                     + node[1] ** 2 * (bxx(t, xk) * dt + sxx(t, xk) * dw)
             for i in stepped:
-                if not math.isfinite(float(new[i].sum())):
-                    bad = ~np.isfinite(new[i])
-                    if np.any(bad):
-                        j = int(np.argmax(bad))
-                        raise EvaluationError(f"non-finite {names[i]} at path {j}, step {k + 1}",
-                                              witness=(j, k + 1))
+                _screen(new[i], names[i], k + 1)
         node = new
         yield tuple(node)
+
+
+def _screen(v: np.ndarray, what: str, step: int) -> None:
+    """Raise an evaluation error, witness (path, step), at the first non-finite entry of ``v``.
+
+    One sum screens the row; only a row whose sum is not finite is searched
+    (a finite row whose sum overflows passes).
+    """
+    if not math.isfinite(float(v.sum())):
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise EvaluationError(f"non-finite {what} at path {j}, step {step}",
+                                  witness=(j, step))
+
+
+def _reads_no_x(spec: ModelSpec) -> bool:
+    """Whether b and sigma read no x (``ModelSpec.reads``) and nablaX is fixed at 1.
+
+    The Euler recursion is then linear in the increments (``_rotated_end``).
+    Exact partials of such a b and sigma are the constant 0; the second test
+    only matters for b_x or sigma_x supplied as opaque callables.
+    """
+    return (not any("x" in spec.reads(name) for name in ("b", "sigma"))
+            and _fixed_variations(spec) >= 1)
+
+
+def _rotated_end(spec: ModelSpec, dW: np.ndarray, dWs: np.ndarray, x0: float, t0: float,
+                 dt: float) -> Callable[[float, float], np.ndarray]:
+    """The last state of ``_flow`` over the rows c dW_k + s dW*_k, in closed form.
+
+    For a b and sigma that read no x (``_reads_no_x``), coefficients at
+    t_k = t0 + k dt, X_{k+1} = X_k + b(t_k) dt + sigma(t_k) dW_k is linear
+    in the increments, and after the N = dW.shape[1] steps
+
+        X_N = D + c S + s S*,   D = x0 + sum_k b(t_k) dt,
+        S = sum_k sigma(t_k) dW_k,   S* = sum_k sigma(t_k) dW*_k.
+
+    D, S and S* are formed here, once, from the (n_paths, N) ``dW`` and
+    ``dWs``; the returned ``end(c, s)`` costs O(n_paths) per rotation.  The
+    sums are added in another order than the recursion's, so X_N agrees with
+    ``_flow``'s at rounding level.  As in ``_flow``, a non-finite X_N raises
+    an evaluation error, here with witness (path, N): the closed form has no
+    earlier step to name.
+    """
+    N = dW.shape[1]
+    times = [t0 + k * dt for k in range(N)]
+    drift = x0
+    for t in times:
+        drift += float(spec.b(t, x0)) * dt
+    sig = np.array([float(spec.sigma(t, x0)) for t in times])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, Ss = (np.einsum("k,nk->n", sig, a) for a in (dW, dWs))
+
+    def end(c: float, s: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = drift + c * S + s * Ss
+            _screen(x, "state", N)
+        return x
+
+    return end
 
 
 def _euler(spec: ModelSpec, dW: np.ndarray, x0, t0: float, dt: float, order: int = 0,

@@ -32,9 +32,10 @@ of a loop that recomputes everything:
 * the coefficients of the last evaluation are reused when (t, iterate) repeat
   bit for bit, or when t repeats and no coefficient reads the iterate, so
   the explicit half-step reads those at which the step before stopped;
-* the implicit matrix is LU-factored by LAPACK's gbtrf only when theta dt or
-  the bits of its coefficients differ from the last solve's; each solve is
-  one gbtrs.
+* the implicit matrix is LU-factored by LAPACK's gbtrf only when no factor
+  in the sweep's small table has its theta dt and coefficient bits (a
+  uniform-looking grid such as linspace(0, 1, 201) has several step widths
+  in bits, which alternate along the sweep); each solve is one gbtrs.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .model import COEFFICIENT_ARGS, ModelSpec, _on_grid, coefficient_of
 __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
            "solve_u_doubleprime", "eval_yz", "default_grid"]
 
+_FACTORS = 16  # LU factors a sweep keeps (linspace(0, 1, 201) has 9 step widths in bits)
 _BIN_MAGIC = b"FBLGRID1"
 _BIN_VERSION = 2
 # magic, version, nt, nx, theta, max_iterations, fallback_used, which, boundary
@@ -303,9 +305,10 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     evaluates once.  A Picard iteration whose coefficients are bitwise those
     of the step's last solve would solve the same system again and return the
     same iterate (delta = 0): it stops the step without the solve and is
-    counted as run.  The sweep keeps the LU factor of the last matrix it
-    solved with (``_solve_implicit``), so a matrix is factored again only when
-    w = theta dt or the bits of (a2, a1, a0) change.  A system with a NaN or
+    counted as run.  The sweep keeps the LU factors of the last ``_FACTORS``
+    matrices it factored, keyed by w = theta dt and the bits of
+    (a2, a1, a0) (``_solve_implicit``), so a matrix is factored once while
+    its factor stays in that table.  A system with a NaN or
     +-inf is the coefficients' fault at a step's first iteration, which reads
     the accepted iterate: ``_solve_implicit``'s EvaluationError, with its
     witness.  At a later iteration, which reads an iterate not yet accepted,
@@ -316,7 +319,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
     nt, nx = tn.size, xn.size
     last = [None, None]  # key of the last evaluation, its coefficients
-    factor = [None, None, None]  # key, LU factor and pivots of the last matrix factored
+    factors = {}  # (w, bits of a2, a1, a0) -> LU factor and pivots, oldest first
 
     def coefs(t, v):
         key = (t, v.tobytes()) if reads_v else t
@@ -351,7 +354,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                 rhs = explicit + dt * theta * _src_pad(s)
                 try:
                     v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new,
-                                            factor)
+                                            factors)
                 except EvaluationError:
                     if m == 0:  # the system at the accepted iterate w
                         raise
@@ -430,28 +433,29 @@ def _check_finite(b, grid, t, ab=None):
                               witness=(float(t), x))
 
 
-def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factor=None):
+def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factors=None):
     """Solve (I - w L) v = rhs with boundary closure rows; banded (2,2) system.
 
     LAPACK's gbtrf factors the band (``_band``) in place and gbtrs solves
-    with the factor.  ``factor`` is the caller's list [key, LU, pivots] of the
-    last matrix factored, key = (w, bits of a2, a1, a0): while the key
-    matches, the band is neither assembled nor factored again, and the call
-    is one gbtrs.  A NaN or +-inf in a row of the system raises
-    EvaluationError with witness (t, x); a kept band was checked when it was
-    factored, so then only the right-hand side is.  A zero pivot raises
+    with the factor.  ``factors`` is the caller's table of (LU, pivots) by
+    key = (w, bits of a2, a1, a0), holding at most ``_FACTORS`` entries (the
+    oldest goes first): a matrix whose key it holds is neither assembled nor
+    factored again, and the call is one gbtrs.  A NaN or +-inf in a row of
+    the system raises EvaluationError with witness (t, x); a kept band was
+    checked when it was factored, so then only the right-hand side is.  A zero pivot raises
     SolverError naming (t, x) of its node, and its matrix is not kept.
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs  # here: scipy.linalg slows package import
 
-    factor = [None, None, None] if factor is None else factor
+    factors = {} if factors is None else factors
     key = (w, a2.tobytes(), a1.tobytes(), a0.tobytes())
     b = rhs.copy()
     if grid.boundary == "extrapolation":
         b[0] = b[-1] = 0.0
     else:  # dirichlet: hold the terminal values at the edges
         b[0], b[-1] = terminal[0], terminal[-1]
-    if key == factor[0]:
+    kept = factors.get(key)
+    if kept is not None:
         _check_finite(b, grid, t)
     else:
         ab = _band(a2, a1, a0, w, grid)
@@ -462,8 +466,10 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factor=None):
             raise SolverError(f"singular implicit system: zero pivot at (t, x) = ({t:g}, {x:g})")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of gbtrf")
-        factor[:] = key, lu, piv
-    v, info = dgbtrs(factor[1], 2, 2, b, factor[2], overwrite_b=1)
+        if len(factors) >= _FACTORS:
+            del factors[next(iter(factors))]
+        kept = factors[key] = lu, piv
+    v, info = dgbtrs(kept[0], 2, 2, b, kept[1], overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrs")
     return v

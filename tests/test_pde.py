@@ -508,10 +508,11 @@ def test_sweep_work_counts(monkeypatch, counter, quad_exp):
     # per step, keyed by t alone, so the confirming iteration reuses it and the
     # explicit half-step reuses the step before's.  sigma = 1 and b = 0 fix the
     # matrix up to w = dt/2: linspace(0, 1, 201) has 9 step widths in bits,
-    # which change 40 times along the sweep; those of linspace(0, 1, 129) are equal
+    # which change 40 times along the sweep, and each is factored once (the
+    # sweep's table holds 16); those of linspace(0, 1, 129) are equal
     counts = _count_work(monkeypatch)
     sol = fl.solve_u(counter, fl.default_grid(counter, nt=201, nx=401))
-    assert counts == {"solves": 200, "evaluations": 201, "factorizations": 41}
+    assert counts == {"solves": 200, "evaluations": 201, "factorizations": 9}
     assert sol.max_iterations == 2
     counts.update(solves=0, evaluations=0, factorizations=0)
     sol = fl.solve_u(counter, fl.default_grid(counter, nt=129, nx=401))
@@ -521,6 +522,25 @@ def test_sweep_work_counts(monkeypatch, counter, quad_exp):
     sol = fl.solve_u(quad_exp, fl.default_grid(quad_exp, nt=129, nx=401))
     assert counts == {"solves": 582, "evaluations": 710, "factorizations": 1}
     assert sol.max_iterations == 5
+
+
+def test_factor_table_keeps_at_most_16_factors(monkeypatch):
+    # sigma = 1 + 0.5t moves the matrix at every one of the 40 steps: each is
+    # factored once, at the step's first solve, and the sweep's table drops
+    # its oldest factor once it holds 16
+    counts, sizes = _count_work(monkeypatch), []
+    solve = fl.pde._solve_implicit
+
+    def sized(*args):
+        out = solve(*args)
+        sizes.append(len(args[-1]))
+        return out
+
+    monkeypatch.setattr(fl.pde, "_solve_implicit", sized)
+    spec = _EXACTNESS_MODELS["moving"]()
+    fl.solve_u(spec, fl.default_grid(spec, nt=41, nx=101))
+    assert counts["factorizations"] == 40 and counts["solves"] > 40
+    assert max(sizes) == fl.pde._FACTORS == 16 and sizes[-1] == 16
 
 
 def test_singular_implicit_system_is_a_solver_error():
