@@ -245,7 +245,7 @@ def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope
             acc = np.zeros(n)
             for rk, w in zip(r, phiw):
                 acc += w * spec.sigma(rk, spec.X0)
-            end = _rotated_end(spec, dW, dWs, spec.X0, 0.0, dt)
+            end = _rotated_end(spec, dW, dWs, dt)
             return lambda c, s: acc * slope(end(c, s))
 
         def project(c, s):

@@ -252,15 +252,16 @@ def _reads_no_x(spec: ModelSpec) -> bool:
             and _fixed_variations(spec) >= 1)
 
 
-def _rotated_end(spec: ModelSpec, dW: np.ndarray, dWs: np.ndarray, x0: float, t0: float,
+def _rotated_end(spec: ModelSpec, dW: np.ndarray, dWs: np.ndarray,
                  dt: float) -> Callable[[float, float], np.ndarray]:
     """The last state of ``_flow`` over the rows c dW_k + s dW*_k, in closed form.
 
-    For a b and sigma that read no x (``_reads_no_x``), coefficients at
-    t_k = t0 + k dt, X_{k+1} = X_k + b(t_k) dt + sigma(t_k) dW_k is linear
-    in the increments, and after the N = dW.shape[1] steps
+    The flow starts at X_0 = spec.X0, t = 0.  For a b and sigma that read no
+    x (``_reads_no_x``), coefficients at t_k = k dt, X_{k+1} = X_k + b(t_k) dt
+    + sigma(t_k) dW_k is linear in the increments, and after the
+    N = dW.shape[1] steps
 
-        X_N = D + c S + s S*,   D = x0 + sum_k b(t_k) dt,
+        X_N = D + c S + s S*,   D = X_0 + sum_k b(t_k) dt,
         S = sum_k sigma(t_k) dW_k,   S* = sum_k sigma(t_k) dW*_k.
 
     D, S and S* are formed here, once, from the (n_paths, N) ``dW`` and
@@ -271,7 +272,8 @@ def _rotated_end(spec: ModelSpec, dW: np.ndarray, dWs: np.ndarray, x0: float, t0
     earlier step to name.
     """
     N = dW.shape[1]
-    times = [t0 + k * dt for k in range(N)]
+    x0 = spec.X0
+    times = [0.0 + k * dt for k in range(N)]
     drift = x0
     for t in times:
         drift += float(spec.b(t, x0)) * dt
