@@ -715,8 +715,12 @@ def _malliavin_context(spec: ModelSpec, ens: PathEnsemble,
     t = ens.t_grid
     # time-major views: each node reads one contiguous row of X and nablaX
     X, nab = ens.X.T, _variations(spec, ens, order=1)[1]
-    theta = _theta_node(spec, sol)
-    hy, hz, hx = (spec.d(name) for name in ("h_y", "h_z", "h_x"))
+    driver = ("h_y", "h_z", "h_x")
+    hy, hz, hx = map(spec.d, driver)
+    if any(spec.reads(name) & {"y", "z"} for name in driver):
+        theta = _theta_node(spec, sol)
+    else:  # no partial reads (Y, Z): 0.0 keeps their bits and shape, as in pde._Leaves
+        theta = lambda _k, _t, _x: (0.0, 0.0)
     sol_up = sol[1] if isinstance(sol, tuple) else None
     row = {k: i for i, k in enumerate(nodes)}
     cond, design = np.empty((len(nodes), n)), np.empty((3 * p, n))

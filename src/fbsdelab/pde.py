@@ -56,6 +56,7 @@ from .model import COEFFICIENT_ARGS, ModelSpec, _on_grid, coefficient_of
 __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
            "solve_u_doubleprime", "eval_yz", "default_grid"]
 
+_SPLINE_BLOCK = 2048  # points a row spline reads at a time
 _FACTORS = 16  # LU factors a sweep keeps (linspace(0, 1, 201) has 9 step widths in bits)
 _BIN_MAGIC = b"FBLGRID1"
 _BIN_VERSION = 2
@@ -161,29 +162,84 @@ class GridSolution:
         i, lam = self._t_weights(t)
         return (1.0 - lam) * a[i] + lam * a[i + 1]
 
+    def _cell(self, xf: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """The cell j of each point of the flat xf with x_j <= x < x_{j+1}, by index arithmetic.
+
+        j = floor((x - x_0) / dx), clamped to 0..nx-1 and moved by at most one
+        cell against the cell bounds, is np.interp's and scipy's binary search:
+        below the box j = 0, at and above the last node x_m j = nx-1.  NaN goes
+        to cell 0, where no bound compares true.  ``q``, a float buffer of
+        xf's size when given, holds the quotient and then each bound.
+        """
+        xn = self.x_nodes
+        q = np.subtract(xf, xn[0], out=q)
+        q /= self._widths[0]
+        np.fmax(q, 0.0, out=q)
+        np.fmin(q, xn.size - 1, out=q)
+        j = q.astype(np.intp)
+        # every j stays in 0..nx-1, so "clip" clips nothing; "raise" would buffer q
+        j -= xf < self._lo.take(j, out=q, mode="clip")
+        j += xf >= self._hi.take(j, out=q, mode="clip")
+        return j
+
     def row_spline(self, t: float, array: Optional[np.ndarray] = None):
         """Cubic-spline interpolant of a time slice (exact for cubic rows).
 
-        Outside the box the spline extrapolates its end polynomial; intended
-        for smooth functional evaluation where the second-order kinks of
-        bilinear interpolation would pollute small quantities.
+        The spline is scipy's not-a-knot ``CubicSpline`` of ``row(t, array)``,
+        and the returned callable has its ``__call__``'s bits: each point finds
+        its cell by ``_cell``'s index arithmetic in place of scipy's binary
+        search, clamped to the last interval nx-2 as scipy's ``find_interval``
+        clamps it, and sums the cell's polynomial in scipy's order, s = x - x_j,
+        ((0 + c_3) + c_2 s) + c_1 s^2 + c_0 s^3 with s^2 = s s and s^3 = s^2 s.
+        Outside the box the end polynomials extrapolate; NaN maps to NaN and
+        +-inf to scipy's value, without a warning.  Points are read in blocks
+        of ``_SPLINE_BLOCK`` into the one result array, so a call holds no
+        more than a block of temporaries besides it.  The result has the shape
+        of x, a scalar for a scalar, as ``eval``'s.  Intended for smooth
+        functional evaluation where the second-order kinks of bilinear
+        interpolation would pollute small quantities.
         """
         from scipy.interpolate import CubicSpline
 
-        return CubicSpline(self.x_nodes, self.row(t, array))
+        xn, last = self.x_nodes, self.x_nodes.size - 2
+        c0, c1, c2, c3 = np.ascontiguousarray(CubicSpline(xn, self.row(t, array)).c)
+        c3 = 0.0 + c3  # scipy's sum starts at 0.0, which turns c_3 = -0.0 into +0.0
+
+        def spline(x):
+            x = np.asarray(x, dtype=float)
+            xf = x.reshape(-1)
+            out = np.empty(xf.size)
+            s, p, term = (np.empty(min(xf.size, _SPLINE_BLOCK)) for _ in range(3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                for a in range(0, xf.size, _SPLINE_BLOCK):
+                    xb, o = xf[a:a + _SPLINE_BLOCK], out[a:a + _SPLINE_BLOCK]
+                    n = xb.size
+                    sb, pb, tb = s[:n], p[:n], term[:n]
+                    j = self._cell(xb, sb)
+                    np.minimum(j, last, out=j)  # scipy clamps x >= x_m to the last interval
+                    np.subtract(xb, xn.take(j, out=sb, mode="clip"), out=sb)
+                    c3.take(j, out=o, mode="clip")
+                    o += np.multiply(c2.take(j, out=tb, mode="clip"), sb, out=tb)
+                    np.multiply(sb, sb, out=pb)
+                    o += np.multiply(c1.take(j, out=tb, mode="clip"), pb, out=tb)
+                    pb *= sb
+                    o += np.multiply(c0.take(j, out=tb, mode="clip"), pb, out=tb)
+            return out.reshape(x.shape) if x.ndim else out[0]
+
+        return spline
 
     def eval(self, t: float, x, array: Optional[np.ndarray] = None, return_flag: bool = False):
         """Bilinear interpolation; linear extension outside the x-box.
 
-        The time slice r = ``row(t, array)`` is read in cell j by index
-        arithmetic on the uniform x grid: j = floor((x - x_0) / dx), moved by
-        at most one cell so that x_j <= x < x_{j+1} as in np.interp's binary
-        search, and the value is slope_j (x - x_j) + r_j with np.interp's
-        slope_j = (r_{j+1} - r_j) / (x_{j+1} - x_j).  Below the box the first
-        cell's line continues; at and above the last node x_m the value is
-        r_m + (r_m - r_{m-1}) / dx (x - x_m).  Inside the box the result has
-        np.interp's bits.  NaN maps to NaN.  With ``return_flag`` the result
-        comes with whether any x lies outside the box or t outside the grid.
+        The time slice r = ``row(t, array)`` is read in cell j = ``_cell(x)``,
+        the cell rule that ``row_spline`` shares, so x_j <= x < x_{j+1} as in
+        np.interp's binary search, and the value is slope_j (x - x_j) + r_j with
+        np.interp's slope_j = (r_{j+1} - r_j) / (x_{j+1} - x_j).  Below the box
+        the first cell's line continues; at and above the last node x_m the
+        value is r_m + (r_m - r_{m-1}) / dx (x - x_m).  Inside the box the
+        result has np.interp's bits.  NaN maps to NaN.  With ``return_flag``
+        the result comes with whether any x lies outside the box or t outside
+        the grid.
         """
         x = np.asarray(x, dtype=float)
         r = self.row(t, array)
@@ -192,12 +248,7 @@ class GridSolution:
         np.divide(r[1:] - r[:-1], w, out=slope[:-1])
         slope[-1] = (r[-1] - r[-2]) / w[0]
         xf = x.reshape(-1)
-        q = (xf - xn[0]) / w[0]
-        np.fmax(q, 0.0, out=q)  # NaN goes to cell 0 and stays NaN below
-        np.fmin(q, xn.size - 1, out=q)
-        j = q.astype(np.intp)
-        j -= xf < self._lo[j]
-        j += xf >= self._hi[j]
+        j = self._cell(xf)
         out = slope[j]
         out *= xf - xn[j]
         out += r[j]

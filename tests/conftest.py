@@ -67,6 +67,14 @@ def make_spec(b="zero", sigma="one", g=None, g1=None, g2=None, h=None,
     )
 
 
+def opaque(spec):
+    """The same callables and partials, each behind a lambda that carries no tree."""
+    hide = lambda f: lambda *a: f(*a)
+    return dataclasses.replace(spec, b=hide(spec.b), sigma=hide(spec.sigma), g=hide(spec.g),
+                               h=hide(spec.h), markovian_f=hide(spec.markovian_f),
+                               partials={n: hide(f) for n, f in spec.partials.items()})
+
+
 def assert_same_solution(a, b):
     """Every array of two grid solutions equal bit for bit, and every other field equal."""
     for f in dataclasses.fields(fl.GridSolution):

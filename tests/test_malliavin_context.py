@@ -10,6 +10,8 @@ import fbsdelab as fl
 from fbsdelab.errors import PreconditionError, ResourceError
 from fbsdelab.mc import BasisSpec, PathEnsemble
 
+from conftest import opaque
+
 PRESETS = [("ex_counter", "counter"), ("ex_cubic", "cubic"), ("ex_quad_exp", "quad")]
 SOLUTIONS = ["pair", "u", "bsde"]
 FIELDS = ("DrX", "DrY", "DrZ", "nablaX")
@@ -186,3 +188,27 @@ def test_constant_zero_girsanov_weight_is_not_evaluated(request, kind):
         assert np.array_equal(ctx.cond, ens._malliavin.cond)
         assert ctx.kurtosis is ens._malliavin.kurtosis is None
     assert calls == []
+
+
+def test_yz_is_looked_up_only_where_a_driver_partial_reads_it(counter, counter_grids,
+                                                               monkeypatch):
+    # counter's h_x = t - 2 and h_y = h_z = 0 read neither y nor z: the context
+    # looks no (Y, Z) up and reads the grids only for the D_rZ factor at the
+    # requested nodes.  Its opaque twin, whose partials may read both, looks
+    # (Y, Z) up at every node, with the same bits
+    _, su, sp = counter_grids
+    ens = fl.simulate_forward(counter, N_PATHS, N_STEPS, seed=SEED)
+    yz_times, evals = [], []
+    yz, evaluate = fl.mc.yz, fl.GridSolution.eval
+    monkeypatch.setattr(fl.mc, "yz", lambda *a: yz_times.append(a[3]) or yz(*a))
+    monkeypatch.setattr(fl.GridSolution, "eval",
+                        lambda self, t, *a, **k: evals.append((self.which, t))
+                        or evaluate(self, t, *a, **k))
+    columns = [ens.index_of(t) for t in TIMES]
+    fast = fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.0, times=TIMES)
+    assert yz_times == []
+    assert sorted(evals) == [("u_prime", t) for t in TIMES for _ in range(2)]
+    yz_times.clear()
+    slow = fl.solve_malliavin_bsde(opaque(counter), ens, (su, sp), r=0.0, times=TIMES)
+    assert yz_times == list(ens.t_grid[::-1])
+    _assert_same(fast, slow, columns)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -10,7 +9,7 @@ import fbsdelab as fl
 from fbsdelab.errors import ConfigError, DivergenceError, SolverError
 from fbsdelab.pde import GridSpec, GridSolution
 
-from conftest import assert_same_solution, make_spec
+from conftest import assert_same_solution, make_spec, opaque
 
 
 def _mesh(grid):
@@ -332,6 +331,56 @@ def test_eval_matches_interp_reference(cubic_grids, quad_grids):
     assert np.array_equal(su.eval(0.4, x2), _eval_reference(su, 0.4, x2))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_row_spline_matches_scipy_bit_for_bit(cubic_grids, quad_grids):
+    # the cell by index arithmetic and scipy's sum order give CubicSpline's
+    # bits, signed zeros included, inside, at and outside the box
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(12)
+    block = fl.pde._SPLINE_BLOCK
+    for grid, su, sp in (cubic_grids, quad_grids):
+        xn = grid.x_nodes
+        width = xn[-1] - xn[0]
+        x = np.concatenate([
+            rng.uniform(xn[0], xn[-1], 3000),
+            xn, np.nextafter(xn, -np.inf), np.nextafter(xn, np.inf),
+            rng.uniform(xn[0] - width, xn[0], 200), rng.uniform(xn[-1], xn[-1] + width, 200),
+            [xn[0], xn[-1], np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300]])
+        for sol, array in ((su, None), (su, su.u_x), (sp, None), (sp, sp.u_x)):
+            for t in (0.0, 1.0, grid.t_nodes[7], 0.3141, rng.uniform()):
+                spline = sol.row_spline(t, array)
+                with np.errstate(all="ignore"):
+                    ref = CubicSpline(xn, sol.row(t, array))(x)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = spline(x)
+                assert got.shape == x.shape and np.array_equal(_bits(got), _bits(ref))
+    _, su, _ = quad_grids
+    xn = su.x_nodes
+    spline, ref = su.row_spline(0.4), CubicSpline(xn, su.row(0.4))
+    for x in (xn[-1], 0.123, xn[0] - 1.0, xn[-1] + 2.0):
+        for arg in (x, np.float64(x), np.array(x)):
+            got = spline(arg)
+            assert np.shape(got) == () and _bits(got) == _bits(ref(x))
+    x2 = rng.uniform(xn[0] - 1, xn[-1] + 1, (3, 7))
+    assert spline(x2).shape == (3, 7) and np.array_equal(_bits(spline(x2)), _bits(ref(x2)))
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        x = rng.uniform(xn[0] - 1, xn[-1] + 1, n)
+        assert np.array_equal(_bits(spline(x)), _bits(ref(x)))
+    # -x - x^2 - x^3 is -0.0 at the node 0, where each term of the sum is -0.0
+    # too: scipy's sum starts at +0.0, so the node reads +0.0
+    xs = np.linspace(-1.0, 1.0, 9)
+    u = np.tile(-xs - xs**2 - xs**3, (2, 1))
+    signed = GridSolution(np.array([0.0, 1.0]), xs, u, u, u, "u", 0.5, "extrapolation")
+    got, ref = signed.row_spline(0.0)(xs), CubicSpline(xs, signed.row(0.0))(xs)
+    assert np.signbit(u[0, 4]) and not np.signbit(got[4])
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
 def test_eval_flag_and_nan(quad_grids):
     _, su, _ = quad_grids
     xn = su.x_nodes
@@ -441,16 +490,8 @@ _EXACTNESS_MODELS = {
     "moving": lambda: fl.expression_spec(b="-0.2*x", sigma="1 + 0.5*t", g="x",
                                          h="0.3*z + sin(y)", f=None, T=1.0, X0=0.0),
     # no callable carries a tree: reads is None, nothing is evaluated once per solve
-    "opaque-counter": lambda: _opaque(fl.preset("ex_counter")),
+    "opaque-counter": lambda: opaque(fl.preset("ex_counter")),
 }
-
-
-def _opaque(spec):
-    # the same callables and partials, each behind a lambda that carries no tree
-    hide = lambda f: lambda *a: f(*a)
-    return dataclasses.replace(spec, b=hide(spec.b), sigma=hide(spec.sigma), g=hide(spec.g),
-                               h=hide(spec.h), markovian_f=hide(spec.markovian_f),
-                               partials={n: hide(f) for n, f in spec.partials.items()})
 
 
 @pytest.mark.parametrize("name", list(_EXACTNESS_MODELS))
