@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, box_mesh, check_horizon,
+from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, _node, box_mesh, check_horizon,
                     default_box, evaluate, sign_package)
 
 __all__ = [
@@ -384,17 +384,17 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
 
     Uses gtilde(x) = g'(x) + (T-t) h_x(T, x, g(x)), the correction term
     htilde above, K = k_y + k_b and the (T-s)-weighted sign-branch integral.
+    A driver with sup |h_z| > 1e-10 on ``box_mesh(box, t)`` raises
+    PreconditionError naming the node of the sup.
     """
     box = box or default_box(spec)
-    # precondition: h must not depend on z
-    probe_t = np.linspace(t, spec.T, 5)[:, None]
-    probe_x = np.linspace(box.x_lo, box.x_hi, 7)[None, :]
-    hz = evaluate(spec, "h_z", probe_t, probe_x, 0.3, 0.7)
-    if np.max(np.abs(hz)) > 1e-10:
-        idx = np.unravel_index(int(np.argmax(np.abs(hz))), hz.shape)
-        raise PreconditionError(
-            "second-order conditions require a z-independent driver; "
-            f"h_z != 0 near (t={float(probe_t[idx[0], 0]):g}, x={float(probe_x[0, idx[1]]):g})")
+    # precondition: h_z = 0 on the box, read on the mesh the correction term uses
+    mesh = box_mesh(box, t)
+    hz = np.abs(_own(evaluate(spec, "h_z", *mesh)))
+    if (sup := float(np.max(hz))) > 1e-10:
+        node = ", ".join(f"{v:g}" for v in _node(mesh, hz))
+        raise PreconditionError("second-order conditions require a z-independent driver; "
+                                f"sup |h_z| = {sup:.3g} at (t, x, y, z) = ({node})")
 
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx",
                                                "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"))

@@ -17,7 +17,10 @@ antithetic), takes the inner product in r by the trapezoid rule on the
 sampler's nodes, and replaces the conditioning on the null event
 {F - E F = x} by Gaussian-kernel local linear regression on F - E F, cut at
 six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
-asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws.
+asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws;
+the PDE samplers form Phi(r) = slope(X_t) nablaX_t sigma(r, X_r) / nablaX_r
+from one node loop over the kernel's ``mc._flow``, which their ``evaluate``
+and their stepped projection share, so neither forms an X or nablaX array.
 The projection has two stages: ``FunctionalSampler.projector`` takes the
 weighted Phi and both increment blocks once per call and returns a
 projection, which maps a rotation (c, +-s) to the weighted inner product
@@ -28,9 +31,9 @@ X_t = D + c S + (+-s) S* from the drift sum D and the sigma-weighted row
 sums S, S* of dW and dW*, formed once (``mc._rotated_end``), and the
 Phi-weight sum A = sum_k phiw[k] sigma(r_k) does not depend on the
 rotation either; a rotation then costs one O(n) combination and the slope
-of F at X_t.  Otherwise they step the kernel's ``mc._flow`` over the
-rotated rows, formed one at a time, and accumulate the product node by
-node, so no rotated increment, path or Phi array is formed.
+of F at X_t.  Otherwise they run the node loop over the rotated rows,
+formed one at a time, and accumulate the product node by node, so no
+rotated increment, path or Phi array is formed.
 
 ``bouleau_hirsch_diagnostic`` reports the per-path Malliavin norm
 int_0^t |D_r Y_t|^2 dr, whose a.s. positivity is the existence criterion the
@@ -47,8 +50,8 @@ import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError
-from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _euler,
-                 _flow, _reads_no_x, _rotated_end)
+from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _flow,
+                 _reads_no_x, _rotated_end)
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
@@ -83,7 +86,6 @@ class GFunction:
     se: np.ndarray
     reliable: np.ndarray         # bool mask: enough effective samples
     bandwidth: float
-    u_nodes: np.ndarray
     mean_F: float
     mad_F: float
     n_mc: int
@@ -107,13 +109,12 @@ class GFunction:
 
 @dataclass
 class DensityEstimate:
-    """Reconstructed density with support interval and normalization defect."""
+    """Reconstructed density on the g_F nodes, with its interval and normalization defect."""
 
     x_nodes: np.ndarray          # global coordinates (mean added back)
     rho: Optional[np.ndarray]
     ci_low: Optional[np.ndarray]
     ci_high: Optional[np.ndarray]
-    support: Optional[tuple]
     normalization_defect: Optional[float]
     verdict: str                 # "ok" | "existence-undetermined"
     mean_F: float = 0.0
@@ -149,7 +150,6 @@ class FunctionalSampler:
     n_steps: int
     r_nodes: np.ndarray
     evaluate: Callable
-    description: str = ""
     streamed: Optional[Callable] = None  # (phiw, dW, dWs) -> ((c, s) -> sum_r phiw[r] Phi(r))
 
     def projector(self, phiw: np.ndarray, dW: np.ndarray,
@@ -173,7 +173,7 @@ def brownian_terminal_sampler(T: float = 1.0, n_steps: int = 64) -> FunctionalSa
         Phi = np.ones((dW.shape[0], r.size))
         return F, Phi
 
-    return FunctionalSampler(T, n_steps, r, evaluate, f"W_T, T={T}")
+    return FunctionalSampler(T, n_steps, r, evaluate)
 
 
 def gaussian_integral_sampler(f: Callable, T: float = 1.0, n_steps: int = 64) -> FunctionalSampler:
@@ -186,22 +186,7 @@ def gaussian_integral_sampler(f: Callable, T: float = 1.0, n_steps: int = 64) ->
         Phi = np.broadcast_to(fvals, (dW.shape[0], r.size)).copy()
         return F, Phi
 
-    return FunctionalSampler(T, n_steps, r, evaluate, "int f dW")
-
-
-def _flow_phi(spec: ModelSpec, r: np.ndarray, X: np.ndarray, nabla: np.ndarray,
-              slope: np.ndarray) -> np.ndarray:
-    """Phi(r) = slope nablaX_t sigma(r, X_r) / nablaX_r on the nodes r, t = r[-1].
-
-    Reads rows 0..len(r)-1 of the kernel's time-major X and nabla.  Phi is
-    built time-major and in place, one (len(r), n) block, and returned as its
-    (n, len(r)) transpose view, so ``estimate_gF`` weights its rows without a
-    copy.
-    """
-    k = r.size
-    Phi = np.multiply(spec.sigma(r[:, None], X[:k]), slope * nabla[k - 1],
-                      out=np.empty((k, X.shape[1])))
-    return np.divide(Phi, nabla[:k], out=Phi).T
+    return FunctionalSampler(T, n_steps, r, evaluate)
 
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
@@ -214,28 +199,38 @@ def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
     return dt, k_t, np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
 
 
-def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope: Callable,
-                 description: str) -> FunctionalSampler:
+def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable,
+                 slope: Callable) -> FunctionalSampler:
     """The sampler of F = value(X_t), whose derivative in X_t is slope(X_t).
 
-    ``evaluate`` steps the flow over the increments up to t only: F and Phi
-    read nothing past it.  The ``streamed`` route does not evaluate F and
-    has two bodies.  When b and sigma read no x (``mc._reads_no_x``), nablaX
-    is 1 and the Phi-weight sum A = sum_k phiw[k] sigma(r_k) does not depend
-    on the increments: the projector forms it once, and the X_t of each
-    rotation comes from ``mc._rotated_end`` in O(n), so a projection returns
-    A slope(X_t).  Otherwise each projection runs the kernel's ``_flow``
-    over the first k_t rotated rows, formed one at a time, accumulating
-    phiw[k] sigma(r_k, X_k) / nablaX_k node by node, and multiplies the sum
-    by slope(X_t) nablaX_t.
+    Phi(r) = slope(X_t) nablaX_t sigma(r, X_r) / nablaX_r comes from one node
+    loop, ``nodes``: the kernel's ``_flow`` over k_t increment rows (F and Phi
+    read nothing past t), yielding (X_k, nablaX_k, sigma(r_k, X_k)) for
+    k = 0..k_t.  ``evaluate`` fills row k of a time-major Phi with
+    sigma / nablaX_k and multiplies the block once by slope(X_t) nablaX_t.
+    The ``streamed`` route does not evaluate F.  When b and sigma read no x
+    (``mc._reads_no_x``), nablaX is 1 and the Phi-weight sum A = sum_k
+    phiw[k] sigma(r_k) does not depend on the increments: the projector forms
+    it once, and each rotation's X_t comes from ``mc._rotated_end`` in O(n),
+    so a projection returns A slope(X_t).  Otherwise each projection runs
+    ``nodes`` over the rotated rows, formed one at a time, accumulating
+    phiw[k] sigma / nablaX_k, and multiplies the sum by slope(X_t) nablaX_t.
     """
     dt, k_t, r = _snapshot_grid(spec, t, n_steps)
     closed = _reads_no_x(spec)
 
+    def nodes(n, rows):
+        flow = _flow(spec, rows, np.full(n, spec.X0, dtype=float), 0.0, dt, order=1)
+        for rk, (x, nabla) in zip(r, flow):
+            yield x, nabla, spec.sigma(rk, x)
+
     def evaluate(dW):
-        X, nabla = _euler(spec, dW[:, :k_t], spec.X0, 0.0, dt, order=1)
-        xt = X[k_t]
-        return value(xt), _flow_phi(spec, r, X, nabla, slope(xt))
+        # time-major: estimate_gF weights the rows of its transpose view without a copy
+        Phi = np.empty((r.size, dW.shape[0]))
+        for row, (x, nabla, sig) in zip(Phi, nodes(dW.shape[0], dW[:, :k_t].T)):
+            np.divide(sig, nabla, out=row)
+        Phi *= slope(x) * nabla
+        return value(x), Phi.T
 
     def streamed(phiw, dW, dWs):
         n = phiw.shape[1]
@@ -251,14 +246,13 @@ def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable, slope
         def project(c, s):
             acc = np.zeros(n)
             rows = (c * a + s * b for a, b in zip(dW.T, dWs.T))
-            nodes = _flow(spec, rows, np.full(n, spec.X0, dtype=float), 0.0, dt, order=1)
-            for rk, w, (x, nabla) in zip(r, phiw, nodes):
-                acc += w * spec.sigma(rk, x) / nabla
+            for w, (x, nabla, sig) in zip(phiw, nodes(n, rows)):
+                acc += w * sig / nabla
             return acc * (slope(x) * nabla)
 
         return project
 
-    return FunctionalSampler(spec.T, n_steps, r, evaluate, description, streamed)
+    return FunctionalSampler(spec.T, n_steps, r, evaluate, streamed)
 
 
 def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int = 64,
@@ -272,7 +266,7 @@ def pde_y_sampler(spec: ModelSpec, sol_u: GridSolution, t: float, n_steps: int =
     u_s = sol_u.row_spline(t)
     ux_s = sol_uprime.row_spline(t) if sol_uprime is not None \
         else sol_u.row_spline(t, sol_u.u_x)
-    return _pde_sampler(spec, t, n_steps, u_s, ux_s, f"Y_{t} via value grid")
+    return _pde_sampler(spec, t, n_steps, u_s, ux_s)
 
 
 def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
@@ -296,7 +290,7 @@ def pde_z_sampler(spec: ModelSpec, sol_uprime: GridSolution, t: float,
             return uxx_s(xt) * spec.sigma(t, xt)
         return ux_s(xt) * sx(t, xt) + uxx_s(xt) * spec.sigma(t, xt)
 
-    return _pde_sampler(spec, t, n_steps, value, slope, f"Z_{t} via gradient grid")
+    return _pde_sampler(spec, t, n_steps, value, slope)
 
 
 # -- conditional expectation estimators --------------------------------------
@@ -428,8 +422,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     clip_rate = float(np.mean(clipped))
     est = np.maximum(est, 0.0)
     reliable = neff >= cond.min_count
-    return GFunction(nodes, est, se, reliable, bw, u_nodes, mean_F, mad_F,
-                     n_mc, seed, clip_rate, cond.kind)
+    return GFunction(nodes, est, se, reliable, bw, mean_F, mad_F, n_mc, seed, clip_rate, cond.kind)
 
 
 def density_from_gF(gF: GFunction) -> DensityEstimate:
@@ -447,8 +440,8 @@ def density_from_gF(gF: GFunction) -> DensityEstimate:
     nodes, g = gF.x_nodes, gF.values
     interior = gF.reliable
     if np.any(g[interior] <= 0.0) or not np.any(interior):
-        return DensityEstimate(nodes + mean_F, None, None, None, None, None,
-                               "existence-undetermined", mean_F, mad_F)
+        return DensityEstimate(nodes + mean_F, None, None, None, None, "existence-undetermined",
+                               mean_F, mad_F)
     I_nodes = integral_from_zero(lambda u: u / np.maximum(np.interp(u, nodes, g), 1e-300),
                                  nodes, n_fine=0)
     g_safe = np.maximum(g, 1e-300)
@@ -461,8 +454,7 @@ def density_from_gF(gF: GFunction) -> DensityEstimate:
     ci_low[wide], ci_high[wide] = 0.0, np.inf
     x_global = nodes + mean_F
     defect = abs(float(np.trapezoid(rho, x_global)) - 1.0)
-    support = (float(x_global[0]), float(x_global[-1]))
-    return DensityEstimate(x_global, rho, ci_low, ci_high, support, defect, "ok",
+    return DensityEstimate(x_global, rho, ci_low, ci_high, defect, "ok",
                            mean_F, mad_F)
 
 

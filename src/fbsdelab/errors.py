@@ -53,7 +53,7 @@ class BasisError(FbsdeLabError):
 
 
 class UndefinedRateError(FbsdeLabError):
-    """Growth-rate estimation on a function vanishing over the whole window."""
+    """No growth rate on the window: the function vanishes there or outgrows every trial power."""
 
 
 class ParseError(FbsdeLabError):

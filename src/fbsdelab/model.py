@@ -176,7 +176,6 @@ class ModelSpec:
     partials: dict = field(default_factory=dict)
     markovian_f: Optional[Callable] = None
     constants: Constants = field(default_factory=Constants)
-    fd_step: float = 1e-5
     oracle: Optional[Oracle] = None
     name: str = "custom"
 
@@ -205,8 +204,7 @@ class ModelSpec:
           variable: h_xyy is the x-difference of h_yy, h_xt the
           t-difference of h_x, h_xy the y-difference of h_x, so a supplied
           lower partial is used;
-        * the step is relative: ``max(1, |v|)`` times ``fd_step`` at total
-          order 1 and ``_FD_STEP[order]`` at orders 2 and 3.
+        * the step is relative: ``max(1, |v|)`` times ``_FD_STEP[order]``.
         """
         if name in self.partials:
             return self.partials[name]
@@ -250,10 +248,6 @@ class ModelSpec:
         """
         return constant_value(self._expression(name)) if self.reads(name) == frozenset() else None
 
-    def _step(self, v, order):
-        base = self.fd_step if order == 1 else _FD_STEP[order]
-        return base * np.maximum(1.0, np.abs(v))
-
     def _fd(self, name: str) -> Callable:
         coeff, variables = _PARTIALS[name]
         fn = self.markovian_f if coeff == "f" else getattr(self, coeff)
@@ -268,7 +262,7 @@ class ModelSpec:
         offsets, weights, c = _STENCILS[order]
 
         def partial(*args):
-            step = self._step(args[i], len(variables))
+            step = _FD_STEP[len(variables)] * np.maximum(1.0, np.abs(args[i]))
             terms = [w * fn(*args) if o == 0 else
                      w * fn(*args[:i], args[i] + o * step, *args[i + 1:])
                      for o, w in zip(offsets, weights)]

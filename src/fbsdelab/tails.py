@@ -57,7 +57,6 @@ class GrowthRates:
     slope: float = 0.0
     branches: str = "both"
     n_sub: int = 0
-    unresolved: bool = False
 
     def __post_init__(self):
         if self.alpha_under > self.alpha_bar + 0.05 + 1e-12:
@@ -87,6 +86,9 @@ def _branch_envelope(f: Callable, x_lo: float, x_hi: float, sign: float):
 def _lattice_rate(pos, env, mode):
     """Smallest exponent of ``_ALPHAS`` whose envelope/x^alpha stops growing.
 
+    A scan that runs off ``_ALPHAS[-1]`` raises UndefinedRateError: the
+    lattice cap is not a measured rate.
+
     The sup test compares head/tail maxima of env/x^alpha at the envelope
     nodes themselves; the inf test works on a densified log-log interpolation
     of the envelope so that lower corners between nodes (where a piecewise
@@ -112,8 +114,8 @@ def _lattice_rate(pos, env, mode):
         else:
             grow = np.min(g[tail]) - np.min(g[head])
         if grow <= math.log1p(0.02):
-            return float(a), False
-    return float(_ALPHAS[-1]), True
+            return float(a)
+    raise UndefinedRateError(f"{mode} growth rate exceeds the lattice cap {_ALPHAS[-1]:g}")
 
 
 def growth_rate(f: Callable, window: tuple, branches: str = "both",
@@ -131,7 +133,7 @@ def growth_rate(f: Callable, window: tuple, branches: str = "both",
     if x_hi / x_lo < min_ratio:
         raise PreconditionError(f"window ratio {x_hi / x_lo:.3g} below required {min_ratio:g}")
     signs = {"both": (1.0, -1.0), "pos": (1.0,), "neg": (-1.0,)}[branches]
-    bars, unders, unresolved = [], [], False
+    bars, unders = [], []
     all_logx, all_logenv = [], []
     got = False
     for s in signs:
@@ -139,11 +141,8 @@ def growth_rate(f: Callable, window: tuple, branches: str = "both",
         if pos.size < 4:
             continue
         got = True
-        ab, ur1 = _lattice_rate(pos, env, "sup")
-        au, ur2 = _lattice_rate(pos, env, "inf")
-        unresolved = unresolved or ur1 or ur2
-        bars.append(ab)
-        unders.append(au)
+        bars.append(_lattice_rate(pos, env, "sup"))
+        unders.append(_lattice_rate(pos, env, "inf"))
         all_logx.append(np.log(pos))
         all_logenv.append(np.log(env))
     if not got:
@@ -160,8 +159,7 @@ def growth_rate(f: Callable, window: tuple, branches: str = "both",
     # numerical guard: the two lattice scans may land one step apart
     a_under = min(a_under, a_bar + 0.05)
     n_sub = all_logx[0].size
-    return GrowthRates(a_bar, a_under, r2, (x_lo, x_hi), float(slope),
-                       branches, n_sub, unresolved)
+    return GrowthRates(a_bar, a_under, r2, (x_lo, x_hi), float(slope), branches, n_sub)
 
 
 def inverse_growth_bound(alpha_under_f: float, eta: float) -> float:

@@ -81,8 +81,14 @@ def test_second_order_boundary_at_root(counter):
 
 
 def test_second_order_rejects_z_dependent_driver(quad_exp):
-    with pytest.raises(PreconditionError):
-        second_order_check(quad_exp, 0.5)
+    # h = x (z - 0.7)^2 has h_z = 0 on the plane z = 0.7 only: the gate reads
+    # the whole box and names the node of sup |h_z| = 2 * 6 * 20.7, a corner
+    off_probe = fl.expression_spec(b="0", sigma="1", g="x", h="x*(z - 0.7)^2", f=None,
+                                   T=1.0, X0=0.0)
+    for spec, match in ((quad_exp, "z-independent driver"),
+                        (off_probe, r"sup \|h_z\| = 248 at \(t, x, y, z\) = \(0.5, -6, -20, -20\)$")):
+        with pytest.raises(PreconditionError, match=match):
+            second_order_check(spec, 0.5)
 
 
 def test_quadratic_check_tanh(quad_exp):

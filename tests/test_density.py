@@ -49,7 +49,7 @@ def test_gF_counter_y_constant(counter, counter_grids):
 def test_density_from_constant_g_is_normal():
     nodes = np.linspace(-2.8, 2.8, 81)
     gf = GFunction(nodes, np.ones_like(nodes), np.zeros_like(nodes),
-                   np.ones_like(nodes, dtype=bool), 0.3, np.ones(4), 0.0,
+                   np.ones_like(nodes, dtype=bool), 0.3, 0.0,
                    math.sqrt(2 / math.pi), 10_000, 0)
     de = density_from_gF(gf)
     mask = np.abs(de.x_nodes) <= 2
@@ -58,7 +58,7 @@ def test_density_from_constant_g_is_normal():
     # scaled variance: g == t gives the centered normal with variance t
     t = 0.49
     gf_t = GFunction(nodes, np.full_like(nodes, t), np.zeros_like(nodes),
-                     np.ones_like(nodes, dtype=bool), 0.3, np.ones(4), 0.0,
+                     np.ones_like(nodes, dtype=bool), 0.3, 0.0,
                      math.sqrt(2 * t / math.pi), 10_000, 0)
     de_t = density_from_gF(gf_t)
     assert float(np.max(np.abs(de_t.rho[mask] - _norm_pdf(de_t.x_nodes[mask], t)))) < 0.02
@@ -115,7 +115,7 @@ def test_density_undetermined_on_nonpositive_g():
     vals = np.ones_like(nodes)
     vals[10] = 0.0
     gf = GFunction(nodes, vals, np.zeros_like(nodes),
-                   np.ones_like(nodes, dtype=bool), 0.3, np.ones(4), 0.0, 0.8, 100, 0)
+                   np.ones_like(nodes, dtype=bool), 0.3, 0.0, 0.8, 100, 0)
     de = density_from_gF(gf)
     assert de.verdict == "existence-undetermined"
     assert de.rho is None
@@ -125,10 +125,10 @@ def test_gfunction_invariants():
     nodes = np.linspace(-1, 1, 5)
     with pytest.raises(ValueError):
         GFunction(nodes, -np.ones_like(nodes), np.zeros_like(nodes),
-                  np.ones_like(nodes, dtype=bool), 0.3, np.ones(4), 0.0, 0.8, 10, 0)
+                  np.ones_like(nodes, dtype=bool), 0.3, 0.0, 0.8, 10, 0)
     with pytest.raises(ValueError):
         GFunction(nodes[::-1], np.ones_like(nodes), np.zeros_like(nodes),
-                  np.ones_like(nodes, dtype=bool), 0.3, np.ones(4), 0.0, 0.8, 10, 0)
+                  np.ones_like(nodes, dtype=bool), 0.3, 0.0, 0.8, 10, 0)
 
 
 def _counter_bh(counter, counter_grids, t, n_paths=2000):
@@ -214,8 +214,8 @@ def test_csv_exports(tmp_path):
 
 
 def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
-    # F and Phi read X and nablaX up to t only: the first k_t steps give the
-    # bits of the full 64-step flow
+    # F and Phi read X and nablaX up to t only: the flow steps k_t rows, and
+    # the first k_t steps give the bits of the full 64-step flow
     from fbsdelab import density, mc
 
     _, su, sp = cubic_grids
@@ -224,33 +224,42 @@ def test_samplers_stop_at_t(cubic, cubic_grids, monkeypatch):
     X, nabla = mc._euler(cubic, dW, cubic.X0, 0.0, dt, order=1)
     steps = []
 
-    def counted(spec, dW, *args, **kw):
-        steps.append(dW.shape[1])
-        return mc._euler(spec, dW, *args, **kw)
+    def counted(spec, rows, *args, **kw):
+        steps.append(0)
 
-    monkeypatch.setattr(density, "_euler", counted)
+        def rows_read():
+            for row in rows:
+                steps[-1] += 1
+                yield row
+
+        return mc._flow(spec, rows_read(), *args, **kw)
+
+    def phi(r, slope):
+        k = r.size - 1
+        return (cubic.sigma(r[:, None], X[:k + 1]) / nabla[:k + 1] * (slope * nabla[k])).T
+
+    monkeypatch.setattr(density, "_flow", counted)
     y = pde_y_sampler(cubic, su, 0.5, 64, sol_uprime=sp)
     F, Phi = y.evaluate(dW)
     xt = X[32]
     assert np.array_equal(F, su.row_spline(0.5)(xt))
-    ux = sp.row_spline(0.5)(xt)
-    assert np.array_equal(Phi, density._flow_phi(cubic, y.r_nodes, X, nabla, ux))
+    assert np.array_equal(Phi, phi(y.r_nodes, sp.row_spline(0.5)(xt)))
     z = pde_z_sampler(cubic, sp, 0.25, 64)
     F, Phi = z.evaluate(dW)
     xt = X[16]
     ux, uxx = sp.row_spline(0.25)(xt), sp.row_spline(0.25, sp.u_x)(xt)
     assert np.array_equal(F, ux * cubic.sigma(0.25, xt))
     slope = ux * cubic.d("sigma_x")(0.25, xt) + uxx * cubic.sigma(0.25, xt)
-    assert np.array_equal(Phi, density._flow_phi(cubic, z.r_nodes, X, nabla, slope))
+    assert np.array_equal(Phi, phi(z.r_nodes, slope))
     assert steps == [32, 16]
 
 
 def test_gF_rotates_only_the_increments_the_sampler_reads(cubic, monkeypatch):
     # Y_1/2 on 64 steps reads k_t = 32 increments: the unrotated draws are
-    # evaluated once, and the projector gets the 32 columns of both blocks.
-    # ex_cubic's b and sigma read no x, so no rotated row is formed; the
-    # tanh model's flow reads 32 contiguous rows per each of the 2 x 4
-    # antithetic rotations
+    # evaluated once, by one flow over their 32 contiguous rows, and the
+    # projector gets the 32 columns of both blocks.  ex_cubic's b and sigma
+    # read no x, so no rotated row is formed; the tanh model's flow reads 32
+    # contiguous rows per each of the 2 x 4 antithetic rotations
     from fbsdelab import density, mc
 
     tanh = fl.expression_spec(b="-0.2*x", sigma="1 + 0.2*tanh(x)", g="x", h="0", f=None,
@@ -274,7 +283,7 @@ def test_gF_rotates_only_the_increments_the_sampler_reads(cubic, monkeypatch):
 
     monkeypatch.setattr(density, "_flow", counted_flow)
     monkeypatch.setattr(density, "_rotated_end", counted_end)
-    for spec, want_reads, want_ends in ((cubic, [], [1]), (tanh, [32] * 8, [])):
+    for spec, want_reads, want_ends in ((cubic, [32], [1]), (tanh, [32] * 9, [])):
         grid = fl.default_grid(spec, nt=21, nx=101, x_lo=-8.0, x_hi=8.0)
         sam = pde_y_sampler(spec, fl.solve_u(spec, grid), 0.5, 64)
         evaluate, projector, shapes = sam.evaluate, sam.projector, []
@@ -308,7 +317,7 @@ def test_samplers_reject_times_outside_horizon(counter, counter_grids, t):
 
 def test_gfunction_csv_bytes_match_row_format(tmp_path):
     x, v, se = np.array([-1.5, 1 / 3, 2.0]), np.array([0.01, 0.7, 1.1]), np.array([0.5, 0.1, 0.2])
-    gf = GFunction(x, v, se, np.ones(3, dtype=bool), 0.3, np.arange(4.0), 0.125, 2 / 3, 100, 5)
+    gf = GFunction(x, v, se, np.ones(3, dtype=bool), 0.3, 0.125, 2 / 3, 100, 5)
     gf.to_csv(tmp_path / "g.csv", header_lines=["a", "b"])
     rows = ["# a", "# b", "# mean_F=0.125 mad_F=%.17g bandwidth=%.17g n_mc=100 seed=5"
             % (2 / 3, 0.3), "x,value,ci_low,ci_high"]
@@ -320,13 +329,13 @@ def test_gfunction_csv_bytes_match_row_format(tmp_path):
 def test_density_csv_bytes_match_row_format(tmp_path):
     x, rho = np.array([-1.0, 0.1, 1 / 7]), np.array([0.2, 0.5, 1 / 3])
     lo, hi = 0.9 * rho, 1.1 * rho
-    DensityEstimate(x, rho, lo, hi, (-1.0, 1 / 7), 0.01, "ok").to_csv(
+    DensityEstimate(x, rho, lo, hi, 0.01, "ok").to_csv(
         tmp_path / "d.csv", header_lines=["a"])
     rows = ["# a", "# verdict=ok defect=0.01", "x,value,ci_low,ci_high"]
     rows += ["%.17g,%.17g,%.17g,%.17g" % r for r in zip(x, rho, lo, hi)]
     assert (tmp_path / "d.csv").read_text() == "\n".join(rows) + "\n"
     # no density: the comments and the column line only
-    DensityEstimate(x, None, None, None, None, None, "existence-undetermined").to_csv(
+    DensityEstimate(x, None, None, None, None, "existence-undetermined").to_csv(
         tmp_path / "u.csv", header_lines=["a"])
     assert (tmp_path / "u.csv").read_text() == (
         "# a\n# verdict=existence-undetermined defect=None\nx,value,ci_low,ci_high\n")
@@ -402,7 +411,7 @@ def test_gF_uses_trapezoid_weights_of_nonuniform_nodes():
     def evaluate(dW):
         return dW @ np.linspace(1.0, 2.0, n), np.broadcast_to(f(r), (dW.shape[0], r.size))
 
-    sam = fl.FunctionalSampler(T, n, r, evaluate, "non-uniform nodes")
+    sam = fl.FunctionalSampler(T, n, r, evaluate)
     gf = estimate_gF(sam, n_mc=3000, n_u_nodes=8, seed=4)
     np.testing.assert_allclose(gf.values, np.trapezoid(f(r) ** 2, r), rtol=1e-12)
 

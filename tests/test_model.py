@@ -79,13 +79,15 @@ def test_fd_partials_match_supplied(cubic):
     np.testing.assert_allclose(bare.d("h_xx")(0.3, x, 0.0, 0.0), 0.0, atol=1e-5)
 
 
-def test_fd_second_order_accuracy():
+def test_fd_second_order_accuracy(monkeypatch):
     # halving the step shrinks the central-difference error ~4x on a smooth map
+    from fbsdelab import model
+
     g = lambda x: np.sin(1.3 * np.asarray(x, dtype=float))
     errs = []
     for step in (1e-2, 5e-3):
+        monkeypatch.setitem(model._FD_STEP, 1, step)
         spec = make_spec(g=g)
-        object.__setattr__(spec, "fd_step", step)
         x = np.linspace(-1, 1, 41)
         errs.append(float(np.max(np.abs(spec.d("g1")(x) - 1.3 * np.cos(1.3 * x)))))
     assert errs[1] < errs[0] / 3.0

@@ -1,10 +1,13 @@
-"""Source checks over ``src/fbsdelab``: every named parameter is read by its function.
+"""Source checks over ``src/fbsdelab``: every named parameter is read by its function,
+and every module-level import is used by its module.
 
 A parameter that its body never reads is an option no value can change.  Names
 that start with ``_`` are exempt (a signature that must take an argument it does
 not use says so), and so are lambdas and ``*args``/``**kwargs``.  Nested
 functions count as part of the body that defines them, so a closure reading an
-outer parameter reads it.
+outer parameter reads it.  An imported name counts as used when the module
+reads it anywhere or lists it in ``__all__``; ``__init__.py``, which imports to
+re-export, and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -38,3 +41,26 @@ def test_source_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                imported[alias.asname or alias.name.split(".")[0]] = stmt.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for elt in stmt.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -73,6 +73,9 @@ def test_growth_rate_preconditions():
         growth_rate(lambda x: x, (-1.0, 100.0))
     with pytest.raises(UndefinedRateError):
         growth_rate(lambda x: 0.0 * np.asarray(x, dtype=float), (1e2, 1e4))
+    # exp(x/10) outgrows every power on (1, 1000): the lattice cap 8 is no rate
+    with pytest.raises(UndefinedRateError, match="sup growth rate exceeds the lattice cap 8"):
+        growth_rate(lambda x: np.exp(np.asarray(x, dtype=float) / 10), (1.0, 1e3), branches="pos")
 
 
 def test_growth_rate_decaying_function_rate_zero():
