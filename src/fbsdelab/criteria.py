@@ -383,7 +383,9 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
     """Corrected second-order conditions (driver independent of z).
 
     Uses gtilde(x) = g'(x) + (T-t) h_x(T, x, g(x)), the correction term
-    htilde above, K = k_y + k_b and the (T-s)-weighted sign-branch integral.
+    htilde above, K = k_y + k_b (declared, else sup |h_y|, |b_x| over
+    [t, T] x box, as in ``first_order_check``) and the (T-s)-weighted
+    sign-branch integral.
     A driver with sup |h_z| > 1e-10 on ``box_mesh(box, t)`` raises
     PreconditionError naming the node of the sup.
     """
@@ -399,8 +401,7 @@ def second_order_check(spec: ModelSpec, t: float, A: Optional[IntervalUnion] = N
     fr = _frame(spec, t, A, box, resolution, ("g1", "h_x", "h_xt", "h_xx", "h_xy", "h_xxx",
                                                "h_xxy", "h_xyy", "h_y", "b_x", "sigma_x"))
     c = spec.constants
-    k_b = c.k_b if c.k_b is not None else float(np.max(np.abs(
-        evaluate(spec, "b_x", *np.ix_(np.linspace(0, spec.T, 9), fr.xg)))))
+    k_b = fr.sup_abs(c.k_b, "b_x", 2)
     k_y = fr.sup_abs(c.k_y, "h_y")
     K = k_y + k_b
 

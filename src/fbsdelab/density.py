@@ -16,8 +16,7 @@ random stream with common random numbers across quadrature nodes (optionally
 antithetic), takes the inner product in r by the trapezoid rule on the
 sampler's nodes, and replaces the conditioning on the null event
 {F - E F = x} by Gaussian-kernel local linear regression on F - E F, cut at
-six bandwidths, or by equal-count binning when ``ConditionalSpec(kind="bins")``
-asks for it.  The sampler evaluates (F, Phi) once, on the unrotated draws;
+six bandwidths.  The sampler evaluates (F, Phi) once, on the unrotated draws;
 the PDE samplers form Phi(r) = slope(X_t) nablaX_t sigma(r, X_r) / nablaX_r
 from one node loop over the kernel's ``mc._flow``, which their ``evaluate``
 and their stepped projection share, so neither forms an X or nablaX array.
@@ -71,9 +70,7 @@ _KERNEL_CUT = 6.0
 class ConditionalSpec:
     """How the conditional expectation given F - E F = x is estimated."""
 
-    kind: str = "loclin"          # "loclin" | "bins"
     bandwidth: Optional[float] = None   # None: 1.06 sigma n^{-1/5}
-    n_bins: int = 32
     min_count: int = 50
 
 
@@ -91,7 +88,6 @@ class GFunction:
     n_mc: int
     seed: int
     clip_rate: float = 0.0
-    estimator: str = "loclin"
 
     def __post_init__(self):
         if np.any(np.diff(self.x_nodes) <= 0):
@@ -338,26 +334,6 @@ def _dot(a, b):
     return np.einsum("i,i", a, b)
 
 
-def _bin_means(xdata, ydata, nodes, n_bins):
-    order = np.argsort(xdata)
-    xs, ys = xdata[order], ydata[order]
-    edges = np.linspace(0, xs.size, n_bins + 1).astype(int)
-    centers, means, ses, counts = [], [], [], []
-    for i in range(n_bins):
-        sl = slice(edges[i], edges[i + 1])
-        if edges[i + 1] - edges[i] == 0:
-            continue
-        centers.append(float(np.mean(xs[sl])))
-        means.append(float(np.mean(ys[sl])))
-        ses.append(float(np.std(ys[sl]) / math.sqrt(max(edges[i + 1] - edges[i], 1))))
-        counts.append(edges[i + 1] - edges[i])
-    centers, means, ses = map(np.asarray, (centers, means, ses))
-    est = np.interp(nodes, centers, means)
-    se = np.interp(nodes, centers, ses)
-    neff = np.interp(nodes, centers, np.asarray(counts, dtype=float))
-    return est, se, neff
-
-
 def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
                 cond: Optional[ConditionalSpec] = None, seed: int = 0,
                 antithetic: bool = True) -> GFunction:
@@ -410,19 +386,13 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, 101)))
     if nodes.size < 3:
         raise PreconditionError("functional is (nearly) degenerate; no node spread")
-    if cond.kind == "loclin":
-        bw = cond.bandwidth or 1.06 * float(np.std(x)) * n_mc ** (-0.2)
-        est, se, neff = _loclin(x, R, nodes, bw)
-    elif cond.kind == "bins":
-        bw = float("nan")
-        est, se, neff = _bin_means(x, R, nodes, cond.n_bins)
-    else:
-        raise PreconditionError(f"unknown conditional estimator {cond.kind!r}")
+    bw = cond.bandwidth or 1.06 * float(np.std(x)) * n_mc ** (-0.2)
+    est, se, neff = _loclin(x, R, nodes, bw)
     clipped = est < 0
     clip_rate = float(np.mean(clipped))
     est = np.maximum(est, 0.0)
     reliable = neff >= cond.min_count
-    return GFunction(nodes, est, se, reliable, bw, mean_F, mad_F, n_mc, seed, clip_rate, cond.kind)
+    return GFunction(nodes, est, se, reliable, bw, mean_F, mad_F, n_mc, seed, clip_rate)
 
 
 def density_from_gF(gF: GFunction) -> DensityEstimate:
@@ -464,8 +434,6 @@ class BHReport:
     norms: np.ndarray
     min: float
     quantiles: dict
-    frac_below: float
-    threshold: float
     verdict: str
     r_nodes: np.ndarray
 
@@ -496,11 +464,10 @@ def bouleau_hirsch_diagnostic(malls: Sequence[MalliavinEnsemble], t: float,
     widths = np.diff(edges)
     norms = (vals**2) @ widths
     qs = {q: float(np.quantile(norms, q / 100.0)) for q in (5, 25, 50, 75, 95)}
-    frac = float(np.mean(norms < threshold))
     if float(np.max(norms)) <= threshold:
         verdict = "degenerate"
     elif float(np.min(norms)) > threshold:
         verdict = "supports-density"
     else:
         verdict = "inconclusive"
-    return BHReport(t, norms, float(np.min(norms)), qs, frac, threshold, verdict, r)
+    return BHReport(t, norms, float(np.min(norms)), qs, verdict, r)

@@ -228,7 +228,7 @@ class GridSolution:
 
         return spline
 
-    def eval(self, t: float, x, array: Optional[np.ndarray] = None, return_flag: bool = False):
+    def eval(self, t: float, x, array: Optional[np.ndarray] = None):
         """Bilinear interpolation; linear extension outside the x-box.
 
         The time slice r = ``row(t, array)`` is read in cell j = ``_cell(x)``,
@@ -237,9 +237,8 @@ class GridSolution:
         np.interp's slope_j = (r_{j+1} - r_j) / (x_{j+1} - x_j).  Below the box
         the first cell's line continues; at and above the last node x_m the
         value is r_m + (r_m - r_{m-1}) / dx (x - x_m).  Inside the box the
-        result has np.interp's bits.  NaN maps to NaN.  With ``return_flag``
-        the result comes with whether any x lies outside the box or t outside
-        the grid.
+        result has np.interp's bits.  NaN maps to NaN.  ``outside`` tells
+        whether any x lies outside the box or t outside the grid.
         """
         x = np.asarray(x, dtype=float)
         r = self.row(t, array)
@@ -252,11 +251,10 @@ class GridSolution:
         out = slope[j]
         out *= xf - xn[j]
         out += r[j]
-        out = out.reshape(x.shape) if x.ndim else out[0]
-        return (out, self.outside(t, x)) if return_flag else out
+        return out.reshape(x.shape) if x.ndim else out[0]
 
     def outside(self, t: float, x) -> bool:
-        """Whether any x lies outside the x box or t outside the time grid (``eval``'s flag)."""
+        """Whether any x lies outside the x box or t outside the time grid."""
         x, xn, tn = np.asarray(x, dtype=float), self.x_nodes, self._t_list
         return bool(np.any(x < xn[0]) or np.any(x > xn[-1])
                     or t < tn[0] - 1e-12 or t > tn[-1] + 1e-12)

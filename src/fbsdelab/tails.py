@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError, UndefinedRateError
-from .model import ModelSpec, check_horizon
+from .model import ModelSpec, _node, box_mesh, check_horizon, default_box, evaluate
 from .pde import GridSolution
 from .special import gauss_hermite_prob, integral_from_zero, norm_pdf
 
@@ -53,10 +53,6 @@ class GrowthRates:
     alpha_bar: float
     alpha_under: float
     r_squared: float
-    window: tuple
-    slope: float = 0.0
-    branches: str = "both"
-    n_sub: int = 0
 
     def __post_init__(self):
         if self.alpha_under > self.alpha_bar + 0.05 + 1e-12:
@@ -158,8 +154,7 @@ def growth_rate(f: Callable, window: tuple, branches: str = "both",
     a_under = min(unders)
     # numerical guard: the two lattice scans may land one step apart
     a_under = min(a_under, a_bar + 0.05)
-    n_sub = all_logx[0].size
-    return GrowthRates(a_bar, a_under, r2, (x_lo, x_hi), float(slope), branches, n_sub)
+    return GrowthRates(a_bar, a_under, r2)
 
 
 def inverse_growth_bound(alpha_under_f: float, eta: float) -> float:
@@ -503,7 +498,11 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
     lam.  Hypotheses (terminal-condition growth sandwiches, sign and
     smallness of the driver) gate the overall verdict; each conclusion (rate
     bands for u, u', u'', pointwise floors for u' and u'') is evaluated and
-    reported regardless, since partial applications are common.
+    reported regardless, since partial applications are common.  The driver
+    gates read h, h_zz and h_z through ``model.evaluate`` on
+    ``box_mesh(default_box(spec), 0.0)``, so a non-finite value raises
+    EvaluationError; a failing h <= 0 or h_zz gate carries the (t, x, y, z)
+    ``node`` of its worst value.
     """
     eps = params["eps"]
     eps_p = params["eps_prime"]
@@ -524,18 +523,20 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
                                       and np.all(g2 <= params["B_hi"] + 1e-12)),
                            "margin": float(min(np.min(g2 - params["B_lo"]),
                                                np.min(params["B_hi"] - g2)))}
-    # driver gates: h <= 0, 0 <= h_zz < 1/(4 B_hi T), |h_z| <= C (1+|z|^lam)
-    tprobe = np.linspace(0.0, T, 9)[:, None]
-    zprobe = np.linspace(-30.0, 30.0, 41)[None, :]
-    hvals = spec.h(tprobe, 0.0, 0.0, zprobe)
+    # driver gates on the (t, x, y, z) box: h <= 0, 0 <= h_zz < 1/(4 B_hi T),
+    # |h_z| <= C (1+|z|^lam); a failing gate names the node of its worst value
+    mesh = box_mesh(default_box(spec), 0.0)
+    hvals, hzz, hz = (evaluate(spec, n, *mesh) for n in ("h", "h_zz", "h_z"))
     hyp["h_nonpositive"] = {"ok": bool(np.max(hvals) <= 1e-12), "margin": float(-np.max(hvals))}
-    hzz = spec.d("h_zz")(tprobe, 0.0, 0.0, zprobe)
+    if not hyp["h_nonpositive"]["ok"]:
+        hyp["h_nonpositive"]["node"] = _node(mesh, hvals)
     cap = 1.0 / (4.0 * params["B_hi"] * T)
     hyp["h_zz_window"] = {"ok": bool(np.min(hzz) >= -1e-12 and np.max(hzz) < cap),
                           "margin": float(min(np.min(hzz) + 1e-12, cap - np.max(hzz)))}
+    if not hyp["h_zz_window"]["ok"]:
+        hyp["h_zz_window"]["node"] = _node(mesh, np.maximum(-1e-12 - hzz, hzz - cap))
     lam = params["lam"]
-    hz = np.abs(spec.d("h_z")(tprobe, 0.0, 0.0, zprobe))
-    Cfit = float(np.max(hz / (1.0 + np.abs(zprobe) ** lam)))
+    Cfit = float(np.max(np.abs(hz) / (1.0 + np.abs(mesh[3]) ** lam)))
     hyp["h_z_growth"] = {"ok": bool(lam <= 1.0 / eps - 1.0 + 1e-12), "margin": 1.0 / eps - 1.0 - lam,
                          "C_fit": Cfit}
 

@@ -97,11 +97,23 @@ def test_cubic_z1_density(cubic, cubic_grids):
     assert de.normalization_defect <= 0.02
 
 
-def test_estimate_gF_bins_fallback():
-    gf = estimate_gF(brownian_terminal_sampler(1.0, 32), n_mc=20000, seed=8,
-                     cond=ConditionalSpec(kind="bins", n_bins=32))
-    assert gf.estimator == "bins"
-    assert float(np.max(np.abs(gf.values - 1.0))) < 0.05
+def test_cubic_y_half_gF_matches_closed_form(cubic):
+    # Y_1/2 = phi(X_1/2), phi(x) = x^3 + 3x, X_1/2 ~ N(0, 1/2), has
+    # g_F(phi(x)) = 1.5 (x^2 + 1)(x^2 + 4), x the real (Cardano) root of phi(x) = y.
+    # Bound: over seeds 1-10 at these sizes the largest relative error on the
+    # reliable nodes read 0.039-0.065; 0.10 is that spread's top with 50 % room.
+    grid = fl.default_grid(cubic, nt=101, nx=401, x_lo=-12.0, x_hi=12.0)
+    su = fl.solve_u(cubic, grid)
+    sp = fl.solve_u_prime(cubic, grid, sol_u=su)
+    sam = pde_y_sampler(cubic, su, 0.5, n_steps=32, sol_uprime=sp)
+    gf = estimate_gF(sam, n_mc=4096, n_u_nodes=8, seed=1)
+    y = gf.x_nodes + gf.mean_F
+    s = np.sqrt(0.25 * y * y + 1.0)
+    x = np.cbrt(0.5 * y + s) + np.cbrt(0.5 * y - s)
+    exact = 1.5 * (x * x + 1.0) * (x * x + 4.0)
+    m = gf.reliable
+    assert np.count_nonzero(m) >= 90
+    assert float(np.max(np.abs(gf.values[m] - exact[m]) / exact[m])) < 0.10
 
 
 def test_estimate_gF_unreliable_nodes_flagged():

@@ -385,11 +385,10 @@ def test_eval_flag_and_nan(quad_grids):
     _, su, _ = quad_grids
     xn = su.x_nodes
     inside = np.array([xn[0], 0.0, xn[-1]])
-    assert su.eval(0.5, inside, return_flag=True)[1] is False
-    assert su.eval(0.5, [xn[0] - 1e-9], return_flag=True)[1] is True
-    assert su.eval(0.5, [xn[-1] + 1e-9], return_flag=True)[1] is True
-    assert su.eval(1.5, inside, return_flag=True)[1] is True
-    assert np.array_equal(su.eval(0.5, inside, return_flag=True)[0], su.eval(0.5, inside))
+    assert su.outside(0.5, inside) is False
+    assert su.outside(0.5, [xn[0] - 1e-9]) is True
+    assert su.outside(0.5, [xn[-1] + 1e-9]) is True
+    assert su.outside(1.5, inside) is True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = su.eval(0.5, np.array([np.nan, 0.0, np.nan]))

@@ -1,5 +1,5 @@
 """Source checks over ``src/fbsdelab``: every named parameter is read by its function,
-and every module-level import is used by its module.
+every module-level import is used by its module, and every exported name exists.
 
 A parameter that its body never reads is an option no value can change.  Names
 that start with ``_`` are exempt (a signature that must take an argument it does
@@ -7,10 +7,12 @@ not use says so), and so are lambdas and ``*args``/``**kwargs``.  Nested
 functions count as part of the body that defines them, so a closure reading an
 outer parameter reads it.  An imported name counts as used when the module
 reads it anywhere or lists it in ``__all__``; ``__init__.py``, which imports to
-re-export, and ``from __future__`` imports are exempt.
+re-export, and ``from __future__`` imports are exempt.  Every name a module lists
+in ``__all__`` exists in it, so a removal cannot leave a stale export behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,10 @@ def _unused_imports(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    name = "fbsdelab" if path.stem == "__init__" else f"fbsdelab.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.integrate as si
 
 import fbsdelab as fl
-from fbsdelab.errors import PreconditionError, UndefinedRateError
+from fbsdelab.errors import EvaluationError, PreconditionError, UndefinedRateError
 from fbsdelab.pde import GridSolution
 from fbsdelab.tails import (GrowthRates, TailEnvelope, compute_constants,
                             delta_const, empirical_density, envelope,
@@ -119,7 +120,7 @@ def test_inverse_growth_composition_random_monotone():
 
 def test_growth_rates_invariant():
     with pytest.raises(ValueError):
-        GrowthRates(1.0, 2.0, 0.9, (1, 100))
+        GrowthRates(1.0, 2.0, 0.9)
 
 
 def test_regular_variation_cubic_prime():
@@ -336,6 +337,29 @@ def test_growth_sandwich_hzz_gate(quad_exp, quad_grids):
     # h_zz = 1 >= 1/(4 B_hi T): outside the smallness window
     assert not rep.hypotheses["h_zz_window"]["ok"]
     assert rep.verdict == "inapplicable"
+
+
+def test_growth_sandwich_driver_gates_read_the_box():
+    # h = x^2 - 0.005 z^2 is <= 0 on the line x = y = 0 alone: h = 36 at (x, z) = (+-6, 0)
+    h = lambda t, x, y, z: np.asarray(x, dtype=float) ** 2 - 0.005 * np.asarray(z, dtype=float) ** 2
+    spec = make_spec(g=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
+                     g1=lambda x: np.asarray(x, dtype=float),
+                     g2=lambda x: np.ones_like(np.asarray(x, dtype=float)), h=h)
+    grid = fl.default_grid(spec, nt=21, nx=81)
+    su = fl.solve_u(spec, grid)
+    sp = fl.solve_u_prime(spec, grid, sol_u=su)
+    spp = fl.solve_u_doubleprime(spec, grid, sol_u=su, sol_uprime=sp)
+    params = {"eps": 0.1, "eps_prime": 0.05, "C_lo": 0.5, "C_hi": 4.0,
+              "D_lo": 0.0, "D_hi": 1.0, "B_lo": 0.0, "B_hi": 1.0, "lam": 1.0}
+    rep = verify_growth_sandwich(su, sp, spp, spec, params)
+    gate = rep.hypotheses["h_nonpositive"]
+    assert not gate["ok"] and gate["margin"] == -36.0
+    assert h(*gate["node"]) == 36.0 and abs(gate["node"][1]) == 6.0
+    assert rep.verdict == "inapplicable"
+    # a non-finite driver value on the box is an error that names its node
+    pole = dataclasses.replace(spec, h=lambda t, x, y, z: -1.0 / np.asarray(z, dtype=float))
+    with pytest.raises(EvaluationError, match=r"^h = -inf at \(t, x, y, z\)"):
+        verify_growth_sandwich(su, sp, spp, pole, params)
 
 
 def test_empirical_density_accuracy():
