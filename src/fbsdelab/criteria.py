@@ -44,8 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, _node, box_mesh, check_horizon,
-                    default_box, evaluate, sign_package)
+from .model import (SIGN_PARTIALS, SIGNS, GridBox, ModelSpec, _edge_running, _node, box_mesh,
+                    check_horizon, default_box, evaluate, sign_package)
 
 __all__ = [
     "IntervalUnion", "CriterionReport", "VariationBounds",
@@ -118,28 +118,6 @@ def _verdict(nonstrict: float, strict: float, res: float):
     if strict > res:
         return "holds", strict
     return "fails", strict
-
-
-def _edge_running(vals: np.ndarray) -> bool:
-    """True when the minimum sits at the box edge and is still decreasing.
-
-    Pass -vals for the maximum: negation is exact and argmin of -vals is the
-    first argmax of vals.  'Still decreasing' is judged against the typical
-    per-node variation: a trend whose edge step keeps pace with the average
-    slope is treated as unbounded, while a saturating tail (edge step orders
-    of magnitude below the typical step) is not.
-    """
-    rng = float(np.max(vals) - np.min(vals))
-    if rng <= 1e-7 * (1.0 + float(np.max(np.abs(vals)))):
-        return False  # essentially constant
-    thresh = 0.5 * (rng / max(vals.size - 1, 1))
-    j = int(np.argmin(vals))
-    if j == 0:
-        return vals[1] - vals[0] > thresh
-    if j == vals.size - 1:
-        return vals[-2] - vals[-1] > thresh
-    return False
-
 
 
 # -- sign-branch integrals ----------------------------------------------------
@@ -614,11 +592,9 @@ def x_sign_check(spec: ModelSpec, box: Optional[GridBox] = None,
             if margins[k] < -fr.res:
                 i = np.unravel_index(int(np.argmin(v)), v.shape)
                 witnesses.append((k, float(tn[i[0], 0]), float(xn[0, i[1]])))
-        # the ellipticity floor is strict; the derivative sign conditions are not
-        if margins["sigma"] <= fr.res:
-            verdict = "boundary" if abs(margin) <= fr.res else "fails"
-        else:
-            verdict = "holds" if margin >= -fr.res else "fails"
+        # the ellipticity floor is strict and the sign conditions are not: sigma is the
+        # strict line, the least margin over all of them the non-strict one
+        verdict = _verdict(margin, margins["sigma"], fr.res)[0]
         out["X" + sign] = fr.report("X" + sign, verdict, margin, margins,
                                     [f"witness {w}" for w in witnesses])
     return out

@@ -50,8 +50,8 @@ import numpy as np
 from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _flow,
-                 _reads_no_x, _rotated_end)
-from .model import ModelSpec, check_horizon
+                 _reads_no_x, _rotated_end, _time_index)
+from .model import ModelSpec
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
 
@@ -72,6 +72,11 @@ class ConditionalSpec:
 
     bandwidth: Optional[float] = None   # None: 1.06 sigma n^{-1/5}
     min_count: int = 50
+
+    def __post_init__(self):
+        bw = self.bandwidth
+        if bw is not None and not (math.isfinite(bw) and bw > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {bw!r}")
 
 
 @dataclass
@@ -187,12 +192,9 @@ def gaussian_integral_sampler(f: Callable, T: float = 1.0, n_steps: int = 64) ->
 
 def _snapshot_grid(spec: ModelSpec, t: float, n_steps: int):
     """(dt, k_t, r): the step T/n_steps, the step index of t and the nodes r_0..r_{k_t} = t."""
-    check_horizon(t, spec.T)
-    dt = spec.T / n_steps
-    k_t = int(round(t / dt))
-    if abs(k_t * dt - t) > 1e-9:
-        raise PreconditionError("t must sit on the sampler time grid")
-    return dt, k_t, np.linspace(0.0, spec.T, n_steps + 1)[: k_t + 1]
+    nodes = np.linspace(0.0, spec.T, n_steps + 1)
+    k_t = _time_index(nodes, t)
+    return spec.T / n_steps, k_t, nodes[: k_t + 1]
 
 
 def _pde_sampler(spec: ModelSpec, t: float, n_steps: int, value: Callable,
@@ -386,7 +388,7 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     nodes = np.unique(np.quantile(x, np.linspace(0.005, 0.995, 101)))
     if nodes.size < 3:
         raise PreconditionError("functional is (nearly) degenerate; no node spread")
-    bw = cond.bandwidth or 1.06 * float(np.std(x)) * n_mc ** (-0.2)
+    bw = 1.06 * float(np.std(x)) * n_mc ** (-0.2) if cond.bandwidth is None else cond.bandwidth
     est, se, neff = _loclin(x, R, nodes, bw)
     clipped = est < 0
     clip_rate = float(np.mean(clipped))

@@ -36,8 +36,10 @@ independent of the differentiation time r except the column scale
 sigma(r, X_r) / nablaX_r of D_r X.  ``solve_malliavin_bsde`` therefore keeps
 the r-independent work in a context on the ensemble, rebuilt when the model,
 the solution, the basis or the requested times change, and each call only
-rescales its columns.  Results hold the requested columns alone
-(``ColumnStore``).
+rescales its columns.  Both Malliavin results, that one and
+``second_malliavin``'s, hold only the grid columns they computed, ``nodes``,
+as read-only time-major (len(nodes), n_paths) rows; their ``at`` reads the
+row of one held time and refuses any other.
 
 Jobs whose estimated array bytes exceed the machine's physical memory raise
 ``ResourceError`` before allocating.
@@ -61,7 +63,7 @@ from .pde import GridSolution, yz
 
 __all__ = [
     "STREAM_FORWARD", "STREAM_COUPLING",
-    "PathEnsemble", "BasisSpec", "BsdeSolution", "ColumnStore", "MalliavinEnsemble",
+    "PathEnsemble", "BasisSpec", "BsdeSolution", "MalliavinEnsemble",
     "simulate_forward", "solve_bsde_regression", "variational_processes",
     "solve_malliavin_bsde", "z_from_malliavin", "second_malliavin",
     "malliavin_fd", "rng_stream",
@@ -84,7 +86,7 @@ def _time_index(t_grid: np.ndarray, t: float, nearest: bool = False) -> int:
     check_horizon(t, float(t_grid[-1]))
     k = int(round((t - t_grid[0]) / (t_grid[1] - t_grid[0])))
     if not nearest and abs(t_grid[k] - t) > 1e-9 + 1e-9 * abs(t):
-        raise PreconditionError(f"t={t} is not a grid time of this ensemble")
+        raise PreconditionError(f"t={t} is not a node of the time grid")
     return k
 
 
@@ -568,12 +570,14 @@ def _variations(spec: ModelSpec, ens: PathEnsemble, order: int):
     return _euler(spec, ens.dW, None, ens.t_grid[0], ens.dt, order, X=ens.X.T)
 
 
-def malliavin_dx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int) -> np.ndarray:
-    """D_{t_{k_r}} X_t for all t >= t_{k_r} via the flow representation."""
-    sig_r = spec.sigma(ens.t_grid[k_r], ens.X[:, k_r])
-    out = np.full_like(nabla, np.nan)
-    out[:, k_r:] = (sig_r / nabla[:, k_r])[:, None] * nabla[:, k_r:]
-    return out
+def _drx(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray, k_r: int, rows) -> np.ndarray:
+    """D_{t_{k_r}} X on ``rows`` by the flow representation: sigma(r, X_r) / nablaX_r * rows.
+
+    ``nabla`` is the time-major (n_steps+1, n_paths) first variation and
+    ``rows`` holds nablaX at the times wanted (time-major rows, or 1.0 for the
+    column scale alone), so D_r X_t = nablaX_t sigma(r, X_r) / nablaX_r.
+    """
+    return spec.sigma(ens.t_grid[k_r], ens.X[:, k_r]) / nabla[k_r] * rows
 
 
 def _malliavin_d2x(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray,
@@ -587,76 +591,55 @@ def _malliavin_d2x(spec: ModelSpec, ens: PathEnsemble, nabla: np.ndarray,
     """
     t = ens.t_grid
     lo, hi = sorted((k_r, k_s))
-    c = {k: spec.sigma(t[k], ens.X[:, k]) / nabla[k] for k in (lo, hi)}
+    c = {k: _drx(spec, ens, nabla, k, 1.0) for k in (lo, hi)}
     cc = c[k_r] * c[k_s]
     start = spec.d("sigma_x")(t[hi], ens.X[:, hi]) * (c[lo] * nabla[hi]) - cc * nabla2[hi]
     return cc * nabla2[hi:] + nabla[hi:] / nabla[hi] * start
 
 
-class ColumnStore:
-    """Read-only (n_paths, n_cols) array of which only some columns are held.
+def _held_row(res, t: float, which: str, first: int, before: str) -> np.ndarray:
+    """Row of the result's time-major ``which`` that holds grid time t (read-only).
 
-    ``store[:, k]`` is column k across paths, all NaN when k is not held, and
-    ``k in store`` tells whether it is.  ``nbytes`` counts the held columns
-    only.  No other indexing is supported.
+    Row i of each array of ``res`` is grid column ``res.nodes[i]``.  A t
+    outside [0, T] or off the grid raises (``_time_index``), and so do a t
+    before column ``first`` (``before`` names that time), an array the
+    result lacks and a column it does not hold.
     """
-
-    def __init__(self, columns: Sequence[int], rows: np.ndarray, n_cols: int):
-        self.columns = tuple(columns)
-        self._row = {k: i for i, k in enumerate(self.columns)}
-        rows.setflags(write=False)
-        self._rows = rows                       # row i holds column columns[i]
-        self.shape = (rows.shape[1], n_cols)
-
-    @property
-    def nbytes(self) -> int:
-        return self._rows.nbytes
-
-    def __contains__(self, k) -> bool:
-        return k in self._row
-
-    def __getitem__(self, key):
-        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], slice)
-                and key[0] == slice(None) and isinstance(key[1], (int, np.integer))):
-            raise IndexError("a ColumnStore is read one column at a time: store[:, k]")
-        k = range(self.shape[1])[key[1]]        # numpy's bounds and negative indices
-        if k in self._row:
-            return self._rows[self._row[k]]
-        col = np.full(self.shape[0], np.nan)
-        col.setflags(write=False)
-        return col
+    k = _time_index(res.t_grid, t)
+    if k < first:
+        raise PreconditionError(f"t={t} precedes {before}")
+    rows = getattr(res, which)
+    if rows is None:
+        raise PreconditionError(f"{which} is not available (it needs the u' grid solution)")
+    if k not in res.nodes:
+        raise PreconditionError(f"{which} was not computed at t={t}; list it in `times`")
+    return rows[res.nodes.index(k)]
 
 
 @dataclass
 class MalliavinEnsemble:
     """Pathwise Malliavin-derivative processes for one differentiation time r.
 
-    DrX, DrY, DrZ and nablaX are ``ColumnStore``s over the ensemble's grid,
-    (n_paths, n_steps+1), holding only the requested time columns (every
-    column from r on when no ``times`` were given); the others read as NaN.
-    ``at`` returns one held column and refuses any other.
+    ``nodes`` lists the grid columns computed (the requested times, or every
+    column from r on when no ``times`` were given).  DrX, DrY, DrZ and nablaX
+    are read-only time-major (len(nodes), n_paths) arrays whose row i is
+    column ``nodes[i]``.  ``at`` returns the row of one held time and refuses
+    any other.
     """
 
     r: float
     r_index: int
     t_grid: np.ndarray
-    DrX: ColumnStore
-    DrY: ColumnStore
-    nablaX: ColumnStore
-    DrZ: Optional[ColumnStore] = None
+    nodes: tuple
+    DrX: np.ndarray
+    DrY: np.ndarray
+    nablaX: np.ndarray
+    DrZ: Optional[np.ndarray] = None
     warnings: list = field(default_factory=list)
 
     def at(self, t: float, which: str = "DrY") -> np.ndarray:
-        """Column t of ``which`` ('DrX', 'DrY', 'DrZ' or 'nablaX') across paths, read-only."""
-        k = _time_index(self.t_grid, t)
-        if k < self.r_index:
-            raise PreconditionError(f"t={t} precedes the differentiation time r={self.r}")
-        cols = getattr(self, which)
-        if cols is None:
-            raise PreconditionError(f"{which} is not available (it needs the u' grid solution)")
-        if k not in cols:
-            raise PreconditionError(f"{which} was not computed at t={t}; list it in `times`")
-        return cols[:, k]
+        """Time t of ``which`` ('DrX', 'DrY', 'DrZ' or 'nablaX') across paths, read-only."""
+        return _held_row(self, t, which, self.r_index, f"the differentiation time r={self.r}")
 
 
 def _theta_node(spec: ModelSpec, sol: Union[BsdeSolution, GridSolution, tuple]):
@@ -811,45 +794,50 @@ def solve_malliavin_bsde(spec: ModelSpec, ens: PathEnsemble,
         if nodes[0] < k_r:
             raise PreconditionError("requested evaluation time precedes r")
     ctx = _malliavin_context(spec, ens, sol, basis or BasisSpec(), nodes)
-    t, nab = ens.t_grid, ctx.nabla
-    nablaX = nab[list(nodes)]
-    DrX = spec.sigma(t[k_r], ens.X[:, k_r]) / nab[k_r] * nablaX
+    nablaX = ctx.nabla[list(nodes)]
+    DrX = _drx(spec, ens, ctx.nabla, k_r, nablaX)
     warnings = []
     if ctx.kurtosis is not None and ctx.kurtosis > kurtosis_gate:
         warnings.append(f"importance-weight kurtosis {ctx.kurtosis:.1f} exceeds gate "
                         f"{kurtosis_gate:g}")
-
-    def store(rows):
-        return ColumnStore(nodes, rows, N + 1)
-
-    DrZ = None if ctx.dz is None else store(ctx.dz * DrX)
-    return MalliavinEnsemble(t[k_r], k_r, t, store(DrX), store(ctx.cond * DrX), store(nablaX),
-                             DrZ, warnings)
+    DrZ = None if ctx.dz is None else ctx.dz * DrX
+    rows = (DrX, ctx.cond * DrX, nablaX, DrZ)
+    for a in rows:
+        if a is not None:
+            a.setflags(write=False)
+    return MalliavinEnsemble(ens.t_grid[k_r], k_r, ens.t_grid, nodes, *rows, warnings)
 
 
 def z_from_malliavin(mall: MalliavinEnsemble):
-    """Z_t proxy D_{t-dt} Y_t: the first column one step past r.
+    """Z_t proxy D_{t-dt} Y_t: D_rY at t = r + dt.
 
-    Returns (t, Z_paths) where t = r + dt; that column must have been
-    requested from ``solve_malliavin_bsde``.
+    Returns (t, Z_paths); t must have been requested from ``solve_malliavin_bsde``.
     """
     k = mall.r_index + 1
     if k >= mall.t_grid.size:
         raise PreconditionError("no grid time strictly after r")
     t = float(mall.t_grid[k])
-    if k not in mall.DrY:
-        raise PreconditionError(f"D_rY was not computed at t={t} (r + dt); list it in `times`")
-    return t, mall.DrY[:, k]
+    return t, mall.at(t)
 
 
 @dataclass
 class SecondMalliavinResult:
+    """D^2_{r,s} X and D^2_{r,s} Y as read-only time-major (len(nodes), n_paths) arrays.
+
+    ``nodes`` is max(r, s) .. n_steps on the grid; row i is column
+    ``nodes[i]``, and ``at`` reads one time and refuses one before max(r, s).
+    """
+
     r: float
     s: float
     t_grid: np.ndarray
-    D2Y: np.ndarray      # (n_paths, n_steps+1), NaN before max(r,s)
+    nodes: tuple
+    D2Y: np.ndarray
     D2X: np.ndarray
-    DrZ: np.ndarray      # limit s -> t of D2_{r,s} Y_t, valid for t >= r
+
+    def at(self, t: float, which: str = "D2Y") -> np.ndarray:
+        """Time t of ``which`` ('D2X' or 'D2Y') across paths, read-only."""
+        return _held_row(self, t, which, self.nodes[0], f"max(r, s) = {max(self.r, self.s)}")
 
 
 def _z_slope(spec: ModelSpec, sol_uprime: GridSolution, tk: float, xk: np.ndarray):
@@ -864,37 +852,31 @@ def _z_slope(spec: ModelSpec, sol_uprime: GridSolution, tk: float, xk: np.ndarra
 
 def second_malliavin(spec: ModelSpec, sol_uprime: Optional[GridSolution], ens: PathEnsemble,
                      r: float, s: float) -> SecondMalliavinResult:
-    """Second Malliavin derivative D^2_{r,s} Y and the D_r Z limit.
+    """Second Malliavin derivative D^2_{r,s} Y on the grid times from max(r, s) on.
 
     Uses the chain-rule identity D^2 Y_t = u_x D^2 X_t + u_xx D_r X_t D_s X_t;
     D^2 X follows from the first and second variations of the Euler flow,
     stepped along the held paths (``_malliavin_d2x``; identically zero for
     additive noise), or read-only views of 1 and 0 where the model's
-    expressions fix them (``_euler``).  The limit s -> t of D^2_{r,s} Y_t
-    supplies D_r Z_t as (u_x sigma_x + u_xx sigma) D_r X_t.
+    expressions fix them (``_euler``).  D_r X and D_s X are formed on those
+    rows only.  D_r Z_t, the limit s -> t of D^2_{r,s} Y_t, is the DrZ of
+    ``solve_malliavin_bsde`` with a (u, u') pair.
     """
     if sol_uprime is None:
         raise PreconditionError("second_malliavin requires the u' grid (u_xx source)")
     k_r, k_s = ens.index_of(r), ens.index_of(s)
-    hi = max(k_r, k_s)
-    n, N = ens.n_paths, ens.n_steps
+    nodes = tuple(range(max(k_r, k_s), ens.n_steps + 1))
     t = ens.t_grid
     _, nabla, nabla2 = _variations(spec, ens, order=2)
-    DrX = malliavin_dx(spec, ens, nabla.T, k_r)
-    DsX = malliavin_dx(spec, ens, nabla.T, k_s)
-
-    D2X = np.full((N + 1, n), np.nan)
-    D2X[hi:] = _malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_s)
-    D2X = D2X.T
-
-    D2Y = np.full((n, N + 1), np.nan)
-    DrZ = np.full((n, N + 1), np.nan)
-    for k in range(k_r, N + 1):
-        ux, uxx, slope = _z_slope(spec, sol_uprime, t[k], ens.X[:, k])
-        if k >= hi:
-            D2Y[:, k] = ux * D2X[:, k] + uxx * DrX[:, k] * DsX[:, k]
-        DrZ[:, k] = slope * DrX[:, k]
-    return SecondMalliavinResult(t[k_r], t[k_s], t, D2Y, D2X, DrZ)
+    D2X = _malliavin_d2x(spec, ens, nabla, nabla2, k_r, k_s)
+    DrX, DsX = (_drx(spec, ens, nabla, k, nabla[nodes[0]:]) for k in (k_r, k_s))
+    D2Y = np.empty_like(D2X)
+    for i, k in enumerate(nodes):
+        ux, uxx, _ = _z_slope(spec, sol_uprime, t[k], ens.X[:, k])
+        D2Y[i] = ux * D2X[i] + uxx * DrX[i] * DsX[i]
+    for a in (D2X, D2Y):
+        a.setflags(write=False)
+    return SecondMalliavinResult(t[k_r], t[k_s], t, nodes, D2Y, D2X)
 
 
 def malliavin_fd(spec: ModelSpec, ens: PathEnsemble, sol_u: GridSolution,

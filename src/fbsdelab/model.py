@@ -317,6 +317,27 @@ def _node(args, score) -> tuple:
     return tuple(float(np.broadcast_to(a, shape)[i]) for a in args)
 
 
+def _edge_running(vals: np.ndarray) -> bool:
+    """True when the minimum sits at the box edge and is still decreasing.
+
+    Pass -vals for the maximum: negation is exact and argmin of -vals is the
+    first argmax of vals.  'Still decreasing' is judged against the typical
+    per-node variation: a trend whose edge step keeps pace with the average
+    slope is treated as unbounded, while a saturating tail (edge step orders
+    of magnitude below the typical step) is not.
+    """
+    rng = float(np.max(vals) - np.min(vals))
+    if rng <= 1e-7 * (1.0 + float(np.max(np.abs(vals)))):
+        return False  # essentially constant
+    thresh = 0.5 * (rng / max(vals.size - 1, 1))
+    j = int(np.argmin(vals))
+    if j == 0:
+        return vals[1] - vals[0] > thresh
+    if j == vals.size - 1:
+        return vals[-2] - vals[-1] > thresh
+    return False
+
+
 def evaluate(spec: "ModelSpec", name: str, *args) -> np.ndarray:
     """Coefficient or partial ``name`` of ``spec`` at ``args``, broadcast as ``_on_grid`` does.
 

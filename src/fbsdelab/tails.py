@@ -32,7 +32,8 @@ import numpy as np
 
 from .artifacts import write_table
 from .errors import PreconditionError, UndefinedRateError
-from .model import ModelSpec, _node, box_mesh, check_horizon, default_box, evaluate
+from .model import (ModelSpec, _edge_running, _node, box_mesh, check_horizon, default_box,
+                    evaluate)
 from .pde import GridSolution
 from .special import gauss_hermite_prob, integral_from_zero, norm_pdf
 
@@ -501,8 +502,10 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
     reported regardless, since partial applications are common.  The driver
     gates read h, h_zz and h_z through ``model.evaluate`` on
     ``box_mesh(default_box(spec), 0.0)``, so a non-finite value raises
-    EvaluationError; a failing h <= 0 or h_zz gate carries the (t, x, y, z)
-    ``node`` of its worst value.
+    EvaluationError.  The h_z gate asks lam <= 1/eps - 1 and that
+    R(z) = max over (t, x, y) of |h_z| / (1 + |z|^lam) not still rise at a z
+    edge of the box (``model._edge_running``).  A failing driver gate carries
+    the (t, x, y, z) ``node`` of its worst value.
     """
     eps = params["eps"]
     eps_p = params["eps_prime"]
@@ -535,10 +538,15 @@ def verify_growth_sandwich(sol_u: GridSolution, sol_uprime: GridSolution,
                           "margin": float(min(np.min(hzz) + 1e-12, cap - np.max(hzz)))}
     if not hyp["h_zz_window"]["ok"]:
         hyp["h_zz_window"]["node"] = _node(mesh, np.maximum(-1e-12 - hzz, hzz - cap))
+    # |h_z| <= C (1+|z|^lam) holds on no unbounded z range while the profile
+    # R(z) = max over (t, x, y) of |h_z| / (1+|z|^lam) still rises at a z edge
     lam = params["lam"]
-    Cfit = float(np.max(np.abs(hz) / (1.0 + np.abs(mesh[3]) ** lam)))
-    hyp["h_z_growth"] = {"ok": bool(lam <= 1.0 / eps - 1.0 + 1e-12), "margin": 1.0 / eps - 1.0 - lam,
-                         "C_fit": Cfit}
+    ratio = np.abs(hz) / (1.0 + np.abs(mesh[3]) ** lam)
+    rising = _edge_running(-np.max(ratio, axis=(0, 1, 2)))
+    hyp["h_z_growth"] = {"ok": bool(lam <= 1.0 / eps - 1.0 + 1e-12 and not rising),
+                         "margin": 1.0 / eps - 1.0 - lam, "C_fit": float(np.max(ratio))}
+    if not hyp["h_z_growth"]["ok"]:
+        hyp["h_z_growth"]["node"] = _node(mesh, ratio)
 
     if rate_window is None:
         hi = float(xn[-1]) * 0.98

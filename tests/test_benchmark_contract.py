@@ -7,7 +7,9 @@ forms: ``cli-run`` reads ``grid_u.csv``, ``density.csv``, ``criteria.json``,
 ``malliavin-counter`` ex_counter's PDE and LSMC routes, D_rY and the
 Bouleau-Hirsch verdict.  One operation of each at its ``tiny`` size, with the
 self-test's seed 3, must pass every check, so a change to what they read
-fails here first.
+fails here first.  The traced run's per-layer counts read result fields too
+(``perfbench/tracing.py``), so one traced operation of ``malliavin-counter``
+and of ``density-cubic`` must give the counts their sizes fix.
 """
 
 from pathlib import Path
@@ -32,3 +34,22 @@ def test_cli_run_workload_checks_pass_at_tiny_size(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["DensityCubic", "MalliavinCounter"])
 def test_workload_checks_pass_at_tiny_size(tmp_path, monkeypatch, name):
     assert _tiny_operation_problems(name, tmp_path, monkeypatch) == []
+
+
+def test_traced_workloads_give_the_counts_their_sizes_fix(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in ("MalliavinCounter", "DensityCubic"):
+            getattr(workloads, name)(3, workloads.SIZES["tiny"], tmp_path).operation()
+    finally:
+        tracer.uninstall()
+    per = tracing._per_round(tracer.spans)
+    assert per["mc.malliavin_calls"] == 3
+    # 1,024 paths x 2 held columns x 4 arrays x 3 calls x 8 bytes
+    assert per["mc.malliavin_result_mb"] == 1024 * 2 * 4 * 3 * 8 / 2**20 == 0.1875
+    assert per["density.sampler_evals"] == 2

@@ -372,6 +372,12 @@ def test_loclin_degenerate_windows_are_unreliable(bw):
     assert neff[2] == 0.0 and est[2] == 0.0
 
 
+@pytest.mark.parametrize("bw", [0.0, -0.1, math.nan])
+def test_conditional_spec_refuses_a_bandwidth_that_is_not_finite_and_positive(bw):
+    with pytest.raises(ValueError, match="bandwidth"):
+        ConditionalSpec(bandwidth=bw)
+
+
 def test_density_interval_of_an_infinite_se_node_is_zero_to_inf():
     # a caller-set bandwidth leaves nodes with value 0 and SE = inf among
     # reliable ones, where rho underflows to 0: no 0 * inf, no warning

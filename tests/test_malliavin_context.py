@@ -1,4 +1,4 @@
-"""The r-independent Malliavin context, the column store and the memory preflight."""
+"""The r-independent Malliavin context, the held rows of a result and the memory preflight."""
 
 import copy
 import dataclasses
@@ -27,14 +27,15 @@ def _setup(request, fixture, kind, n_steps=N_STEPS):
     return spec, ens, sol
 
 
-def _assert_same(a, b, columns):
+def _assert_same(a, b, times):
     assert a.warnings == b.warnings
+    assert a.nodes == b.nodes
     for name in FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None)
         if x is not None:
-            for k in columns:
-                assert np.array_equal(x[:, k], y[:, k]), (name, k)
+            for t in times:
+                assert np.array_equal(a.at(t, name), b.at(t, name)), (name, t)
 
 
 @pytest.mark.parametrize("preset,fixture", PRESETS)
@@ -47,14 +48,13 @@ def test_second_r_on_one_ensemble_matches_a_fresh_ensemble(request, preset, fixt
     assert ens._malliavin is ctx
     spec2, ens2, sol2 = _setup(request, fixture, kind)
     fresh = fl.solve_malliavin_bsde(spec2, ens2, sol2, r=0.25, times=TIMES, kurtosis_gate=0.1)
-    _assert_same(reused, fresh, [ens.index_of(t) for t in TIMES])
+    _assert_same(reused, fresh, TIMES)
 
 
 @pytest.mark.parametrize("preset,fixture", PRESETS)
 @pytest.mark.parametrize("kind", SOLUTIONS)
 def test_changed_inputs_rebuild_the_context(request, preset, fixture, kind):
     spec, ens, sol = _setup(request, fixture, kind)
-    cols = [ens.index_of(t) for t in TIMES]
 
     def ctx_after(**kw):
         args = dict(spec=spec, ens=ens, sol=sol, r=0.25, times=TIMES) | kw
@@ -69,7 +69,7 @@ def test_changed_inputs_rebuild_the_context(request, preset, fixture, kind):
     assert rebuilt is not ctx
     _, ens2, sol2 = _setup(request, fixture, kind)
     fresh = fl.solve_malliavin_bsde(spec, ens2, sol2, r=0.25, times=TIMES, basis=pw)
-    _assert_same(m, fresh, cols)
+    _assert_same(m, fresh, TIMES)
     copied = (sol[0], copy.copy(sol[1])) if kind == "pair" else copy.copy(sol)
     for change in (dict(times=[0.5]), dict(spec=fl.preset(preset)), dict(sol=copied)):
         before, _ = ctx_after()
@@ -99,12 +99,9 @@ def test_result_bytes_follow_requested_columns_not_steps(request, preset, fixtur
             m = fl.solve_malliavin_bsde(spec, ens, sol, r=0.25, times=times)
             sizes[n_steps, len(times)] = {f: getattr(m, f).nbytes for f in FIELDS
                                           if getattr(m, f) is not None}
-            col = m.DrY[:, ens.index_of(0.5)]
-            assert not col.flags.writeable
-            assert np.all(np.isnan(m.DrY[:, ens.index_of(0.25)]))
-            assert m.DrY.shape == (N_PATHS, n_steps + 1)
-            with pytest.raises(IndexError):
-                m.DrY[:, n_steps + 1]
+            assert not m.at(0.5).flags.writeable
+            assert m.nodes == tuple(ens.index_of(t) for t in times)
+            assert m.DrY.shape == (len(times), N_PATHS)
     for f, b in sizes[16, 1].items():
         assert b == 8 * N_PATHS
         assert sizes[64, 1][f] == b
@@ -179,12 +176,11 @@ def test_constant_zero_girsanov_weight_is_not_evaluated(request, kind):
                             for n in ("h_y", "h_z")}})
     assert counted.constant("h_y") == counted.constant("h_z") == 0.0
     assert opaque.constant("h_y") is opaque.constant("h_z") is None
-    columns = [ens.index_of(t) for t in TIMES]
     for r in (0.0, 0.25):
         fast = fl.solve_malliavin_bsde(counted, ens, sol, r=r, times=TIMES)
         ctx = ens._malliavin
         slow = fl.solve_malliavin_bsde(opaque, ens, sol, r=r, times=TIMES)
-        _assert_same(fast, slow, columns)
+        _assert_same(fast, slow, TIMES)
         assert np.array_equal(ctx.cond, ens._malliavin.cond)
         assert ctx.kurtosis is ens._malliavin.kurtosis is None
     assert calls == []
@@ -204,11 +200,10 @@ def test_yz_is_looked_up_only_where_a_driver_partial_reads_it(counter, counter_g
     monkeypatch.setattr(fl.GridSolution, "eval",
                         lambda self, t, *a, **k: evals.append((self.which, t))
                         or evaluate(self, t, *a, **k))
-    columns = [ens.index_of(t) for t in TIMES]
     fast = fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.0, times=TIMES)
     assert yz_times == []
     assert sorted(evals) == [("u_prime", t) for t in TIMES for _ in range(2)]
     yz_times.clear()
     slow = fl.solve_malliavin_bsde(opaque(counter), ens, (su, sp), r=0.0, times=TIMES)
     assert yz_times == list(ens.t_grid[::-1])
-    _assert_same(fast, slow, columns)
+    _assert_same(fast, slow, TIMES)

@@ -6,8 +6,7 @@ import pytest
 
 import fbsdelab as fl
 from fbsdelab.errors import BasisError, EvaluationError, PreconditionError
-from fbsdelab.mc import (STREAM_COUPLING, BasisSpec, _euler, _regress, _ridge_fit, malliavin_dx,
-                         rng_stream)
+from fbsdelab.mc import STREAM_COUPLING, BasisSpec, _drx, _euler, _regress, _ridge_fit, rng_stream
 
 from conftest import make_spec
 
@@ -212,8 +211,8 @@ def test_variational_unit_and_exponential(counter):
     ens = fl.simulate_forward(counter, 200, 64, seed=10)
     nabla = fl.variational_processes(counter, ens)
     np.testing.assert_allclose(nabla, 1.0, atol=0)
-    dx = malliavin_dx(counter, ens, nabla, 16)
-    np.testing.assert_allclose(dx[:, 16:], 1.0, atol=0)
+    dx = _drx(counter, ens, nabla.T, 16, nabla.T[16:])
+    np.testing.assert_allclose(dx, 1.0, atol=0)
     # b_x = beta, sigma_x = 0: nablaX_t = e^{beta t} up to Euler error
     beta = 0.5
     spec = make_spec(b=lambda t, x: beta * np.asarray(x, dtype=float))
@@ -226,9 +225,9 @@ def test_variational_geometric_flow():
     spec = make_spec(sigma=lambda t, x: 0.2 * np.asarray(x, dtype=float), X0=1.0)
     ens = fl.simulate_forward(spec, 300, 64, seed=12)
     nabla = fl.variational_processes(spec, ens)
-    dx = malliavin_dx(spec, ens, nabla, 8)
+    dx = _drx(spec, ens, nabla.T, 8, nabla.T[8:])
     # finite-difference sigma_x wobble (~1e-11) compounds through the flow
-    np.testing.assert_allclose(dx[:, 8:], 0.2 * ens.X[:, 8:], rtol=1e-8)
+    np.testing.assert_allclose(dx, 0.2 * ens.X.T[8:], rtol=1e-8)
 
 
 def test_malliavin_counter_r_independence(counter, counter_grids):
@@ -291,7 +290,9 @@ def test_malliavin_restricted_times(counter, counter_grids):
     ens = fl.simulate_forward(counter, 1000, 32, seed=18)
     m = fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.25, times=[0.5])
     assert np.all(np.isfinite(m.at(0.5)))
-    assert np.all(np.isnan(m.DrY[:, ens.index_of(0.75)]))
+    assert m.nodes == (ens.index_of(0.5),) and m.DrY.shape == (1, 1000)
+    with pytest.raises(PreconditionError, match="t=0.75"):
+        m.at(0.75)
     with pytest.raises(PreconditionError):
         fl.solve_malliavin_bsde(counter, ens, (su, sp), r=0.5, times=[0.25])
 
@@ -341,23 +342,23 @@ def test_z_from_malliavin_quad_exp(quad_exp, quad_grids):
 
 
 def test_second_malliavin_cubic(cubic, cubic_grids):
-    _, _, sp = cubic_grids
+    _, su, sp = cubic_grids
     ens = fl.simulate_forward(cubic, 2000, 32, seed=23)
     res = fl.second_malliavin(cubic, sp, ens, r=0.25, s=0.5)
-    np.testing.assert_allclose(res.D2X[:, ens.index_of(0.5):], 0.0, atol=0)
-    k = ens.index_of(0.75)
-    w = ens.X[:, k]
-    np.testing.assert_allclose(res.D2Y[:, k], 6 * w, atol=2e-3)
+    assert res.nodes == tuple(range(ens.index_of(0.5), 33))
+    np.testing.assert_allclose(res.D2X, 0.0, atol=0)
+    w = ens.X[:, ens.index_of(0.75)]
+    np.testing.assert_allclose(res.at(0.75), 6 * w, atol=2e-3)
     # D_r Z via the s -> t limit equals u_xx sigma D_r X = 6 W_t
-    np.testing.assert_allclose(res.DrZ[:, k], 6 * w, atol=2e-3)
+    drz = fl.solve_malliavin_bsde(cubic, ens, (su, sp), r=0.25, times=[0.75])
+    np.testing.assert_allclose(drz.at(0.75, "DrZ"), 6 * w, atol=2e-3)
 
 
 def test_second_malliavin_counter_zero(counter, counter_grids):
     _, _, sp = counter_grids
     ens = fl.simulate_forward(counter, 500, 32, seed=24)
     res = fl.second_malliavin(counter, sp, ens, r=0.25, s=0.5)
-    k = ens.index_of(0.75)
-    np.testing.assert_allclose(res.D2Y[:, k], 0.0, atol=1e-8)
+    np.testing.assert_allclose(res.at(0.75, "D2Y"), 0.0, atol=1e-8)
 
 
 def test_second_malliavin_needs_uprime(counter):
@@ -430,8 +431,10 @@ def test_second_malliavin_geometric(counter_grids):
     ens = fl.simulate_forward(spec, 500, 32, seed=28)
     res = fl.second_malliavin(spec, sp, ens, r=0.25, s=0.5)
     k = ens.index_of(0.5)
-    np.testing.assert_allclose(res.D2X[:, k:], a * a * ens.X[:, k:], rtol=1e-8)
-    assert np.all(np.isnan(res.D2X[:, :k]))
+    np.testing.assert_allclose(res.D2X, a * a * ens.X.T[k:], rtol=1e-8)
+    assert not res.D2X.flags.writeable and not res.at(0.5, "D2X").flags.writeable
+    with pytest.raises(PreconditionError, match="t=0.46875"):
+        res.at(0.46875, "D2X")
 
 
 def test_malliavin_fd_counter(counter, counter_grids):
@@ -511,8 +514,8 @@ def test_variations_from_held_paths_match_restep(model, cubic, cubic_grids, monk
         assert np.array_equal(a, b)
     assert np.array_equal(nabla, fl.variational_processes(spec, ens))
     again = fl.second_malliavin(spec, sp, ens, r=0.25, s=0.5)
-    assert np.array_equal(second.D2X, again.D2X, equal_nan=True)
-    assert np.array_equal(second.D2Y, again.D2Y, equal_nan=True)
+    assert np.array_equal(second.D2X, again.D2X)
+    assert np.array_equal(second.D2Y, again.D2Y)
 
 
 def _opaque_twin(spec, names=("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx")):

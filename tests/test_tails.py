@@ -362,6 +362,25 @@ def test_growth_sandwich_driver_gates_read_the_box():
         verify_growth_sandwich(su, sp, spp, pole, params)
 
 
+@pytest.mark.parametrize("h, lam, ok", [
+    ("-1e-6*z^4", 1.0, False), ("z^2/2", 0.5, False),   # |h_z| ~ |z|^3, |z|: still rising
+    ("z^2/2", 1.0, True), ("-0.001*z^3", 2.0, True), ("-tanh(z)", 0.0, True), ("0", 1.0, True)])
+def test_growth_sandwich_h_z_gate_tests_growth(h, lam, ok):
+    # the gate reads only the driver on the box, so one solved h = 0 model serves every h
+    spec = fl.expression_spec(b="0", sigma="1", g="x", h="0", f=None, T=1.0, X0=0.0)
+    grid = fl.default_grid(spec, nt=21, nx=81)
+    su = fl.solve_u(spec, grid)
+    sp = fl.solve_u_prime(spec, grid, sol_u=su)
+    spp = fl.solve_u_doubleprime(spec, grid, sol_u=su, sol_uprime=sp)
+    params = {"eps": 0.1, "eps_prime": 0.05, "C_lo": 0.5, "C_hi": 4.0,
+              "D_lo": 0.0, "D_hi": 1.0, "B_lo": 0.0, "B_hi": 1.0, "lam": lam}
+    driver = fl.expression_spec(b="0", sigma="1", g="x", h=h, f=None, T=1.0, X0=0.0)
+    gate = verify_growth_sandwich(su, sp, spp, driver, params).hypotheses["h_z_growth"]
+    assert gate["ok"] is ok and gate["margin"] == 9.0 - lam
+    if not ok:
+        assert abs(gate["node"][3]) == 20.0
+
+
 def test_empirical_density_accuracy():
     rng = np.random.default_rng(11)
     s = rng.standard_normal(50000)
