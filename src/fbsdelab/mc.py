@@ -56,7 +56,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .artifacts import write_table
 from .errors import BasisError, EvaluationError, PreconditionError, ResourceError
 from .model import ModelSpec, check_horizon
 from .pde import GridSolution, yz
@@ -127,34 +126,8 @@ class PathEnsemble:
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
-    def increment_stats(self):
-        m = float(np.mean(self.dW))
-        v = float(np.var(self.dW))
-        return m, v
-
-    def sanity_ok(self) -> bool:
-        m, v = self.increment_stats()
-        n = self.dW.size
-        return abs(m) <= 5.0 / math.sqrt(n) and abs(v - self.dt) <= 0.05 * self.dt
-
     def index_of(self, t: float, nearest: bool = False) -> int:
         return _time_index(self.t_grid, t, nearest)
-
-    def to_csv(self, path, header_lines=()):
-        comments = [f"seed={self.seed} stream={self.stream} n_paths={self.n_paths} "
-                    f"n_steps={self.n_steps}", *header_lines]
-        rows = ((i, t, x) for i, path_x in enumerate(self.X) for t, x in zip(self.t_grid, path_x))
-        write_table(path, comments, ("path", "t", "x"), rows)
-
-    def to_binary(self, path):
-        import struct
-
-        with open(path, "wb") as fh:
-            fh.write(b"FBLPATH1")
-            fh.write(struct.pack("<IQQqq", 1, self.n_paths, self.n_steps,
-                                 self.seed, self.stream))
-            for a in (self.t_grid, self.dW, self.X):
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def _fixed_variations(spec: ModelSpec) -> int:
@@ -463,12 +436,6 @@ def _ridge_solve(R: np.ndarray, At: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _ridge_fit(At: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     return _ridge_solve(_gram_factor(At, ridge), At, y)
-
-
-def _regress(basis: BasisSpec, x: np.ndarray, y: np.ndarray):
-    At = _design(basis, x, np.empty((_basis_rows(basis), len(x))))
-    c = _ridge_fit(At, y, _RIDGE)
-    return c @ At, c
 
 
 def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,

@@ -59,9 +59,9 @@ __all__ = ["GridSpec", "GridSolution", "YZResult", "solve_u", "solve_u_prime",
 _SPLINE_BLOCK = 2048  # points a row spline reads at a time
 _FACTORS = 16  # LU factors a sweep keeps (linspace(0, 1, 201) has 9 step widths in bits)
 _BIN_MAGIC = b"FBLGRID1"
-_BIN_VERSION = 2
+_BIN_VERSION = 3
 # magic, version, nt, nx, theta, max_iterations, fallback_used, which, boundary
-# (the two names ASCII, NUL-padded); t, x, u, u_x, u_xx follow as "<f8"
+# (the two names ASCII, NUL-padded); t, x, u, u_x follow as "<f8"
 _BIN_HEADER = struct.Struct("<8sIQQdQI16s16s")
 
 
@@ -120,18 +120,18 @@ def default_grid(spec: ModelSpec, nt: int = 201, nx: int = 401,
 
 @dataclass
 class GridSolution:
-    """Solution values of one backward problem, with space derivatives.
+    """Solution values of one backward problem, with their space derivative.
 
     ``u`` holds the solved unknown itself (so for ``which == 'u_prime'`` it is
-    u'); ``u_x`` and ``u_xx`` are its centered space differences, second-order
-    accurate in the interior.
+    u'); ``u_x`` is its centered space difference, second-order accurate in
+    the interior.  No second difference is kept: u'' is the u' solve's
+    ``u_x``, which the Z sampler and the Malliavin routes read.
     """
 
     t_nodes: np.ndarray
     x_nodes: np.ndarray
     u: np.ndarray
     u_x: np.ndarray
-    u_xx: np.ndarray
     which: str
     theta: float
     boundary: str
@@ -265,8 +265,7 @@ class GridSolution:
         """The solved values as a table: one ``%.17g`` row (t, x, u) per node, t-major.
 
         ``artifacts.write_grid`` writes it, with the bytes of one row per node
-        but each t and x formatted once.  u_x and u_xx are in ``to_binary``'s
-        file only.
+        but each t and x formatted once.  u_x is in ``to_binary``'s file only.
         """
         write_grid(path, header_lines, ("t", "x", "u"), self.t_nodes, self.x_nodes, self.u)
 
@@ -279,7 +278,7 @@ class GridSolution:
             fh.write(_BIN_HEADER.pack(_BIN_MAGIC, _BIN_VERSION, self.t_nodes.size,
                                       self.x_nodes.size, self.theta, int(self.max_iterations),
                                       int(self.fallback_used), *names))
-            for a in (self.t_nodes, self.x_nodes, self.u, self.u_x, self.u_xx):
+            for a in (self.t_nodes, self.x_nodes, self.u, self.u_x):
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
     @classmethod
@@ -295,13 +294,13 @@ class GridSolution:
         _, version, nt, nx, theta, iters, fallback, which, boundary = _BIN_HEADER.unpack_from(data)
         if version != _BIN_VERSION:
             raise ConfigError(f"unsupported binary version {version}")
-        expected = _BIN_HEADER.size + 8 * (nt + nx + 3 * nt * nx)
+        expected = _BIN_HEADER.size + 8 * (nt + nx + 2 * nt * nx)
         if len(data) != expected:
             raise ConfigError(f"grid binary {path} holds {len(data)} bytes; "
                               f"its header (nt={nt}, nx={nx}) gives {expected}")
         a = np.frombuffer(data, dtype="<f8", offset=_BIN_HEADER.size).copy()
-        t, x, u, ux, uxx = np.split(a, np.cumsum([nt, nx, nt * nx, nt * nx]))
-        return cls(t, x, *(v.reshape(nt, nx) for v in (u, ux, uxx)),
+        t, x, u, ux = np.split(a, np.cumsum([nt, nx, nt * nx]))
+        return cls(t, x, u.reshape(nt, nx), ux.reshape(nt, nx),
                    which=which.rstrip(b"\0").decode("ascii"), theta=theta,
                    boundary=boundary.rstrip(b"\0").decode("ascii"),
                    max_iterations=iters, fallback_used=bool(fallback))
@@ -321,14 +320,6 @@ def _centered_dx(v: np.ndarray, dx: float):
     out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
     out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
     return out
-
-
-def _space_derivatives(u: np.ndarray, dx: float):
-    uxx = np.empty_like(u)
-    uxx[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / dx**2
-    uxx[:, 0] = uxx[:, 1]
-    uxx[:, -1] = uxx[:, -2]
-    return _centered_dx(u, dx), uxx
 
 
 def _apply_operator(a2, a1, a0, v, dx):
@@ -362,7 +353,9 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     the accepted iterate: ``_solve_implicit``'s EvaluationError, with its
     witness.  At a later iteration, which reads an iterate not yet accepted,
     it is the scheme's: a SolverError naming t and that iterate's max |v|,
-    like a non-finite or non-converged iterate.  Returns (values, max Picard
+    like a non-finite or non-converged iterate.  The source acts on the
+    interior rows only: ``_solve_implicit`` replaces the two edge rows of the
+    right-hand side by the boundary closure.  Returns (values, max Picard
     iterations used).
     """
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
@@ -389,7 +382,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
         dt = tn[n + 1] - tn[n]
         t_new, t_old = tn[n], tn[n + 1]
         a2o, a1o, a0o, so = coefs(t_old, w)
-        explicit = w + dt * (1 - theta) * (_apply_operator(a2o, a1o, a0o, w, dx) + _src_pad(so))
+        explicit = w + dt * (1 - theta) * (_apply_operator(a2o, a1o, a0o, w, dx) + so)
         v = w
         solved = None  # bytes of the coefficients of this step's last solve
         converged = False
@@ -400,7 +393,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                 delta = 0.0
             else:
                 a2, a1, a0, s = c
-                rhs = explicit + dt * theta * _src_pad(s)
+                rhs = explicit + dt * theta * s
                 try:
                     v_new = _solve_implicit(a2, a1, a0, rhs, dt * theta, grid, terminal, t_new,
                                             factors)
@@ -427,14 +420,6 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
         v_all[n] = v
         w = v
     return v_all, max_used
-
-
-def _src_pad(s):
-    # sources act on interior rows only; boundary rows carry the closure
-    out = np.array(s, dtype=float, copy=True)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
 
 
 def _band(a2, a1, a0, w, grid):
@@ -524,20 +509,26 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factors=None):
     return v
 
 
-def _run_with_fallback(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None,
-                       reads_v=True):
-    """The sweep at theta, retried at theta = 1 on a SolverError; no numpy float warnings."""
+def _solve(grid, which, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None,
+           reads_v=True) -> GridSolution:
+    """The solution ``which`` of the sweep at theta, retried at theta = 1 on a SolverError.
+
+    The sweeps run with numpy float warnings off; ``u_x`` is the centred
+    difference of the values.
+    """
+    fallback = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             vals, iters = _backward_sweep(grid, terminal, coef_fn, theta, max_iter, tol,
                                           blowup_cap, reads_v)
-            return vals, iters, theta, False
         except SolverError:
             if theta >= 1.0:
                 raise
-            vals, iters = _backward_sweep(grid, terminal, coef_fn, 1.0, max_iter, tol,
+            theta, fallback = 1.0, True
+            vals, iters = _backward_sweep(grid, terminal, coef_fn, theta, max_iter, tol,
                                           blowup_cap, reads_v)
-            return vals, iters, 1.0, True
+    return GridSolution(grid.t_nodes, grid.x_nodes, vals, _centered_dx(vals, grid.dx), which,
+                        theta, grid.boundary, iters, fallback)
 
 
 class _Leaves:
@@ -593,10 +584,8 @@ def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
         h = leaves.at(t, ("h",), lambda: v, lambda: sig * _centered_dx(v, dx))[0]
         return 0.5 * sig**2, bb, a0, h
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol,
-                                             reads_v=leaves.reads_any(("h",), {"y", "z"}))
-    ux, uxx = _space_derivatives(vals, grid.dx)
-    return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u", th, grid.boundary, iters, fb)
+    return _solve(grid, "u", terminal, coef, theta, max_iter, tol,
+                  reads_v=leaves.reads_any(("h",), {"y", "z"}))
 
 
 def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution] = None,
@@ -623,10 +612,8 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
         a0 = bx + hy + sig_x * hz
         return a2, a1, a0, hx
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, theta, max_iter, tol,
-                                             reads_v=leaves.reads_any(driver, {"z"}))
-    ux, uxx = _space_derivatives(vals, grid.dx)
-    return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u_prime", th, grid.boundary, iters, fb)
+    return _solve(grid, "u_prime", terminal, coef, theta, max_iter, tol,
+                  reads_v=leaves.reads_any(driver, {"z"}))
 
 
 def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
@@ -671,11 +658,7 @@ def solve_u_doubleprime(spec: ModelSpec, grid: GridSpec,
         s = beta_x * v + Dhx
         return a2, a1, a0, s
 
-    vals, iters, th, fb = _run_with_fallback(grid, terminal, coef, 0.5, 30, 1e-10,
-                                             blowup_cap=cap)
-    ux, uxx = _space_derivatives(vals, grid.dx)
-    return GridSolution(grid.t_nodes, xn, vals, ux, uxx, "u_doubleprime", th,
-                        grid.boundary, iters, fb)
+    return _solve(grid, "u_doubleprime", terminal, coef, 0.5, 30, 1e-10, blowup_cap=cap)
 
 
 def yz(sol_u: GridSolution, sol_uprime: Optional[GridSolution], spec: ModelSpec, t: float, x):

@@ -379,8 +379,12 @@ def envelope(t: float, consts: TailConstants, stats: dict, y_nodes,
     node; the corollary form (requiring the certified rate gap gamma < 1)
     uses closed-form stretched-exponential exponents beyond the threshold y0
     where factor-2 domination of the integrands holds; inside |y| <= y0 the
-    corollary curves are NaN.
+    corollary curves are NaN.  Both forms need t > 0: Y_0 and Z_0 are
+    deterministic, and a t <= 0 raises PreconditionError.
     """
+    if not t > 0.0:
+        raise PreconditionError(f"envelope needs t > 0, got t={t:g}: Y_0 and Z_0 are "
+                                "deterministic")
     y_nodes = np.asarray(y_nodes, dtype=float)
     mean, mad = float(stats["mean"]), float(stats["mad"])
     if mad == 0.0:

@@ -325,7 +325,7 @@ def test_constant_coefficients_match_full_shape_twin():
         spp = fl.solve_u_doubleprime(s, grid, sol_u=su, sol_uprime=sp)
         sols.append((su, sp, spp))
     for a, b in zip(*sols):
-        for arr in ("u", "u_x", "u_xx"):
+        for arr in ("u", "u_x"):
             assert np.array_equal(getattr(a, arr), getattr(b, arr)), arr
     params = {"eps": 0.1, "eps_prime": 0.05, "C_lo": 0.5, "C_hi": 4.0,
               "D_lo": 0.0, "D_hi": 1.0, "B_lo": 0.0, "B_hi": 1.0, "lam": 1.0}

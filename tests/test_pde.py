@@ -197,6 +197,17 @@ def test_selfconsistency_ux_columns(quad_grids):
     np.testing.assert_allclose(su.u_x[:, 1:-1], manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["counter", "cubic"])
+def test_uprime_slope_is_the_closed_form_u_doubleprime(request, name):
+    # the u'' that the Z sampler and the Malliavin routes read is the u' solve's
+    # u_x; on the inner half of the box it is the oracle's u_xx
+    spec, (grid, _, sp) = (request.getfixturevalue(f) for f in (name, f"{name}_grids"))
+    xn = grid.x_nodes
+    inner = np.abs(xn - 0.5 * (xn[0] + xn[-1])) <= 0.25 * (xn[-1] - xn[0])
+    T, X = np.meshgrid(grid.t_nodes, xn[inner], indexing="ij")
+    assert np.max(np.abs(sp.u_x[:, inner] - spec.oracle.u_xx(T, X))) < 1e-8
+
+
 def test_terminal_rows(cubic, cubic_grids):
     grid, su, sp = cubic_grids
     np.testing.assert_allclose(su.u[-1], cubic.g(grid.x_nodes), atol=0)
@@ -223,7 +234,7 @@ def test_binary_roundtrip(tmp_path, counter_grids):
     spec = fl.preset("ex_counter")
     sd = fl.solve_u(spec, fl.default_grid(spec, nt=21, nx=41, boundary="dirichlet"), theta=1.0)
     special = np.array([[-0.0, 5e-324, np.nan], [np.inf, -np.inf, 1e300]])
-    odd = GridSolution(np.array([0.0, 0.5]), np.array([-1.0, 0.0, 1.0]), special, -special,
+    odd = GridSolution(np.array([0.0, 0.5]), np.array([-1.0, 0.0, 1.0]), special,
                        special[::-1].copy(), "u_doubleprime", 0.75, "dirichlet",
                        max_iterations=7, fallback_used=True)
     for k, sol in enumerate((su, sp, sd, odd)):
@@ -242,7 +253,7 @@ def test_damaged_binary_raises_config_error(tmp_path, counter_grids, damage, mes
     p = tmp_path / "sol.bin"
     su.to_binary(p)
     raw = p.read_bytes()
-    size = 80 + 8 * (su.t_nodes.size + su.x_nodes.size + 3 * su.u.size)
+    size = 80 + 8 * (su.t_nodes.size + su.x_nodes.size + 2 * su.u.size)
     assert len(raw) == size
     data = {"truncated": raw[:-4], "trailing": raw + bytes(8), "header": raw[:40]}[damage]
     p.write_bytes(data)
@@ -261,6 +272,18 @@ def test_binary_version_1_and_foreign_files_are_refused(tmp_path, counter_grids)
         GridSolution.from_binary(p)
     p.write_bytes(b"FBLGRID0" + raw[8:])
     with pytest.raises(ConfigError, match="not a grid-solution binary file"):
+        GridSolution.from_binary(p)
+
+
+def test_binary_version_2_is_refused(tmp_path, counter_grids):
+    # version 3 holds t, x, u and u_x; version 2 had the same header and u_xx after u_x
+    _, su, _ = counter_grids
+    p = tmp_path / "sol.bin"
+    su.to_binary(p)
+    raw = p.read_bytes()
+    assert raw[8:12] == (3).to_bytes(4, "little")
+    p.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:] + bytes(8 * su.u.size))
+    with pytest.raises(ConfigError, match="unsupported binary version 2"):
         GridSolution.from_binary(p)
 
 
@@ -283,9 +306,9 @@ def test_csv_export_bytes_match_row_format(tmp_path):
     special = np.array([[-0.0, 5e-324, -5e-324, 1e300],
                         [-1e300, np.nan, np.inf, -np.inf]])
     odd = GridSolution(np.array([-0.0, 0.5]), np.array([-0.0, 1.0, 2.0, 3.0]), special,
-                       special[::-1].copy(), -special, "u", 0.5, "extrapolation")
-    one_row = GridSolution(su.t_nodes[:1], su.x_nodes, su.u[:1], su.u_x[:1], su.u_xx[:1],
-                           "u", 0.5, "extrapolation")
+                       special[::-1].copy(), "u", 0.5, "extrapolation")
+    one_row = GridSolution(su.t_nodes[:1], su.x_nodes, su.u[:1], su.u_x[:1], "u", 0.5,
+                           "extrapolation")
     for k, sol in enumerate((su, sp, odd, one_row)):
         p = tmp_path / f"sol{k}.csv"
         sol.to_csv(p, header_lines=["a", "b"])
@@ -375,7 +398,7 @@ def test_row_spline_matches_scipy_bit_for_bit(cubic_grids, quad_grids):
     # too: scipy's sum starts at +0.0, so the node reads +0.0
     xs = np.linspace(-1.0, 1.0, 9)
     u = np.tile(-xs - xs**2 - xs**3, (2, 1))
-    signed = GridSolution(np.array([0.0, 1.0]), xs, u, u, u, "u", 0.5, "extrapolation")
+    signed = GridSolution(np.array([0.0, 1.0]), xs, u, u, "u", 0.5, "extrapolation")
     got, ref = signed.row_spline(0.0)(xs), CubicSpline(xs, signed.row(0.0))(xs)
     assert np.signbit(u[0, 4]) and not np.signbit(got[4])
     assert np.array_equal(_bits(got), _bits(ref))
@@ -398,7 +421,7 @@ def test_eval_flag_and_nan(quad_grids):
 
 def test_grid_solution_requires_uniform_x(tmp_path, counter_grids):
     _, su, _ = counter_grids
-    args = (su.u, su.u_x, su.u_xx, "u", 0.5, "extrapolation")
+    args = (su.u, su.u_x, "u", 0.5, "extrapolation")
     x = su.x_nodes.copy()
     x[5] += 1e-6 * (x[1] - x[0])
     with pytest.raises(ConfigError):
@@ -440,9 +463,16 @@ def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=N
                      _reads_v=True):
     # the Picard loop as first written: the coefficients recomputed at t_old and
     # one scipy.linalg.solve_banded per iteration, delta = 0 confirmed by a solve;
-    # the models compared below never reach its failure exits, so it has none
+    # the models compared below never reach its failure exits, so it has none.
+    # Its sources are zeroed on the edge rows, which the sweep leaves to the
+    # closure: bit equality shows that the pad changes nothing
     from scipy.linalg import solve_banded
-    from fbsdelab.pde import _apply_operator, _src_pad
+    from fbsdelab.pde import _apply_operator
+
+    def _src_pad(s):
+        out = np.array(s, dtype=float, copy=True)
+        out[0] = out[-1] = 0.0
+        return out
 
     tn, dx = grid.t_nodes, grid.dx
     v_all = np.empty((tn.size, grid.nx))
@@ -593,8 +623,8 @@ def test_singular_implicit_system_is_a_solver_error():
             fl.pde._solve_implicit(zero, zero, np.full(9, 1 / w), np.ones(9), w, g, zero, 0.5)
     # the fallback retries at theta = 1, where w = dt keeps the diagonal off zero
     coef = lambda t, v: (zero, zero, np.full(9, 4.0), zero)
-    _, _, theta, fallback = fl.pde._run_with_fallback(grid, np.ones(9), coef, 0.5, 20, 1e-10)
-    assert theta == 1.0 and fallback
+    sol = fl.pde._solve(grid, "u", np.ones(9), coef, 0.5, 20, 1e-10)
+    assert sol.theta == 1.0 and sol.fallback_used
 
 
 # five time nodes, dt = 0.25 in every step, w = dt/2 = 0.125 at theta = 1/2
@@ -618,7 +648,7 @@ def test_non_finite_source_on_a_kept_factor(monkeypatch, reads_v):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(fl.errors.EvaluationError) as exc:
-            fl.pde._run_with_fallback(_KEPT, np.ones(9), coef, 0.5, 20, 1e-10, reads_v=reads_v)
+            fl.pde._solve(_KEPT, "u", np.ones(9), coef, 0.5, 20, 1e-10, reads_v=reads_v)
     assert str(exc.value) == "non-finite PDE coefficient or source at (t, x) = (0.25, -0.25)"
     assert exc.value.witness == (0.25, -0.25)
     assert counts["factorizations"] == 1 and counts["solves"] == 3
@@ -634,9 +664,8 @@ def test_singular_matrix_after_a_kept_factor(reads_v):
     with pytest.raises(SolverError, match=r"zero pivot at \(t, x\) = \(0\.25, -0\.75\)"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fl.pde._backward_sweep(_KEPT, np.ones(9), coef, 0.5, 20, 1e-10, None, reads_v)
-    vals, _, theta, fallback = fl.pde._run_with_fallback(_KEPT, np.ones(9), coef, 0.5, 20,
-                                                         1e-10, reads_v=reads_v)
-    assert theta == 1.0 and fallback and np.all(np.isfinite(vals))
+    sol = fl.pde._solve(_KEPT, "u", np.ones(9), coef, 0.5, 20, 1e-10, reads_v=reads_v)
+    assert sol.theta == 1.0 and sol.fallback_used and np.all(np.isfinite(sol.u))
 
 
 def _count_u_solves(monkeypatch):

@@ -8,7 +8,10 @@ functions count as part of the body that defines them, so a closure reading an
 outer parameter reads it.  An imported name counts as used when the module
 reads it anywhere or lists it in ``__all__``; ``__init__.py``, which imports to
 re-export, and ``from __future__`` imports are exempt.  Every name a module lists
-in ``__all__`` exists in it, so a removal cannot leave a stale export behind.
+in ``__all__`` exists in it, so a removal cannot leave a stale export behind.  Every
+module-level function or class whose name starts with ``_`` is referenced somewhere
+in ``src/fbsdelab`` outside its own definition (read as a name or an attribute, or
+imported), so a private helper that only a test calls lives in that test.
 """
 
 import ast
@@ -73,3 +76,34 @@ def test_every_exported_name_exists(path):
     name = "fbsdelab" if path.stem == "__init__" else f"fbsdelab.{path.stem}"
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _references(node) -> set:
+    """The names ``node`` reads: loaded names, attribute names and names imported from a module."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _unreferenced_private_definitions() -> list:
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    refs = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    found = []
+    for name, tree in trees.items():
+        for d in tree.body:
+            if not (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and d.name.startswith("_") and not d.name.startswith("__")):
+                continue
+            if not any(d.name in read for stmt, read in refs if stmt is not d):
+                found.append(f"{name}:{d.lineno} {d.name}")
+    return found
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private_definitions() == []

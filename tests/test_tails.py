@@ -169,8 +169,7 @@ def _linear_grid(x_hi=30.0, nx=4001):
     xn = np.linspace(-x_hi, x_hi, nx)
     U = np.broadcast_to(xn, (11, nx)).copy()
     UX = np.ones((11, nx))
-    UXX = np.zeros((11, nx))
-    return GridSolution(tn, xn, U, UX, UXX, "u", 0.5, "extrapolation")
+    return GridSolution(tn, xn, U, UX, "u", 0.5, "extrapolation")
 
 
 def test_compute_constants_brownian_case():
@@ -281,6 +280,16 @@ def test_envelope_counter_y_dominates_gaussian(counter, counter_grids):
     assert np.all(env.upper >= exact - 1e-12)
     assert np.all(env.lower <= exact + 1e-12)
     assert np.all(env.lower <= env.upper)
+
+
+@pytest.mark.parametrize("form", ["theorem", "corollary"])
+def test_envelope_refuses_t_at_or_below_zero(cubic_grids, form):
+    # Y_0 and Z_0 are deterministic: no envelope exists at t <= 0, in either form
+    _, _, sp = cubic_grids
+    c = compute_constants(sp, 0.0, 0.1, 0.1, 2.0)
+    for t in (0.0, -0.25):
+        with pytest.raises(PreconditionError, match=rf"t={t:g}\b"):
+            envelope(t, c, {"mean": 6.0, "mad": 4.0}, np.linspace(0.5, 30.0, 21), form=form)
 
 
 def test_envelope_gamma_gate():
