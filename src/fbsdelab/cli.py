@@ -155,7 +155,8 @@ def _tails(ctx: _Run) -> None:
     sam, t_snap, ns = _snapshot_sampler(ctx, ctx.params["tails_t"], target)
     v_grid = ctx.sol_uprime if target == "Z" else ctx.sol_u
     consts = compute_constants(v_grid, t_snap, 0.1, 0.1, ctx.params["tails_alpha_tilde"])
-    dW = _draw_increments(ctx.seed, STREAM_FORWARD, ctx.num["n_mc"], ns, ctx.spec.T / ns)
+    dW, = _draw_increments(ctx.seed, (STREAM_FORWARD,), ctx.num["n_mc"], ns, ctx.spec.T / ns,
+                           keep=sam.r_nodes.size - 1)
     F, _ = sam.evaluate(dW)
     stats = {"mean": float(np.mean(F)), "mad": float(np.mean(np.abs(F - np.mean(F))))}
     nodes = np.quantile(F, np.linspace(0.01, 0.99, 81))

@@ -50,7 +50,7 @@ import numpy as np
 from .artifacts import write_table
 from .errors import PreconditionError
 from .mc import (STREAM_COUPLING, STREAM_FORWARD, MalliavinEnsemble, _draw_increments, _flow,
-                 _reads_no_x, _rotated_end, _time_index)
+                 _preflight, _reads_no_x, _rotated_end, _time_index)
 from .model import ModelSpec
 from .pde import GridSolution
 from .special import gauss_laguerre, integral_from_zero
@@ -346,7 +346,11 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     the rotated derivative paths are averaged over +/- W*.  The 101 nodes are
     quantile-spaced so that heavy concentration of the law (e.g. a
     square-root spike at a support edge) is resolved where the mass sits.
-    Draws are time-major; only the columns the sampler reads are rotated.
+    Both copies are drawn at once, the coupling stream on one worker thread
+    (``mc._draw_increments``), time-major, and only the len(r_nodes) - 1
+    increment columns the sampler reads are kept.  A job whose two kept
+    draws, Phi and weighted Phi (about 8 (4 len(r_nodes) - 2) bytes per
+    draw) exceed physical memory raises ``ResourceError`` before drawing.
 
     ``sampler.evaluate`` runs once, on the unrotated draws.  Its Phi is
     multiplied once by the trapezoid weights of ``sampler.r_nodes`` (general
@@ -357,21 +361,18 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     weighted inner product per draw.  The conditioning sums over the draws
     within six bandwidths of each node only (see ``_loclin``).
     """
+    k = sampler.r_nodes.size - 1
+    _preflight(f"estimate_gF({n_mc} draws x {k} steps)", 8 * n_mc * (4 * k + 2))
     cond = cond or ConditionalSpec()
     u_nodes, u_weights = gauss_laguerre(n_u_nodes)
-    dt = sampler.T / sampler.n_steps
-
-    def draw(stream):
-        return _draw_increments(seed, stream, n_mc, sampler.n_steps, dt)[:, :sampler.r_nodes.size - 1]
-
-    dW = draw(STREAM_FORWARD)
+    dW, dWs = _draw_increments(seed, (STREAM_FORWARD, STREAM_COUPLING), n_mc, sampler.n_steps,
+                               sampler.T / sampler.n_steps, keep=k)
     F, Phi = sampler.evaluate(dW)
     h = np.diff(sampler.r_nodes)
     w = 0.5 * (np.pad(h, (0, 1)) + np.pad(h, (1, 0)))
     # time-major and out of place: Phi may be shared
     phiw = np.multiply(Phi.T, w[:, None], out=np.empty((w.size, n_mc)))
     del Phi
-    dWs = draw(STREAM_COUPLING)  # an independent stream, drawn once Phi is gone
     project = sampler.projector(phiw, dW, dWs)
     signs = (1.0, -1.0) if antithetic else (1.0,)
     R = np.zeros(n_mc)

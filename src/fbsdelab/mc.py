@@ -5,10 +5,13 @@ The forward component is simulated by Euler-Maruyama with counter-based
 (seed, n_paths, n_steps).  Paths are not addressable counter blocks: the
 ziggurat normal sampler consumes a variable number of counter words, so
 path i depends on every earlier path (see ROADMAP.md, item "Draw blocks as the
-unit of work").  One recursion, ``_flow``, steps X and its first and
-second variations for every caller, one increment row at a time; ``_euler``
-collects it into time-major arrays, and the g_F samplers of ``density``
-consume it node by node.  Where b and sigma read no x, the samplers' rotated
+unit of work").  ``_draw_increments`` draws each stream block by block
+through one reused buffer and keeps only the increment columns asked for;
+given two streams (g_F's Brownian copies), it draws the second on one worker
+thread at the same time, the only thread the package starts.  One
+recursion, ``_flow``, steps X and its first and second variations for every
+caller, one increment row at a time; ``_euler`` collects it into time-major
+arrays, and the g_F samplers of ``density`` consume it node by node.  Where b and sigma read no x, the samplers' rotated
 paths need only their last state, which ``_rotated_end`` gives in closed
 form from two row sums.  The kernel reads a constant b and sigma once
 (``ModelSpec.constant``): with b = 0 and sigma = 1 a step is one addition.  A
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -70,7 +74,7 @@ __all__ = [
 
 STREAM_FORWARD = 0
 STREAM_COUPLING = 1
-_DRAW_BLOCK = 4096  # paths per block of ``_draw_increments``
+_DRAW_BLOCK = 512  # paths per block of ``_draw_increments``: 1 MB at 256 steps
 _RIDGE = 1e-8  # ridge added to the diagonal of every regression Gram matrix
 
 
@@ -306,20 +310,64 @@ def _preflight(what: str, nbytes: int) -> None:
                             f"the {limit / 2**30:.3g} GiB of physical memory", witness=nbytes)
 
 
-def _draw_increments(seed: int, stream: int, n_paths: int, n_steps: int, dt: float,
-                     antithetic: bool = False) -> np.ndarray:
-    """sqrt(dt) N(0, 1) increments as the (n_paths, n_steps) view of a time-major array.
+def _fill(rng: Generator, buf: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Draw ``out.shape[1]`` paths of ``rng`` path-major through ``buf``, scaled into ``out``.
 
-    Path blocks drawn path-major fill its columns: the numbers of one (n_paths,
-    n_steps) draw, no transpose copy.  ``antithetic`` negates the first half into the second.
+    ``buf`` is one reused C-contiguous (block, n_steps) buffer; each block of
+    paths is drawn into it whole, and only its first ``out.shape[0]`` columns
+    are multiplied by ``scale`` into the time-major ``out``.  Calls only the
+    generator and numpy, both of which release the GIL on these arrays.
     """
+    keep, drawn = out.shape
+    for i in range(0, drawn, len(buf)):
+        block = buf[:min(len(buf), drawn - i)]
+        rng.standard_normal(out=block)
+        np.multiply(block[:, :keep].T, scale, out=out[:, i:i + len(block)])
+
+
+def _draw_increments(seed: int, streams: Sequence[int], n_paths: int, n_steps: int, dt: float,
+                     antithetic: bool = False, keep: Optional[int] = None) -> list:
+    """sqrt(dt) N(0, 1) increments of each stream, as (n_paths, keep) views of time-major arrays.
+
+    Each stream is drawn as one (n_paths, n_steps) path-major draw, block by
+    block through one reused buffer, and only its first ``keep`` (default
+    n_steps) columns are scaled into the output, so a column is that of the
+    full draw bit for bit.  ``antithetic`` negates the first half into the
+    second.  The first stream is drawn on the calling thread and each further
+    one on a worker thread of its own, at the same time; every array is
+    allocated here, the workers run ``_fill`` alone, and all are joined
+    before this returns, re-raising a worker's error.  A stream's numbers
+    depend on its key alone, not on the thread that draws it.
+    """
+    keep = n_steps if keep is None else keep
     drawn = (n_paths + 1) // 2 if antithetic else n_paths
-    rng, out = rng_stream(seed, stream), np.empty((n_steps, n_paths))
-    for i in range(0, drawn, _DRAW_BLOCK):
-        block = rng.standard_normal((min(_DRAW_BLOCK, drawn - i), n_steps))
-        np.multiply(block.T, math.sqrt(dt), out=out[:, i:i + len(block)])
-    np.negative(out[:, :n_paths - drawn], out=out[:, drawn:])
-    return out.T
+    outs = [np.empty((keep, n_paths)) for _ in streams]
+    rows = min(_DRAW_BLOCK, max(drawn, 1))
+    jobs = [(rng_stream(seed, s), np.empty((rows, n_steps)), out[:, :drawn], math.sqrt(dt))
+            for s, out in zip(streams, outs)]
+    errors = []
+
+    def work(job):
+        try:
+            _fill(*job)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for job in jobs[1:]:
+            worker = threading.Thread(target=work, args=(job,))
+            worker.start()
+            started.append(worker)
+        _fill(*jobs[0])
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
+    for out in outs:
+        np.negative(out[:, :n_paths - drawn], out=out[:, drawn:])
+    return [out.T for out in outs]
 
 
 def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
@@ -337,7 +385,7 @@ def simulate_forward(spec: ModelSpec, n_paths: int, n_steps: int, seed: int,
     _preflight(f"simulate_forward({n_paths} paths x {n_steps} steps)",
                8 * n_paths * (3 * n_steps + 1))
     dt = spec.T / n_steps
-    dW = _draw_increments(seed, stream, n_paths, n_steps, dt, antithetic)
+    dW, = _draw_increments(seed, (stream,), n_paths, n_steps, dt, antithetic)
     t_grid = np.linspace(0.0, spec.T, n_steps + 1)
     X, = _euler(spec, dW, spec.X0, 0.0, dt)
     for a in (t_grid, dW, X):
@@ -389,20 +437,32 @@ def _design(basis: BasisSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.multiply(At[j - 1], At[1], out=At[j])
         return At
     if basis.kind == "pwlinear":
+        # one sort gives the knots (np.quantile of the sorted states takes the
+        # same order statistics, so the same bits) and every state's cell
+        order = np.argsort(x)
+        xs = x[order]
         if basis.knots == "uniform":
-            lo, hi = np.quantile(x, [0.001, 0.999])
+            lo, hi = np.quantile(xs, [0.001, 0.999])
             knots = np.unique(np.linspace(lo, hi, basis.n_knots))
         else:
-            knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, basis.n_knots)))
+            knots = np.unique(np.quantile(xs, np.linspace(0.0, 1.0, basis.n_knots)))
         if knots.size < 2:
             knots = np.array([knots[0] - 0.5, knots[0] + 0.5])
-        return _hat_design(x, knots, out[:knots.size])
+        return _hat_design(x, order, xs, knots, out[:knots.size])
     raise BasisError(f"unknown basis kind {basis.kind!r}")
 
 
-def _hat_design(x, knots, At):
-    # piecewise-linear interpolation basis, one row per knot; columns sum to 1
-    idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
+def _hat_design(x, order, xs, knots, At):
+    """Hat rows of ``knots`` at the states ``x`` (sorted: ``xs`` = x[order]), filled into ``At``.
+
+    The piecewise-linear interpolation basis, one row per knot; columns sum
+    to 1.  State i lies in cell clip(#{knots < x_i} - 1, 0, len(knots) - 2),
+    counted on the sorted states from where each knot falls among them.
+    """
+    # how many sorted states have 0, 1, ..., len(knots) knots below them
+    runs = np.diff(np.searchsorted(xs, knots, side="right"), prepend=0, append=x.size)
+    idx = np.empty(x.size, dtype=np.intp)
+    idx[order] = np.clip(np.repeat(np.arange(knots.size + 1), runs) - 1, 0, knots.size - 2)
     lam = (x - knots[idx]) / (knots[idx + 1] - knots[idx])
     lam = np.clip(lam, 0.0, 1.0)
     cols = np.arange(x.size)

@@ -8,7 +8,7 @@ from fbsdelab.density import (ConditionalSpec, DensityEstimate, GFunction,
                               bouleau_hirsch_diagnostic, brownian_terminal_sampler,
                               density_from_gF, estimate_gF, gaussian_integral_sampler,
                               pde_y_sampler, pde_z_sampler, _loclin)
-from fbsdelab.errors import EvaluationError, PreconditionError
+from fbsdelab.errors import EvaluationError, PreconditionError, ResourceError
 
 from conftest import make_spec
 
@@ -420,6 +420,54 @@ def test_loclin_window_matches_dense_kernel(law):
     assert np.all(np.abs(se - ref_se)[m] <= 1e-6 * np.abs(ref_est[m]))
 
 
+def test_gF_oversized_job_raises_before_drawing(monkeypatch):
+    # the two kept draws, Phi and weighted Phi of 10^13 draws exceed any
+    # physical memory: a typed error before any stream, array or thread
+    import threading
+    import tracemalloc
+
+    from fbsdelab import mc
+
+    def no_stream(seed, stream):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(mc, "rng_stream", no_stream)
+    before = threading.active_count()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="estimate_gF"):
+            estimate_gF(brownian_terminal_sampler(1.0, 64), n_mc=10**13, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threading.active_count() == before
+    assert peak < 1 << 16
+
+
+def test_gF_draw_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
+    # the coupling stream is drawn on a worker thread: its error is raised in
+    # the caller, and no thread outlives the call, whichever stream fails
+    import threading
+
+    from fbsdelab import mc
+
+    real, seen = mc.rng_stream, []
+
+    class Failing:
+        def standard_normal(self, out):
+            seen.append(threading.get_ident())
+            raise FloatingPointError("stream failed")
+
+    for bad in (mc.STREAM_COUPLING, mc.STREAM_FORWARD):
+        monkeypatch.setattr(mc, "rng_stream",
+                            lambda seed, stream: Failing() if stream == bad else real(seed, stream))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="stream failed"):
+            estimate_gF(brownian_terminal_sampler(1.0, 16), n_mc=3000, seed=1)
+        assert threading.active_count() == before
+    assert seen[0] != threading.get_ident() and seen[1] == threading.get_ident()
+
+
 def test_gF_uses_trapezoid_weights_of_nonuniform_nodes():
     # Phi = f(r) is deterministic, so g_F is int f^2 dr on the sampler's own nodes
     T, n = 1.0, 24
@@ -504,7 +552,7 @@ def test_streamed_projection_matches_the_materialised_one(model, cubic, cubic_gr
         su = fl.solve_u(spec, grid)
         sp = fl.solve_u_prime(spec, grid, sol_u=su)
     n, dt = 600, 1.0 / 64
-    dW, dWs = (mc._draw_increments(17, s, n, 64, dt) for s in (0, 1))
+    dW, dWs = mc._draw_increments(17, (0, 1), n, 64, dt)
     c = math.exp(-0.7)
     s = math.sqrt(1.0 - c * c)
     for sam in (pde_y_sampler(spec, su, 0.5, 64, sol_uprime=sp), pde_z_sampler(spec, sp, 1.0, 64)):
@@ -643,7 +691,7 @@ def test_closed_form_overflow_is_an_evaluation_error():
     assert mc._reads_no_x(spec)
     n, k_t, dt = 2000, 12, 1.0 / 24
     c, s = math.exp(-0.5), math.sqrt(1.0 - math.exp(-1.0))
-    dW, dWs = (mc._draw_increments(3, stream, n, 24, dt)[:, :k_t] for stream in (0, 1))
+    dW, dWs = mc._draw_increments(3, (0, 1), n, 24, dt, keep=k_t)
     with pytest.raises(EvaluationError, match=r"non-finite state at path \d+, step \d+$"):
         for _ in mc._flow(spec, (c * a + s * b for a, b in zip(dW.T, dWs.T)), np.zeros(n),
                           0.0, dt):

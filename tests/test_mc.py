@@ -70,19 +70,27 @@ def test_antithetic_pairs(counter):
 
 
 def test_draw_increments_blocks_equal_one_draw():
-    # consecutive blocks of paths are one (n, N) draw, held time-major; n is
-    # odd and not a multiple of the block
+    # each stream of a pair, drawn at once, is one (n, N) draw of its own key
+    # held time-major, whatever n is against the block and whatever columns
+    # are kept; antithetic negates the first half into the second
     from fbsdelab.mc import _DRAW_BLOCK, _draw_increments
 
-    n, N, dt = 2 * _DRAW_BLOCK + 1001, 8, 1.0 / 8
-    one = rng_stream(3, 0).standard_normal((n, N)) * math.sqrt(dt)
-    dW = _draw_increments(3, 0, n, N, dt)
-    assert dW.shape == (n, N) and dW.T.flags.c_contiguous
-    assert np.array_equal(dW, one)
+    N, dt = 8, 1.0 / 8
+    for n in (1, 300, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 1001):
+        ones = [rng_stream(3, s).standard_normal((n, N)) * math.sqrt(dt) for s in (0, 1)]
+        for keep in (3, N):
+            pair = _draw_increments(3, (0, 1), n, N, dt, keep=keep)
+            assert len(pair) == 2
+            for dW, one in zip(pair, ones):
+                assert dW.shape == (n, keep) and dW.T.flags.c_contiguous
+                assert np.array_equal(dW, one[:, :keep])
+    n = 2 * _DRAW_BLOCK + 1001
     half = (n + 1) // 2
-    base = rng_stream(3, 0).standard_normal((half, N))
-    anti = _draw_increments(3, 0, n, N, dt, antithetic=True)
-    assert np.array_equal(anti, np.vstack([base, -base])[:n] * math.sqrt(dt))
+    for keep in (3, N):
+        anti, = _draw_increments(3, (0,), n, N, dt, antithetic=True, keep=keep)
+        base = rng_stream(3, 0).standard_normal((half, N))
+        assert anti.shape == (n, keep) and anti.T.flags.c_contiguous
+        assert np.array_equal(anti, np.vstack([base, -base])[:n, :keep] * math.sqrt(dt))
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -214,6 +222,32 @@ def test_pwlinear_basis_fits_smooth():
     fitted, _ = _regress(BasisSpec(kind="pwlinear", n_knots=40), x, y)
     mask = np.abs(x) < 2.5
     assert float(np.max(np.abs(fitted - np.tanh(x))[mask])) < 0.02
+
+
+@pytest.mark.parametrize("rule", ["quantile", "uniform"])
+def test_hat_design_equals_unsorted_search(rule):
+    # the one-sort knots and cells are those of np.quantile and np.searchsorted
+    # on the unsorted states, bit for bit, with states tied to each other and
+    # to knots, and states beyond the outer knots
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.round(rng.standard_normal(3000), 1), [-9.0, 9.0]])
+    rng.shuffle(x)
+    cols = np.arange(x.size)
+    for n_knots in (1, 12, 33):
+        if rule == "uniform":
+            lo, hi = np.quantile(x, [0.001, 0.999])
+            knots = np.unique(np.linspace(lo, hi, n_knots))
+        else:
+            knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+        if knots.size < 2:
+            knots = np.array([knots[0] - 0.5, knots[0] + 0.5])
+        idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
+        lam = np.clip((x - knots[idx]) / (knots[idx + 1] - knots[idx]), 0.0, 1.0)
+        want = np.zeros((knots.size, x.size))
+        want[idx, cols] = 1.0 - lam
+        want[idx + 1, cols] = lam
+        basis = BasisSpec(kind="pwlinear", n_knots=n_knots, knots=rule)
+        assert np.array_equal(_design(basis, x, np.empty((_basis_rows(basis), x.size))), want)
 
 
 def test_variational_unit_and_exponential(counter):

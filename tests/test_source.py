@@ -11,7 +11,10 @@ re-export, and ``from __future__`` imports are exempt.  Every name a module list
 in ``__all__`` exists in it, so a removal cannot leave a stale export behind.  Every
 module-level function or class whose name starts with ``_`` is referenced somewhere
 in ``src/fbsdelab`` outside its own definition (read as a name or an attribute, or
-imported), so a private helper that only a test calls lives in that test.
+imported), so a private helper that only a test calls lives in that test.  Only
+``mc``, whose ``_draw_increments`` draws a second random stream on a worker
+thread, imports ``threading`` or ``concurrent.futures``, at module level or
+inside a function.
 """
 
 import ast
@@ -107,3 +110,23 @@ def _unreferenced_private_definitions() -> list:
 
 def test_every_private_definition_is_referenced():
     assert _unreferenced_private_definitions() == []
+
+
+THREAD_MODULES = ("threading", "_thread", "concurrent")
+
+
+def _thread_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names += [(n.lineno, alias.name) for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            names.append((n.lineno, n.module))
+    return [f"{path.name}:{line} {name}" for line, name in names
+            if name.split(".")[0] in THREAD_MODULES]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mc.py"], ids=lambda p: p.name)
+def test_threads_stay_in_mc(path):
+    assert _thread_imports(path) == []
