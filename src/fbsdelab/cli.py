@@ -202,8 +202,9 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None) -> d
     status and the exit code is nonzero unless everything succeeded.  The
     package starts no threads of its own.  numpy's OpenBLAS may run the BLAS
     calls of an LSMC step on its own pool: ``mc`` holds each step's design
-    row-major, (p, n), and makes one Gram product ``At @ At.T``, one p x p
-    Cholesky factorization and, per fit, the products ``At @ y`` and ``c @ At``.
+    row-major, (p, n), and makes its Gram matrix (two matrix-vector products
+    for a poly design, ``At @ At.T`` for a hat design), one p x p Cholesky
+    factorization and, per fit, the products ``At @ y`` and ``c @ At``.
     """
     out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

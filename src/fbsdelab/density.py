@@ -350,7 +350,8 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     (``mc._draw_increments``), time-major, and only the len(r_nodes) - 1
     increment columns the sampler reads are kept.  A job whose two kept
     draws, Phi and weighted Phi (about 8 (4 len(r_nodes) - 2) bytes per
-    draw) exceed physical memory raises ``ResourceError`` before drawing.
+    draw) exceed physical memory raises ``ResourceError`` before drawing, and
+    one of no draws (``n_mc`` < 1) ``PreconditionError``.
 
     ``sampler.evaluate`` runs once, on the unrotated draws.  Its Phi is
     multiplied once by the trapezoid weights of ``sampler.r_nodes`` (general
@@ -361,6 +362,8 @@ def estimate_gF(sampler: FunctionalSampler, n_mc: int, n_u_nodes: int = 16,
     weighted inner product per draw.  The conditioning sums over the draws
     within six bandwidths of each node only (see ``_loclin``).
     """
+    if n_mc < 1:
+        raise PreconditionError(f"estimate_gF needs n_mc >= 1, got {n_mc}")
     k = sampler.r_nodes.size - 1
     _preflight(f"estimate_gF({n_mc} draws x {k} steps)", 8 * n_mc * (4 * k + 2))
     cond = cond or ConditionalSpec()

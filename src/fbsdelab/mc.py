@@ -27,8 +27,10 @@ conditional expectations are projected on a polynomial (or piecewise-linear)
 basis in the Markovian state.  Each step fills one preallocated row-major
 (p, n) design At, factors its Gram matrix At At^T / n + ridge I once by
 Cholesky, and serves the step's three fits from that factor, each through the
-products At @ y and c @ At.  These products and the Gram product are the BLAS
-calls that OpenBLAS may run on its own thread pool.
+products At @ y and c @ At.  A poly design's Gram is formed from the power
+sums of its standardized state (two matrix-vector products), a hat design's
+as At @ At.T.  These products are the BLAS calls that OpenBLAS may run on its
+own thread pool.
 
 Malliavin derivatives of the backward component solve a linear BSDE; its
 closed-form representation discounts the terminal slope by exp(int h_y) under
@@ -422,17 +424,22 @@ def _design(basis: BasisSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``out`` is a (``_basis_rows``, n) buffer; the returned view is its first p
     rows (a hat basis may have fewer knots than ``n_knots``).  Poly rows are
-    1, x_s = (x - mean) / sd and x_s^j = x_s^{j-1} x_s, each formed in place.
+    1, x_s = (x - mean) / sd and x_s^j = x_s^{j-1} x_s, each formed in place,
+    with the bits of ``np.mean`` and ``np.std``; an sd of at most 1e-300
+    (constant states) is taken as 1.
     """
     x = np.asarray(x, dtype=float)
     if basis.kind == "poly":
-        mu, sd = float(np.mean(x)), float(np.std(x))
-        sd = sd if sd > 1e-300 else 1.0
         At = out[:basis.degree + 1]
-        At[0] = 1.0
         if basis.degree >= 1:
+            # np.mean's mean and np.std's deviation from it, formed once (the
+            # same bits), with row 0 holding the squares until it is filled
+            mu = float(np.add.reduce(x)) / x.size
             np.subtract(x, mu, out=At[1])
-            At[1] /= sd
+            np.multiply(At[1], At[1], out=At[0])
+            sd = math.sqrt(float(np.add.reduce(At[0])) / x.size)
+            At[1] /= sd if sd > 1e-300 else 1.0
+        At[0] = 1.0
         for j in range(2, basis.degree + 1):
             np.multiply(At[j - 1], At[1], out=At[j])
         return At
@@ -472,11 +479,30 @@ def _hat_design(x, order, xs, knots, At):
     return At
 
 
-def _gram_factor(At: np.ndarray, ridge: float) -> np.ndarray:
-    """Upper Cholesky factor of the ridge Gram matrix At At^T / n + ridge I of a (p, n) design."""
+def _poly_gram(At: np.ndarray) -> np.ndarray:
+    """The Gram matrix At At^T / n of a (p, n) poly design, from its power sums.
+
+    Row j of At is x_s^j, so entry (i, j) is s_{i+j} / n, s_m being the sum
+    of x_s^m: a Hankel matrix.  s_0 = n; s_1 ... s_{p-1} and s_p ... s_{2p-2}
+    are the products of rows 1 ... p - 1 with row 0 (the ones) and with row
+    p - 1, two matrix-vector products.
+    """
+    p, n = At.shape
+    s = np.empty(2 * p - 1)
+    s[0] = n
+    np.matmul(At[1:], At[0], out=s[1:p])
+    np.matmul(At[1:], At[p - 1], out=s[p:])
+    i = np.arange(p)
+    return s[i[:, None] + i] / n
+
+
+def _gram_factor(M: np.ndarray, ridge: float) -> np.ndarray:
+    """Upper Cholesky factor of M + ridge I, M the Gram matrix At At^T / n of a (p, n) design.
+
+    M is overwritten.
+    """
     from scipy.linalg.lapack import dpotrf  # imported here: scipy.linalg slows package import
 
-    M = At @ At.T / At.shape[1]
     M.ravel()[::M.shape[0] + 1] += ridge
     R, info = dpotrf(M, overwrite_a=True)
     if info != 0:
@@ -495,7 +521,7 @@ def _ridge_solve(R: np.ndarray, At: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ridge_fit(At: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    return _ridge_solve(_gram_factor(At, ridge), At, y)
+    return _ridge_solve(_gram_factor(At @ At.T / At.shape[1], ridge), At, y)
 
 
 def _regress_chaos(basis: BasisSpec, x: np.ndarray, y: np.ndarray,
@@ -543,6 +569,13 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     continuation response, which removes most of the one-step residual
     variance.  Quadratic drivers see the z-argument truncated at ``z_cap``;
     the clip rate is reported and a warning is raised above 1% of path-steps.
+
+    Each step factors the ridge Gram matrix of its design once by Cholesky
+    (``_gram_factor``) and serves its three fits from that factor.  A poly
+    design's Gram is the Hankel matrix of its power sums (``_poly_gram``: two
+    matrix-vector products); a hat design's is the product ``At @ At.T``.
+    The design, the fitted values, the responses and the squared residuals
+    live in buffers allocated once per call.
     """
     basis = basis or BasisSpec()
     n, N, dt = ens.n_paths, ens.n_steps, ens.dt
@@ -552,25 +585,33 @@ def solve_bsde_regression(spec: ModelSpec, ens: PathEnsemble,
     residuals = np.zeros(N)
     clipped = 0
     quadratic = spec.regime == "quadratic"
+    poly = basis.kind == "poly"
     At_buf = np.empty((_basis_rows(basis), n))
+    fit, r = np.empty(n), np.empty(n)  # a fitted value and a response, reused by every step
     for k in range(N - 1, -1, -1):
-        xk = X[k]
+        xk, y1, dw = X[k], Y[k + 1], dW[k]
         At = _design(basis, xk, At_buf)
-        R = _gram_factor(At, _RIDGE)
+        R = _gram_factor(_poly_gram(At) if poly else At @ At.T / n, _RIDGE)
         # center the martingale-increment response before the Z projection,
         # otherwise its variance grows like |x|/sqrt(dt) and the edge leverage
         # of the basis amplifies it
-        cond0 = _ridge_solve(R, At, Y[k + 1]) @ At
-        zk = _ridge_solve(R, At, (Y[k + 1] - cond0) * dW[k] / dt) @ At
-        cond = _ridge_solve(R, At, Y[k + 1] - zk * dW[k]) @ At
-        Z[k] = zk
+        np.dot(_ridge_solve(R, At, y1), At, out=fit)
+        np.subtract(y1, fit, out=r)
+        r *= dw
+        r /= dt
+        zk = np.dot(_ridge_solve(R, At, r), At, out=Z[k])
+        np.multiply(zk, dw, out=r)
+        np.subtract(y1, r, out=r)
+        cond = np.dot(_ridge_solve(R, At, r), At, out=fit)
         if quadratic:
-            z_used = np.clip(zk, -z_cap, z_cap)
-            clipped += int(np.sum(np.abs(zk) > z_cap))
+            z_used = np.clip(zk, -z_cap, z_cap, out=r)
+            clipped += int(np.count_nonzero(np.abs(zk) > z_cap))
         else:
             z_used = zk
-        Y[k] = cond + dt * spec.h(t[k], xk, cond, z_used)
-        residuals[k] = float(np.mean((Y[k + 1] - cond) ** 2))
+        np.add(cond, dt * spec.h(t[k], xk, cond, z_used), out=Y[k])
+        np.subtract(y1, cond, out=r)
+        np.square(r, out=r)
+        residuals[k] = float(np.add.reduce(r)) / n  # np.mean's bits
     rate = clipped / (n * N)
     sol = BsdeSolution(t, Y.T, Z.T, basis, residuals, rate, z_cap if quadratic else None)
     if quadratic and rate > 0.01:

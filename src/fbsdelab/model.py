@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -419,12 +419,20 @@ def _make_ex_cubic() -> ModelSpec:
         oracle=oracle, name="ex_cubic")
 
 
+@lru_cache(maxsize=None)
+def _hermegauss_160():
+    """The 160-node Gauss-Hermite rule (weight e^{-x^2/2}), built once per process, read-only."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quad_exp_oracle(g, g1, T) -> Oracle:
     """Exponential-transform oracle by 160-node Gauss-Hermite quadrature, given W_t = w:
 
     Y = log E[exp(g(w + sqrt(T-t) xi))] and Z = E[g'(X_T) e^{g}] / E[e^{g}].
     """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
+    nodes, weights = _hermegauss_160()
 
     def points(t, w):
         tau = np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))

@@ -345,7 +345,9 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     evaluates once.  A Picard iteration whose coefficients are bitwise those
     of the step's last solve would solve the same system again and return the
     same iterate (delta = 0): it stops the step without the solve and is
-    counted as run.  The sweep keeps the LU factors of the last ``_FACTORS``
+    counted as run.  Without ``reads_v`` that is every iteration after the
+    first, so the step stops after its one solve, without reading the
+    coefficients' bytes.  The sweep keeps the LU factors of the last ``_FACTORS``
     matrices it factored, keyed by w = theta dt and the bits of
     (a2, a1, a0) (``_solve_implicit``), so a matrix is factored once while
     its factor stays in that table.  A system with a NaN or
@@ -378,6 +380,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
             raise ConfigError("grid too coarse for the explicit weight: "
                               "dt exceeds the diffusive stability limit")
     max_used = 0
+    diff = np.empty(nx)  # |v_new - v|, then |v_new|, of each Picard iterate
     for n in range(nt - 2, -1, -1):
         dt = tn[n + 1] - tn[n]
         t_new, t_old = tn[n], tn[n + 1]
@@ -388,8 +391,8 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
         converged = False
         for m in range(max_iter):
             c = coefs(t_new, v)
-            bits = [a.tobytes() for a in c]
-            if bits == solved:
+            bits = [a.tobytes() for a in c] if reads_v else None
+            if reads_v and bits == solved:
                 delta = 0.0
             else:
                 a2, a1, a0, s = c
@@ -403,13 +406,23 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                     raise SolverError(f"non-finite system at t={t_new:.6g} from a Picard "
                                       f"iterate of max |v| = {np.max(np.abs(v)):.3g}",
                                       residual=float("inf")) from None
-                if not np.all(np.isfinite(v_new)):
+                # one sum screens the iterate; only a sum that is not finite is searched
+                if not math.isfinite(float(v_new.sum())) and not np.all(np.isfinite(v_new)):
                     raise SolverError(f"non-finite iterate at t={t_new:.6g}", residual=float("inf"))
-                delta = float(np.max(np.abs(v_new - v)) / (1.0 + np.max(np.abs(v_new))))
+                np.abs(np.subtract(v_new, v, out=diff), out=diff)
+                change = diff.max()
+                delta = float(change / (1.0 + np.abs(v_new, out=diff).max()))
                 v, solved = v_new, bits
             if delta < tol:
                 converged = True
                 max_used = max(max_used, m + 1)
+                break
+            if not reads_v and m + 1 < max_iter:
+                # coefficients that do not read v are those just solved with: the
+                # next iteration would return this iterate (delta = 0), so it is
+                # counted as run and not run
+                converged = True
+                max_used = max(max_used, m + 2)
                 break
         if not converged:
             raise SolverError(f"Picard sweeps did not converge at t={t_new:.6g}", residual=delta)

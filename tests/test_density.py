@@ -444,6 +444,27 @@ def test_gF_oversized_job_raises_before_drawing(monkeypatch):
     assert peak < 1 << 16
 
 
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_gF_empty_job_raises_before_drawing(monkeypatch, n_mc):
+    # no draws is a typed error before any stream or thread, with no
+    # "Mean of empty slice" warning on the way
+    import threading
+    import warnings
+
+    from fbsdelab import mc
+
+    def no_stream(seed, stream):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(mc, "rng_stream", no_stream)
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PreconditionError, match=rf"n_mc >= 1, got {n_mc}"):
+            estimate_gF(brownian_terminal_sampler(1.0, 8), n_mc, seed=0)
+    assert threading.active_count() == before
+
+
 def test_gF_draw_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
     # the coupling stream is drawn on a worker thread: its error is raised in
     # the caller, and no thread outlives the call, whichever stream fails

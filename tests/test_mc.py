@@ -7,7 +7,7 @@ import pytest
 import fbsdelab as fl
 from fbsdelab.errors import BasisError, EvaluationError, PreconditionError
 from fbsdelab.mc import (STREAM_COUPLING, _RIDGE, BasisSpec, _basis_rows, _design, _drx, _euler,
-                         _ridge_fit, rng_stream)
+                         _poly_gram, _ridge_fit, rng_stream)
 
 from conftest import make_spec
 
@@ -195,8 +195,9 @@ def _lstsq_lsmc(spec, ens, basis, z_cap=50.0, ridge=1e-8):
 
 
 @pytest.mark.parametrize("model", ["counter", "quad_exp"])
-@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(kind="pwlinear", n_knots=12)],
-                         ids=["poly", "pwlinear"])
+@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(kind="pwlinear", n_knots=12)]
+                         + [BasisSpec(degree=d) for d in (0, 1, 2, 8)],
+                         ids=["poly", "pwlinear", "poly0", "poly1", "poly2", "poly8"])
 def test_lsmc_matches_lstsq_reference(model, basis, request):
     spec = request.getfixturevalue(model)
     ens = fl.simulate_forward(spec, 2000, 32, seed=12)
@@ -204,6 +205,45 @@ def test_lsmc_matches_lstsq_reference(model, basis, request):
     # relative to each array's largest magnitude, since Y and Z cross zero
     for got, want in zip((sol.Y, sol.Z, sol.residuals), _lstsq_lsmc(spec, ens, basis)):
         assert float(np.max(np.abs(got - want))) <= 1e-9 * float(np.max(np.abs(want)))
+
+
+def test_lsmc_non_finite_driver_raises(counter):
+    # a NaN of h in the last step's Y is the next step's response: its
+    # coefficients are not finite
+    spec = dataclasses.replace(counter, h=lambda t, x, y, z: np.where(x > 0.5, np.nan, 0.0 * x))
+    ens = fl.simulate_forward(spec, 500, 8, seed=12)
+    with pytest.raises(BasisError, match="non-finite coefficients"):
+        fl.solve_bsde_regression(spec, ens)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 4, 8])
+def test_poly_design_rows_are_the_mean_std_formula(degree):
+    # the one-mean-pass sd keeps the bits of np.mean and np.std, and a
+    # constant state is standardized by sd = 1
+    rng = np.random.default_rng(4)
+    basis = BasisSpec(degree=degree)
+    for x in (3.0 + 2.0 * rng.standard_normal(4099), rng.uniform(-1e3, 5.0, 1000),
+              np.full(300, 0.7)):
+        sd = np.std(x) if np.std(x) > 1e-300 else 1.0
+        want = np.ones((degree + 1, x.size))
+        for j in range(1, degree + 1):
+            want[j] = want[j - 1] * ((x - np.mean(x)) / sd)
+        assert np.array_equal(_design(basis, x, np.empty((_basis_rows(basis), x.size))), want)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 4, 8])
+def test_poly_gram_is_the_design_product(degree):
+    # the Hankel matrix of the power sums is At At^T / n to rounding, on
+    # random states and on a constant state (sd taken as 1, every x_s = 0)
+    rng = np.random.default_rng(8)
+    basis = BasisSpec(degree=degree)
+    for x in (rng.standard_normal(8192), 1.0 + 0.1 * rng.exponential(size=3000),
+              np.full(500, -2.5)):
+        At = _design(basis, x, np.empty((_basis_rows(basis), x.size)))
+        want = At @ At.T / x.size
+        got = _poly_gram(At)
+        assert got.shape == want.shape and got[0, 0] == 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * float(np.max(want)))
 
 
 @pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(kind="pwlinear", n_knots=12)],

@@ -35,6 +35,24 @@ def test_cubic_oracle_values(cubic):
     np.testing.assert_allclose(cubic.oracle.z(0.25, w), 3 * w**2 + 4.5)
 
 
+def test_quad_exp_oracle_rule_is_built_once(monkeypatch):
+    # every preset reads one read-only 160-node rule; the oracle keeps the
+    # bits of one that builds its rule afresh
+    from fbsdelab import model
+
+    nodes, weights = model._hermegauss_160()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    w, t = np.linspace(-3.0, 3.0, 13), np.linspace(0.0, 1.0, 13)
+    spec = fl.preset("ex_quad_exp")
+    monkeypatch.setattr(model, "_hermegauss_160",
+                        lambda: np.polynomial.hermite_e.hermegauss(160))
+    fresh = fl.preset("ex_quad_exp")
+    assert np.array_equal(spec.oracle.y(t, w), fresh.oracle.y(t, w))
+    assert np.array_equal(spec.oracle.z(t, w), fresh.oracle.z(t, w))
+    monkeypatch.undo()
+    assert model._hermegauss_160()[0] is nodes
+
+
 def test_quad_exp_zero_terminal():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     spec = fl.preset("ex_quad_exp", g=zero, g1=zero, g2=zero)
