@@ -200,7 +200,9 @@ def run(config: ExperimentConfig, out_dir=None, seed=None, timestamps=None) -> d
     Each task is dispatched through ``TASKS``.  A failing task aborts its
     dependents but independent tasks still run; the manifest records per-task
     status and the exit code is nonzero unless everything succeeded.  The
-    package starts no threads of its own.  numpy's OpenBLAS may run the BLAS
+    package starts one thread of its own: ``estimate_gF`` (the density task)
+    draws the coupling copy W* on a worker thread while the calling thread
+    draws W, and joins it before going on.  numpy's OpenBLAS may run the BLAS
     calls of an LSMC step on its own pool: ``mc`` holds each step's design
     row-major, (p, n), and makes its Gram matrix (two matrix-vector products
     for a poly design, ``At @ At.T`` for a hat design), one p x p Cholesky

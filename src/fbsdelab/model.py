@@ -419,6 +419,9 @@ def _make_ex_cubic() -> ModelSpec:
         oracle=oracle, name="ex_cubic")
 
 
+_ORACLE_BLOCK = 256  # (t, w) points the quadrature oracle sums at a time
+
+
 @lru_cache(maxsize=None)
 def _hermegauss_160():
     """The 160-node Gauss-Hermite rule (weight e^{-x^2/2}), built once per process, read-only."""
@@ -431,20 +434,58 @@ def _quad_exp_oracle(g, g1, T) -> Oracle:
     """Exponential-transform oracle by 160-node Gauss-Hermite quadrature, given W_t = w:
 
     Y = log E[exp(g(w + sqrt(T-t) xi))] and Z = E[g'(X_T) e^{g}] / E[e^{g}].
+
+    The broadcast (t, w) is read in blocks of about ``_ORACLE_BLOCK`` points,
+    each a (points, 160) array summed by matrix-vector products, so no call
+    holds more than a block of quadrature points.  A block is whole rows of
+    the last axis, or a piece of one row that starts at a multiple of the
+    block size: each point is then summed at the position that the one
+    product over its row gives it, and with one BLAS thread every value has
+    the bits of that product.  A long unblocked product that OpenBLAS splits
+    between threads sums the points at a split in another order, so there a
+    value may differ from the blocked one by an ulp.
     """
     nodes, weights = _hermegauss_160()
 
-    def points(t, w):
-        tau = np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))
-        return np.asarray(w, dtype=float)[..., None] + tau[..., None] * nodes
+    def quadrature(t, w, sums):
+        """``sums(points)`` at the points w + sqrt(T - t) xi of each broadcast (t, w)."""
+        t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
+        tau = np.sqrt(np.maximum(T - t, 0.0))
+        shape = np.broadcast(t, w).shape
+        if not shape or 0 in shape:  # one point (its sums are dot products) or none
+            return sums(w[..., None] + tau[..., None] * nodes)
+        m = shape[-1]
+        tau, w = (np.broadcast_to(a, shape).reshape(-1, m) for a in (tau, w))
+        outs = None
+        k = max(1, _ORACLE_BLOCK // m)  # short rows go k at a time
+        for i in range(0, tau.shape[0], k):
+            j = 0
+            while j < m:
+                # the last piece takes a single leftover point, which alone would be a dot product
+                stop = m if m - j <= _ORACLE_BLOCK + 1 else j + _ORACLE_BLOCK
+                pts = np.multiply(tau[i:i + k, j:stop, None], nodes)
+                pts += w[i:i + k, j:stop, None]
+                vals = sums(pts)
+                outs = outs or [np.empty(tau.shape) for _ in vals]
+                for o, v in zip(outs, vals):
+                    o[i:i + k, j:stop] = v
+                j = stop
+        return [o.reshape(shape) for o in outs]
+
+    def y_sums(pts):
+        return (np.exp(_on_grid(g, pts)) @ weights,)
+
+    def z_sums(pts):
+        ew = np.exp(_on_grid(g, pts))
+        return (g1(pts) * ew) @ weights, ew @ weights
 
     def y(t, w):
-        return np.log(np.exp(_on_grid(g, points(t, w))) @ weights / math.sqrt(2.0 * math.pi))
+        s, = quadrature(t, w, y_sums)
+        return np.log(s / math.sqrt(2.0 * math.pi))
 
     def z(t, w):
-        pts = points(t, w)
-        ew = np.exp(_on_grid(g, pts))
-        return (g1(pts) * ew) @ weights / (ew @ weights)
+        num, den = quadrature(t, w, z_sums)
+        return num / den
 
     return Oracle(y=y, z=z)
 

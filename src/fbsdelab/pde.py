@@ -28,14 +28,21 @@ Each sweep computes only what its inputs move, and every value keeps the bits
 of a loop that recomputes everything:
 
 * a coefficient or partial whose expression reads neither t nor y/z
-  (``ModelSpec.reads``) is evaluated once per solve, at the x nodes;
+  (``ModelSpec.reads``) is evaluated once per solve, at the x nodes, and is
+  the same array object at every later call; the sums of such leaves in the
+  equation's coefficients (sigma^2/2, b + sigma sigma_x, b_x + h_y) are
+  formed once while their leaves are the same objects, and a term the model
+  fixes at 0 is dropped where that moves no bit;
 * the coefficients of the last evaluation are reused when (t, iterate) repeat
-  bit for bit, or when t repeats and no coefficient reads the iterate, so
-  the explicit half-step reads those at which the step before stopped;
+  (the same object or the same bits), or when t repeats and no coefficient
+  reads the iterate, so the explicit half-step reads those at which the step
+  before stopped;
 * the implicit matrix is LU-factored by LAPACK's gbtrf only when no factor
   in the sweep's small table has its theta dt and coefficient bits (a
   uniform-looking grid such as linspace(0, 1, 201) has several step widths
-  in bits, which alternate along the sweep); each solve is one gbtrs.
+  in bits, which alternate along the sweep); a matrix whose coefficient
+  arrays are the objects of the last solve takes its factor without the
+  table's key; each solve is one gbtrs.
 """
 
 from __future__ import annotations
@@ -314,11 +321,21 @@ class YZResult:
 
 
 def _centered_dx(v: np.ndarray, dx: float):
-    """First x-difference on the last axis: centred inside, one-sided at the two ends."""
+    """First x-difference on the last axis: centred inside, one-sided at the two ends.
+
+    A row's two ends are formed in Python floats, with the bits of the same
+    arithmetic on numpy scalars.
+    """
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * dx)
-    out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
-    out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
+    inner = np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
+    inner /= 2 * dx
+    if v.ndim == 1:
+        v0, v1, v2, w2, w1, w0 = v[:3].tolist() + v[-3:].tolist()
+        out[0] = (-3 * v0 + 4 * v1 - v2) / (2 * dx)
+        out[-1] = (3 * w0 - 4 * w1 + w2) / (2 * dx)
+    else:
+        out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
+        out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
     return out
 
 
@@ -338,19 +355,26 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
 
     coef_fn(t, v_frozen) must be a pure function returning arrays
     (a2, a1, a0, s) over x_nodes, with any nonlinear dependence evaluated at
-    the frozen iterate; ``reads_v`` False says that none of them depends on
-    it.  The last evaluation is reused when its key repeats bit for bit: (t, v),
-    or t alone without ``reads_v``.  So the explicit half-step at t_{n+1} reads
-    the evaluation on which step n+1 stopped, and without ``reads_v`` a step
-    evaluates once.  A Picard iteration whose coefficients are bitwise those
-    of the step's last solve would solve the same system again and return the
-    same iterate (delta = 0): it stops the step without the solve and is
-    counted as run.  Without ``reads_v`` that is every iteration after the
-    first, so the step stops after its one solve, without reading the
-    coefficients' bytes.  The sweep keeps the LU factors of the last ``_FACTORS``
-    matrices it factored, keyed by w = theta dt and the bits of
-    (a2, a1, a0) (``_solve_implicit``), so a matrix is factored once while
-    its factor stays in that table.  A system with a NaN or
+    the frozen iterate, and it never writes into an array it returned (so one
+    array object holds the same bits for the whole sweep); ``reads_v`` False
+    says that none of them depends on v.  Each Picard iteration recomputes
+    only what moved:
+
+    * the last evaluation is reused when its key repeats, (t, v) or t alone
+      without ``reads_v``, with v the same object or bit for bit the same.
+      So the explicit half-step at t_{n+1} reads the evaluation on which step
+      n+1 stopped, and without ``reads_v`` a step evaluates once;
+    * an iteration whose coefficients are bitwise those of the step's last
+      solve (each the same object, or of the same bytes) would solve the same
+      system again and return the same iterate (delta = 0): it stops the step
+      without the solve and is counted as run.  Without ``reads_v`` that is
+      every iteration after the first, so the step stops after its one solve
+      without comparing the coefficients;
+    * ``_solve_implicit`` factors a matrix only when the sweep's table
+      (``_Factors``, the ``_FACTORS`` last factored) lacks it, and skips even
+      the table's key when the matrix's arrays are those of the last solve.
+
+    A system with a NaN or
     +-inf is the coefficients' fault at a step's first iteration, which reads
     the accepted iterate: ``_solve_implicit``'s EvaluationError, with its
     witness.  At a later iteration, which reads an iterate not yet accepted,
@@ -362,14 +386,14 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
     """
     tn, xn, dx = grid.t_nodes, grid.x_nodes, grid.dx
     nt, nx = tn.size, xn.size
-    last = [None, None]  # key of the last evaluation, its coefficients
-    factors = {}  # (w, bits of a2, a1, a0) -> LU factor and pivots, oldest first
+    last = [None, None, None]  # t, iterate and coefficients of the last evaluation
+    factors = _Factors()
 
     def coefs(t, v):
-        key = (t, v.tobytes()) if reads_v else t
-        if key != last[0]:
-            last[:] = key, coef_fn(t, v)
-        return last[1]
+        t_last, v_last, _ = last
+        if t != t_last or reads_v and v is not v_last and v.tobytes() != v_last.tobytes():
+            last[:] = t, v, coef_fn(t, v)
+        return last[2]
 
     v_all = np.empty((nt, nx))
     v_all[-1] = terminal
@@ -387,12 +411,12 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
         a2o, a1o, a0o, so = coefs(t_old, w)
         explicit = w + dt * (1 - theta) * (_apply_operator(a2o, a1o, a0o, w, dx) + so)
         v = w
-        solved = None  # bytes of the coefficients of this step's last solve
+        solved = None  # coefficients of this step's last solve
         converged = False
         for m in range(max_iter):
             c = coefs(t_new, v)
-            bits = [a.tobytes() for a in c] if reads_v else None
-            if reads_v and bits == solved:
+            if reads_v and solved is not None and all(
+                    a is b or a.tobytes() == b.tobytes() for a, b in zip(c, solved)):
                 delta = 0.0
             else:
                 a2, a1, a0, s = c
@@ -412,7 +436,7 @@ def _backward_sweep(grid: GridSpec, terminal: np.ndarray, coef_fn: Callable,
                 np.abs(np.subtract(v_new, v, out=diff), out=diff)
                 change = diff.max()
                 delta = float(change / (1.0 + np.abs(v_new, out=diff).max()))
-                v, solved = v_new, bits
+                v, solved = v_new, c
             if delta < tol:
                 converged = True
                 max_used = max(max_used, m + 1)
@@ -467,8 +491,9 @@ def _check_finite(b, grid, t, ab=None):
     """EvaluationError, witness (t, x), at the first row of the system with a NaN or +-inf.
 
     A row is read from the right-hand side b and, when given, the band ab.
+    One sum screens the system; only a sum that is not finite is searched.
     """
-    if np.isfinite((0.0 if ab is None else ab.sum()) + b.sum()):  # else a NaN, +-inf or overflow
+    if math.isfinite((0.0 if ab is None else ab.sum()) + b.sum()):  # else a NaN, +-inf or overflow
         return
     bad = ~np.isfinite(b)
     if ab is not None:  # interior row i holds ab[5, i-1], ab[4, i] and ab[3, i+1]
@@ -480,34 +505,54 @@ def _check_finite(b, grid, t, ab=None):
                               witness=(float(t), x))
 
 
+class _Factors(dict):
+    """One sweep's LU factors by key (w, bits of a2, a1, a0), oldest first.
+
+    It also holds LAPACK's gbtrf and gbtrs, looked up once per table, and
+    ``last``: (w, a2, a1, a0, factor) of the last solve, whose arrays are
+    objects that keep their bits (``_backward_sweep``'s contract).
+    """
+
+    def __init__(self):
+        super().__init__()
+        from scipy.linalg.lapack import dgbtrf, dgbtrs  # here: scipy.linalg slows package import
+
+        self.gbtrf, self.gbtrs, self.last = dgbtrf, dgbtrs, None
+
+
 def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factors=None):
     """Solve (I - w L) v = rhs with boundary closure rows; banded (2,2) system.
 
     LAPACK's gbtrf factors the band (``_band``) in place and gbtrs solves
-    with the factor.  ``factors`` is the caller's table of (LU, pivots) by
-    key = (w, bits of a2, a1, a0), holding at most ``_FACTORS`` entries (the
-    oldest goes first): a matrix whose key it holds is neither assembled nor
-    factored again, and the call is one gbtrs.  A NaN or +-inf in a row of
-    the system raises EvaluationError with witness (t, x); a kept band was
-    checked when it was factored, so then only the right-hand side is.  A zero pivot raises
-    SolverError naming (t, x) of its node, and its matrix is not kept.
+    with the factor.  ``factors`` is the caller's ``_Factors`` table of
+    (LU, pivots), holding at most ``_FACTORS`` entries (the oldest goes
+    first): a matrix whose key it holds is neither assembled nor factored
+    again, and the call is one gbtrs.  When w equals the last solve's and
+    a2, a1, a0 are its array objects, the last factor is used without
+    forming the key.  rhs is overwritten (it becomes the solution).  A NaN
+    or +-inf in a row of the system raises EvaluationError with witness
+    (t, x); a kept band was checked when it was factored, so then only the
+    right-hand side is.  A zero pivot raises SolverError naming (t, x) of
+    its node, and its matrix is not kept.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs  # here: scipy.linalg slows package import
-
-    factors = {} if factors is None else factors
-    key = (w, a2.tobytes(), a1.tobytes(), a0.tobytes())
-    b = rhs.copy()
+    factors = _Factors() if factors is None else factors
+    b = rhs
     if grid.boundary == "extrapolation":
         b[0] = b[-1] = 0.0
     else:  # dirichlet: hold the terminal values at the edges
         b[0], b[-1] = terminal[0], terminal[-1]
-    kept = factors.get(key)
+    last = factors.last
+    if last is not None and w == last[0] and a2 is last[1] and a1 is last[2] and a0 is last[3]:
+        kept = last[4]
+    else:
+        key = (w, a2.tobytes(), a1.tobytes(), a0.tobytes())
+        kept = factors.get(key)
     if kept is not None:
         _check_finite(b, grid, t)
     else:
         ab = _band(a2, a1, a0, w, grid)
         _check_finite(b, grid, t, ab)
-        lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        lu, piv, info = factors.gbtrf(ab, 2, 2, overwrite_ab=1)
         if info > 0:
             x = float(grid.x_nodes[info - 1])
             raise SolverError(f"singular implicit system: zero pivot at (t, x) = ({t:g}, {x:g})")
@@ -516,7 +561,8 @@ def _solve_implicit(a2, a1, a0, rhs, w, grid, terminal, t, factors=None):
         if len(factors) >= _FACTORS:
             del factors[next(iter(factors))]
         kept = factors[key] = lu, piv
-    v, info = dgbtrs(kept[0], 2, 2, b, kept[1], overwrite_b=1)
+    factors.last = w, a2, a1, a0, kept
+    v, info = factors.gbtrs(kept[0], 2, 2, b, kept[1], overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrs")
     return v
@@ -552,31 +598,57 @@ class _Leaves:
     partials.  ``y`` and ``z`` are called only when a leaf evaluated in the
     call may read them (``ModelSpec.reads``); a leaf that does not read one
     gets 0.0 in its place, which keeps its bits and broadcast shape.  A leaf
-    that reads at most x is evaluated on its first call only, and those values
-    are returned at every later (t, y, z).  Nothing outlives the object, which
-    belongs to one solve.
+    that reads at most x is evaluated on its first call only, and that same
+    array object is returned at every later (t, y, z).  Each tuple of names
+    has a plan, made on its first call and again after a call that fixed a
+    leaf: the fixed values in their slots, the callables of the others and
+    whether those read y or z.  Nothing outlives the object, which belongs to
+    one solve.
     """
 
     def __init__(self, spec: ModelSpec, xn: np.ndarray):
         self.spec, self.xn = spec, xn
         self.fixed = {}  # name -> values of a leaf that reads at most x
+        self.plans = {}  # names -> (slots, [(slot, callable, is h)], reads y, reads z, fixes any)
         self.reads = functools.cache(spec.reads)  # ModelSpec.reads, once per name
 
     def reads_any(self, names, args) -> bool:
         """Whether any of the named leaves may read any of ``args``."""
         return any(not self.reads(n).isdisjoint(args) for n in names)
 
-    def at(self, t, names, y=None, z=None) -> tuple:
+    def _plan(self, names) -> tuple:
         todo = [n for n in names if n not in self.fixed]
         need = frozenset().union(*map(self.reads, todo))
-        yz = (y() if "y" in need else 0.0, z() if "z" in need else 0.0)
-        new = {}
-        for n in todo:
-            fn = getattr(self.spec, n) if n in COEFFICIENT_ARGS else self.spec.d(n)
-            new[n] = _on_grid(fn, t, self.xn, *(yz if coefficient_of(n) == "h" else ()))
-            if self.reads(n) <= {"x"}:
-                self.fixed[n] = new[n]
-        return tuple(new[n] if n in new else self.fixed[n] for n in names)
+        calls = [(names.index(n), getattr(self.spec, n) if n in COEFFICIENT_ARGS else self.spec.d(n),
+                  coefficient_of(n) == "h") for n in todo]
+        return ([self.fixed.get(n) for n in names], calls, "y" in need, "z" in need,
+                any(self.reads(n) <= {"x"} for n in todo))
+
+    def at(self, t, names, y=None, z=None) -> tuple:
+        plan = self.plans.get(names) or self._plan(names)
+        slots, calls, reads_y, reads_z, fixes = plan
+        yz = (y() if reads_y else 0.0, z() if reads_z else 0.0)
+        for i, fn, is_h in calls:
+            slots[i] = _on_grid(fn, t, self.xn, *yz) if is_h else _on_grid(fn, t, self.xn)
+        out = tuple(slots)
+        if fixes:  # the first call of these names: keep what reads at most x, plan again
+            self.fixed.update((n, v) for n, v in zip(names, out) if self.reads(n) <= {"x"})
+            plan = self._plan(names)
+        self.plans[names] = plan
+        return out
+
+
+def _kept(form: Callable) -> Callable:
+    """``form(*arrays)``, formed again only when the arrays are not the last call's objects."""
+    last = [None, None, None]  # ids, the arrays (held, so no other object takes an id), value
+
+    def formed(*arrays):
+        ids = tuple(map(id, arrays))
+        if ids != last[0]:
+            last[:] = ids, arrays, form(*arrays)
+        return last[2]
+
+    return formed
 
 
 def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
@@ -585,17 +657,20 @@ def solve_u(spec: ModelSpec, grid: GridSpec, theta: float = 0.5,
 
     The nonlinear driver is treated by frozen-coefficient Picard sweeps per
     time step until the iterate is stationary to ``tol``; a sweep that fails
-    (``_backward_sweep``'s SolverError) is retried at theta = 1.
+    (``_backward_sweep``'s SolverError) is retried at theta = 1.  sigma^2/2
+    is formed once while sigma's values are one array (``_Leaves``), so a
+    fixed sigma, b and the zero a0 give the sweep the same matrix arrays at
+    every iteration.
     """
     xn, dx = grid.x_nodes, grid.dx
     terminal = _on_grid(spec.g, xn)
     a0 = np.zeros_like(xn)
-    leaves = _Leaves(spec, xn)
+    leaves, half_square = _Leaves(spec, xn), _kept(lambda sig: 0.5 * sig**2)
 
     def coef(t, v):
         sig, bb = leaves.at(t, ("sigma", "b"))
         h = leaves.at(t, ("h",), lambda: v, lambda: sig * _centered_dx(v, dx))[0]
-        return 0.5 * sig**2, bb, a0, h
+        return half_square(sig), bb, a0, h
 
     return _solve(grid, "u", terminal, coef, theta, max_iter, tol,
                   reads_v=leaves.reads_any(("h",), {"y", "z"}))
@@ -609,21 +684,31 @@ def solve_u_prime(spec: ModelSpec, grid: GridSpec, sol_u: Optional[GridSolution]
     equation is autonomous in v.  In the generalized setting the coefficients
     involve u itself through y: u is solved first, when not supplied, exactly
     when h_z, h_y or h_x may read y (``ModelSpec.reads``; an opaque or
-    differenced partial may read every argument).
+    differenced partial may read every argument).  The sums of leaves that
+    stay one array (``_Leaves``), sigma^2/2, b + sigma sigma_x and
+    b_x + h_y, are formed once; an iteration adds the h_z terms to them.
+    When the model fixes sigma_x at 0 (``ModelSpec.constant``), a0 is
+    b_x + h_y itself: the term sigma_x h_z is a zero, which leaves every value
+    of that sum as it is unless the value is -0.0 (-0.0 + 0.0 = +0.0), so a
+    sum holding a -0.0 keeps the term.
     """
     xn = grid.x_nodes
     leaves, driver = _Leaves(spec, xn), ("h_z", "h_y", "h_x")
     if sol_u is None and leaves.reads_any(driver, {"y"}):
         sol_u = solve_u(spec, grid, theta=theta, max_iter=max_iter, tol=tol)
     terminal = _on_grid(spec.d("g1"), xn)
+    half_square = _kept(lambda sig: 0.5 * sig**2)
+    drift = _kept(lambda bb, sig, sig_x: bb + sig * sig_x)
+    rate = _kept(lambda bx, hy: bx + hy)
+    no_sig_x = spec.constant("sigma_x") == 0.0
+    rate_is_a0 = _kept(lambda r: no_sig_x and not np.signbit(r[r == 0.0]).any())
 
     def coef(t, v):
         sig, bb, sig_x, bx = leaves.at(t, ("sigma", "b", "sigma_x", "b_x"))
         hz, hy, hx = leaves.at(t, driver, lambda: sol_u.row(t), lambda: sig * v)
-        a2 = 0.5 * sig**2
-        a1 = bb + sig * sig_x + sig * hz
-        a0 = bx + hy + sig_x * hz
-        return a2, a1, a0, hx
+        r = rate(bx, hy)
+        a0 = r if rate_is_a0(r) else r + sig_x * hz
+        return half_square(sig), drift(bb, sig, sig_x) + sig * hz, a0, hx
 
     return _solve(grid, "u_prime", terminal, coef, theta, max_iter, tol,
                   reads_v=leaves.reads_any(driver, {"z"}))

@@ -1,6 +1,12 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +57,74 @@ def test_quad_exp_oracle_rule_is_built_once(monkeypatch):
     assert np.array_equal(spec.oracle.z(t, w), fresh.oracle.z(t, w))
     monkeypatch.undo()
     assert model._hermegauss_160()[0] is nodes
+
+
+def _unblocked_oracle(spec):
+    """The quad_exp oracle's formula as one (points, 160) product per row of the last axis."""
+    from fbsdelab import model
+
+    nodes, weights = model._hermegauss_160()
+
+    def points(t, w):
+        tau = np.sqrt(np.maximum(spec.T - np.asarray(t, dtype=float), 0.0))
+        return np.asarray(w, dtype=float)[..., None] + tau[..., None] * nodes
+
+    def y(t, w):
+        return np.log(np.exp(model._on_grid(spec.g, points(t, w))) @ weights
+                      / math.sqrt(2.0 * math.pi))
+
+    def z(t, w):
+        pts = points(t, w)
+        ew = np.exp(model._on_grid(spec.g, pts))
+        return (spec.d("g1")(pts) * ew) @ weights / (ew @ weights)
+
+    return y, z
+
+
+def _oracle_cases() -> dict:
+    rng = np.random.default_rng(7)
+    cases = {"scalar": (0.3, 0.7)}
+    cases.update({f"w{n}": (0.4, 2.0 * rng.standard_normal(n))
+                  for n in (1, 255, 256, 257, 8192, 8193)})
+    t, x = np.linspace(0.0, 1.0, 201), np.linspace(-6.0, 6.0, 401)
+    cases["open mesh"] = (t[:, None], x[None, :])
+    cases["meshgrid"] = tuple(np.meshgrid(t, x, indexing="ij"))  # test_pde's oracle grid
+    # test_bsde_identity_euler_rate's (1, 257) times against (256, 257) paths
+    cases["paths"] = (np.linspace(0.0, 1.0, 257)[None, :], rng.standard_normal((256, 257)))
+    return cases
+
+
+def _oracle_report() -> dict:
+    """Per case: [y equals the unblocked formula, SHA-256 of y, the same two for z]."""
+    spec = fl.preset("ex_quad_exp")
+    report = {}
+    for name, (t, w) in _oracle_cases().items():
+        row = []
+        for blocked, formula in zip((spec.oracle.y, spec.oracle.z), _unblocked_oracle(spec)):
+            got, want = blocked(t, w), formula(t, w)
+            row += [type(got) is type(want) and bool(np.array_equal(got, want)),
+                    hashlib.sha256(np.ascontiguousarray(got).tobytes()).hexdigest()]
+        report[name] = row
+    return report
+
+
+def test_quad_exp_oracle_blocks_keep_the_formula_bits():
+    # with one BLAS thread every blocked y and z has the bits of the unblocked
+    # formula, a scalar's type included; at the default thread count the
+    # blocked values keep those bytes (an unblocked product of thousands of
+    # points that OpenBLAS splits between threads may not, so it is not compared)
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p)}
+    script = "import json, test_model; print(json.dumps(test_model._oracle_report()))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    one_thread, default = json.loads(done.stdout.splitlines()[-1]), _oracle_report()
+    assert list(one_thread) == list(default) == list(_oracle_cases())
+    for name, (y_equal, y_sha, z_equal, z_sha) in one_thread.items():
+        assert y_equal and z_equal, name
+        assert default[name][1::2] == [y_sha, z_sha], name
 
 
 def test_quad_exp_zero_terminal():

@@ -459,6 +459,15 @@ def test_non_finite_system_raises_evaluation_error_at_its_node(monkeypatch):
     assert "(t, x) = (0.875, 0)" in str(exc.value)
 
 
+def test_centered_dx_of_a_row_is_the_row_of_the_grid_difference():
+    # a 1-D row forms its two ends in Python floats, a grid in numpy arrays
+    v = np.random.default_rng(3).standard_normal((5, 11)) * 10.0 ** np.arange(-5, 6)
+    v[2, :3] = v[3, -3:] = 0.0, -0.0, np.inf
+    grid = fl.pde._centered_dx(v, 0.3)
+    for row, want in zip(v, grid):
+        assert fl.pde._centered_dx(row, 0.3).tobytes() == want.tobytes()
+
+
 def _reference_sweep(grid, terminal, coef_fn, theta, max_iter, tol, blowup_cap=None,
                      _reads_v=True):
     # the Picard loop as first written: the coefficients recomputed at t_old and
@@ -592,6 +601,18 @@ def test_sweep_work_counts(monkeypatch, counter, quad_exp):
     sol = fl.solve_u(quad_exp, fl.default_grid(quad_exp, nt=129, nx=401))
     assert counts == {"solves": 582, "evaluations": 710, "factorizations": 1}
     assert sol.max_iterations == 5
+    # its u' solve: h_z = z moves a1, so every solve factors its own matrix
+    counts.update(solves=0, evaluations=0, factorizations=0)
+    sol = fl.solve_u_prime(quad_exp, fl.default_grid(quad_exp, nt=129, nx=401))
+    assert counts == {"solves": 512, "evaluations": 640, "factorizations": 512}
+    assert sol.max_iterations == 4
+    # a constant g: each solve returns a new array with its iterate's bits, at
+    # which the coefficients are not evaluated again (160 if they were)
+    spec = fl.expression_spec(b="0", sigma="1", g="2.5", h="0.5*z^2", f=None, T=1.0, X0=0.0)
+    counts.update(solves=0, evaluations=0, factorizations=0)
+    grid = fl.default_grid(spec, nt=41, nx=101)
+    fl.solve_u_prime(spec, grid, sol_u=fl.solve_u(spec, grid))
+    assert counts == {"solves": 80, "evaluations": 115, "factorizations": 12}
 
 
 def test_factor_table_keeps_at_most_16_factors(monkeypatch):
@@ -666,6 +687,63 @@ def test_singular_matrix_after_a_kept_factor(reads_v):
             fl.pde._backward_sweep(_KEPT, np.ones(9), coef, 0.5, 20, 1e-10, None, reads_v)
     sol = fl.pde._solve(_KEPT, "u", np.ones(9), coef, 0.5, 20, 1e-10, reads_v=reads_v)
     assert sol.theta == 1.0 and sol.fallback_used and np.all(np.isfinite(sol.u))
+
+
+_ZERO_TERM_MODELS = {
+    **{name: _EXACTNESS_MODELS[name]
+       for name in ("ex_counter", "ex_cubic", "ex_quad_exp", "tanh-sigma")},
+    # b_x + h_y = -0.0 + -0.0 = -0.0, which sigma_x h_z = +0.0 turns into +0.0
+    "signed-zero": lambda: fl.expression_spec(b="-0*x", sigma="1", g="tanh(x)",
+                                              h="-0*y + 0.5*z^2", f=None, T=1.0, X0=0.0),
+}
+
+
+def test_leaves_return_a_fixed_leaf_as_one_array():
+    # sigma and h_z read at most x: one evaluation, the same array at every
+    # later call; b reads t and h_y reads y, so they are evaluated at each call
+    spec = fl.expression_spec(b="t*x", sigma="1 + 0.2*tanh(x)", g="x", h="0.3*x*z + sin(y)",
+                              f=None, T=1.0, X0=0.0)
+    xn, reads = np.linspace(-1.0, 1.0, 5), []
+    leaves = fl.pde._Leaves(spec, xn)
+    y = lambda: reads.append("y") or xn
+    calls = [leaves.at(t, ("sigma", "b")) + leaves.at(t, ("h_z", "h_y"), y, lambda: xn)
+             for t in (0.1, 0.7, 0.7)]
+    assert all(c[0] is calls[0][0] and c[2] is calls[0][2] for c in calls)
+    assert calls[0][1] is not calls[1][1] and np.array_equal(calls[1][1], 0.7 * xn)
+    assert reads == ["y"] * 3
+
+
+def _uprime_coefficients(spec, t, x, y, v):
+    # the u' equation's coefficients as first written: every leaf and term evaluated
+    leaf = lambda n, *yz: fl.model._on_grid(
+        getattr(spec, n) if n in ("b", "sigma") else spec.d(n), t, x, *yz)
+    sig, b, sig_x, b_x = (leaf(n) for n in ("sigma", "b", "sigma_x", "b_x"))
+    hz, hy, hx = (leaf(n, y, sig * v) for n in ("h_z", "h_y", "h_x"))
+    return 0.5 * sig**2, b + sig * sig_x + sig * hz, b_x + hy + sig_x * hz, hx
+
+
+@pytest.mark.parametrize("name", list(_ZERO_TERM_MODELS))
+def test_uprime_dropped_zero_term_keeps_the_bits(monkeypatch, name):
+    # sigma_x = 0 (ModelSpec.constant) drops the term sigma_x h_z from a0, and
+    # the fixed sums are formed once per solve.  Where b_x + h_y holds a -0.0
+    # the term is kept, since it moves that zero's sign, and so it is where
+    # sigma_x is not 0 (tanh-sigma).  The coefficients at (T, g') have the
+    # bytes of the formula as first written, and the solution those of the
+    # opaque twin, which fixes nothing and evaluates every term at every iteration
+    spec = _ZERO_TERM_MODELS[name]()
+    grid = fl.default_grid(spec, nt=41, nx=101)
+    su = fl.solve_u(spec, grid)
+    first, sweep = [], fl.pde._backward_sweep
+
+    def recorded(grid, terminal, coef, *rest):
+        first.append(coef(grid.t_nodes[-1], terminal))
+        return sweep(grid, terminal, coef, *rest)
+
+    monkeypatch.setattr(fl.pde, "_backward_sweep", recorded)
+    sp = fl.solve_u_prime(spec, grid, sol_u=su)
+    assert_same_solution(sp, fl.solve_u_prime(opaque(spec), grid, sol_u=su))
+    want = _uprime_coefficients(spec, grid.t_nodes[-1], grid.x_nodes, su.u[-1], sp.u[-1])
+    assert [a.tobytes() for a in first[0]] == [a.tobytes() for a in want]
 
 
 def _count_u_solves(monkeypatch):

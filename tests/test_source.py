@@ -14,7 +14,10 @@ in ``src/fbsdelab`` outside its own definition (read as a name or an attribute, 
 imported), so a private helper that only a test calls lives in that test.  Only
 ``mc``, whose ``_draw_increments`` draws a second random stream on a worker
 thread, imports ``threading`` or ``concurrent.futures``, at module level or
-inside a function.
+inside a function.  No module imports scipy when it is imported (at module level,
+or in a class body or a module-level block): a cold ``import scipy.linalg``
+costs more than all of ``import fbsdelab``, so scipy is imported inside the
+function that calls it.
 """
 
 import ast
@@ -130,3 +133,25 @@ def _thread_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mc.py"], ids=lambda p: p.name)
 def test_threads_stay_in_mc(path):
     assert _thread_imports(path) == []
+
+
+def _import_time_imports(path: Path) -> list:
+    """The modules imported while ``path`` is imported: every import outside a function body."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from walk(child)
+
+    names = []
+    for n in walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(n, ast.Import):
+            names += [(n.lineno, alias.name) for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            names.append((n.lineno, n.module))
+    return [f"{path.name}:{line} {name}" for line, name in names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_imported_inside_functions(path):
+    assert [i for i in _import_time_imports(path) if i.split()[1].split(".")[0] == "scipy"] == []
